@@ -23,7 +23,6 @@ DESK_CONFIG = {
         "test_fraction": 0.1,
         "labeled_sizes": [25946],
         "repetitions": 1,
-        "seed": 0,
     },
     "train": {
         "epochs": 100,

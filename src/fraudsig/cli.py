@@ -38,12 +38,11 @@ from .features import (
     scale_matrix,
 )
 from .metrics import majority_class_scores
-from .nnet import load_params
 from .training import (
     DivergedChainError,
-    EnsembleMember,
     PreparedData,
     build_nets,
+    load_members,
     predict,
     train,
 )
@@ -339,8 +338,6 @@ def _cmd_train(args) -> int:
         shutil.rmtree(ckpt)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.workers > 1:
-        logger.info("chains run sequentially for determinism; --workers ignored")
     result = train(data, cfg.train, seed, checkpoint_dir=ckpt, resume=resume)
 
     trace_path = run_dir / "trace.csv"
@@ -377,14 +374,6 @@ def _cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_members(ckpt: Path) -> list[EnsembleMember]:
-    state = json.loads((ckpt / "state.json").read_text())
-    return [
-        EnsembleMember(m["chain"], m["epoch"], load_params(ckpt / f"member{i:05d}"))
-        for i, m in enumerate(state["members"])
-    ]
-
-
 def _cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     t0 = time.perf_counter()
@@ -412,7 +401,7 @@ def _cmd_evaluate(args) -> int:
             labeled_global = np.asarray(splits["labeled"][f"{si}:{rep}"], dtype=np.intp)
             rate_table = banksim.category_rate_table(samples, labeled_global)
             codes = _condition_codes(samples, splits, rate_table, test_idx)
-            pred = predict(disc, _load_members(ckpt), feats, codes)
+            pred = predict(disc, load_members(ckpt), feats, codes)
             cells.append(
                 reports.score_cell(
                     "ours", size, rep, labels, pred.mean, pred.width, amounts, cfg.heads
@@ -500,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", type=int, required=True, help="repetition index")
     p.add_argument("--seed", type=int, default=None, help="override the derived cell seed")
     p.add_argument("--resume", action="store_true", help="continue from the cell checkpoint")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score all trained cells on the test split")

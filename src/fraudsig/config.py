@@ -32,7 +32,6 @@ CACHE_ENV_VAR = "FRAUDSIG_CACHE"
 # Stage identifiers for seed spawn keys.
 STAGE_SPLIT = 1
 STAGE_TRAIN = 2
-STAGE_EVAL = 3
 STAGE_PREPARE = 4
 
 
@@ -55,7 +54,6 @@ class SplitPlan:
     test_fraction: float = 0.1
     labeled_sizes: tuple[int, ...] = (2595, 3893, 5190, 12973, 25946)
     repetitions: int = 5
-    seed: int = 0
 
     def scaled_sizes(self, fraction: float) -> tuple[int, ...]:
         """Labeled sizes scaled proportionally for subsampled runs."""

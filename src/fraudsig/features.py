@@ -164,9 +164,6 @@ class FeatureStore:
     degree: int
     manifest: dict
 
-    def materialize(self, max_sd: float, max_amt: float) -> np.ndarray:
-        return scale_matrix(self.matrix, self.basis, max_sd, max_amt)
-
 
 _worker_ctx: dict = {}
 

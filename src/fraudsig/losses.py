@@ -169,46 +169,64 @@ def discriminator_loss(
     gp_weight: float,
     want_grads: bool = False,
 ):
-    """Full critic loss unlabeled + lam*labeled + gp_weight*penalty.
+    """Critic loss unlabeled + lam*labeled + gp_weight*penalty, summed over
+    one fake batch per generator chain.
 
-    The penalty interpolates `real_feat` against `fake_feat` under the real
-    batch's condition codes.  Returns (parts, total) or
-    (parts, total, grads) when `want_grads`.
+    `fake_feat` (k, B, l), `fake_codes` (k, B, F) and `eps` (k, B) hold the
+    fakes of k generator chains; a 2-D `fake_feat` is the single-chain case
+    k = 1.  Each fake batch is scored against the same real and labeled
+    batches, and its penalty interpolates `real_feat` against it under the
+    real batch's condition codes.  The real and labeled terms do not depend
+    on the chain, so they are evaluated once and weighted by k.  Returns
+    (parts, total) or (parts, total, grads) when `want_grads`.
     """
-    if real_feat.shape != fake_feat.shape:
+    fake_feat = np.asarray(fake_feat)
+    if fake_feat.ndim == 2:
+        fake_feat = fake_feat[None]
+        fake_codes = np.asarray(fake_codes)[None]
+        eps = np.asarray(eps)[None]
+    if fake_feat.shape[1:] != real_feat.shape:
         raise ValueError(
-            f"real/fake batches must align, got {real_feat.shape} vs {fake_feat.shape}"
+            f"real/fake batches must align, got {real_feat.shape} vs {fake_feat.shape[1:]}"
         )
-    real_scores, real_cache = disc.forward(params, real_feat, real_codes)
-    fake_scores, fake_cache = disc.forward(params, fake_feat, fake_codes)
-    lab_scores, lab_cache = disc.forward(params, labeled_feat, labeled_codes)
+    k, n = fake_feat.shape[:2]
+    tvec = critic_head_vector(disc.n_classes)
 
-    unlab = unlabeled_loss(real_scores, fake_scores)
-    lab, dlab_scores = labeled_loss_grad(lab_scores, labels)
-    parts_pen = gradient_penalty(
-        disc, params, real_feat, fake_feat, real_codes, eps, want_grads=want_grads
-    )
+    real_scores, cache = disc.forward(params, real_feat, real_codes)
     if want_grads:
-        pen, pen_grads = parts_pen
-    else:
-        pen = parts_pen
-    parts = DiscriminatorLossParts(unlab, lab, pen)
+        grads, _ = disc.backward(params, cache, np.broadcast_to(k * tvec / n, real_scores.shape))
+    lab_scores, cache = disc.forward(params, labeled_feat, labeled_codes)
+    lab, dlab_scores = labeled_loss_grad(lab_scores, labels)
+    if want_grads:
+        _accumulate(grads, disc.backward(params, cache, (k * lam) * dlab_scores)[0])
+    del cache
+
+    unlab = pen = 0.0
+    for j in range(k):
+        fake_scores, cache = disc.forward(params, fake_feat[j], fake_codes[j])
+        unlab += unlabeled_loss(real_scores, fake_scores)
+        if want_grads:
+            d_fake = np.broadcast_to(-tvec / n, fake_scores.shape)
+            _accumulate(grads, disc.backward(params, cache, d_fake)[0])
+        del cache
+        res = gradient_penalty(
+            disc, params, real_feat, fake_feat[j], real_codes, eps[j], want_grads=want_grads
+        )
+        if want_grads:
+            res, pen_grads = res
+            _accumulate(grads, pen_grads, gp_weight)
+        pen += res
+
+    parts = DiscriminatorLossParts(unlab, k * lab, pen)
     total = parts.total(lam, gp_weight)
     if not want_grads:
         return parts, total
-
-    tvec = critic_head_vector(disc.n_classes)
-    n_real = real_scores.shape[0]
-    d_real = np.broadcast_to(tvec / n_real, real_scores.shape)
-    d_fake = np.broadcast_to(-tvec / n_real, fake_scores.shape)
-    g_real, _ = disc.backward(params, real_cache, d_real)
-    g_fake, _ = disc.backward(params, fake_cache, d_fake)
-    g_lab, _ = disc.backward(params, lab_cache, dlab_scores)
-    grads = [
-        gr + gf + lam * gl + gp_weight * gp
-        for gr, gf, gl, gp in zip(g_real, g_fake, g_lab, pen_grads)
-    ]
     return parts, total, grads
+
+
+def _accumulate(acc, grads, weight: float = 1.0) -> None:
+    for a, g in zip(acc, grads):
+        a += weight * g
 
 
 def generator_loss_from_scores(fake_scores: np.ndarray):

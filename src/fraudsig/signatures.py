@@ -88,12 +88,6 @@ class TensorSeries:
             self.alphabet_size, self.degree, [lvl.copy() for lvl in self.levels]
         )
 
-    def allclose(self, other: "TensorSeries", rtol=1e-10, atol=1e-12) -> bool:
-        return all(
-            np.allclose(a, b, rtol=rtol, atol=atol)
-            for a, b in zip(self.levels, other.levels)
-        )
-
     def __repr__(self) -> str:
         return (
             f"TensorSeries(D={self.alphabet_size}, M={self.degree}, "

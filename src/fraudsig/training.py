@@ -3,18 +3,18 @@
 Several generator chains and several discriminator chains evolve jointly:
 each generator step follows the critic response summed over all
 discriminator chains, and each discriminator step sums its loss over fakes
-from every generator chain (appearing once per opposing chain).  Chain
-parameters visited after burn-in are collected at a fixed thinning stride
-into a posterior ensemble; prediction averages the restricted-softmax fraud
-probability over ensemble members and reports empirical 5%/95% quantiles,
-whose spread is the per-sample uncertainty.
+from every generator chain (appearing once per opposing chain).
+Discriminator parameters visited after burn-in are collected at a fixed
+thinning stride into a posterior ensemble; prediction averages the
+restricted-softmax fraud probability over ensemble members and reports
+empirical 5%/95% quantiles, whose spread is the per-sample uncertainty.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "predict",
     "save_checkpoint",
     "load_checkpoint",
+    "load_members",
 ]
 
 
@@ -90,7 +91,6 @@ class EnsembleMember:
 @dataclass
 class TrainResult:
     members: list            # discriminator posterior ensemble
-    gen_members: list        # generator posterior ensemble
     disc_chains: list        # final per-chain parameter lists
     gen_chains: list
     trace: list              # rows (epoch, kind, chain, term, value)
@@ -238,7 +238,6 @@ def train(
     ]
     cycle = _LabeledCycle(data.labeled_idx, data_rng)
     members: list[EnsembleMember] = []
-    gen_members: list[EnsembleMember] = []
     trace: list = []
     start_epoch = 0
 
@@ -246,15 +245,12 @@ def train(
         if checkpoint_dir is None:
             raise ValueError("resume requested without a checkpoint directory")
         start_epoch = load_checkpoint(
-            checkpoint_dir, gen_chains, disc_chains, cycle, data_rng, members,
-            gen_members, trace,
+            checkpoint_dir, gen_chains, disc_chains, cycle, data_rng, members, trace
         )
 
     if cfg.epochs == 0 and not members:
         for j, c in enumerate(disc_chains):
             members.append(EnsembleMember(j, 0, [p.copy() for p in c.params]))
-        for j, c in enumerate(gen_chains):
-            gen_members.append(EnsembleMember(j, 0, [p.copy() for p in c.params]))
 
     n_rows = data.feats.shape[0]
     batch = min(cfg.batch, n_rows)
@@ -263,6 +259,10 @@ def train(
     # Losses are minibatch means (1/N of the log-likelihood sum), so the
     # prior must enter at the same per-sample weight or it swamps the data.
     prior_w = 1.0 / n_rows
+    # One fake batch per generator chain, scored in one critic-loss call.
+    fakes = np.empty((cfg.chains_g, batch, data.feats.shape[1]))
+    fake_codes = np.empty((cfg.chains_g, batch, data.codes.shape[1]), dtype=data.codes.dtype)
+    eps = np.empty((cfg.chains_g, batch))
 
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
         # Generator chains follow the summed critic response.
@@ -298,43 +298,30 @@ def train(
                 lab_feat = data.feats[lab_rows]
                 lab_codes = data.codes[lab_rows]
                 lab_labels = data.labels[lab_rows] + 1
-                step_val = 0.0
-                step_grads = None
-                step_parts = {"unlabeled": 0.0, "labeled": 0.0, "penalty": 0.0}
-                for gchain in gen_chains:
+                for g, gchain in enumerate(gen_chains):
                     z = chain.rng.standard_normal((batch, cfg.latent_dim))
-                    fake_rows = chain.rng.choice(all_idx, size=batch, replace=True)
-                    fake_codes = data.codes[fake_rows]
-                    fake, _ = gen.forward(gchain.params, z, fake_codes)
-                    eps = chain.rng.uniform(size=batch)
-                    parts, total, grads = discriminator_loss(
-                        disc, chain.params, real_feat, real_codes, fake,
-                        fake_codes, lab_feat, lab_codes, lab_labels, eps,
-                        cfg.lam, cfg.gp_weight, want_grads=True,
-                    )
-                    step_val += total
-                    step_parts["unlabeled"] += parts.unlabeled
-                    step_parts["labeled"] += parts.labeled
-                    step_parts["penalty"] += parts.penalty
-                    if step_grads is None:
-                        step_grads = grads
-                    else:
-                        step_grads = [a + b for a, b in zip(step_grads, grads)]
+                    fake_codes[g] = data.codes[chain.rng.choice(all_idx, size=batch, replace=True)]
+                    fakes[g] = gen.forward(gchain.params, z, fake_codes[g])[0]
+                    eps[g] = chain.rng.uniform(size=batch)
+                parts, total, grads = discriminator_loss(
+                    disc, chain.params, real_feat, real_codes, fakes, fake_codes,
+                    lab_feat, lab_codes, lab_labels, eps, cfg.lam, cfg.gp_weight,
+                    want_grads=True,
+                )
                 prior_g = disc_prior.neg_log_grad(chain.params)
-                direction = [-(a + prior_w * b) for a, b in zip(step_grads, prior_g)]
-                _check_finite(epoch, f"disc{j}", step_val, direction, trace)
+                direction = [-(a + prior_w * b) for a, b in zip(grads, prior_g)]
+                _check_finite(epoch, f"disc{j}", total, direction, trace)
                 chain.step(direction, cfg)
-                for key in step_parts:
-                    sums[key] += step_parts[key]
-                sums["total"] += step_val
+                sums["unlabeled"] += parts.unlabeled
+                sums["labeled"] += parts.labeled
+                sums["penalty"] += parts.penalty
+                sums["total"] += total
             for term in ("unlabeled", "labeled", "penalty", "total"):
                 trace.append((epoch, "disc", j, term, sums[term] / cfg.n_critic))
 
         if epoch >= burn_in and (epoch - burn_in) % cfg.thinning == 0:
             for j, chain in enumerate(disc_chains):
                 members.append(EnsembleMember(j, epoch, [p.copy() for p in chain.params]))
-            for j, chain in enumerate(gen_chains):
-                gen_members.append(EnsembleMember(j, epoch, [p.copy() for p in chain.params]))
 
         if epoch_callback is not None:
             epoch_callback(
@@ -348,12 +335,11 @@ def train(
         ):
             save_checkpoint(
                 checkpoint_dir, epoch, gen_chains, disc_chains, cycle,
-                data_rng, members, gen_members, trace,
+                data_rng, members, trace,
             )
 
     return TrainResult(
         members=members,
-        gen_members=gen_members,
         disc_chains=[c.params for c in disc_chains],
         gen_chains=[c.params for c in gen_chains],
         trace=trace,
@@ -421,7 +407,7 @@ def _restore_chain(chain: _Chain, prefix: str, in_dir: Path, entry: dict) -> Non
 
 def save_checkpoint(
     checkpoint_dir, epoch, gen_chains, disc_chains, cycle, data_rng,
-    members, gen_members, trace,
+    members, trace,
 ) -> None:
     final = Path(checkpoint_dir)
     tmp = final.with_name(final.name + ".tmp")
@@ -435,7 +421,6 @@ def save_checkpoint(
         "gen_chains": [],
         "disc_chains": [],
         "members": [],
-        "gen_members": [],
         "trace": [list(row) for row in trace],
     }
     for j, chain in enumerate(gen_chains):
@@ -445,20 +430,29 @@ def save_checkpoint(
     for i, m in enumerate(members):
         save_params(tmp / f"member{i:05d}", m.params)
         state["members"].append({"chain": m.chain, "epoch": m.epoch})
-    for i, m in enumerate(gen_members):
-        save_params(tmp / f"genmember{i:05d}", m.params)
-        state["gen_members"].append({"chain": m.chain, "epoch": m.epoch})
     (tmp / "state.json").write_text(json.dumps(state))
     if final.exists():
         shutil.rmtree(final)
     tmp.rename(final)
 
 
+def load_members(checkpoint_dir) -> list[EnsembleMember]:
+    """The discriminator posterior ensemble stored in a checkpoint."""
+    in_dir = Path(checkpoint_dir)
+    state = json.loads((in_dir / "state.json").read_text())
+    return [
+        EnsembleMember(meta["chain"], meta["epoch"], load_params(in_dir / f"member{i:05d}"))
+        for i, meta in enumerate(state["members"])
+    ]
+
+
 def load_checkpoint(
-    checkpoint_dir, gen_chains, disc_chains, cycle, data_rng, members,
-    gen_members, trace,
+    checkpoint_dir, gen_chains, disc_chains, cycle, data_rng, members, trace,
 ) -> int:
-    """Restore training state in place; returns the checkpointed epoch."""
+    """Restore training state in place; returns the checkpointed epoch.
+
+    Entries this version does not read, such as the generator ensemble that
+    older versions stored, are ignored."""
     in_dir = Path(checkpoint_dir)
     state = json.loads((in_dir / "state.json").read_text())
     if len(state["gen_chains"]) != len(gen_chains) or len(state["disc_chains"]) != len(disc_chains):
@@ -469,16 +463,7 @@ def load_checkpoint(
         _restore_chain(chain, f"gen{j}", in_dir, state["gen_chains"][j])
     for j, chain in enumerate(disc_chains):
         _restore_chain(chain, f"disc{j}", in_dir, state["disc_chains"][j])
-    members.clear()
-    for i, meta in enumerate(state["members"]):
-        members.append(
-            EnsembleMember(meta["chain"], meta["epoch"], load_params(in_dir / f"member{i:05d}"))
-        )
-    gen_members.clear()
-    for i, meta in enumerate(state["gen_members"]):
-        gen_members.append(
-            EnsembleMember(meta["chain"], meta["epoch"], load_params(in_dir / f"genmember{i:05d}"))
-        )
+    members[:] = load_members(in_dir)
     trace.clear()
     trace.extend(tuple(row) for row in state["trace"])
     return int(state["epoch"])

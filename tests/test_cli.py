@@ -163,6 +163,8 @@ def test_invalid_config_is_config_error(tmp_path):
     assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
     cfg = _write_config(tmp_path, train={"optimizer": "sgdx"})
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_CONFIG
+    cfg = _write_config(tmp_path, split={"seed": 0})  # removed setting
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
 
 
 def test_evaluate_without_training_is_data_error(tmp_path):

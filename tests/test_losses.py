@@ -151,15 +151,55 @@ def test_discriminator_loss_decomposition_and_fd(rng):
         np.testing.assert_allclose(grads[k], fd_grad(fk, p.copy()), rtol=2e-4, atol=1e-7)
 
 
+def test_discriminator_loss_stacked_fakes_sum_single_calls(rng):
+    """One call over k stacked generator-chain fakes equals the sum of k
+    single-chain calls: parts, total and every gradient tensor."""
+    disc, params = _setup(rng)
+    k, B = 3, 5
+    real = rng.normal(size=(B, 3))
+    codes = rng.integers(0, 2, (B, 1))
+    lab = rng.normal(size=(B, 3))
+    lab_codes = rng.integers(0, 2, (B, 1))
+    labels = rng.integers(1, 3, B)
+    fakes = rng.normal(size=(k, B, 3))
+    fake_codes = rng.integers(0, 2, (k, B, 1))
+    eps = rng.uniform(size=(k, B))
+
+    parts, total, grads = discriminator_loss(
+        disc, params, real, codes, fakes, fake_codes, lab, lab_codes, labels, eps,
+        lam=10.0, gp_weight=10.0, want_grads=True,
+    )
+    singles = [
+        discriminator_loss(
+            disc, params, real, codes, fakes[j], fake_codes[j], lab, lab_codes,
+            labels, eps[j], lam=10.0, gp_weight=10.0, want_grads=True,
+        )
+        for j in range(k)
+    ]
+    for name in ("unlabeled", "labeled", "penalty"):
+        want = sum(getattr(s[0], name) for s in singles)
+        assert getattr(parts, name) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert total == pytest.approx(sum(s[1] for s in singles), rel=1e-12, abs=1e-12)
+    for i, g in enumerate(grads):
+        want = sum(s[2][i] for s in singles)
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
+    _, total_only = discriminator_loss(
+        disc, params, real, codes, fakes, fake_codes, lab, lab_codes, labels, eps,
+        lam=10.0, gp_weight=10.0,
+    )
+    assert total_only == total
+
+
 def test_discriminator_loss_batch_mismatch(rng):
     disc, params = _setup(rng)
-    with pytest.raises(ValueError):
-        discriminator_loss(
-            disc, params, np.zeros((3, 3)), np.zeros((3, 1), dtype=int),
-            np.zeros((2, 3)), np.zeros((2, 1), dtype=int),
-            np.zeros((2, 3)), np.zeros((2, 1), dtype=int),
-            np.array([1, 2]), np.zeros(3), 10.0, 10.0,
-        )
+    for fake in (np.zeros((2, 3)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError):
+            discriminator_loss(
+                disc, params, np.zeros((3, 3)), np.zeros((3, 1), dtype=int),
+                fake, np.zeros(fake.shape[:-1] + (1,), dtype=int),
+                np.zeros((2, 3)), np.zeros((2, 1), dtype=int),
+                np.array([1, 2]), np.zeros(fake.shape[:-1]), 10.0, 10.0,
+            )
 
 
 def test_generator_loss_and_grad(rng):

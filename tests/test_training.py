@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fraudsig.training import (
     PreparedData,
     build_nets,
     load_checkpoint,
+    load_members,
     predict,
     train,
 )
@@ -67,7 +70,6 @@ def test_member_collection_schedule(rng):
     epochs = sorted({m.epoch for m in res.members})
     assert epochs == [3, 5, 7, 9]
     assert len(res.members) == 4 * cfg.chains_d
-    assert len(res.gen_members) == 4 * cfg.chains_g
     chains = sorted({m.chain for m in res.members})
     assert chains == [0, 1]
 
@@ -115,13 +117,31 @@ def test_resume_matches_uninterrupted(tmp_path, rng):
     assert full.trace == resumed.trace
 
 
+def test_resume_ignores_generator_members_of_older_checkpoints(tmp_path, rng):
+    """Checkpoints hold no generator ensemble.  Older ones carry a
+    `gen_members` list; resuming from one still matches the full run."""
+    data = _tiny_data(rng)
+    full = train(data, _tiny_cfg(epochs=6), seed=11)
+    ck = tmp_path / "ck"
+    part = train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=11, checkpoint_dir=ck)
+    assert not list(ck.glob("gen*member*"))
+    assert len(load_members(ck)) == len(part.members)
+    state = json.loads((ck / "state.json").read_text())
+    state["gen_members"] = [{"chain": 0, "epoch": 2}]
+    (ck / "state.json").write_text(json.dumps(state))
+    resumed = train(data, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=ck, resume=True)
+    for ma, mb in zip(full.members, resumed.members):
+        np.testing.assert_array_equal(_flat(ma.params), _flat(mb.params))
+    assert full.trace == resumed.trace
+
+
 def test_checkpoint_restores_counters(tmp_path, rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg(epochs=4, checkpoint_every=2)
     res = train(data, cfg, seed=2, checkpoint_dir=tmp_path / "ck")
     gen, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
     chains = train(data, _tiny_cfg(epochs=0), seed=2)  # shape templates
-    members, gen_members, trace = [], [], []
+    members, trace = [], []
     from fraudsig.training import _Chain  # shape-compatible holders
 
     gch = [_Chain(p, cfg, cfg.lr_g, np.random.default_rng(0)) for p in chains.gen_chains]
@@ -130,7 +150,7 @@ def test_checkpoint_restores_counters(tmp_path, rng):
 
     cyc = _LabeledCycle(data.labeled_idx, np.random.default_rng(0))
     drng = np.random.default_rng(0)
-    epoch = load_checkpoint(tmp_path / "ck", gch, dch, cyc, drng, members, gen_members, trace)
+    epoch = load_checkpoint(tmp_path / "ck", gch, dch, cyc, drng, members, trace)
     assert epoch == 4
     assert len(members) == len(res.members)
     assert trace == res.trace
