@@ -38,7 +38,6 @@ __all__ = [
     "continuous_path",
     "category_rate_table",
     "rate_to_bucket",
-    "risk_level",
     "stratified_split",
     "stratified_subset",
     "split_and_unlabel",
@@ -299,35 +298,14 @@ def rate_to_bucket(rate_percent: float) -> int:
 _warned_categories: set[str] = set()
 
 
-def risk_level(
-    cs: CustomerSeries, prefix_len: int, rate_table: dict[str, float]
-) -> int:
-    """Position-weighted average transaction risk of a prefix, rounded half
-    up to a bucket.
-
-    Transaction i (1-based) carries weight i; a category absent from the
-    rate table falls back to bucket 1 with a one-time warning.
-    """
-    total, weight_sum = 0.0, 0.0
-    for i in range(1, prefix_len + 1):
-        cat = cs.categories[i - 1]
-        if cat in rate_table:
-            bucket = rate_to_bucket(rate_table[cat])
-        else:
-            bucket = 1
-            if cat not in _warned_categories:
-                _warned_categories.add(cat)
-                logger.warning("category %r missing from rate table; assuming bucket 1", cat)
-        total += i * bucket
-        weight_sum += i
-    return int(math.floor(total / weight_sum + 0.5))
-
-
 def risk_levels(cs: CustomerSeries, rate_table: dict[str, float]) -> np.ndarray:
     """Risk level of every prefix of a customer at once.
 
-    Equivalent to [risk_level(cs, j, table) for j in 1..n] but shares the
-    per-transaction bucket lookups via cumulative sums.
+    The level of a prefix is the position-weighted average of its
+    transactions' risk buckets (transaction i, 1-based, carries weight i),
+    rounded half up; a category absent from the rate table falls back to
+    bucket 1 with a one-time warning.  Cumulative sums share the
+    per-transaction bucket lookups across prefixes.
     """
     n = len(cs)
     buckets = np.empty(n, dtype=np.float64)

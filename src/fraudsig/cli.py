@@ -44,6 +44,7 @@ from .training import (
     build_nets,
     load_members,
     predict,
+    recover_checkpoint,
     train,
 )
 
@@ -333,6 +334,7 @@ def _cmd_train(args) -> int:
 
     run_dir = _run_dir(cfg, size, args.rep)
     ckpt = run_dir / "checkpoint"
+    recover_checkpoint(ckpt)
     resume = args.resume and (ckpt / "state.json").exists()
     if not resume and ckpt.exists():
         shutil.rmtree(ckpt)
@@ -394,6 +396,7 @@ def _cmd_evaluate(args) -> int:
     for si, size in enumerate(splits["labeled_sizes"]):
         for rep in range(splits["repetitions"]):
             ckpt = _run_dir(cfg, size, rep) / "checkpoint"
+            recover_checkpoint(ckpt)
             if not (ckpt / "state.json").exists():
                 n_missing += 1
                 logger.info("no checkpoint for nl%d rep%d; skipping", size, rep)

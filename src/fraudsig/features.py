@@ -62,13 +62,6 @@ def dataset_fingerprint(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _class_counts(basis: LyndonBasis):
-    counts = basis.letter_class_counts(
-        {"time": _TIME_CHANNELS, "sd": _SD_CHANNELS, "amt": _AMT_CHANNELS}
-    )
-    return counts["time"], counts["sd"], counts["amt"]
-
-
 def encode_prefixes(
     step_diffs: np.ndarray,
     amounts: np.ndarray,
@@ -107,7 +100,7 @@ def encode_prefixes(
     if n_out == 0:
         return out
 
-    time_counts, _, _ = _class_counts(basis)
+    time_counts = basis.letter_counts[:, _TIME_CHANNELS].sum(axis=1)
     vis_on = np.zeros(_D_AUG)
     vis_on[_VIS_CHANNEL] = 1.0
     # Running signature over [prepended start point, lead-lag body] with
@@ -143,7 +136,8 @@ def encode_prefixes(
 def scale_vector(basis: LyndonBasis, max_sd: float, max_amt: float) -> np.ndarray:
     """Per-coordinate factors turning unscaled cached vectors into the
     vectors of the path with both value channels divided by their maxima."""
-    _, sd_counts, amt_counts = _class_counts(basis)
+    sd_counts = basis.letter_counts[:, _SD_CHANNELS].sum(axis=1)
+    amt_counts = basis.letter_counts[:, _AMT_CHANNELS].sum(axis=1)
     s_sd = 1.0 / max_sd if max_sd > 0 else 1.0
     s_amt = 1.0 / max_amt if max_amt > 0 else 1.0
     return s_sd**sd_counts * s_amt**amt_counts
@@ -212,7 +206,9 @@ def build_feature_store(
     }
     if manifest_path.exists() and bin_path.exists():
         manifest = json.loads(manifest_path.read_text())
-        if {k: manifest.get(k) for k in expected} == expected:
+        # A cut-short matrix file is a cache miss, not a reshape error.
+        complete = bin_path.stat().st_size == 8 * expected["n_rows"] * expected["n_cols"]
+        if complete and {k: manifest.get(k) for k in expected} == expected:
             matrix = np.fromfile(bin_path, dtype="<f8").reshape(
                 expected["n_rows"], expected["n_cols"]
             )

@@ -94,56 +94,35 @@ class LyndonBasis:
         words: all Lyndon words of length <= M, lengths ascending then
             lexicographic; the i-th output coordinate is the tensor-log
             coefficient of ``words[i]``.
+        index: (dim,) intp; position of ``words[i]`` in levels 1..M of a
+            tensor series laid end to end (base-D value of the word plus the
+            sizes D + ... + D**(len-1) of all shorter levels).
+        letter_counts: (dim, D) float64; entry [i, c] counts the occurrences
+            of letter c in ``words[i]``.  Scaling path channel c by s
+            multiplies coordinate i by s**letter_counts[i, c].
     """
 
     alphabet_size: int
     degree: int
     words: tuple[tuple[int, ...], ...] = field(repr=False)
+    index: np.ndarray = field(repr=False, compare=False)
+    letter_counts: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, alphabet_size: int, degree: int) -> "LyndonBasis":
-        return cls(alphabet_size, degree, lyndon_words(alphabet_size, degree))
+        words = lyndon_words(alphabet_size, degree)
+        index = np.empty(len(words), dtype=np.intp)
+        letter_counts = np.zeros((len(words), alphabet_size))
+        for i, w in enumerate(words):
+            k = 0
+            for letter in w:
+                k = k * alphabet_size + letter
+                letter_counts[i, letter] += 1.0
+            index[i] = k + sum(alphabet_size**m for m in range(1, len(w)))
+        index.flags.writeable = False
+        letter_counts.flags.writeable = False
+        return cls(alphabet_size, degree, words, index, letter_counts)
 
     @property
     def dim(self) -> int:
         return len(self.words)
-
-    def counts_by_length(self) -> tuple[int, ...]:
-        counts = [0] * self.degree
-        for w in self.words:
-            counts[len(w) - 1] += 1
-        return tuple(counts)
-
-    def flat_indices(self, length: int) -> np.ndarray:
-        """Row indices of the length-`length` words inside the flattened
-        level-`length` coefficient block (word -> base-D integer)."""
-        idx = []
-        for w in self.words:
-            if len(w) == length:
-                k = 0
-                for letter in w:
-                    k = k * self.alphabet_size + letter
-                idx.append(k)
-        return np.asarray(idx, dtype=np.intp)
-
-    def output_slice(self, length: int) -> slice:
-        """Positions of the length-`length` coordinates in the output vector."""
-        counts = self.counts_by_length()
-        start = sum(counts[: length - 1])
-        return slice(start, start + counts[length - 1])
-
-    def letter_class_counts(self, classes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-        """Per-word counts of letters falling in each named channel class.
-
-        Used to rescale coordinates exactly when a channel of the underlying
-        path is multiplied by a constant: scaling channel c by s multiplies
-        the coefficient of a word by s**(number of occurrences of c).
-        """
-        out = {}
-        for name, channels in classes.items():
-            chan = set(channels)
-            out[name] = np.asarray(
-                [sum(1 for letter in w if letter in chan) for w in self.words],
-                dtype=np.float64,
-            )
-        return out

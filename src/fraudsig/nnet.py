@@ -470,15 +470,14 @@ def restricted_softmax(scores: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_params(prefix: str | Path, params, names=None) -> None:
+def save_params(prefix: str | Path, params) -> None:
     prefix = Path(prefix)
-    names = names or [f"param{i}" for i in range(len(params))]
     flat = np.concatenate([np.asarray(p, dtype=np.float64).ravel() for p in params])
     prefix.with_suffix(".bin").write_bytes(flat.astype("<f8").tobytes())
     manifest = {
         "dtype": "<f8",
         "tensors": [
-            {"name": n, "shape": list(np.shape(p))} for n, p in zip(names, params)
+            {"name": f"param{i}", "shape": list(np.shape(p))} for i, p in enumerate(params)
         ],
     }
     prefix.with_suffix(".json").write_text(json.dumps(manifest, indent=1))

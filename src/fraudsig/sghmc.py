@@ -34,12 +34,6 @@ class GlorotPrior:
     def for_specs(cls, specs: list[ParamSpec], gain: float = 1.0) -> "GlorotPrior":
         return cls(tuple(gain**2 * 2.0 / (s.fan_in + s.fan_out) for s in specs))
 
-    def neg_log_density(self, params) -> float:
-        """-log p(params) up to the normalising constant."""
-        return float(
-            sum(0.5 * np.sum(p * p) / s2 for p, s2 in zip(params, self.sigma2))
-        )
-
     def neg_log_grad(self, params):
         """Gradient of -log p: theta / sigma^2 per tensor."""
         return [p / s2 for p, s2 in zip(params, self.sigma2)]

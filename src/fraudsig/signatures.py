@@ -190,12 +190,7 @@ def lyndon_project(log_series: TensorSeries, basis: LyndonBasis) -> np.ndarray:
             f"basis (D={basis.alphabet_size}, M={basis.degree}) does not match "
             f"series (D={log_series.alphabet_size}, M={log_series.degree})"
         )
-    out = np.empty(basis.dim)
-    for length in range(1, basis.degree + 1):
-        out[basis.output_slice(length)] = log_series.levels[length][
-            basis.flat_indices(length)
-        ]
-    return out
+    return np.concatenate(log_series.levels[1:])[basis.index]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ __all__ = [
     "train",
     "predict",
     "save_checkpoint",
+    "recover_checkpoint",
     "load_checkpoint",
     "load_members",
 ]
@@ -377,8 +378,11 @@ def predict(
 # Checkpointing.  A checkpoint directory holds one float64 stream + JSON
 # shape manifest per tensor list (chain parameters, optimizer state, ensemble
 # members) and a state.json with counters and RNG states.  Writes go to a
-# temporary sibling directory renamed over the target, and state.json is
-# written last, so partially written checkpoints are never loadable.
+# temporary sibling directory, with state.json written last, so partially
+# written checkpoints are never loadable.  The previous checkpoint is moved
+# aside before the new one is renamed in and deleted only after, so some
+# complete checkpoint exists at every instant; `recover_checkpoint` moves
+# one left aside by a crash back into place.
 # ---------------------------------------------------------------------------
 
 
@@ -431,9 +435,27 @@ def save_checkpoint(
         save_params(tmp / f"member{i:05d}", m.params)
         state["members"].append({"chain": m.chain, "epoch": m.epoch})
     (tmp / "state.json").write_text(json.dumps(state))
+    aside = final.with_name(final.name + ".old")
+    if aside.exists():
+        shutil.rmtree(aside)
     if final.exists():
-        shutil.rmtree(final)
+        final.rename(aside)
     tmp.rename(final)
+    if aside.exists():
+        shutil.rmtree(aside)
+
+
+def recover_checkpoint(checkpoint_dir) -> None:
+    """Finish a checkpoint swap that a crash interrupted: put a checkpoint
+    left aside back in place if none replaced it, else delete it."""
+    final = Path(checkpoint_dir)
+    aside = final.with_name(final.name + ".old")
+    if not aside.exists():
+        return
+    if final.exists():
+        shutil.rmtree(aside)
+    else:
+        aside.rename(final)
 
 
 def load_members(checkpoint_dir) -> list[EnsembleMember]:

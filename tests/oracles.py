@@ -1,9 +1,10 @@
 """Independent reference implementations the tests compare against.
 
 Nothing here imports the package's algebra or metric code paths beyond plain
-data types: iterated integrals come from spectral integration of the
-piecewise-linear path, signatures from a dict-of-words tensor algebra, and
-metrics from direct counting.  Slow and obvious on purpose.
+data types and the rate-to-bucket lookup: iterated integrals come from
+spectral integration of the piecewise-linear path, signatures from a
+dict-of-words tensor algebra, risk levels from a per-prefix loop, and metrics
+from direct counting.  Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from fraudsig.banksim import rate_to_bucket
 
 # ---------------------------------------------------------------------------
 # Iterated integrals by repeated integration.
@@ -196,6 +199,29 @@ def brute_auroc(pos_vals, neg_vals) -> float:
             elif p == n:
                 wins += 0.5
     return wins / (len(pos_vals) * len(neg_vals))
+
+
+# ---------------------------------------------------------------------------
+# Scalar risk level and the prior's density.
+# ---------------------------------------------------------------------------
+
+
+def risk_level(cs, prefix_len: int, rate_table: dict[str, float]) -> int:
+    """Position-weighted average transaction risk of one prefix, rounded half
+    up: transaction i (1-based) carries weight i, and a category absent from
+    the rate table counts as bucket 1."""
+    total, weight_sum = 0.0, 0.0
+    for i in range(1, prefix_len + 1):
+        cat = cs.categories[i - 1]
+        bucket = rate_to_bucket(rate_table[cat]) if cat in rate_table else 1
+        total += i * bucket
+        weight_sum += i
+    return int(math.floor(total / weight_sum + 0.5))
+
+
+def glorot_neg_log_density(prior, params) -> float:
+    """-log p(params) up to the normalising constant, for a GlorotPrior."""
+    return float(sum(0.5 * np.sum(p * p) / s2 for p, s2 in zip(params, prior.sigma2)))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ from oracles import (
     brute_macro_f1,
     brute_partial_ap,
     fd_grad,
+    glorot_neg_log_density,
     iterated_integral,
     reference_adam_step,
 )
@@ -291,7 +292,7 @@ def _random_prior_case(rng):
         def fk(pv, k=k):
             trial = list(ps)
             trial[k] = pv
-            return prior.neg_log_density(trial)
+            return glorot_neg_log_density(prior, trial)
 
         _check_close(grads[k], fd_grad(fk, p.copy()), f"prior param{k}")
 

@@ -16,13 +16,14 @@ from fraudsig.banksim import (
     load_transactions,
     make_samples,
     rate_to_bucket,
-    risk_level,
     risk_levels,
     split_and_unlabel,
     stratified_split,
     stratified_subset,
     training_maxima,
 )
+
+from oracles import risk_level
 
 HEADER = "step,customer,age,gender,zipcodeOri,merchant,zipMerchant,category,amount,fraud"
 
@@ -170,9 +171,11 @@ def test_risk_level_weighted_rounding():
     table = {"lo": 0.0, "hi": 100.0}  # buckets 1 and 5
     # weights 1,2 -> (1*1 + 2*5)/3 = 11/3 = 3.67 -> rounds half-up to 4
     assert risk_level(cs, 2, table) == 4
+    assert risk_levels(cs, table)[1] == 4
     # half-up boundary: (1*1 + 2*4)/3 = 3.0 exactly
     table["hi"] = 40.0  # bucket 4
     assert risk_level(cs, 2, table) == 3
+    assert risk_levels(cs, table)[1] == 3
 
 
 def test_risk_levels_vector_matches_scalar():
@@ -190,8 +193,8 @@ def test_unknown_category_warns_once(caplog):
     cs = _series(5)
     cs.categories = ["mystery"] * 5
     with caplog.at_level(logging.WARNING):
-        assert risk_level(cs, 5, {"other": 50.0}) == 1
-        risk_level(cs, 5, {"other": 50.0})
+        assert list(risk_levels(cs, {"other": 50.0})) == [1] * 5
+        risk_levels(cs, {"other": 50.0})
     assert sum("mystery" in r.message for r in caplog.records) == 1
 
 

@@ -227,6 +227,46 @@ def test_train_resume_matches_full_run(pipeline, tmp_path):
             assert a.read_bytes() == b.read_bytes(), name
 
 
+def test_resume_after_crash_during_checkpoint_swap(pipeline, tmp_path, monkeypatch):
+    """A crash after the old checkpoint is moved aside but before the new one
+    is renamed in loses nothing: --resume continues from the old checkpoint
+    and ends bit-identical to an uninterrupted run."""
+    root, _ = pipeline
+    base = yaml.safe_load((root / "config.yaml").read_text())
+    base["output_dir"] = str(tmp_path / "out2")
+    cfg2 = tmp_path / "config.yaml"
+    cfg2.write_text(yaml.safe_dump(base))
+    assert main(["prepare", "--config", str(cfg2)]) == EXIT_OK
+
+    class Crash(Exception):
+        pass
+
+    renames = []
+    real_rename = Path.rename
+
+    def crashing_rename(self, target):
+        if self.name == "checkpoint.tmp":
+            renames.append(self)
+            if len(renames) == 2:  # the epoch-4 checkpoint; epoch 2 is on disk
+                raise Crash
+        return real_rename(self, target)
+
+    train_args = ["train", "--config", str(cfg2), "--nl", "40", "--rep", "0"]
+    with monkeypatch.context() as m:
+        m.setattr(Path, "rename", crashing_rename)
+        with pytest.raises(Crash):
+            main(train_args)
+    assert main(train_args + ["--resume"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out2/manifest.json").read_text())
+    assert manifest["stages"]["train:nl40_rep0"]["resumed"] is True
+    ref = root / "out/runs/nl40_rep0"
+    got = tmp_path / "out2/runs/nl40_rep0"
+    assert (got / "trace.csv").read_bytes() == (ref / "trace.csv").read_bytes()
+    assert sorted(p.name for p in got.iterdir()) == ["checkpoint", "trace.csv"]
+    for a in sorted((ref / "checkpoint").iterdir()):
+        assert a.read_bytes() == (got / "checkpoint" / a.name).read_bytes(), a.name
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -106,6 +106,18 @@ def test_cache_invalidated_by_key_change(tmp_path, rng):
     assert not hit
 
 
+def test_truncated_cache_is_rebuilt(tmp_path, rng):
+    samples = _sample_set(rng)
+    store1, _ = build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
+    bin_path = tmp_path / "cache" / "features.bin"
+    data = bin_path.read_bytes()
+    bin_path.write_bytes(data[: len(data) - 100])
+    store2, hit = build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
+    assert not hit
+    np.testing.assert_array_equal(store1.matrix, store2.matrix)
+    assert bin_path.read_bytes() == data
+
+
 def test_worker_pool_matches_serial(tmp_path, rng):
     samples = _sample_set(rng, n_customers=5)
     a, _ = build_feature_store(samples, 2, tmp_path / "c1", "h", 5, workers=1)

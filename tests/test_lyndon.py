@@ -40,20 +40,39 @@ def test_words_sorted_by_length_then_lexicographic():
 def test_basis_layout():
     basis = LyndonBasis.build(3, 3)
     assert basis.dim == 3 + 3 + 8
-    assert [len(basis.flat_indices(m)) for m in (1, 2, 3)] == [3, 3, 8]
-    # flat index = base-dim digits of the word
-    for w, flat in zip(
-        [w for w in basis.words if len(w) == 2], basis.flat_indices(2)
-    ):
-        assert flat == w[0] * 3 + w[1]
-    sl = basis.output_slice(2)
-    assert (sl.start, sl.stop) == (3, 6)
+    assert basis.index.shape == (basis.dim,)
+    # index = base-dim digits of the word, after the 3 + 9 coefficients of
+    # the shorter levels: level 2 starts at 3, level 3 at 3 + 9 = 12
+    offsets = {1: 0, 2: 3, 3: 12}
+    for w, flat in zip(basis.words, basis.index):
+        digits = 0
+        for letter in w:
+            digits = digits * 3 + letter
+        assert flat == offsets[len(w)] + digits
+    assert [sum(len(w) == m for w in basis.words) for m in (1, 2, 3)] == [3, 3, 8]
+    # the length-2 words are output coordinates 3..5
+    assert [len(w) for w in basis.words[3:6]] == [2, 2, 2]
 
 
 def test_letter_class_counts():
     basis = LyndonBasis.build(4, 3)
-    classes = {"a": (0, 2), "b": (1,)}
-    counts = basis.letter_class_counts(classes)
+    assert basis.letter_counts.shape == (basis.dim, 4)
     for ci, w in enumerate(basis.words):
-        assert counts["a"][ci] == sum(1 for letter in w if letter in (0, 2))
-        assert counts["b"][ci] == sum(1 for letter in w if letter == 1)
+        for letter in range(4):
+            assert basis.letter_counts[ci, letter] == w.count(letter)
+    # class counts are column sums over the class's letters
+    a = basis.letter_counts[:, [0, 2]].sum(axis=1)
+    b = basis.letter_counts[:, [1]].sum(axis=1)
+    for ci, w in enumerate(basis.words):
+        assert a[ci] == sum(1 for letter in w if letter in (0, 2))
+        assert b[ci] == sum(1 for letter in w if letter == 1)
+
+
+def test_basis_tables_are_read_only_and_out_of_equality():
+    basis = LyndonBasis.build(3, 2)
+    with pytest.raises(ValueError):
+        basis.index[0] = 1
+    with pytest.raises(ValueError):
+        basis.letter_counts[0, 0] = 2.0
+    assert basis == LyndonBasis.build(3, 2)
+    assert hash(basis) == hash(LyndonBasis.build(3, 2))

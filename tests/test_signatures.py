@@ -16,6 +16,7 @@ from fraudsig.signatures import (
     augmented_dim,
     chen_product,
     encode,
+    lyndon_project,
     path_signature,
     segment_signature,
     tensor_exp,
@@ -222,6 +223,27 @@ def test_visibility_reset_alone():
     np.testing.assert_allclose(out[2], [3, 4, 1])
     np.testing.assert_allclose(out[3], [3, 4, 0])
     np.testing.assert_allclose(out[4], [0, 0, 0])
+
+
+@pytest.mark.parametrize("dim,degree", [(3, 4), (7, 4)])
+def test_lyndon_project_reads_word_coefficients(dim, degree, rng):
+    series = TensorSeries(
+        dim, degree, [rng.standard_normal(dim**m) for m in range(degree + 1)]
+    )
+    basis = LyndonBasis.build(dim, degree)
+    got = lyndon_project(series, basis)
+    assert got.shape == (basis.dim,)
+    for value, w in zip(got, basis.words):
+        flat = 0
+        for letter in w:
+            flat = flat * dim + letter
+        assert value == series.levels[len(w)][flat]
+
+
+def test_lyndon_project_rejects_mismatched_basis():
+    series = TensorSeries.zero(3, 2)
+    with pytest.raises(ValueError):
+        lyndon_project(series, LyndonBasis.build(3, 3))
 
 
 def test_encode_dimension_law():
