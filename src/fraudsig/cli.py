@@ -110,7 +110,13 @@ def _read_splits(cfg: ExperimentConfig) -> dict:
     path = _splits_path(cfg)
     if not path.exists():
         raise DataError(f"{path} not found; run `fraudsig prepare` first")
-    return json.loads(path.read_text())
+    try:
+        splits = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError(f"{path} is not valid JSON; run `fraudsig prepare` again") from exc
+    if not isinstance(splits, dict):
+        raise DataError(f"{path} is not a JSON object; run `fraudsig prepare` again")
+    return splits
 
 
 def _load_customers(cfg: ExperimentConfig):

@@ -13,6 +13,13 @@ the series length, so the store exploits two exact algebraic facts instead:
   train-split amount/step scaling (per experiment) are exact diagonal
   rescalings of the cached coordinates.
 
+The encoder walks a customer's steps in blocks of ``_BLOCK``: the segment
+products of a block are formed as one batch of series (trailing batch axis,
+see :class:`~fraudsig.signatures.TensorSeries`), folded into the running
+signature step by step, and the prefixes ending in the block are finalised
+together (terminal decorations, tensor log, Lyndon projection, time rescale).
+The block bounds the temporaries whatever the customer's length.
+
 Cached vectors are therefore time-normalised but unscaled in the two value
 channels, making the on-disk cache a pure function of (dataset, degree,
 augmentation scheme); the split-dependent scaling happens at load time.  A
@@ -31,7 +38,14 @@ import numpy as np
 
 from .banksim import SampleSet
 from .lyndon import LyndonBasis
-from .signatures import augmented_dim, chen_product, lyndon_project, segment_signature, tensor_log
+from .signatures import (
+    TensorSeries,
+    augmented_dim,
+    chen_product,
+    lyndon_project,
+    segment_signature,
+    tensor_log,
+)
 
 __all__ = [
     "SCHEME_VERSION",
@@ -52,6 +66,9 @@ _TIME_CHANNELS = (0, 3)
 _SD_CHANNELS = (1, 4)
 _AMT_CHANNELS = (2, 5)
 _VIS_CHANNEL = 6
+# Steps per batch of segment products and prefix finalisations; bounds the
+# temporaries to a few MiB whatever the customer's length.
+_BLOCK = 32
 
 
 def dataset_fingerprint(path: str | Path) -> str:
@@ -107,29 +124,47 @@ def encode_prefixes(
     # unnormalised time; the first increment only switches visibility on.
     running = segment_signature(vis_on, degree)
     row = 0
-    for k in range(1, T):
-        lead = np.zeros(_D_AUG)
+    for start in range(1, T, _BLOCK):
+        ks = np.arange(start, min(start + _BLOCK, T))
+        # Step k appends the lead move, then the lag catching up.
+        lead = np.zeros((_D_AUG, ks.size))
         lead[0] = 1.0
-        lead[1] = sd[k] - sd[k - 1]
-        lead[2] = amt[k] - amt[k - 1]
-        lag = np.zeros(_D_AUG)
+        lead[1] = sd[ks] - sd[ks - 1]
+        lead[2] = amt[ks] - amt[ks - 1]
+        lag = np.zeros_like(lead)
         lag[3:6] = lead[0:3]
-        running = chen_product(running, segment_signature(lead, degree))
-        running = chen_product(running, segment_signature(lag, degree))
-        n = k + 1
-        if n < min_prefix:
+        steps = chen_product(
+            segment_signature(lead, degree), segment_signature(lag, degree)
+        )
+        states = [np.empty((lvl.shape[0], ks.size)) for lvl in running.levels]
+        for j in range(ks.size):
+            step = TensorSeries(_D_AUG, degree, [lvl[:, j] for lvl in steps.levels])
+            running = chen_product(running, step)
+            for state, lvl in zip(states, running.levels):
+                state[:, j] = lvl
+        # Prefixes ending in this block (lengths n = k + 1 >= min_prefix),
+        # finalised as one batch.  Terminal decorations: visibility off at the
+        # last point, then the jump to the all-zero point.
+        first = max(0, min_prefix - 1 - start)
+        if first >= ks.size:
             continue
-        # Terminal decorations: visibility off at the last point, then the
-        # jump to the all-zero point.
-        tail = chen_product(running, segment_signature(-vis_on, degree))
-        drop = np.zeros(_D_AUG)
+        kend = ks[first:]
+        n = kend + 1.0
+        off = np.zeros((_D_AUG, kend.size))
+        off[_VIS_CHANNEL] = -1.0
+        drop = np.zeros_like(off)
         drop[0] = drop[3] = -(n - 1.0)
-        drop[1] = drop[4] = -sd[k]
-        drop[2] = drop[5] = -amt[k]
-        tail = chen_product(tail, segment_signature(drop, degree))
+        drop[1] = drop[4] = -sd[kend]
+        drop[2] = drop[5] = -amt[kend]
+        ending = TensorSeries(_D_AUG, degree, [state[:, first:] for state in states])
+        tail = chen_product(
+            ending,
+            chen_product(segment_signature(off, degree), segment_signature(drop, degree)),
+        )
         coords = lyndon_project(tensor_log(tail), basis)
-        out[row] = coords * (1.0 / (n - 1.0)) ** time_counts
-        row += 1
+        coords *= (1.0 / (n - 1.0))[None, :] ** time_counts[:, None]
+        out[row : row + kend.size] = coords.T
+        row += kend.size
     return out
 
 
@@ -205,10 +240,17 @@ def build_feature_store(
         "n_cols": basis.dim,
     }
     if manifest_path.exists() and bin_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        # A cut-short matrix file is a cache miss, not a reshape error.
+        # A cut-short manifest or matrix file is a cache miss, not a crash.
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError:
+            manifest = None
         complete = bin_path.stat().st_size == 8 * expected["n_rows"] * expected["n_cols"]
-        if complete and {k: manifest.get(k) for k in expected} == expected:
+        if (
+            complete
+            and isinstance(manifest, dict)
+            and {k: manifest.get(k) for k in expected} == expected
+        ):
             matrix = np.fromfile(bin_path, dtype="<f8").reshape(
                 expected["n_rows"], expected["n_cols"]
             )
@@ -237,7 +279,7 @@ def build_feature_store(
             matrix[offsets[ci] : offsets[ci] + rows.shape[0]] = rows
 
     tmp_bin = bin_path.with_suffix(".bin.tmp")
-    matrix.astype("<f8").tofile(tmp_bin)
+    matrix.astype("<f8", copy=False).tofile(tmp_bin)
     tmp_bin.replace(bin_path)
     tmp_manifest = manifest_path.with_suffix(".json.tmp")
     tmp_manifest.write_text(json.dumps(expected, indent=1))

@@ -6,9 +6,11 @@ at degree M it lives in the tensor algebra T_M = R + R^D + (R^D)^2 + ... +
 (Chen's identity), each factor being the tensor exponential of the segment
 increment, so the whole computation reduces to truncated tensor products.
 
-A :class:`TensorSeries` stores one flat float64 array per level; the level-m
-coefficient of a word (i_1, ..., i_m) sits at flat index sum_j i_j * D**(m-j).
-Concatenation of words corresponds to the outer product of the flat blocks.
+A :class:`TensorSeries` stores one float64 array per level; the level-m
+coefficient of a word (i_1, ..., i_m) sits at flat index sum_j i_j * D**(m-j)
+of the leading axis.  Trailing axes, if any, index a batch of series that
+every operation treats independently.  Concatenation of words corresponds to
+the outer product of the flat blocks.
 
 The feature map used for transaction sequences is
 
@@ -43,13 +45,15 @@ __all__ = [
 
 
 class TensorSeries:
-    """Truncated series in the tensor algebra over R^D.
+    """Truncated series in the tensor algebra over R^D, or a batch of them.
 
     Attributes:
         alphabet_size: channel count D.
         degree: truncation degree M.
-        levels: list of M+1 flat arrays; ``levels[m]`` has shape (D**m,),
-            with ``levels[0]`` the scalar part as a shape-(1,) array.
+        levels: list of M+1 arrays; ``levels[m]`` has shape (D**m, *batch),
+            with ``levels[0]`` the scalar part of shape (1, *batch).  A single
+            series has ``batch = ()``; every operation below treats the
+            trailing axes as independent series.
     """
 
     __slots__ = ("alphabet_size", "degree", "levels")
@@ -59,27 +63,37 @@ class TensorSeries:
             raise ValueError(f"degree must be >= 1, got {degree}")
         if len(levels) != degree + 1:
             raise ValueError(f"expected {degree + 1} levels, got {len(levels)}")
+        batch = levels[0].shape[1:]
         for m, lvl in enumerate(levels):
-            if lvl.shape != (alphabet_size**m,):
+            if lvl.shape != (alphabet_size**m, *batch):
                 raise ValueError(
-                    f"level {m} has shape {lvl.shape}, expected ({alphabet_size**m},)"
+                    f"level {m} has shape {lvl.shape}, expected "
+                    f"{(alphabet_size**m, *batch)}"
                 )
         self.alphabet_size = alphabet_size
         self.degree = degree
         self.levels = levels
 
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.levels[0].shape[1:]
+
     @classmethod
-    def zero(cls, alphabet_size: int, degree: int) -> "TensorSeries":
+    def zero(
+        cls, alphabet_size: int, degree: int, batch: tuple[int, ...] = ()
+    ) -> "TensorSeries":
         return cls(
             alphabet_size,
             degree,
-            [np.zeros(alphabet_size**m) for m in range(degree + 1)],
+            [np.zeros((alphabet_size**m, *batch)) for m in range(degree + 1)],
         )
 
     @classmethod
-    def unit(cls, alphabet_size: int, degree: int) -> "TensorSeries":
+    def unit(
+        cls, alphabet_size: int, degree: int, batch: tuple[int, ...] = ()
+    ) -> "TensorSeries":
         """The multiplicative identity: scalar part 1, all higher levels 0."""
-        out = cls.zero(alphabet_size, degree)
+        out = cls.zero(alphabet_size, degree, batch)
         out.levels[0][0] = 1.0
         return out
 
@@ -91,31 +105,45 @@ class TensorSeries:
     def __repr__(self) -> str:
         return (
             f"TensorSeries(D={self.alphabet_size}, M={self.degree}, "
-            f"scalar={self.levels[0][0]!r})"
+            f"batch={self.batch_shape}, scalar={self.levels[0][0]!r})"
         )
+
+
+def _outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Level product of two blocks (D**i, *batch) x (D**j, *batch) ->
+    (D**(i+j), *batch): word concatenation, left word first."""
+    return (left[:, None] * right[None, :]).reshape(
+        left.shape[0] * right.shape[0], *left.shape[1:]
+    )
 
 
 def segment_signature(increment: np.ndarray, degree: int) -> TensorSeries:
     """Signature of a single linear segment: the tensor exponential of the
-    increment, with level m equal to increment^(tensor m) / m!."""
+    increment, with level m equal to increment^(tensor m) / m!.
+
+    `increment` has shape (D, *batch): one segment per trailing index.
+    """
     inc = np.asarray(increment, dtype=np.float64)
-    if inc.ndim != 1 or inc.size == 0:
+    if inc.ndim == 0 or inc.shape[0] == 0:
         raise ValueError(f"increment must be a non-empty vector, got shape {inc.shape}")
-    d = inc.size
-    levels = [np.ones(1)]
+    levels = [np.ones((1, *inc.shape[1:]))]
     for m in range(1, degree + 1):
-        levels.append(np.multiply.outer(levels[-1], inc).ravel() / m)
-    return TensorSeries(d, degree, levels)
+        levels.append(_outer(levels[-1], inc) / m)
+    return TensorSeries(inc.shape[0], degree, levels)
 
 
 def chen_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """Truncated tensor-algebra product; concatenates paths by Chen's identity."""
-    if a.alphabet_size != b.alphabet_size or a.degree != b.degree:
+    if (
+        a.alphabet_size != b.alphabet_size
+        or a.degree != b.degree
+        or a.batch_shape != b.batch_shape
+    ):
         raise ValueError(
             f"mismatched series: D {a.alphabet_size}/{b.alphabet_size}, "
-            f"M {a.degree}/{b.degree}"
+            f"M {a.degree}/{b.degree}, batch {a.batch_shape}/{b.batch_shape}"
         )
-    out = TensorSeries.zero(a.alphabet_size, a.degree)
+    out = TensorSeries.zero(a.alphabet_size, a.degree, a.batch_shape)
     for m in range(a.degree + 1):
         acc = out.levels[m]
         for i in range(m + 1):
@@ -126,7 +154,7 @@ def chen_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
             elif i == m:
                 acc += left * right[0]
             else:
-                acc += np.multiply.outer(left, right).ravel()
+                acc += _outer(left, right)
     return out
 
 
@@ -151,29 +179,32 @@ def tensor_log(s: TensorSeries) -> TensorSeries:
 
     truncated at the series degree.  The scalar part of the result is 0.
     """
-    if abs(s.levels[0][0] - 1.0) > 1e-9:
-        raise ValueError(
-            f"tensor_log needs scalar part 1, got {s.levels[0][0]!r}"
-        )
-    t = s.copy()
-    t.levels[0][0] = 0.0
-    out = t.copy()
+    if np.any(np.abs(s.levels[0] - 1.0) > 1e-9):
+        raise ValueError(f"tensor_log needs scalar part 1, got {s.levels[0]!r}")
+    t = s.levels
+    out = [np.zeros_like(t[0])] + [lvl.copy() for lvl in t[1:]]
+    # t has no scalar part, so t^(tensor n) vanishes below level n, and only
+    # the products power[i] (x) t[m - i] with n-1 <= i <= m-1 are non-zero.
     power = t
-    # t has zero scalar part, so t^(tensor n) vanishes below level n.
     for n in range(2, s.degree + 1):
-        power = chen_product(power, t)
         coeff = (-1.0) ** (n - 1) / n
+        nxt = [None] * (s.degree + 1)
         for m in range(n, s.degree + 1):
-            out.levels[m] += coeff * power.levels[m]
-    return out
+            acc = _outer(power[n - 1], t[m - n + 1])
+            for i in range(n, m):
+                acc += _outer(power[i], t[m - i])
+            nxt[m] = acc
+            out[m] += coeff * acc
+        power = nxt
+    return TensorSeries(s.alphabet_size, s.degree, out)
 
 
 def tensor_exp(a: TensorSeries) -> TensorSeries:
     """Tensor exponential of a series with scalar part 0 (inverse of tensor_log)."""
-    if abs(a.levels[0][0]) > 1e-9:
-        raise ValueError(f"tensor_exp needs scalar part 0, got {a.levels[0][0]!r}")
-    out = TensorSeries.unit(a.alphabet_size, a.degree)
-    power = TensorSeries.unit(a.alphabet_size, a.degree)
+    if np.any(np.abs(a.levels[0]) > 1e-9):
+        raise ValueError(f"tensor_exp needs scalar part 0, got {a.levels[0]!r}")
+    out = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape)
+    power = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape)
     for n in range(1, a.degree + 1):
         power = chen_product(power, a)
         inv_fact = 1.0 / math.factorial(n)
@@ -183,8 +214,8 @@ def tensor_exp(a: TensorSeries) -> TensorSeries:
 
 
 def lyndon_project(log_series: TensorSeries, basis: LyndonBasis) -> np.ndarray:
-    """Read the tensor-log coefficients at Lyndon-word positions into a flat
-    vector ordered like ``basis.words``."""
+    """Read the tensor-log coefficients at Lyndon-word positions, ordered like
+    ``basis.words``: shape (basis.dim, *batch)."""
     if basis.alphabet_size != log_series.alphabet_size or basis.degree != log_series.degree:
         raise ValueError(
             f"basis (D={basis.alphabet_size}, M={basis.degree}) does not match "

@@ -167,6 +167,19 @@ def test_invalid_config_is_config_error(tmp_path):
     assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "content", ['{"customers": ["C1", "C', "[1, 2]"], ids=["truncated", "not-an-object"]
+)
+def test_unreadable_splits_is_data_error(tmp_path, content):
+    generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
+    cfg = _write_config(tmp_path)
+    splits = tmp_path / "out" / "prepared" / "splits.json"
+    splits.parent.mkdir(parents=True)
+    splits.write_text(content)
+    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DATA
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+
+
 def test_evaluate_without_training_is_data_error(tmp_path):
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=2)
     cfg = _write_config(tmp_path)

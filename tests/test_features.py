@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fraudsig.banksim import CustomerSeries, continuous_path, make_samples
 from fraudsig.features import (
+    _BLOCK,
     SCHEME_VERSION,
     build_feature_store,
     dataset_fingerprint,
@@ -29,17 +31,46 @@ def _customer(rng, n, name="C"):
     )
 
 
-@pytest.mark.parametrize("degree", [2, 3, 4])
-def test_incremental_matches_direct_per_prefix(degree, rng):
+# Customer lengths around the encoder's block edges, at the default degree.
+_BLOCK_EDGE_CASES = [(4, n) for n in (5, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 150)]
+
+
+@pytest.mark.parametrize(
+    "degree,length",
+    [(2, 9), (3, 9), (4, 9), *_BLOCK_EDGE_CASES],
+    ids=["2", "3", "4", *(f"{d}-T{n}" for d, n in _BLOCK_EDGE_CASES)],
+)
+def test_incremental_matches_direct_per_prefix(degree, length, rng):
     basis = LyndonBasis.build(7, degree)
-    cs = _customer(rng, 9)
+    cs = _customer(rng, length)
     max_sd, max_amt = 3.0, 85.0
     rows = encode_prefixes(cs.step_diffs, cs.amounts, degree, basis, min_prefix=5)
     rows = rows * scale_vector(basis, max_sd, max_amt)[None, :]
-    for k, j in enumerate(range(5, 10)):
+    assert rows.shape == (length - 4, basis.dim)
+    for k, j in enumerate(range(5, length + 1)):
         direct = encode(continuous_path(cs, j, max_sd, max_amt), degree, basis)
         scale = max(1.0, np.abs(direct).max())
         np.testing.assert_allclose(rows[k], direct, atol=1e-9 * scale)
+
+
+def _encoder_peak_beyond_output(length, basis, rng):
+    cs = _customer(rng, length)
+    tracemalloc.start()
+    try:
+        rows = encode_prefixes(cs.step_diffs, cs.amounts, basis.degree, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - rows.nbytes
+
+
+def test_encoder_temporaries_do_not_grow_with_length(rng):
+    """The encoder works in blocks of prefixes, so what it allocates besides
+    its output stays bounded as the customer gets longer."""
+    basis = LyndonBasis.build(7, 4)
+    short = _encoder_peak_beyond_output(150, basis, rng)
+    long = _encoder_peak_beyond_output(600, basis, rng)
+    assert long <= 1.5 * short, (short, long)
 
 
 def test_min_prefix_one_covers_single_transaction(rng):
@@ -116,6 +147,21 @@ def test_truncated_cache_is_rebuilt(tmp_path, rng):
     assert not hit
     np.testing.assert_array_equal(store1.matrix, store2.matrix)
     assert bin_path.read_bytes() == data
+
+
+@pytest.mark.parametrize(
+    "manifest", ['{"dataset_sha256": "h", "deg', "[1, 2]"], ids=["truncated", "not-an-object"]
+)
+def test_unreadable_manifest_is_rebuilt(tmp_path, rng, manifest):
+    samples = _sample_set(rng)
+    store1, _ = build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
+    manifest_path = tmp_path / "cache" / "manifest.json"
+    written = manifest_path.read_text()
+    manifest_path.write_text(manifest)
+    store2, hit = build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
+    assert not hit
+    np.testing.assert_array_equal(store1.matrix, store2.matrix)
+    assert manifest_path.read_text() == written
 
 
 def test_worker_pool_matches_serial(tmp_path, rng):

@@ -109,6 +109,52 @@ def test_exp_log_round_trip(pts):
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
+def _column(series, j):
+    return TensorSeries(
+        series.alphabet_size, series.degree, [lvl[:, j] for lvl in series.levels]
+    )
+
+
+def _assert_series_close(a, b):
+    for la, lb in zip(a.levels, b.levels):
+        np.testing.assert_allclose(la, lb, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_batched_operations_match_columnwise(n, rng):
+    """A batch of n series (trailing axis) gives, column by column, what each
+    single-path call gives."""
+    d, degree = 3, 4
+    basis = LyndonBasis.build(d, degree)
+    incs = rng.normal(size=(3, d, n))
+    segs = [segment_signature(inc, degree) for inc in incs]
+    for inc, seg in zip(incs, segs):
+        assert seg.batch_shape == (n,)
+        for j in range(n):
+            _assert_series_close(_column(seg, j), segment_signature(inc[:, j], degree))
+    sig = chen_product(chen_product(segs[0], segs[1]), segs[2])
+    log = tensor_log(sig)
+    coords = lyndon_project(log, basis)
+    assert coords.shape == (basis.dim, n)
+    for j in range(n):
+        single = chen_product(
+            chen_product(_column(segs[0], j), _column(segs[1], j)), _column(segs[2], j)
+        )
+        _assert_series_close(_column(sig, j), single)
+        _assert_series_close(_column(log, j), tensor_log(_column(sig, j)))
+        np.testing.assert_allclose(
+            coords[:, j], lyndon_project(_column(log, j), basis), rtol=0, atol=1e-13
+        )
+    _assert_series_close(tensor_exp(log), sig)
+
+
+def test_chen_product_rejects_mismatched_batches():
+    with pytest.raises(ValueError):
+        chen_product(TensorSeries.unit(2, 2, (3,)), TensorSeries.unit(2, 2, (4,)))
+    with pytest.raises(ValueError):
+        chen_product(TensorSeries.unit(2, 2, (3,)), TensorSeries.unit(2, 2))
+
+
 def test_log_of_unit_is_zero():
     lg = tensor_log(TensorSeries.unit(3, 3))
     assert all(np.all(lvl == 0) for lvl in lg.levels)
@@ -119,12 +165,20 @@ def test_log_requires_unit_scalar():
     s.levels[0][0] = 0.5
     with pytest.raises(ValueError):
         tensor_log(s)
+    batch = TensorSeries.unit(2, 2, (4,))
+    batch.levels[0][0, 2] = 0.5
+    with pytest.raises(ValueError):
+        tensor_log(batch)
 
 
 def test_exp_requires_zero_scalar():
     s = TensorSeries.unit(2, 2)
     with pytest.raises(ValueError):
         tensor_exp(s)
+    batch = TensorSeries.zero(2, 2, (4,))
+    batch.levels[0][0, 1] = 1.0
+    with pytest.raises(ValueError):
+        tensor_exp(batch)
 
 
 def test_path_validation():
