@@ -25,6 +25,7 @@ from .config import (
     STAGE_SPLIT,
     STAGE_TRAIN,
     ConfigError,
+    DataError,
     ExperimentConfig,
     cache_dir,
     derive_rng,
@@ -59,10 +60,6 @@ SPLITS_REL = "prepared/splits.json"
 MANIFEST_REL = "manifest.json"
 
 
-class DataError(RuntimeError):
-    """Missing or inconsistent pipeline inputs."""
-
-
 # ---------------------------------------------------------------------------
 # Run manifest.
 # ---------------------------------------------------------------------------
@@ -78,7 +75,10 @@ def _atomic_json(path: Path, obj) -> None:
 def _load_manifest(cfg: ExperimentConfig) -> dict:
     path = Path(cfg.output_dir) / MANIFEST_REL
     if path.exists():
-        return json.loads(path.read_text())
+        try:
+            return json.loads(path.read_text())
+        except ValueError as exc:
+            raise DataError(f"{path} is not valid JSON ({exc})") from exc
     return {
         "package_version": __version__,
         "config": cfg.to_dict(),

@@ -1,4 +1,5 @@
-"""Experiment configuration and deterministic seed derivation.
+"""Experiment configuration, deterministic seed derivation and the error
+kinds the CLI maps to exit codes.
 
 A single YAML file drives every pipeline stage.  All randomness flows from
 one global seed through numpy's SeedSequence spawn-key mechanism, so each
@@ -21,6 +22,7 @@ __all__ = [
     "HeadConfig",
     "ExperimentConfig",
     "ConfigError",
+    "DataError",
     "derive_rng",
     "derive_seed_sequence",
     "cache_dir",
@@ -37,6 +39,10 @@ STAGE_PREPARE = 4
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
+
+
+class DataError(RuntimeError):
+    """Missing, unreadable or inconsistent pipeline inputs."""
 
 
 def derive_seed_sequence(global_seed: int, *key: int) -> np.random.SeedSequence:

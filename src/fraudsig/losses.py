@@ -52,12 +52,7 @@ def _check_labels(labels, n_classes, batch):
 def labeled_loss(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true class under the softmax
     restricted to classes 1..K.  Labels take values in 1..K."""
-    probs = restricted_softmax(scores)
-    labels = _check_labels(labels, probs.shape[1], probs.shape[0])
-    if probs.shape[0] == 0:
-        raise ValueError("labeled loss undefined for an empty batch")
-    picked = probs[np.arange(probs.shape[0]), labels - 1]
-    return float(-np.mean(np.log(picked)))
+    return labeled_loss_grad(scores, labels)[0]
 
 
 def labeled_loss_grad(scores: np.ndarray, labels: np.ndarray):
@@ -138,7 +133,7 @@ def gradient_penalty(
     # d penalty / d ||g||^2 per sample, chained through ||g|| = sqrt(||g||^2):
     # (2/n)(||g|| - 1) * (1 / ||g||) * (1/2) * 2 <g, dg> = coeff * <g, dg>.
     coeffs = (2.0 / n) * (norms - 1.0) / np.maximum(norms, 1e-12)
-    grads = disc.penalty_param_grads(params, mixed, codes, cache, g, coeffs)
+    grads = disc.penalty_param_grads(params, cache, g, coeffs)
     return penalty, grads
 
 

@@ -210,39 +210,36 @@ class _EmbeddingBank:
         return self.backward(ps, cache, lams)
 
 
-def _trunk_forward(layers, params, offsets, x):
-    caches = []
-    for layer, (lo, hi) in zip(layers, offsets):
-        x, cache = layer.forward(params[lo:hi], x)
-        caches.append(cache)
-    return x, caches
-
-
-def _trunk_backward(layers, params, offsets, caches, dy, need_param_grads=True):
-    grads = [None] * (offsets[-1][1] if offsets else 0)
-    for layer, (lo, hi), cache in zip(reversed(layers), reversed(offsets), reversed(caches)):
-        layer_grads, dy = layer.backward(params[lo:hi], cache, dy, need_param_grads)
-        if need_param_grads:
-            grads[lo:hi] = layer_grads
-    return grads, dy
-
-
 class _Net:
-    """Shared plumbing: an embedding bank plus a trunk of dense layers."""
+    """Condition embeddings and one free input vector feeding a dense trunk.
 
-    def __init__(self):
-        self.layers: list = []
-        self._offsets: list[tuple[int, int]] = []
+    The trunk input is [free, embeddings] when `free_first`, else
+    [embeddings, free]; parameters are the embedding tables followed by the
+    trunk tensors in layer order.  `forward(params, x, codes)` takes the
+    free input x (n, free_dim); `backward` returns the gradient w.r.t. it.
+    """
 
-    def _finalize(self, emb: _EmbeddingBank):
+    def __init__(self, emb: _EmbeddingBank, free_dim: int, free_first: bool, layers: list):
         self.emb = emb
+        self.free_dim = free_dim
+        self.free_first = free_first
+        self.layers = layers
+        self.n_emb = len(emb.specs)
         self.param_specs: list[ParamSpec] = list(emb.specs)
-        n = len(self.param_specs)
-        for layer in self.layers:
+        # Trunk-local parameter ranges, and the trunk-input columns of the
+        # free input and of each embedding.
+        self._offsets: list[tuple[int, int]] = []
+        n = 0
+        for layer in layers:
             self._offsets.append((n, n + len(layer.specs)))
             self.param_specs.extend(layer.specs)
             n += len(layer.specs)
-        self.n_emb = len(emb.specs)
+        off = free_dim if free_first else 0
+        self._free = slice(0, free_dim) if free_first else slice(emb.out_dim, None)
+        self._emb_cols = []
+        for c in emb.cards:
+            self._emb_cols.append(slice(off, off + c))
+            off += c
 
     def _split(self, params):
         if len(params) != len(self.param_specs):
@@ -260,12 +257,43 @@ class _Net:
             out.append(rng.normal(0.0, sigma, size=spec.shape))
         return out
 
+    def forward(self, params, x, codes):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.free_dim:
+            raise ValueError(f"input batch must be (n, {self.free_dim}), got {x.shape}")
+        codes = _check_codes(codes, self.emb.cards)
+        emb_ps, trunk_ps = self._split(params)
+        outs, emb_cache = self.emb.forward(emb_ps, codes)
+        h = np.concatenate([x] + outs if self.free_first else outs + [x], axis=1)
+        caches = []
+        for layer, (lo, hi) in zip(self.layers, self._offsets):
+            h, cache = layer.forward(trunk_ps[lo:hi], h)
+            caches.append(cache)
+        return h, (emb_cache, caches)
+
+    def backward(self, params, cache, dy, need_param_grads=True):
+        """Reverse pass; returns (grads, d free input)."""
+        emb_ps, trunk_ps = self._split(params)
+        emb_cache, caches = cache
+        grads = [None] * len(trunk_ps)
+        for layer, (lo, hi), c in zip(
+            reversed(self.layers), reversed(self._offsets), reversed(caches)
+        ):
+            layer_grads, dy = layer.backward(trunk_ps[lo:hi], c, dy, need_param_grads)
+            if need_param_grads:
+                grads[lo:hi] = layer_grads
+        if not need_param_grads:
+            return None, dy[:, self._free]
+        emb_grads = self.emb.backward(emb_ps, emb_cache, [dy[:, s] for s in self._emb_cols])
+        return emb_grads + grads, dy[:, self._free]
+
 
 class GeneratorNet(_Net):
     """Maps (latent vector, condition codes) to a synthetic feature vector.
 
-    Trunk: affine projection to `width`, `n_residual` residual tanh blocks,
-    a tanh, and a final affine map to the feature dimension.
+    Trunk input [embeddings, z]: affine projection to `width`, `n_residual`
+    residual tanh blocks, a tanh, and a final affine map to the feature
+    dimension.
     """
 
     def __init__(
@@ -276,54 +304,22 @@ class GeneratorNet(_Net):
         width: int = 128,
         n_residual: int = 2,
     ):
-        super().__init__()
-        self.latent_dim = latent_dim
-        self.out_dim = out_dim
         emb = _EmbeddingBank(emb_cards, "gen")
-        in_dim = emb.out_dim + latent_dim
-        self.layers = [Dense(in_dim, width, "gen.proj")]
+        layers = [Dense(emb.out_dim + latent_dim, width, "gen.proj")]
         for r in range(n_residual):
-            self.layers.append(ResidualTanh(width, f"gen.res{r}"))
-        self.layers.append(TanhAct())
-        self.layers.append(Dense(width, out_dim, "gen.out"))
-        self._finalize(emb)
-
-    def forward(self, params, z, codes):
-        z = np.asarray(z, dtype=np.float64)
-        if z.ndim != 2 or z.shape[1] != self.latent_dim:
-            raise ValueError(f"latent batch must be (n, {self.latent_dim}), got {z.shape}")
-        codes = _check_codes(codes, self.emb.cards)
-        emb_ps, trunk_ps = self._split(params)
-        outs, emb_cache = self.emb.forward(emb_ps, codes)
-        x = np.concatenate(outs + [z], axis=1)
-        y, caches = _trunk_forward(self.layers, trunk_ps, self._offsets_local(), x)
-        return y, (emb_cache, caches)
-
-    def backward(self, params, cache, dy, need_param_grads=True):
-        emb_ps, trunk_ps = self._split(params)
-        emb_cache, caches = cache
-        trunk_grads, dx = _trunk_backward(
-            self.layers, trunk_ps, self._offsets_local(), caches, dy, need_param_grads
-        )
-        if not need_param_grads:
-            return None, dx[:, self.emb.out_dim :]
-        douts, off = [], 0
-        for c in self.emb.cards:
-            douts.append(dx[:, off : off + c])
-            off += c
-        emb_grads = self.emb.backward(emb_ps, emb_cache, douts)
-        return emb_grads + trunk_grads, dx[:, self.emb.out_dim :]
-
-    def _offsets_local(self):
-        return [(lo - self.n_emb, hi - self.n_emb) for lo, hi in self._offsets]
+            layers.append(ResidualTanh(width, f"gen.res{r}"))
+        layers.append(TanhAct())
+        layers.append(Dense(width, out_dim, "gen.out"))
+        super().__init__(emb, latent_dim, False, layers)
 
 
 class DiscriminatorNet(_Net):
     """Scores (feature vector, condition codes) into K+1 raw class scores.
 
-    Trunk: affine projection to `width`, `n_residual` residual tanh blocks, a
-    tanh, a tanh-separated stack of narrowing affine layers (`head_widths`),
-    and a final affine map to K+1 scores.
+    Trunk input [features, embeddings]: affine projection to `width`,
+    `n_residual` residual tanh blocks, a tanh, a tanh-separated stack of
+    narrowing affine layers (`head_widths`), and a final affine map to K+1
+    scores.
     """
 
     def __init__(
@@ -335,50 +331,19 @@ class DiscriminatorNet(_Net):
         n_residual: int = 2,
         head_widths: tuple[int, ...] = (64, 32),
     ):
-        super().__init__()
-        self.feat_dim = feat_dim
         self.n_classes = n_classes
         emb = _EmbeddingBank(emb_cards, "disc")
-        in_dim = feat_dim + emb.out_dim
-        self.layers = [Dense(in_dim, width, "disc.proj")]
+        layers = [Dense(feat_dim + emb.out_dim, width, "disc.proj")]
         for r in range(n_residual):
-            self.layers.append(ResidualTanh(width, f"disc.res{r}"))
-        self.layers.append(TanhAct())
+            layers.append(ResidualTanh(width, f"disc.res{r}"))
+        layers.append(TanhAct())
         prev = width
         for h, w in enumerate(head_widths):
-            self.layers.append(Dense(prev, w, f"disc.head{h}"))
-            self.layers.append(TanhAct())
+            layers.append(Dense(prev, w, f"disc.head{h}"))
+            layers.append(TanhAct())
             prev = w
-        self.layers.append(Dense(prev, n_classes + 1, "disc.out"))
-        self._finalize(emb)
-
-    def forward(self, params, feat, codes):
-        feat = np.asarray(feat, dtype=np.float64)
-        if feat.ndim != 2 or feat.shape[1] != self.feat_dim:
-            raise ValueError(f"feature batch must be (n, {self.feat_dim}), got {feat.shape}")
-        codes = _check_codes(codes, self.emb.cards)
-        emb_ps, trunk_ps = self._split(params)
-        outs, emb_cache = self.emb.forward(emb_ps, codes)
-        x = np.concatenate([feat] + outs, axis=1)
-        y, caches = _trunk_forward(self.layers, trunk_ps, self._offsets_local(), x)
-        return y, (emb_cache, caches)
-
-    def backward(self, params, cache, dscores, need_param_grads=True):
-        """Reverse pass; returns (grads, dfeat)."""
-        emb_ps, trunk_ps = self._split(params)
-        emb_cache, caches = cache
-        trunk_grads, dx = _trunk_backward(
-            self.layers, trunk_ps, self._offsets_local(), caches, dscores, need_param_grads
-        )
-        dfeat = dx[:, : self.feat_dim]
-        if not need_param_grads:
-            return None, dfeat
-        douts, off = [], self.feat_dim
-        for c in self.emb.cards:
-            douts.append(dx[:, off : off + c])
-            off += c
-        emb_grads = self.emb.backward(emb_ps, emb_cache, douts)
-        return emb_grads + trunk_grads, dfeat
+        layers.append(Dense(prev, n_classes + 1, "disc.out"))
+        super().__init__(emb, feat_dim, True, layers)
 
     def critic_input_gradient(self, params, feat, codes):
         """Per-sample gradient of critic_head(forward(feat)) w.r.t. feat.
@@ -393,24 +358,22 @@ class DiscriminatorNet(_Net):
         )
         return dfeat, cache
 
-    def penalty_param_grads(self, params, feat, codes, cache, input_grads, coeffs):
+    def penalty_param_grads(self, params, cache, input_grads, coeffs):
         """Parameter gradient of sum_i coeffs[i] * <g_i, g_i-hat> where
         g_i = critic input gradient at sample i and g_i-hat is g_i held fixed.
 
         This is the exact reverse pass over the forward-tangent program with
         tangent direction g_i per sample, which yields the gradient of any
         function of the input-gradient norms once `coeffs` carries the outer
-        derivative.
+        derivative.  `cache` is the forward cache at which g was taken.
         """
         emb_ps, trunk_ps = self._split(params)
         emb_cache, caches = cache
-        offsets = self._offsets_local()
-        # Forward tangent: only the feature slice of the input is perturbed.
-        xdot = np.concatenate(
-            [input_grads, np.zeros((input_grads.shape[0], self.emb.out_dim))], axis=1
-        )
+        # Forward tangent: only the feature columns of the input are perturbed.
+        xdot = np.zeros((input_grads.shape[0], self.free_dim + self.emb.out_dim))
+        xdot[:, self._free] = input_grads
         tcaches = []
-        for layer, (lo, hi), c in zip(self.layers, offsets, caches):
+        for layer, (lo, hi), c in zip(self.layers, self._offsets, caches):
             xdot, tcache = layer.tangent(trunk_ps[lo:hi], c, xdot)
             tcaches.append(tcache)
         # Reverse over the tangent program.
@@ -419,19 +382,12 @@ class DiscriminatorNet(_Net):
         lam = np.zeros_like(mu)
         grads = [None] * len(trunk_ps)
         for layer, (lo, hi), c, tc in zip(
-            reversed(self.layers), reversed(offsets), reversed(caches), reversed(tcaches)
+            reversed(self.layers), reversed(self._offsets), reversed(caches), reversed(tcaches)
         ):
             layer_grads, lam, mu = layer.second_backward(trunk_ps[lo:hi], c, tc, lam, mu)
             grads[lo:hi] = layer_grads
-        lams, off = [], self.feat_dim
-        for c in self.emb.cards:
-            lams.append(lam[:, off : off + c])
-            off += c
-        emb_grads = self.emb.second_backward(emb_ps, emb_cache, lams)
-        return emb_grads + grads
-
-    def _offsets_local(self):
-        return [(lo - self.n_emb, hi - self.n_emb) for lo, hi in self._offsets]
+        lams = [lam[:, s] for s in self._emb_cols]
+        return self.emb.second_backward(emb_ps, emb_cache, lams) + grads
 
 
 def critic_head_vector(n_classes: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig, derive_seed_sequence
+from .config import ConfigError, DataError, TrainConfig, derive_rng
 from .losses import discriminator_loss, generator_loss_from_scores
 from .nnet import (
     DiscriminatorNet,
@@ -218,26 +218,15 @@ def train(
     gen_prior = GlorotPrior.for_specs(gen.param_specs)
     disc_prior = GlorotPrior.for_specs(disc.param_specs)
 
-    data_rng = np.random.Generator(
-        np.random.PCG64(derive_seed_sequence(seed, 0))
-    )
     gen_chains = [
-        _Chain(
-            gen.init_params(np.random.Generator(np.random.PCG64(derive_seed_sequence(seed, 1, j)))),
-            cfg, cfg.lr_g,
-            np.random.Generator(np.random.PCG64(derive_seed_sequence(seed, 3, j))),
-        )
+        _Chain(gen.init_params(derive_rng(seed, 1, j)), cfg, cfg.lr_g, derive_rng(seed, 3, j))
         for j in range(cfg.chains_g)
     ]
     disc_chains = [
-        _Chain(
-            disc.init_params(np.random.Generator(np.random.PCG64(derive_seed_sequence(seed, 2, j)))),
-            cfg, cfg.lr_d,
-            np.random.Generator(np.random.PCG64(derive_seed_sequence(seed, 4, j))),
-        )
+        _Chain(disc.init_params(derive_rng(seed, 2, j)), cfg, cfg.lr_d, derive_rng(seed, 4, j))
         for j in range(cfg.chains_d)
     ]
-    cycle = _LabeledCycle(data.labeled_idx, data_rng)
+    cycle = _LabeledCycle(data.labeled_idx, derive_rng(seed, 0))
     members: list[EnsembleMember] = []
     trace: list = []
     start_epoch = 0
@@ -246,7 +235,7 @@ def train(
         if checkpoint_dir is None:
             raise ValueError("resume requested without a checkpoint directory")
         start_epoch = load_checkpoint(
-            checkpoint_dir, gen_chains, disc_chains, cycle, data_rng, members, trace
+            checkpoint_dir, gen_chains, disc_chains, cycle, members, trace
         )
 
     if cfg.epochs == 0 and not members:
@@ -335,8 +324,7 @@ def train(
             or epoch == cfg.epochs
         ):
             save_checkpoint(
-                checkpoint_dir, epoch, gen_chains, disc_chains, cycle,
-                data_rng, members, trace,
+                checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, trace
             )
 
     return TrainResult(
@@ -382,13 +370,14 @@ def predict(
 # written checkpoints are never loadable.  The previous checkpoint is moved
 # aside before the new one is renamed in and deleted only after, so some
 # complete checkpoint exists at every instant; `recover_checkpoint` moves
-# one left aside by a crash back into place.
+# one left aside by a crash back into place.  A checkpoint whose files
+# cannot be parsed raises DataError naming it.
 # ---------------------------------------------------------------------------
 
 
 def _chain_state(chain: _Chain, prefix: str, out_dir: Path) -> dict:
     save_params(out_dir / f"{prefix}_params", chain.params)
-    entry = {"rng": chain.rng.bit_generator.state, "lr": chain.lr}
+    entry = {"rng": chain.rng.bit_generator.state}
     if chain.adam is not None:
         save_params(out_dir / f"{prefix}_adam_m", chain.adam.m)
         save_params(out_dir / f"{prefix}_adam_v", chain.adam.v)
@@ -398,21 +387,32 @@ def _chain_state(chain: _Chain, prefix: str, out_dir: Path) -> dict:
     return entry
 
 
+def _read_state(in_dir: Path) -> dict:
+    try:
+        return json.loads((in_dir / "state.json").read_text())
+    except ValueError as exc:
+        raise DataError(f"checkpoint {in_dir}: unreadable state.json ({exc})") from exc
+
+
+def _load(in_dir: Path, name: str):
+    try:
+        return load_params(in_dir / name)
+    except ValueError as exc:
+        raise DataError(f"checkpoint {in_dir}: unreadable {name} ({exc})") from exc
+
+
 def _restore_chain(chain: _Chain, prefix: str, in_dir: Path, entry: dict) -> None:
-    chain.params = load_params(in_dir / f"{prefix}_params")
+    chain.params = _load(in_dir, f"{prefix}_params")
     chain.rng.bit_generator.state = entry["rng"]
     if chain.adam is not None:
-        chain.adam.m = load_params(in_dir / f"{prefix}_adam_m")
-        chain.adam.v = load_params(in_dir / f"{prefix}_adam_v")
+        chain.adam.m = _load(in_dir, f"{prefix}_adam_m")
+        chain.adam.v = _load(in_dir, f"{prefix}_adam_v")
         chain.adam.t = int(entry["adam_t"])
     else:
-        chain.velocity = load_params(in_dir / f"{prefix}_velocity")
+        chain.velocity = _load(in_dir, f"{prefix}_velocity")
 
 
-def save_checkpoint(
-    checkpoint_dir, epoch, gen_chains, disc_chains, cycle, data_rng,
-    members, trace,
-) -> None:
+def save_checkpoint(checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, trace) -> None:
     final = Path(checkpoint_dir)
     tmp = final.with_name(final.name + ".tmp")
     if tmp.exists():
@@ -420,7 +420,7 @@ def save_checkpoint(
     tmp.mkdir(parents=True)
     state = {
         "epoch": epoch,
-        "data_rng": data_rng.bit_generator.state,
+        "data_rng": cycle.rng.bit_generator.state,
         "cycle": cycle.state(),
         "gen_chains": [],
         "disc_chains": [],
@@ -458,34 +458,39 @@ def recover_checkpoint(checkpoint_dir) -> None:
         aside.rename(final)
 
 
-def load_members(checkpoint_dir) -> list[EnsembleMember]:
-    """The discriminator posterior ensemble stored in a checkpoint."""
-    in_dir = Path(checkpoint_dir)
-    state = json.loads((in_dir / "state.json").read_text())
+def _members(in_dir: Path, state: dict) -> list[EnsembleMember]:
     return [
-        EnsembleMember(meta["chain"], meta["epoch"], load_params(in_dir / f"member{i:05d}"))
+        EnsembleMember(meta["chain"], meta["epoch"], _load(in_dir, f"member{i:05d}"))
         for i, meta in enumerate(state["members"])
     ]
 
 
-def load_checkpoint(
-    checkpoint_dir, gen_chains, disc_chains, cycle, data_rng, members, trace,
-) -> int:
+def load_members(checkpoint_dir) -> list[EnsembleMember]:
+    """The discriminator posterior ensemble stored in a checkpoint."""
+    in_dir = Path(checkpoint_dir)
+    return _members(in_dir, _read_state(in_dir))
+
+
+def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, members, trace) -> int:
     """Restore training state in place; returns the checkpointed epoch.
 
-    Entries this version does not read, such as the generator ensemble that
-    older versions stored, are ignored."""
+    Entries this version does not read, such as the generator ensemble and
+    the chain learning rates that older versions stored, are ignored."""
     in_dir = Path(checkpoint_dir)
-    state = json.loads((in_dir / "state.json").read_text())
-    if len(state["gen_chains"]) != len(gen_chains) or len(state["disc_chains"]) != len(disc_chains):
-        raise ValueError("checkpoint chain counts do not match the configuration")
-    data_rng.bit_generator.state = state["data_rng"]
+    state = _read_state(in_dir)
+    saved = (len(state["gen_chains"]), len(state["disc_chains"]))
+    if saved != (len(gen_chains), len(disc_chains)):
+        raise ConfigError(
+            f"checkpoint {in_dir} holds {saved[0]} generator and {saved[1]} discriminator "
+            f"chains; the configuration asks for {len(gen_chains)} and {len(disc_chains)}"
+        )
+    cycle.rng.bit_generator.state = state["data_rng"]
     cycle.restore(state["cycle"])
     for j, chain in enumerate(gen_chains):
         _restore_chain(chain, f"gen{j}", in_dir, state["gen_chains"][j])
     for j, chain in enumerate(disc_chains):
         _restore_chain(chain, f"disc{j}", in_dir, state["disc_chains"][j])
-    members[:] = load_members(in_dir)
+    members[:] = _members(in_dir, state)
     trace.clear()
     trace.extend(tuple(row) for row in state["trace"])
     return int(state["epoch"])

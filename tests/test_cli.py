@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,52 @@ def test_resume_after_crash_during_checkpoint_swap(pipeline, tmp_path, monkeypat
     assert sorted(p.name for p in got.iterdir()) == ["checkpoint", "trace.csv"]
     for a in sorted((ref / "checkpoint").iterdir()):
         assert a.read_bytes() == (got / "checkpoint" / a.name).read_bytes(), a.name
+
+
+def _copy_run(pipeline, tmp_path, **train_over) -> Path:
+    """A config whose output directory is a copy of the pipeline run."""
+    root, _ = pipeline
+    shutil.copytree(root / "out", tmp_path / "out")
+    base = yaml.safe_load((root / "config.yaml").read_text())
+    base["output_dir"] = str(tmp_path / "out")
+    base["train"].update(train_over)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump(base))
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "name", ["state.json", "member00000.bin", "member00000.json", "disc0_params.bin"]
+)
+def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
+    """A cut-short checkpoint file exits 3 and names the checkpoint, in
+    evaluate and in train --resume, instead of raising a traceback."""
+    cfg = _copy_run(pipeline, tmp_path)
+    ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
+    path = ckpt / name
+    path.write_bytes(path.read_bytes()[:50])
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    assert main(train_args) == EXIT_DATA
+    assert str(ckpt) in capsys.readouterr().err
+    # evaluate reads the ensemble only, not the chain state.
+    expected = EXIT_OK if name.startswith("disc") else EXIT_DATA
+    assert main(["evaluate", "--config", str(cfg)]) == expected
+
+
+def test_unreadable_manifest_is_data_error(pipeline, tmp_path):
+    cfg = _copy_run(pipeline, tmp_path)
+    manifest = tmp_path / "out/manifest.json"
+    manifest.write_text(manifest.read_text()[:40])
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
+    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DATA
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    assert main(["report", "--config", str(cfg)]) == EXIT_DATA
+
+
+def test_resume_with_changed_chain_counts_is_config_error(pipeline, tmp_path):
+    cfg = _copy_run(pipeline, tmp_path, chains_d=3)
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    assert main(train_args) == EXIT_CONFIG
 
 
 def test_version_flag(capsys):

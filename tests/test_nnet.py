@@ -165,7 +165,7 @@ def test_penalty_param_grads_match_fd(rng):
     coeffs = rng.normal(size=3)
 
     g, cache = disc.critic_input_gradient(params, feat, codes)
-    grads = disc.penalty_param_grads(params, feat, codes, cache, g, coeffs)
+    grads = disc.penalty_param_grads(params, cache, g, coeffs)
 
     def scalar(pv_list):
         gg, _ = disc.critic_input_gradient(pv_list, feat, codes)
@@ -196,6 +196,27 @@ def test_out_of_range_codes_raise(rng):
         disc.forward(params, np.zeros((1, 2)), np.array([[2]]))
     with pytest.raises(ValueError):
         disc.forward(params, np.zeros((1, 2)), np.array([[-1]]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GeneratorNet(latent_dim=3, emb_cards=(2,), out_dim=4, width=5, n_residual=1),
+        lambda: DiscriminatorNet(feat_dim=3, emb_cards=(2,), width=5, n_residual=1),
+    ],
+    ids=["generator", "discriminator"],
+)
+def test_forward_rejects_wrong_input_width_and_param_count(make, rng):
+    net = make()
+    params = net.init_params(rng)
+    codes = np.zeros((2, 1), dtype=np.int64)
+    net.forward(params, np.zeros((2, 3)), codes)
+    with pytest.raises(ValueError):
+        net.forward(params, np.zeros((2, 4)), codes)
+    with pytest.raises(ValueError):
+        net.forward(params, np.zeros(3), codes)
+    with pytest.raises(ValueError):
+        net.forward(params[:-1], np.zeros((2, 3)), codes)
 
 
 def test_critic_head_values():

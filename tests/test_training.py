@@ -149,8 +149,7 @@ def test_checkpoint_restores_counters(tmp_path, rng):
     from fraudsig.training import _LabeledCycle
 
     cyc = _LabeledCycle(data.labeled_idx, np.random.default_rng(0))
-    drng = np.random.default_rng(0)
-    epoch = load_checkpoint(tmp_path / "ck", gch, dch, cyc, drng, members, trace)
+    epoch = load_checkpoint(tmp_path / "ck", gch, dch, cyc, members, trace)
     assert epoch == 4
     assert len(members) == len(res.members)
     assert trace == res.trace
