@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Paired stage benchmark of two checkouts, written as BENCH_<name>.json.
+
+    python3 scripts/bench_pairs.py --base DIR --change DIR --name 6 \\
+        --workloads train --seeds 7 8 9 --pairs 10 [--seconds 10]
+
+Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0` once in each checkout (a `git clone` of the parent commit and
+the working tree, say), the base first in odd pairs and the change first in
+even ones, so slow drift of the host falls on both sides alike.  Seeds are
+used in turn, one per pair.  The file records, per workload and end-to-end
+metric, both sides' values, medians and quartiles, how many pairs the change
+won and the median gap, together with every run's correctness, the seeds,
+the command and the machine record perfbench/run.py wrote for the change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from datetime import datetime, timezone
+from pathlib import Path
+
+# The end-to-end metrics of BENCHMARK.json; lower is better for each.
+METRICS = ("wall_s", "setup_s", "peak_rss_mib")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
+    last = json.loads(out.strip().splitlines()[-1])
+    values = {name: m["value"] for name, m in last["metrics"].items()}
+    record = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    machine = json.loads(record.read_text())["machine"]
+    return {"correct": last["correct"], "failed": last["failed"],
+            "attempted": last["attempted"], "values": values, "machine": machine}
+
+
+def revision(checkout: Path) -> str:
+    """Short commit of a checkout, marked when its tree has changes."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    dirty = " with uncommitted changes" if git("status", "--porcelain") else ""
+    return git("rev-parse", "--short", "HEAD") + dirty
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def compare(base: list[dict], change: list[dict]) -> dict:
+    out = {}
+    for name in METRICS:
+        b = [r["values"][name] for r in base]
+        c = [r["values"][name] for r in change]
+        sb, sc = summary(b), summary(c)
+        out[name] = {
+            "base": sb, "change": sc, "change_wins": sum(y < x for x, y in zip(b, c)),
+            "median_ratio": sc["median"] / sb["median"],
+            "median_gap": sb["median"] - sc["median"],
+            "base_iqr": sb["q3"] - sb["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout with the change")
+    parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
+    parser.add_argument("--workloads", nargs="+", default=["train"],
+                        choices=("prepare", "train", "evaluate"))
+    parser.add_argument("--seeds", nargs="+", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--out", type=Path, default=Path("."), help="directory for the file")
+    args = parser.parse_args(argv)
+
+    bench = {
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "base": revision(args.base), "change": revision(args.change),
+        "workloads": {},
+    }
+    machine = None
+    for workload in args.workloads:
+        base, change, seeds = [], [], []
+        for i in range(args.pairs):
+            seed = args.seeds[i % len(args.seeds)]
+            seeds.append(seed)
+            order = [(args.base, base), (args.change, change)]
+            for checkout, runs in order if i % 2 == 0 else order[::-1]:
+                runs.append(run_once(checkout, workload, seed, args.seconds))
+            machine = change[-1]["machine"]
+            print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: wall_s "
+                  f"{base[-1]['values']['wall_s']:.3f} -> {change[-1]['values']['wall_s']:.3f}",
+                  file=sys.stderr)
+        bench["workloads"][workload] = {
+            "pairs": args.pairs,
+            "seeds": seeds,
+            "all_correct": all(r["correct"] for r in base + change),
+            "failed": {"base": sum(r["failed"] for r in base),
+                       "change": sum(r["failed"] for r in change)},
+            "metrics": compare(base, change),
+        }
+    bench["machine"] = machine
+    path = args.out / f"BENCH_{args.name}.json"
+    path.write_text(json.dumps(bench, indent=1) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

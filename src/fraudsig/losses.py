@@ -14,6 +14,16 @@ with x-hat an elementwise random interpolate between real and generated
 feature vectors.  The generator minimises mean critic(fake scores).  All
 gradients are exact; the penalty's parameter gradient uses the second-order
 reverse pass of :mod:`fraudsig.nnet`.
+
+The critic loss never passes a feature batch through the whole network.
+The first layer is affine in the features x, with pre-activation
+x W_f^T + e W_e^T + b, so each distinct input batch (real, labeled, each
+fake) is projected once; an interpolate's pre-activation is
+eps P_real + (1 - eps) P_fake plus the real rows' condition part; the input
+gradient g = d W_f (d the gradient at the pre-activation) enters only through
+||g||^2 = rowsum((d G) * d) and the tangent d G, with G = W_f W_f^T; and the
+W_f gradient is collected once per input batch from the gradients at its
+pre-activation, plus the penalty's second-order part (mu^T d) W_f.
 """
 
 from __future__ import annotations
@@ -100,6 +110,32 @@ def interpolate(real_feat: np.ndarray, fake_feat: np.ndarray, eps: np.ndarray) -
     return eps * real_feat + (1.0 - eps) * fake_feat
 
 
+def _penalty_at(disc: DiscriminatorNet, params, pre, gram, want_grads: bool):
+    """Gradient penalty at `disc.proj` pre-activations `pre` (B, width).
+
+    With d the critic gradient at the pre-activation, the input gradient is
+    g = d W_f, so ||g||^2 is the row sum of (d G) * d with G = W_f W_f^T, and
+    the pre-activation's tangent along g is d G; g itself is never formed.
+    Returns (penalty, None), or with `want_grads` (penalty, (upper-layer
+    grads, lam, M)): lam (B, width) is the gradient at the pre-activation and
+    M W_f the second-order part of the W_f gradient.
+    """
+    scores, caches = disc.upper_forward(params, pre)
+    d_pre = disc.critic_pre_gradient(params, scores, caches)
+    d_gram = d_pre @ gram
+    # (d G) . d can round below zero where the exact value is ~0.
+    norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", d_gram, d_pre), 0.0))
+    penalty = grad_norm_penalty(norms)
+    if not want_grads:
+        return penalty, None
+    n = norms.shape[0]
+    # d penalty / d ||g||^2 per sample, chained through ||g|| = sqrt(||g||^2):
+    # (2/n)(||g|| - 1) * (1 / ||g||) * (1/2) * 2 <g, dg> = coeff * <g, dg>.
+    coeffs = (2.0 / n) * (norms - 1.0) / np.maximum(norms, 1e-12)
+    upper, lam, mu = disc.upper_penalty_grads(params, caches, d_gram, coeffs)
+    return penalty, (upper, lam, mu.T @ d_pre)
+
+
 def gradient_penalty(
     disc: DiscriminatorNet,
     params,
@@ -124,17 +160,14 @@ def gradient_penalty(
         penalty, or (penalty, grads) when `want_grads`.
     """
     mixed = interpolate(real_feat, fake_feat, eps)
-    g, cache = disc.critic_input_gradient(params, mixed, codes)
-    norms = np.sqrt(np.sum(g * g, axis=1))
-    penalty = grad_norm_penalty(norms)
+    proj, cond, emb_cache = disc.project(params, mixed, codes)
+    w_f = disc.feature_weights(params)
+    penalty, res = _penalty_at(disc, params, proj + cond, w_f @ w_f.T, want_grads)
     if not want_grads:
         return penalty
-    n = norms.shape[0]
-    # d penalty / d ||g||^2 per sample, chained through ||g|| = sqrt(||g||^2):
-    # (2/n)(||g|| - 1) * (1 / ||g||) * (1/2) * 2 <g, dg> = coeff * <g, dg>.
-    coeffs = (2.0 / n) * (norms - 1.0) / np.maximum(norms, 1e-12)
-    grads = disc.penalty_param_grads(params, cache, g, coeffs)
-    return penalty, grads
+    upper, lam, m = res
+    feat_terms = [(lam, mixed), (m.T, w_f)]
+    return penalty, disc.projection_grads(params, feat_terms, [(lam, emb_cache)]) + upper
 
 
 @dataclass(frozen=True)
@@ -175,48 +208,75 @@ def discriminator_loss(
     on the chain, so they are evaluated once and weighted by k.  Returns
     (parts, total) or (parts, total, grads) when `want_grads`.
     """
-    fake_feat = np.asarray(fake_feat)
+    fake_feat = np.asarray(fake_feat, dtype=np.float64)
     if fake_feat.ndim == 2:
         fake_feat = fake_feat[None]
         fake_codes = np.asarray(fake_codes)[None]
         eps = np.asarray(eps)[None]
+    real_feat = np.asarray(real_feat, dtype=np.float64)
+    labeled_feat = np.asarray(labeled_feat, dtype=np.float64)
     if fake_feat.shape[1:] != real_feat.shape:
         raise ValueError(
             f"real/fake batches must align, got {real_feat.shape} vs {fake_feat.shape[1:]}"
         )
     k, n = fake_feat.shape[:2]
     tvec = critic_head_vector(disc.n_classes)
+    w_f = disc.feature_weights(params)
+    gram = w_f @ w_f.T
 
-    real_scores, cache = disc.forward(params, real_feat, real_codes)
+    # Every pass starts from `disc.proj` pre-activations: one feature
+    # product per distinct input batch, combined linearly for the penalty.
+    real_proj, real_cond, real_emb = disc.project(params, real_feat, real_codes)
+    real_scores, caches = disc.upper_forward(params, real_proj + real_cond)
     if want_grads:
-        grads, _ = disc.backward(params, cache, np.broadcast_to(k * tvec / n, real_scores.shape))
-    lab_scores, cache = disc.forward(params, labeled_feat, labeled_codes)
+        d_real = np.broadcast_to(k * tvec / n, real_scores.shape)
+        grads, d_real = disc.upper_backward(params, caches, d_real)
+    lab_proj, lab_cond, lab_emb = disc.project(params, labeled_feat, labeled_codes)
+    lab_scores, caches = disc.upper_forward(params, lab_proj + lab_cond)
     lab, dlab_scores = labeled_loss_grad(lab_scores, labels)
     if want_grads:
-        _accumulate(grads, disc.backward(params, cache, (k * lam) * dlab_scores)[0])
-    del cache
+        upper, d_lab = disc.upper_backward(params, caches, (k * lam) * dlab_scores)
+        _accumulate(grads, upper)
+        # Gradients at the pre-activation, split by what they multiply: the
+        # real rows' features (d_real_feat) and their condition part (d_real).
+        d_real_feat = d_real.copy()
+        feat_terms = [(d_lab, labeled_feat)]
+        cond_terms = [(d_lab, lab_emb)]
+        m_sum = np.zeros_like(gram)
+    del caches
 
     unlab = pen = 0.0
     for j in range(k):
-        fake_scores, cache = disc.forward(params, fake_feat[j], fake_codes[j])
+        proj, cond, emb = disc.project(params, fake_feat[j], fake_codes[j])
+        fake_scores, caches = disc.upper_forward(params, proj + cond)
         unlab += unlabeled_loss(real_scores, fake_scores)
         if want_grads:
             d_fake = np.broadcast_to(-tvec / n, fake_scores.shape)
-            _accumulate(grads, disc.backward(params, cache, d_fake)[0])
-        del cache
-        res = gradient_penalty(
-            disc, params, real_feat, fake_feat[j], real_codes, eps[j], want_grads=want_grads
+            upper, d_fake = disc.upper_backward(params, caches, d_fake)
+            _accumulate(grads, upper)
+        del caches
+        e = eps[j][:, None]
+        res, pen_grads = _penalty_at(
+            disc, params, e * real_proj + (1.0 - e) * proj + real_cond, gram, want_grads
         )
-        if want_grads:
-            res, pen_grads = res
-            _accumulate(grads, pen_grads, gp_weight)
         pen += res
+        if want_grads:
+            upper, lam_pen, m = pen_grads
+            _accumulate(grads, upper, gp_weight)
+            lam_pen *= gp_weight
+            d_real_feat += e * lam_pen
+            d_real += lam_pen
+            feat_terms.append((d_fake + (1.0 - e) * lam_pen, fake_feat[j]))
+            cond_terms.append((d_fake, emb))
+            m_sum += gp_weight * m
 
     parts = DiscriminatorLossParts(unlab, k * lab, pen)
     total = parts.total(lam, gp_weight)
     if not want_grads:
         return parts, total
-    return parts, total, grads
+    feat_terms += [(d_real_feat, real_feat), (m_sum.T, w_f)]
+    cond_terms.append((d_real, real_emb))
+    return parts, total, disc.projection_grads(params, feat_terms, cond_terms) + grads
 
 
 def _accumulate(acc, grads, weight: float = 1.0) -> None:

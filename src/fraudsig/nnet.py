@@ -9,6 +9,15 @@ exact parameter gradient of penalties defined on input gradients (the
 gradient-penalty term of the critic loss) without any numerical
 differentiation.
 
+The discriminator's first trunk layer, `disc.proj`, is affine in the
+features, so `DiscriminatorNet` also exposes it apart from the layers above
+it: `project` gives its pre-activation as a feature part and a condition
+part, the `upper_*` methods run the forward, backward and forward-over-reverse
+passes from a pre-activation, and `projection_grads` collects the
+projection's and the embedding tables' gradients from gradients at the
+pre-activation.  The critic loss builds on these; `critic_input_gradient`
+and `penalty_param_grads` are the feature-level forms of the same passes.
+
 Conventions:
     * class index 0 is reserved for generated samples; indices 1..K are the
       real classes,
@@ -257,31 +266,44 @@ class _Net:
             out.append(rng.normal(0.0, sigma, size=spec.shape))
         return out
 
-    def forward(self, params, x, codes):
+    def _check_input(self, x, codes):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.free_dim:
             raise ValueError(f"input batch must be (n, {self.free_dim}), got {x.shape}")
-        codes = _check_codes(codes, self.emb.cards)
+        return x, _check_codes(codes, self.emb.cards)
+
+    def _layers_forward(self, trunk_ps, h, first=0):
+        caches = []
+        for layer, (lo, hi) in zip(self.layers[first:], self._offsets[first:]):
+            h, cache = layer.forward(trunk_ps[lo:hi], h)
+            caches.append(cache)
+        return h, caches
+
+    def _layers_backward(self, trunk_ps, caches, dy, need_param_grads, first=0):
+        """Reverse pass over layers[first:]; returns (their grads, d input)."""
+        base = self._offsets[first][0]
+        grads = [None] * (len(trunk_ps) - base) if need_param_grads else None
+        for layer, (lo, hi), c in zip(
+            reversed(self.layers[first:]), reversed(self._offsets[first:]), reversed(caches)
+        ):
+            layer_grads, dy = layer.backward(trunk_ps[lo:hi], c, dy, need_param_grads)
+            if need_param_grads:
+                grads[lo - base : hi - base] = layer_grads
+        return grads, dy
+
+    def forward(self, params, x, codes):
+        x, codes = self._check_input(x, codes)
         emb_ps, trunk_ps = self._split(params)
         outs, emb_cache = self.emb.forward(emb_ps, codes)
         h = np.concatenate([x] + outs if self.free_first else outs + [x], axis=1)
-        caches = []
-        for layer, (lo, hi) in zip(self.layers, self._offsets):
-            h, cache = layer.forward(trunk_ps[lo:hi], h)
-            caches.append(cache)
+        h, caches = self._layers_forward(trunk_ps, h)
         return h, (emb_cache, caches)
 
     def backward(self, params, cache, dy, need_param_grads=True):
         """Reverse pass; returns (grads, d free input)."""
         emb_ps, trunk_ps = self._split(params)
         emb_cache, caches = cache
-        grads = [None] * len(trunk_ps)
-        for layer, (lo, hi), c in zip(
-            reversed(self.layers), reversed(self._offsets), reversed(caches)
-        ):
-            layer_grads, dy = layer.backward(trunk_ps[lo:hi], c, dy, need_param_grads)
-            if need_param_grads:
-                grads[lo:hi] = layer_grads
+        grads, dy = self._layers_backward(trunk_ps, caches, dy, need_param_grads)
         if not need_param_grads:
             return None, dy[:, self._free]
         emb_grads = self.emb.backward(emb_ps, emb_cache, [dy[:, s] for s in self._emb_cols])
@@ -345,18 +367,100 @@ class DiscriminatorNet(_Net):
         layers.append(Dense(prev, n_classes + 1, "disc.out"))
         super().__init__(emb, feat_dim, True, layers)
 
+    # The first trunk layer, `disc.proj`, is affine in the features: its
+    # pre-activation is feat W_f^T + e W_e^T + b with W = [W_f | W_e] and e
+    # the embedding outputs.  The methods below expose it apart from the
+    # layers above it ("upper" layers), so a caller can combine projected
+    # batches linearly and never pass a (n, free_dim + E) array through it.
+
+    def feature_weights(self, params):
+        """W_f, the feature columns of the `disc.proj` weight (a view)."""
+        return self._split(params)[1][0][:, self._free]
+
+    def project(self, params, feat, codes):
+        """Pre-activation of `disc.proj` in two parts: (feat W_f^T,
+        e W_e^T + b, embedding cache)."""
+        feat, codes = self._check_input(feat, codes)
+        emb_ps, trunk_ps = self._split(params)
+        W, b = trunk_ps[0], trunk_ps[1]
+        outs, emb_cache = self.emb.forward(emb_ps, codes)
+        cond = b + sum(o @ W[:, s].T for o, s in zip(outs, self._emb_cols))
+        return feat @ W[:, self._free].T, cond, emb_cache
+
+    def upper_forward(self, params, pre):
+        """Scores from `disc.proj` pre-activations (n, width)."""
+        return self._layers_forward(self._split(params)[1], pre, first=1)
+
+    def upper_backward(self, params, caches, dy, need_param_grads=True):
+        """Reverse pass over the upper layers; returns (their grads, d pre)."""
+        return self._layers_backward(self._split(params)[1], caches, dy, need_param_grads, 1)
+
+    def critic_pre_gradient(self, params, scores, caches):
+        """Per-sample gradient of the critic readout of `scores` w.r.t. the
+        pre-activation they were computed from."""
+        dy = np.broadcast_to(critic_head_vector(self.n_classes), scores.shape)
+        return self.upper_backward(params, caches, dy, need_param_grads=False)[1]
+
+    def upper_penalty_grads(self, params, caches, pre_dot, coeffs):
+        """Forward-over-reverse pass over the upper layers.
+
+        `pre_dot` (n, width) is the tangent of the pre-activation; returns
+        (upper-layer grads of sum_i coeffs[i] * <critic tangent>_i, lam, mu),
+        with lam and mu that scalar's gradients w.r.t. the pre-activation and
+        its tangent.
+        """
+        trunk_ps = self._split(params)[1]
+        layers, offsets = self.layers[1:], self._offsets[1:]
+        tcaches = []
+        for layer, (lo, hi), c in zip(layers, offsets, caches):
+            pre_dot, tcache = layer.tangent(trunk_ps[lo:hi], c, pre_dot)
+            tcaches.append(tcache)
+        tvec = critic_head_vector(self.n_classes)
+        mu = coeffs[:, None] * tvec[None, :]
+        lam = np.zeros_like(mu)
+        base = offsets[0][0]
+        grads = [None] * (len(trunk_ps) - base)
+        for layer, (lo, hi), c, tc in zip(
+            reversed(layers), reversed(offsets), reversed(caches), reversed(tcaches)
+        ):
+            layer_grads, lam, mu = layer.second_backward(trunk_ps[lo:hi], c, tc, lam, mu)
+            grads[lo - base : hi - base] = layer_grads
+        return grads, lam, mu
+
+    def projection_grads(self, params, feat_terms, cond_terms):
+        """Gradients of the embedding tables and of `disc.proj` (W, b).
+
+        `feat_terms` lists (D, x) pairs whose D^T x sum to the W_f block;
+        `cond_terms` lists (D, embedding cache) pairs, D (n, width) the
+        gradient at the pre-activation of the rows that cache embedded, which
+        feed W_e, b and the tables.
+        """
+        emb_ps, trunk_ps = self._split(params)
+        W = trunk_ps[0]
+        dW = np.zeros_like(W)
+        dW[:, self._free] = sum(d.T @ x for d, x in feat_terms)
+        db = np.zeros(W.shape[0])
+        emb_grads = zeros_like_params(emb_ps)
+        for d, emb_cache in cond_terms:
+            db += d.sum(axis=0)
+            for s, out in zip(self._emb_cols, emb_cache[1]):
+                dW[:, s] += d.T @ out
+            douts = [d @ W[:, s] for s in self._emb_cols]
+            for acc, g in zip(emb_grads, self.emb.backward(emb_ps, emb_cache, douts)):
+                acc += g
+        return emb_grads + [dW, db]
+
     def critic_input_gradient(self, params, feat, codes):
         """Per-sample gradient of critic_head(forward(feat)) w.r.t. feat.
 
-        Returns (gradients (B, feat_dim), forward cache) so callers can reuse
-        the cache for the second-order pass.
+        Returns (gradients (B, feat_dim), cache) so callers can reuse the
+        cache for the second-order pass of `penalty_param_grads`.
         """
-        scores, cache = self.forward(params, feat, codes)
-        tvec = critic_head_vector(self.n_classes)
-        _, dfeat = self.backward(
-            params, cache, np.broadcast_to(tvec, scores.shape), need_param_grads=False
-        )
-        return dfeat, cache
+        feat = np.asarray(feat, dtype=np.float64)
+        proj, cond, emb_cache = self.project(params, feat, codes)
+        scores, caches = self.upper_forward(params, proj + cond)
+        d_pre = self.critic_pre_gradient(params, scores, caches)
+        return d_pre @ self.feature_weights(params), (feat, emb_cache, caches)
 
     def penalty_param_grads(self, params, cache, input_grads, coeffs):
         """Parameter gradient of sum_i coeffs[i] * <g_i, g_i-hat> where
@@ -365,29 +469,13 @@ class DiscriminatorNet(_Net):
         This is the exact reverse pass over the forward-tangent program with
         tangent direction g_i per sample, which yields the gradient of any
         function of the input-gradient norms once `coeffs` carries the outer
-        derivative.  `cache` is the forward cache at which g was taken.
+        derivative.  `cache` is the one `critic_input_gradient` returned.
         """
-        emb_ps, trunk_ps = self._split(params)
-        emb_cache, caches = cache
-        # Forward tangent: only the feature columns of the input are perturbed.
-        xdot = np.zeros((input_grads.shape[0], self.free_dim + self.emb.out_dim))
-        xdot[:, self._free] = input_grads
-        tcaches = []
-        for layer, (lo, hi), c in zip(self.layers, self._offsets, caches):
-            xdot, tcache = layer.tangent(trunk_ps[lo:hi], c, xdot)
-            tcaches.append(tcache)
-        # Reverse over the tangent program.
-        tvec = critic_head_vector(self.n_classes)
-        mu = coeffs[:, None] * tvec[None, :]
-        lam = np.zeros_like(mu)
-        grads = [None] * len(trunk_ps)
-        for layer, (lo, hi), c, tc in zip(
-            reversed(self.layers), reversed(self._offsets), reversed(caches), reversed(tcaches)
-        ):
-            layer_grads, lam, mu = layer.second_backward(trunk_ps[lo:hi], c, tc, lam, mu)
-            grads[lo:hi] = layer_grads
-        lams = [lam[:, s] for s in self._emb_cols]
-        return self.emb.second_backward(emb_ps, emb_cache, lams) + grads
+        feat, emb_cache, caches = cache
+        pre_dot = input_grads @ self.feature_weights(params).T
+        upper, lam, mu = self.upper_penalty_grads(params, caches, pre_dot, coeffs)
+        feat_terms = [(lam, feat), (mu, input_grads)]
+        return self.projection_grads(params, feat_terms, [(lam, emb_cache)]) + upper
 
 
 def critic_head_vector(n_classes: int) -> np.ndarray:

@@ -402,7 +402,23 @@ def _load(in_dir: Path, name: str):
 
 
 def _restore_chain(chain: _Chain, prefix: str, in_dir: Path, entry: dict) -> None:
-    chain.params = _load(in_dir, f"{prefix}_params")
+    """Load one chain's state; a checkpoint of another network shape or
+    optimizer than the configured one is a ConfigError."""
+    saved = "adam" if "adam_t" in entry else "plain"
+    wanted = "adam" if chain.adam is not None else "plain"
+    if saved != wanted:
+        raise ConfigError(
+            f"checkpoint {in_dir}: chain {prefix} was trained with the {saved} optimizer; "
+            f"the configuration asks for {wanted}"
+        )
+    params = _load(in_dir, f"{prefix}_params")
+    shapes = [p.shape for p in params]
+    if shapes != [p.shape for p in chain.params]:
+        raise ConfigError(
+            f"checkpoint {in_dir}: chain {prefix} has parameter shapes {shapes}; "
+            f"the configured network has {[p.shape for p in chain.params]}"
+        )
+    chain.params = params
     chain.rng.bit_generator.state = entry["rng"]
     if chain.adam is not None:
         chain.adam.m = _load(in_dir, f"{prefix}_adam_m")

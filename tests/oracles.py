@@ -4,7 +4,9 @@ Nothing here imports the package's algebra or metric code paths beyond plain
 data types and the rate-to-bucket lookup: iterated integrals come from
 spectral integration of the piecewise-linear path, signatures from a
 dict-of-words tensor algebra, risk levels from a per-prefix loop, and metrics
-from direct counting.  Slow and obvious on purpose.
+from direct counting.  Slow and obvious on purpose.  The one exception is the
+feature-level critic loss, which runs the networks' generic passes and the
+loss's score-level terms over the full trunk input.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 import numpy as np
 
 from fraudsig.banksim import rate_to_bucket
+from fraudsig.losses import labeled_loss_grad, unlabeled_loss
+from fraudsig.nnet import critic_head_vector
 
 # ---------------------------------------------------------------------------
 # Iterated integrals by repeated integration.
@@ -254,3 +258,106 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         flat_x[k] = orig
         flat_o[k] = (up - dn) / (2 * h)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Feature-level critic loss: every pass runs the whole trunk on the
+# (B, feat_dim + E) input, and the penalty's second-order pass pushes the
+# input gradient through `disc.proj` as a tangent with zero embedding
+# columns.  Only the networks' generic forward/backward and the layers'
+# tangent and second-backward rules are used.
+# ---------------------------------------------------------------------------
+
+
+def _trunk_layout(disc):
+    n_emb = len(disc.emb.specs)
+    offsets, n = [], 0
+    for layer in disc.layers:
+        offsets.append((n, n + len(layer.specs)))
+        n += len(layer.specs)
+    emb_cols, off = [], disc.free_dim
+    for c in disc.emb.cards:
+        emb_cols.append(slice(off, off + c))
+        off += c
+    return n_emb, offsets, emb_cols
+
+
+def _critic_input_gradient_reference(disc, params, feat, codes):
+    scores, cache = disc.forward(params, feat, codes)
+    tvec = critic_head_vector(disc.n_classes)
+    _, dfeat = disc.backward(
+        params, cache, np.broadcast_to(tvec, scores.shape), need_param_grads=False
+    )
+    return dfeat, cache
+
+
+def _penalty_param_grads_reference(disc, params, cache, input_grads, coeffs):
+    n_emb, offsets, emb_cols = _trunk_layout(disc)
+    emb_ps, trunk_ps = params[:n_emb], params[n_emb:]
+    emb_cache, caches = cache
+    xdot = np.zeros((input_grads.shape[0], disc.free_dim + disc.emb.out_dim))
+    xdot[:, : disc.free_dim] = input_grads
+    tcaches = []
+    for layer, (lo, hi), c in zip(disc.layers, offsets, caches):
+        xdot, tcache = layer.tangent(trunk_ps[lo:hi], c, xdot)
+        tcaches.append(tcache)
+    tvec = critic_head_vector(disc.n_classes)
+    mu = coeffs[:, None] * tvec[None, :]
+    lam = np.zeros_like(mu)
+    grads = [None] * len(trunk_ps)
+    for layer, (lo, hi), c, tc in zip(
+        reversed(disc.layers), reversed(offsets), reversed(caches), reversed(tcaches)
+    ):
+        layer_grads, lam, mu = layer.second_backward(trunk_ps[lo:hi], c, tc, lam, mu)
+        grads[lo:hi] = layer_grads
+    lams = [lam[:, s] for s in emb_cols]
+    return disc.emb.second_backward(emb_ps, emb_cache, lams) + grads
+
+
+def _gradient_penalty_reference(disc, params, real_feat, fake_feat, codes, eps):
+    eps = np.asarray(eps, dtype=np.float64)[:, None]
+    mixed = eps * real_feat + (1.0 - eps) * fake_feat
+    g, cache = _critic_input_gradient_reference(disc, params, mixed, codes)
+    norms = np.sqrt(np.sum(g * g, axis=1))
+    penalty = float(np.mean((norms - 1.0) ** 2))
+    n = norms.shape[0]
+    coeffs = (2.0 / n) * (norms - 1.0) / np.maximum(norms, 1e-12)
+    return penalty, _penalty_param_grads_reference(disc, params, cache, g, coeffs)
+
+
+def discriminator_loss_reference(
+    disc, params, real_feat, real_codes, fake_feat, fake_codes,
+    labeled_feat, labeled_codes, labels, eps, lam, gp_weight,
+):
+    """Critic loss and its gradient over the full trunk input, as
+    (unlabeled, labeled, penalty, total, grads); same arguments and
+    conventions as `losses.discriminator_loss` with stacked fakes."""
+    fake_feat = np.asarray(fake_feat)
+    if fake_feat.ndim == 2:
+        fake_feat = fake_feat[None]
+        fake_codes = np.asarray(fake_codes)[None]
+        eps = np.asarray(eps)[None]
+    k, n = fake_feat.shape[:2]
+    tvec = critic_head_vector(disc.n_classes)
+
+    real_scores, cache = disc.forward(params, real_feat, real_codes)
+    grads, _ = disc.backward(params, cache, np.broadcast_to(k * tvec / n, real_scores.shape))
+    lab_scores, cache = disc.forward(params, labeled_feat, labeled_codes)
+    lab, dlab_scores = labeled_loss_grad(lab_scores, labels)
+    for a, g in zip(grads, disc.backward(params, cache, (k * lam) * dlab_scores)[0]):
+        a += g
+    unlab = pen = 0.0
+    for j in range(k):
+        fake_scores, cache = disc.forward(params, fake_feat[j], fake_codes[j])
+        unlab += unlabeled_loss(real_scores, fake_scores)
+        d_fake = np.broadcast_to(-tvec / n, fake_scores.shape)
+        for a, g in zip(grads, disc.backward(params, cache, d_fake)[0]):
+            a += g
+        res, pen_grads = _gradient_penalty_reference(
+            disc, params, real_feat, fake_feat[j], real_codes, eps[j]
+        )
+        for a, g in zip(grads, pen_grads):
+            a += gp_weight * g
+        pen += res
+    total = unlab + lam * k * lab + gp_weight * pen
+    return unlab, k * lab, pen, total, grads

@@ -327,6 +327,33 @@ def test_resume_with_changed_chain_counts_is_config_error(pipeline, tmp_path):
     assert main(train_args) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "first, resumed",
+    [
+        ({}, {"width": 8}),
+        ({}, {"optimizer": "plain"}),
+        ({"optimizer": "plain"}, {"optimizer": "adam"}),
+    ],
+    ids=["width", "adam-to-plain", "plain-to-adam"],
+)
+def test_resume_with_changed_network_or_optimizer_is_config_error(
+    pipeline, tmp_path, capsys, first, resumed
+):
+    """A checkpoint of another network shape or optimizer is refused (exit
+    2) instead of being resumed with the old shapes or failing on a missing
+    optimizer file."""
+    cfg = _copy_run(pipeline, tmp_path, **first)
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]
+    if first:
+        assert main(train_args) == EXIT_OK
+    changed = yaml.safe_load(cfg.read_text())
+    changed["train"].update(resumed)
+    cfg.write_text(yaml.safe_dump(changed))
+    capsys.readouterr()
+    assert main(train_args + ["--resume"]) == EXIT_CONFIG
+    assert str(tmp_path / "out/runs/nl40_rep0/checkpoint") in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -17,7 +17,7 @@ from fraudsig.losses import (
 from fraudsig.metrics import cross_entropy
 from fraudsig.nnet import DiscriminatorNet, GeneratorNet, restricted_softmax
 
-from oracles import fd_grad
+from oracles import discriminator_loss_reference, fd_grad
 
 
 def _setup(rng, feat_dim=3, n_classes=2):
@@ -188,6 +188,93 @@ def test_discriminator_loss_stacked_fakes_sum_single_calls(rng):
         lam=10.0, gp_weight=10.0,
     )
     assert total_only == total
+
+
+def _loss_case(rng, k, B, feat_dim=3, cards=(2,), width=5, zero=False):
+    disc = DiscriminatorNet(
+        feat_dim=feat_dim, emb_cards=cards, n_classes=2,
+        width=width, n_residual=2, head_widths=(4, 3),
+    )
+    params = disc.init_params(rng)
+    if zero:
+        params = [np.zeros_like(p) for p in params]
+
+    def codes(*shape):
+        return np.stack([rng.integers(0, c, shape) for c in cards], axis=-1)
+
+    args = (
+        rng.normal(size=(B, feat_dim)), codes(B),
+        rng.normal(size=(k, B, feat_dim)), codes(k, B),
+        rng.normal(size=(B + 2, feat_dim)), codes(B + 2), rng.integers(1, 3, B + 2),
+        rng.uniform(size=(k, B)),
+    )
+    return disc, params, args
+
+
+@pytest.mark.parametrize(
+    "k, B, case",
+    [
+        (1, 1, {}), (1, 7, {}), (3, 1, {}), (3, 7, {}),
+        (3, 7, {"zero": True}),
+        (3, 7, {"feat_dim": 728, "cards": (2, 3, 5), "width": 16}),
+    ],
+    ids=["k1-B1", "k1-B7", "k3-B1", "k3-B7", "zero-params", "wide"],
+)
+def test_discriminator_loss_matches_feature_level_reference(rng, k, B, case):
+    """The projection-level loss equals the full-width reference path:
+    parts and total to 1e-12 relative, every gradient to 1e-10 of its
+    largest entry."""
+    disc, params, args = _loss_case(rng, k, B, **case)
+    parts, total, grads = discriminator_loss(
+        disc, params, *args, lam=10.0, gp_weight=10.0, want_grads=True
+    )
+    *want_parts, want_total, want_grads = discriminator_loss_reference(
+        disc, params, *args, 10.0, 10.0
+    )
+    got = (parts.unlabeled, parts.labeled, parts.penalty, total)
+    for value, want in zip(got, (*want_parts, want_total)):
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert len(grads) == len(want_grads)
+    for g, want in zip(grads, want_grads):
+        assert g.shape == want.shape
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+
+def test_tiny_weights_give_finite_unit_penalty(rng):
+    """Weights scaled by 1e-9 make every input-gradient norm ~0, where the
+    quadratic form for its square can round below zero: the penalty must
+    still be 1 and every gradient finite."""
+    disc, params, args = _loss_case(rng, 3, 7, feat_dim=40, cards=(2, 3), width=16)
+    params = [1e-9 * p for p in params]
+    parts, total, grads = discriminator_loss(
+        disc, params, *args, lam=10.0, gp_weight=10.0, want_grads=True
+    )
+    assert np.isfinite(total)
+    assert abs(parts.penalty / 3 - 1.0) <= 1e-12
+    assert all(np.all(np.isfinite(g)) for g in grads)
+    real, codes, fakes, _, _, _, _, eps = args
+    pen = gradient_penalty(disc, params, real, fakes[0], codes, eps[0])
+    assert abs(pen - 1.0) <= 1e-12
+
+
+def test_penalty_norm_rounding_below_zero_is_clamped():
+    """Two projection units with equal critic gradients and feature weights
+    a and -b, a ~ b: the input gradient is ~1e-8 and its square, formed from
+    the weights' Gram matrix, rounds below zero for these values.  The
+    penalty and its gradient must stay finite."""
+    disc = DiscriminatorNet(
+        feat_dim=1, emb_cards=(2,), n_classes=2, width=2, n_residual=0, head_widths=()
+    )
+    a, b = 1.0434619257268536, 1.0434619084989032
+    params = [
+        np.zeros((2, 2)),
+        np.array([[a, 0.0, 0.0], [-b, 0.0, 0.0]]), np.array([0.3, 0.3]),
+        np.array([[1.0, 1.0], [0.5, 0.5], [-1.0, -1.0]]), np.zeros(3),
+    ]
+    zero, codes = np.zeros((1, 1)), np.zeros((1, 1), dtype=int)
+    pen, grads = gradient_penalty(disc, params, zero, zero, codes, np.array([0.5]), True)
+    assert pen == pytest.approx(1.0, abs=1e-6)
+    assert all(np.all(np.isfinite(g)) for g in grads)
 
 
 def test_discriminator_loss_batch_mismatch(rng):
