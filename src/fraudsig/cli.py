@@ -36,7 +36,7 @@ from .features import (
     FeatureStore,
     build_feature_store,
     dataset_fingerprint,
-    scale_matrix,
+    scale_vector,
 )
 from .metrics import majority_class_scores
 from .training import (
@@ -159,6 +159,23 @@ def _load_store(cfg, samples, subsample, workers=1) -> tuple[FeatureStore, bool]
         cfg.min_prefix,
         workers,
     )
+
+
+def _scaled_rows(store: FeatureStore, rows, max_sd: float, max_amt: float) -> np.ndarray:
+    """Cached feature rows `rows`, gathered once and scaled in place."""
+    feats = store.matrix[rows]
+    feats *= scale_vector(store.basis, max_sd, max_amt)
+    return feats
+
+
+def _load_split(cfg: ExperimentConfig, split: str):
+    """(splits, samples, row indices, scaled features) of the prepared
+    split `split` ("train_idx" or "test_idx")."""
+    splits = _read_splits(cfg)
+    samples = _rebuild_samples(cfg, splits)
+    store, _ = _load_store(cfg, samples, splits["subsample"])
+    idx = np.asarray(splits[split], dtype=np.intp)
+    return splits, samples, idx, _scaled_rows(store, idx, splits["max_sd"], splits["max_amt"])
 
 
 def _size_index(nl: int, splits: dict) -> int:
@@ -291,9 +308,7 @@ def _cmd_prepare(args) -> int:
         ]
         if not hit_rows:
             raise DataError(f"no sample for customer {cust!r} with prefix {j}")
-        vec = scale_matrix(
-            store.matrix[hit_rows], store.basis, max_sd, max_amt
-        )[0]
+        vec = _scaled_rows(store, hit_rows, max_sd, max_amt)[0]
         print(" ".join(repr(float(v)) for v in vec))
     return EXIT_OK
 
@@ -306,22 +321,16 @@ def _cmd_prepare(args) -> int:
 def _cmd_train(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     t0 = time.perf_counter()
-    splits = _read_splits(cfg)
-    samples = _rebuild_samples(cfg, splits)
-    store, _ = _load_store(cfg, samples, splits["subsample"])
+    splits, samples, train_idx, feats = _load_split(cfg, "train_idx")
 
     si = _size_index(args.nl, splits)
     size = splits["labeled_sizes"][si]
     if not 0 <= args.rep < splits["repetitions"]:
         raise ConfigError(f"--rep must be in [0, {splits['repetitions']})")
     labeled_global = np.asarray(splits["labeled"][f"{si}:{args.rep}"], dtype=np.intp)
-    train_idx = np.asarray(splits["train_idx"], dtype=np.intp)
 
     rate_table = banksim.category_rate_table(samples, labeled_global)
     codes = _condition_codes(samples, splits, rate_table, train_idx)
-    feats = scale_matrix(
-        store.matrix[train_idx], store.basis, splits["max_sd"], splits["max_amt"]
-    )
     labeled_pos = np.searchsorted(train_idx, labeled_global)
     data = PreparedData(
         feats=feats,
@@ -385,16 +394,9 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     t0 = time.perf_counter()
-    splits = _read_splits(cfg)
-    samples = _rebuild_samples(cfg, splits)
-    store, _ = _load_store(cfg, samples, splits["subsample"])
-
-    test_idx = np.asarray(splits["test_idx"], dtype=np.intp)
+    splits, samples, test_idx, feats = _load_split(cfg, "test_idx")
     labels = samples.labels[test_idx].astype(np.int64)
     amounts = samples.amounts[test_idx]
-    feats = scale_matrix(
-        store.matrix[test_idx], store.basis, splits["max_sd"], splits["max_amt"]
-    )
     _, disc = build_nets(feats.shape[1], _emb_cards(splits), cfg.train)
 
     cells: list[reports.CellScores] = []

@@ -23,7 +23,10 @@ eps P_real + (1 - eps) P_fake plus the real rows' condition part; the input
 gradient g = d W_f (d the gradient at the pre-activation) enters only through
 ||g||^2 = rowsum((d G) * d) and the tangent d G, with G = W_f W_f^T; and the
 W_f gradient is collected once per input batch from the gradients at its
-pre-activation, plus the penalty's second-order part (mu^T d) W_f.
+pre-activation, plus the penalty's second-order part (mu^T d) W_f.  This is
+the only implementation of the penalty: its gradient is that of
+`discriminator_loss` at `gp_weight` 1 minus that at 0.  The feature-level
+form, through the whole trunk, is the test reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ __all__ = [
     "labeled_loss_grad",
     "unlabeled_loss",
     "grad_norm_penalty",
-    "interpolate",
-    "gradient_penalty",
     "DiscriminatorLossParts",
     "discriminator_loss",
     "generator_loss_from_scores",
@@ -96,20 +97,6 @@ def grad_norm_penalty(grad_norms: np.ndarray) -> float:
     return float(np.mean((grad_norms - 1.0) ** 2))
 
 
-def interpolate(real_feat: np.ndarray, fake_feat: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Per-sample convex combination eps*real + (1-eps)*fake in feature space."""
-    real_feat = np.asarray(real_feat, dtype=np.float64)
-    fake_feat = np.asarray(fake_feat, dtype=np.float64)
-    if real_feat.shape != fake_feat.shape:
-        raise ValueError(
-            f"real/fake feature shapes differ: {real_feat.shape} vs {fake_feat.shape}"
-        )
-    eps = np.asarray(eps, dtype=np.float64).reshape(-1, 1)
-    if eps.shape[0] != real_feat.shape[0]:
-        raise ValueError(f"need one epsilon per sample, got {eps.shape[0]}")
-    return eps * real_feat + (1.0 - eps) * fake_feat
-
-
 def _penalty_at(disc: DiscriminatorNet, params, pre, gram, want_grads: bool):
     """Gradient penalty at `disc.proj` pre-activations `pre` (B, width).
 
@@ -134,40 +121,6 @@ def _penalty_at(disc: DiscriminatorNet, params, pre, gram, want_grads: bool):
     coeffs = (2.0 / n) * (norms - 1.0) / np.maximum(norms, 1e-12)
     upper, lam, mu = disc.upper_penalty_grads(params, caches, d_gram, coeffs)
     return penalty, (upper, lam, mu.T @ d_pre)
-
-
-def gradient_penalty(
-    disc: DiscriminatorNet,
-    params,
-    real_feat: np.ndarray,
-    fake_feat: np.ndarray,
-    codes: np.ndarray,
-    eps: np.ndarray,
-    want_grads: bool = False,
-):
-    """Gradient penalty at random interpolates, optionally with its exact
-    parameter gradient.
-
-    Args:
-        disc: discriminator architecture.
-        params: discriminator parameter list.
-        real_feat, fake_feat: (B, l) feature batches to interpolate between.
-        codes: (B, F) condition codes attached to the interpolates.
-        eps: (B,) uniform draws defining the interpolates.
-        want_grads: also return d(penalty)/d(params).
-
-    Returns:
-        penalty, or (penalty, grads) when `want_grads`.
-    """
-    mixed = interpolate(real_feat, fake_feat, eps)
-    proj, cond, emb_cache = disc.project(params, mixed, codes)
-    w_f = disc.feature_weights(params)
-    penalty, res = _penalty_at(disc, params, proj + cond, w_f @ w_f.T, want_grads)
-    if not want_grads:
-        return penalty
-    upper, lam, m = res
-    feat_terms = [(lam, mixed), (m.T, w_f)]
-    return penalty, disc.projection_grads(params, feat_terms, [(lam, emb_cache)]) + upper
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ it: `project` gives its pre-activation as a feature part and a condition
 part, the `upper_*` methods run the forward, backward and forward-over-reverse
 passes from a pre-activation, and `projection_grads` collects the
 projection's and the embedding tables' gradients from gradients at the
-pre-activation.  The critic loss builds on these; `critic_input_gradient`
-and `penalty_param_grads` are the feature-level forms of the same passes.
+pre-activation.  The critic loss is built on these and is their only
+caller; the feature-level form of the same passes, through the whole trunk,
+is the test reference in ``tests/oracles.py``.
 
 Conventions:
     * class index 0 is reserved for generated samples; indices 1..K are the
@@ -212,11 +213,6 @@ class _EmbeddingBank:
             np.add.at(dtable, codes[:, f], de)
             grads.append(dtable)
         return grads
-
-    def second_backward(self, ps, cache, lams):
-        # The lookup tangent is identically zero for a fixed table, so only
-        # the primal (lam) path reaches the tables.
-        return self.backward(ps, cache, lams)
 
 
 class _Net:
@@ -449,33 +445,6 @@ class DiscriminatorNet(_Net):
             for acc, g in zip(emb_grads, self.emb.backward(emb_ps, emb_cache, douts)):
                 acc += g
         return emb_grads + [dW, db]
-
-    def critic_input_gradient(self, params, feat, codes):
-        """Per-sample gradient of critic_head(forward(feat)) w.r.t. feat.
-
-        Returns (gradients (B, feat_dim), cache) so callers can reuse the
-        cache for the second-order pass of `penalty_param_grads`.
-        """
-        feat = np.asarray(feat, dtype=np.float64)
-        proj, cond, emb_cache = self.project(params, feat, codes)
-        scores, caches = self.upper_forward(params, proj + cond)
-        d_pre = self.critic_pre_gradient(params, scores, caches)
-        return d_pre @ self.feature_weights(params), (feat, emb_cache, caches)
-
-    def penalty_param_grads(self, params, cache, input_grads, coeffs):
-        """Parameter gradient of sum_i coeffs[i] * <g_i, g_i-hat> where
-        g_i = critic input gradient at sample i and g_i-hat is g_i held fixed.
-
-        This is the exact reverse pass over the forward-tangent program with
-        tangent direction g_i per sample, which yields the gradient of any
-        function of the input-gradient norms once `coeffs` carries the outer
-        derivative.  `cache` is the one `critic_input_gradient` returned.
-        """
-        feat, emb_cache, caches = cache
-        pre_dot = input_grads @ self.feature_weights(params).T
-        upper, lam, mu = self.upper_penalty_grads(params, caches, pre_dot, coeffs)
-        feat_terms = [(lam, feat), (mu, input_grads)]
-        return self.projection_grads(params, feat_terms, [(lam, emb_cache)]) + upper
 
 
 def critic_head_vector(n_classes: int) -> np.ndarray:

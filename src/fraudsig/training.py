@@ -12,6 +12,8 @@ empirical 5%/95% quantiles, whose spread is the per-sample uncertainty.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import shutil
 from dataclasses import dataclass
@@ -181,6 +183,22 @@ class _Chain:
             )
 
 
+def _fingerprint(data: PreparedData, cfg: TrainConfig) -> dict:
+    """What a checkpoint must have been written with to be resumed: every
+    sampler setting except the run length and the checkpoint interval, the
+    data shape and a digest of the labeled set, in JSON form."""
+    fp = dataclasses.asdict(cfg)
+    del fp["epochs"], fp["checkpoint_every"]
+    labeled = np.asarray(data.labeled_idx, dtype="<i8").tobytes()
+    fp.update(
+        rows=data.feats.shape[0],
+        feat_dim=data.feats.shape[1],
+        emb_cards=list(data.emb_cards),
+        labeled_sha256=hashlib.sha256(labeled).hexdigest(),
+    )
+    return json.loads(json.dumps(fp))
+
+
 def _check_finite(epoch, chain_name, value, grads, trace):
     if not np.isfinite(value):
         raise DivergedChainError(epoch, chain_name, trace)
@@ -230,12 +248,13 @@ def train(
     members: list[EnsembleMember] = []
     trace: list = []
     start_epoch = 0
+    fingerprint = _fingerprint(data, cfg)
 
     if resume:
         if checkpoint_dir is None:
             raise ValueError("resume requested without a checkpoint directory")
         start_epoch = load_checkpoint(
-            checkpoint_dir, gen_chains, disc_chains, cycle, members, trace
+            checkpoint_dir, gen_chains, disc_chains, cycle, members, trace, fingerprint
         )
 
     if cfg.epochs == 0 and not members:
@@ -324,7 +343,8 @@ def train(
             or epoch == cfg.epochs
         ):
             save_checkpoint(
-                checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, trace
+                checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, trace,
+                fingerprint,
             )
 
     return TrainResult(
@@ -365,9 +385,10 @@ def predict(
 # ---------------------------------------------------------------------------
 # Checkpointing.  A checkpoint directory holds one float64 stream + JSON
 # shape manifest per tensor list (chain parameters, optimizer state, ensemble
-# members) and a state.json with counters and RNG states.  Writes go to a
-# temporary sibling directory, with state.json written last, so partially
-# written checkpoints are never loadable.  The previous checkpoint is moved
+# members) and a state.json with counters, RNG states and the fingerprint of
+# the settings and data it was trained on.  Writes go to a temporary sibling
+# directory, with state.json written last, so partially written checkpoints
+# are never loadable.  The previous checkpoint is moved
 # aside before the new one is renamed in and deleted only after, so some
 # complete checkpoint exists at every instant; `recover_checkpoint` moves
 # one left aside by a crash back into place.  A checkpoint whose files
@@ -428,7 +449,9 @@ def _restore_chain(chain: _Chain, prefix: str, in_dir: Path, entry: dict) -> Non
         chain.velocity = _load(in_dir, f"{prefix}_velocity")
 
 
-def save_checkpoint(checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, trace) -> None:
+def save_checkpoint(
+    checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, trace, fingerprint
+) -> None:
     final = Path(checkpoint_dir)
     tmp = final.with_name(final.name + ".tmp")
     if tmp.exists():
@@ -436,6 +459,7 @@ def save_checkpoint(checkpoint_dir, epoch, gen_chains, disc_chains, cycle, membe
     tmp.mkdir(parents=True)
     state = {
         "epoch": epoch,
+        "fingerprint": fingerprint,
         "data_rng": cycle.rng.bit_generator.state,
         "cycle": cycle.state(),
         "gen_chains": [],
@@ -487,13 +511,29 @@ def load_members(checkpoint_dir) -> list[EnsembleMember]:
     return _members(in_dir, _read_state(in_dir))
 
 
-def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, members, trace) -> int:
+def load_checkpoint(
+    checkpoint_dir, gen_chains, disc_chains, cycle, members, trace, fingerprint=None
+) -> int:
     """Restore training state in place; returns the checkpointed epoch.
 
-    Entries this version does not read, such as the generator ensemble and
-    the chain learning rates that older versions stored, are ignored."""
+    A checkpoint whose stored fingerprint differs from `fingerprint` is a
+    ConfigError naming the differing keys; one stored without a fingerprint
+    (older versions) is not compared.  Entries this version does not read,
+    such as the generator ensemble and the chain learning rates that older
+    versions stored, are ignored."""
     in_dir = Path(checkpoint_dir)
     state = _read_state(in_dir)
+    saved_fp = state.get("fingerprint")
+    if fingerprint is not None and saved_fp is not None and saved_fp != fingerprint:
+        diff = [
+            f"{k}: {saved_fp.get(k)!r} -> {fingerprint.get(k)!r}"
+            for k in sorted(saved_fp.keys() | fingerprint.keys())
+            if saved_fp.get(k) != fingerprint.get(k)
+        ]
+        raise ConfigError(
+            f"checkpoint {in_dir} was written with other sampler settings or data; "
+            f"differing keys (checkpoint -> now): {'; '.join(diff)}"
+        )
     saved = (len(state["gen_chains"]), len(state["disc_chains"]))
     if saved != (len(gen_chains), len(disc_chains)):
         raise ConfigError(

