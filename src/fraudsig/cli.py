@@ -229,10 +229,12 @@ def _emb_cards(splits: dict) -> tuple[int, int, int]:
 
 def _cmd_prepare(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
-    t0 = time.perf_counter()
-    customers, stats = _load_customers(cfg)
     if not 0 < args.subsample <= 1:
         raise ConfigError(f"--subsample must be in (0, 1], got {args.subsample}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    t0 = time.perf_counter()
+    customers, stats = _load_customers(cfg)
     if args.subsample < 1.0:
         rng = derive_rng(cfg.seed, STAGE_PREPARE, 0)
         n_keep = max(1, round(args.subsample * len(customers)))
@@ -398,6 +400,7 @@ def _cmd_evaluate(args) -> int:
     labels = samples.labels[test_idx].astype(np.int64)
     amounts = samples.amounts[test_idx]
     _, disc = build_nets(feats.shape[1], _emb_cards(splits), cfg.train)
+    shapes = [spec.shape for spec in disc.param_specs]
 
     cells: list[reports.CellScores] = []
     n_missing = 0
@@ -412,7 +415,7 @@ def _cmd_evaluate(args) -> int:
             labeled_global = np.asarray(splits["labeled"][f"{si}:{rep}"], dtype=np.intp)
             rate_table = banksim.category_rate_table(samples, labeled_global)
             codes = _condition_codes(samples, splits, rate_table, test_idx)
-            pred = predict(disc, load_members(ckpt), feats, codes)
+            pred = predict(disc, load_members(ckpt, shapes), feats, codes)
             cells.append(
                 reports.score_cell(
                     "ours", size, rep, labels, pred.mean, pred.width, amounts, cfg.heads

@@ -89,15 +89,12 @@ class TrainConfig:
     width: int = 128
     n_residual: int = 2
     head_widths: tuple[int, ...] = (64, 32)
-    optimizer: str = "adam"          # "adam" or "plain"
     checkpoint_every: int = 0        # epochs between checkpoints; 0 = end only
 
     def burn_in_epochs(self) -> int:
         return self.epochs // 2 if self.burn_in is None else self.burn_in
 
     def validate(self) -> None:
-        if self.optimizer not in ("adam", "plain"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         for name in ("lr_g", "lr_d", "lam", "gp_weight", "friction"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")

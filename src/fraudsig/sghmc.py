@@ -1,14 +1,10 @@
-"""Stochastic-gradient Hamiltonian Monte Carlo steps and the weight prior.
+"""Stochastic-gradient Hamiltonian Monte Carlo step and the weight prior.
 
-Both samplers treat `grads` as the direction of motion: callers performing
+The stepper treats `grads` as the direction of motion: callers performing
 posterior sampling pass the negative gradient of the potential (loss plus
-negative log prior).  The plain sampler keeps a velocity
-
-    v <- (1 - friction) * v + lr * grad + noise,   noise ~ N(0, 2*friction*lr)
-    theta <- theta + v
-
-and the adaptive variant applies moment-rescaled steps with the same
-calibrated noise injected directly on the parameter increment, so that
+negative log prior).  It takes moment-rescaled (adaptive) steps and adds
+noise N(0, 2*friction*lr), the calibration of friction-damped SGHMC (Chen,
+Fox & Guestrin, ICML 2014), directly to each parameter increment, so
 `noise_scale=0` reproduces the deterministic adaptive optimizer exactly.
 """
 
@@ -20,7 +16,7 @@ import numpy as np
 
 from .nnet import ParamSpec
 
-__all__ = ["GlorotPrior", "sghmc_step", "AdamState", "adam_sghmc_step"]
+__all__ = ["GlorotPrior", "AdamState", "adam_sghmc_step"]
 
 
 @dataclass(frozen=True)
@@ -37,40 +33,6 @@ class GlorotPrior:
     def neg_log_grad(self, params):
         """Gradient of -log p: theta / sigma^2 per tensor."""
         return [p / s2 for p, s2 in zip(params, self.sigma2)]
-
-
-def sghmc_step(
-    params,
-    grads,
-    velocity,
-    friction: float,
-    lr: float,
-    rng: np.random.Generator,
-    noise_scale: float = 1.0,
-):
-    """One friction-damped stochastic Hamiltonian step.
-
-    Args:
-        params, grads, velocity: aligned lists of arrays; `grads` is the
-            direction of motion (negative potential gradient for sampling).
-        friction: momentum decay in [0, 1].
-        lr: step size.
-        rng: noise source.
-        noise_scale: multiplier on the calibrated noise standard deviation
-            sqrt(2 * friction * lr); 0 disables injection.
-
-    Returns:
-        (new_params, new_velocity) as fresh arrays.
-    """
-    std = noise_scale * np.sqrt(2.0 * friction * lr)
-    new_v, new_p = [], []
-    for p, g, v in zip(params, grads, velocity):
-        nv = (1.0 - friction) * v + lr * g
-        if std > 0.0:
-            nv = nv + rng.normal(0.0, std, size=p.shape)
-        new_v.append(nv)
-        new_p.append(p + nv)
-    return new_p, new_v
 
 
 @dataclass

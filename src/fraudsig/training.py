@@ -29,9 +29,8 @@ from .nnet import (
     load_params,
     restricted_softmax,
     save_params,
-    zeros_like_params,
 )
-from .sghmc import AdamState, GlorotPrior, adam_sghmc_step, sghmc_step
+from .sghmc import AdamState, GlorotPrior, adam_sghmc_step
 
 __all__ = [
     "PreparedData",
@@ -157,30 +156,19 @@ class _LabeledCycle:
 
 
 class _Chain:
-    """One sampler chain: parameters plus optimizer state and RNG."""
+    """One sampler chain: parameters plus adaptive-moment state and RNG."""
 
-    def __init__(self, params, cfg: TrainConfig, lr: float, rng: np.random.Generator):
+    def __init__(self, params, lr: float, rng: np.random.Generator):
         self.params = params
         self.lr = lr
         self.rng = rng
-        if cfg.optimizer == "adam":
-            self.adam = AdamState.for_params(params)
-            self.velocity = None
-        else:
-            self.adam = None
-            self.velocity = zeros_like_params(params)
+        self.adam = AdamState.for_params(params)
 
     def step(self, direction, cfg: TrainConfig) -> None:
-        if self.adam is not None:
-            self.params, self.adam = adam_sghmc_step(
-                self.params, direction, self.adam, self.lr, cfg.friction,
-                self.rng, cfg.noise_scale,
-            )
-        else:
-            self.params, self.velocity = sghmc_step(
-                self.params, direction, self.velocity, cfg.friction, self.lr,
-                self.rng, cfg.noise_scale,
-            )
+        self.params, self.adam = adam_sghmc_step(
+            self.params, direction, self.adam, self.lr, cfg.friction,
+            self.rng, cfg.noise_scale,
+        )
 
 
 def _fingerprint(data: PreparedData, cfg: TrainConfig) -> dict:
@@ -237,11 +225,11 @@ def train(
     disc_prior = GlorotPrior.for_specs(disc.param_specs)
 
     gen_chains = [
-        _Chain(gen.init_params(derive_rng(seed, 1, j)), cfg, cfg.lr_g, derive_rng(seed, 3, j))
+        _Chain(gen.init_params(derive_rng(seed, 1, j)), cfg.lr_g, derive_rng(seed, 3, j))
         for j in range(cfg.chains_g)
     ]
     disc_chains = [
-        _Chain(disc.init_params(derive_rng(seed, 2, j)), cfg, cfg.lr_d, derive_rng(seed, 4, j))
+        _Chain(disc.init_params(derive_rng(seed, 2, j)), cfg.lr_d, derive_rng(seed, 4, j))
         for j in range(cfg.chains_d)
     ]
     cycle = _LabeledCycle(data.labeled_idx, derive_rng(seed, 0))
@@ -398,14 +386,9 @@ def predict(
 
 def _chain_state(chain: _Chain, prefix: str, out_dir: Path) -> dict:
     save_params(out_dir / f"{prefix}_params", chain.params)
-    entry = {"rng": chain.rng.bit_generator.state}
-    if chain.adam is not None:
-        save_params(out_dir / f"{prefix}_adam_m", chain.adam.m)
-        save_params(out_dir / f"{prefix}_adam_v", chain.adam.v)
-        entry["adam_t"] = chain.adam.t
-    else:
-        save_params(out_dir / f"{prefix}_velocity", chain.velocity)
-    return entry
+    save_params(out_dir / f"{prefix}_adam_m", chain.adam.m)
+    save_params(out_dir / f"{prefix}_adam_v", chain.adam.v)
+    return {"rng": chain.rng.bit_generator.state, "adam_t": chain.adam.t}
 
 
 def _read_state(in_dir: Path) -> dict:
@@ -415,38 +398,37 @@ def _read_state(in_dir: Path) -> dict:
         raise DataError(f"checkpoint {in_dir}: unreadable state.json ({exc})") from exc
 
 
-def _load(in_dir: Path, name: str):
+def _load(in_dir: Path, name: str, shapes: list):
+    """The tensor list `name` of a checkpoint.  An unreadable one is a
+    DataError; one of other shapes than `shapes`, the configured network's,
+    is a ConfigError."""
     try:
-        return load_params(in_dir / name)
+        params = load_params(in_dir / name)
     except ValueError as exc:
         raise DataError(f"checkpoint {in_dir}: unreadable {name} ({exc})") from exc
+    got = [p.shape for p in params]
+    if got != shapes:
+        raise ConfigError(
+            f"checkpoint {in_dir}: {name} has parameter shapes {got}; "
+            f"the configured network has {shapes}"
+        )
+    return params
 
 
 def _restore_chain(chain: _Chain, prefix: str, in_dir: Path, entry: dict) -> None:
-    """Load one chain's state; a checkpoint of another network shape or
-    optimizer than the configured one is a ConfigError."""
-    saved = "adam" if "adam_t" in entry else "plain"
-    wanted = "adam" if chain.adam is not None else "plain"
-    if saved != wanted:
+    """Load one chain's state; a chain without adaptive-moment state or of
+    another network shape than the configured one is a ConfigError."""
+    if "adam_t" not in entry:
         raise ConfigError(
-            f"checkpoint {in_dir}: chain {prefix} was trained with the {saved} optimizer; "
-            f"the configuration asks for {wanted}"
+            f"checkpoint {in_dir}: chain {prefix} has no adaptive-moment state (adam_t); "
+            f"it was written by a stepper this version does not run"
         )
-    params = _load(in_dir, f"{prefix}_params")
-    shapes = [p.shape for p in params]
-    if shapes != [p.shape for p in chain.params]:
-        raise ConfigError(
-            f"checkpoint {in_dir}: chain {prefix} has parameter shapes {shapes}; "
-            f"the configured network has {[p.shape for p in chain.params]}"
-        )
-    chain.params = params
+    shapes = [p.shape for p in chain.params]
+    chain.params = _load(in_dir, f"{prefix}_params", shapes)
     chain.rng.bit_generator.state = entry["rng"]
-    if chain.adam is not None:
-        chain.adam.m = _load(in_dir, f"{prefix}_adam_m")
-        chain.adam.v = _load(in_dir, f"{prefix}_adam_v")
-        chain.adam.t = int(entry["adam_t"])
-    else:
-        chain.velocity = _load(in_dir, f"{prefix}_velocity")
+    chain.adam.m = _load(in_dir, f"{prefix}_adam_m", shapes)
+    chain.adam.v = _load(in_dir, f"{prefix}_adam_v", shapes)
+    chain.adam.t = int(entry["adam_t"])
 
 
 def save_checkpoint(
@@ -498,17 +480,19 @@ def recover_checkpoint(checkpoint_dir) -> None:
         aside.rename(final)
 
 
-def _members(in_dir: Path, state: dict) -> list[EnsembleMember]:
+def _members(in_dir: Path, state: dict, shapes: list) -> list[EnsembleMember]:
     return [
-        EnsembleMember(meta["chain"], meta["epoch"], _load(in_dir, f"member{i:05d}"))
+        EnsembleMember(meta["chain"], meta["epoch"], _load(in_dir, f"member{i:05d}", shapes))
         for i, meta in enumerate(state["members"])
     ]
 
 
-def load_members(checkpoint_dir) -> list[EnsembleMember]:
-    """The discriminator posterior ensemble stored in a checkpoint."""
+def load_members(checkpoint_dir, shapes: list) -> list[EnsembleMember]:
+    """The discriminator posterior ensemble stored in a checkpoint; a member
+    of other parameter shapes than `shapes`, the configured network's, is a
+    ConfigError naming the checkpoint."""
     in_dir = Path(checkpoint_dir)
-    return _members(in_dir, _read_state(in_dir))
+    return _members(in_dir, _read_state(in_dir), shapes)
 
 
 def load_checkpoint(
@@ -516,24 +500,27 @@ def load_checkpoint(
 ) -> int:
     """Restore training state in place; returns the checkpointed epoch.
 
-    A checkpoint whose stored fingerprint differs from `fingerprint` is a
-    ConfigError naming the differing keys; one stored without a fingerprint
-    (older versions) is not compared.  Entries this version does not read,
-    such as the generator ensemble and the chain learning rates that older
-    versions stored, are ignored."""
+    A checkpoint whose stored fingerprint differs from `fingerprint` on any
+    of its keys is a ConfigError naming them; keys this version does not
+    fingerprint, such as the `optimizer` of older versions, are not
+    compared, and a checkpoint stored without a fingerprint (older versions)
+    is not compared at all.  Entries this version does not read, such as
+    the generator ensemble and the chain learning rates that older versions
+    stored, are ignored."""
     in_dir = Path(checkpoint_dir)
     state = _read_state(in_dir)
     saved_fp = state.get("fingerprint")
-    if fingerprint is not None and saved_fp is not None and saved_fp != fingerprint:
+    if fingerprint is not None and saved_fp is not None:
         diff = [
-            f"{k}: {saved_fp.get(k)!r} -> {fingerprint.get(k)!r}"
-            for k in sorted(saved_fp.keys() | fingerprint.keys())
-            if saved_fp.get(k) != fingerprint.get(k)
+            f"{k}: {saved_fp.get(k)!r} -> {v!r}"
+            for k, v in sorted(fingerprint.items())
+            if saved_fp.get(k) != v
         ]
-        raise ConfigError(
-            f"checkpoint {in_dir} was written with other sampler settings or data; "
-            f"differing keys (checkpoint -> now): {'; '.join(diff)}"
-        )
+        if diff:
+            raise ConfigError(
+                f"checkpoint {in_dir} was written with other sampler settings or data; "
+                f"differing keys (checkpoint -> now): {'; '.join(diff)}"
+            )
     saved = (len(state["gen_chains"]), len(state["disc_chains"]))
     if saved != (len(gen_chains), len(disc_chains)):
         raise ConfigError(
@@ -546,7 +533,7 @@ def load_checkpoint(
         _restore_chain(chain, f"gen{j}", in_dir, state["gen_chains"][j])
     for j, chain in enumerate(disc_chains):
         _restore_chain(chain, f"disc{j}", in_dir, state["disc_chains"][j])
-    members[:] = _members(in_dir, state)
+    members[:] = _members(in_dir, state, [p.shape for p in disc_chains[0].params])
     trace.clear()
     trace.extend(tuple(row) for row in state["trace"])
     return int(state["epoch"])

@@ -236,6 +236,22 @@ def glorot_neg_log_density(prior, params) -> float:
 # ---------------------------------------------------------------------------
 
 
+def sghmc_step(params, grads, velocity, friction, lr, rng, noise_scale=1.0):
+    """One friction-damped SGHMC step with a velocity (Chen, Fox & Guestrin,
+    ICML 2014): v <- (1 - friction) v + lr g + N(0, 2 friction lr),
+    theta <- theta + v.  `grads` is the direction of motion; returns
+    (new_params, new_velocity)."""
+    std = noise_scale * np.sqrt(2.0 * friction * lr)
+    new_v, new_p = [], []
+    for p, g, v in zip(params, grads, velocity):
+        nv = (1.0 - friction) * v + lr * g
+        if std > 0.0:
+            nv = nv + rng.normal(0.0, std, size=p.shape)
+        new_v.append(nv)
+        new_p.append(p + nv)
+    return new_p, new_v
+
+
 def reference_adam_step(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One textbook adaptive-moment ascent step (gradients point uphill)."""
     m = beta1 * m + (1 - beta1) * g

@@ -51,7 +51,7 @@ from fraudsig.nnet import (
     TanhAct,
     restricted_softmax,
 )
-from fraudsig.sghmc import AdamState, GlorotPrior, adam_sghmc_step, sghmc_step
+from fraudsig.sghmc import AdamState, GlorotPrior, adam_sghmc_step
 from fraudsig.signatures import (
     chen_product,
     encode,
@@ -72,6 +72,7 @@ from oracles import (
     glorot_neg_log_density,
     iterated_integral,
     reference_adam_step,
+    sghmc_step,
 )
 
 LABELED_SIZES = (2595, 3893, 5190, 12973, 25946)

@@ -162,8 +162,10 @@ def test_invalid_config_is_config_error(tmp_path):
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path, sig_degree=0)
     assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
-    cfg = _write_config(tmp_path, train={"optimizer": "sgdx"})
+    cfg = _write_config(tmp_path, train={"optimizer": "adam"})  # removed setting
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_CONFIG
+    cfg = _write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg), "--workers", "0"]) == EXIT_CONFIG
     cfg = _write_config(tmp_path, split={"seed": 0})  # removed setting
     assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
 
@@ -194,7 +196,7 @@ def test_diverged_training_exit_code(tmp_path):
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=3)
     cfg = _write_config(
         tmp_path,
-        train=dict(optimizer="plain", lr_d=1e14, lr_g=1e14, epochs=30, noise_scale=0.0),
+        train=dict(lr_d=1e14, lr_g=1e14, epochs=30, noise_scale=0.0),
     )
     assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DIVERGED
@@ -327,31 +329,36 @@ def test_resume_with_changed_chain_counts_is_config_error(pipeline, tmp_path):
     assert main(train_args) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize(
-    "first, resumed",
-    [
-        ({}, {"width": 8}),
-        ({}, {"optimizer": "plain"}),
-        ({"optimizer": "plain"}, {"optimizer": "adam"}),
-    ],
-    ids=["width", "adam-to-plain", "plain-to-adam"],
-)
+@pytest.mark.parametrize("changed", [{"width": 8}, {"n_residual": 2}], ids=["width", "depth"])
 def test_resume_with_changed_network_or_optimizer_is_config_error(
-    pipeline, tmp_path, capsys, first, resumed
+    pipeline, tmp_path, capsys, changed
 ):
-    """A checkpoint of another network shape or optimizer is refused (exit
-    2) instead of being resumed with the old shapes or failing on a missing
-    optimizer file."""
-    cfg = _copy_run(pipeline, tmp_path, **first)
-    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]
-    if first:
-        assert main(train_args) == EXIT_OK
-    changed = yaml.safe_load(cfg.read_text())
-    changed["train"].update(resumed)
-    cfg.write_text(yaml.safe_dump(changed))
-    capsys.readouterr()
-    assert main(train_args + ["--resume"]) == EXIT_CONFIG
-    assert str(tmp_path / "out/runs/nl40_rep0/checkpoint") in capsys.readouterr().err
+    """A checkpoint of another network shape is refused (exit 2, naming the
+    checkpoint) by `train --resume`, instead of being resumed with the old
+    shapes, and by `evaluate`, instead of scoring another network than the
+    configured one or raising a traceback."""
+    cfg = _copy_run(pipeline, tmp_path, **changed)
+    ckpt = str(tmp_path / "out/runs/nl40_rep0/checkpoint")
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    assert main(train_args) == EXIT_CONFIG
+    assert ckpt in capsys.readouterr().err
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
+    assert ckpt in capsys.readouterr().err
+
+
+def test_resume_of_chain_without_adam_state_is_config_error(pipeline, tmp_path, capsys):
+    """A chain entry without the adaptive stepper's `adam_t` (a checkpoint
+    of a stepper this version does not run) exits 2 and names the
+    checkpoint."""
+    cfg = _copy_run(pipeline, tmp_path)
+    ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
+    state = json.loads((ckpt / "state.json").read_text())
+    del state["disc_chains"][1]["adam_t"]
+    (ckpt / "state.json").write_text(json.dumps(state))
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    assert main(train_args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "adam_t" in err
 
 
 def test_resume_with_changed_learning_rate_is_config_error(pipeline, tmp_path, capsys):
