@@ -18,7 +18,11 @@ products of a block are formed as one batch of series (trailing batch axis,
 see :class:`~fraudsig.signatures.TensorSeries`), folded into the running
 signature step by step, and the prefixes ending in the block are finalised
 together (terminal decorations, tensor log, Lyndon projection, time rescale).
-The block bounds the temporaries whatever the customer's length.
+The block bounds the temporaries whatever the customer's length.  Every series
+the encoder forms holds its top level only at the length-M Lyndon positions
+(``LyndonBasis.top``), the only ones the projection reads: at degree 4 the
+running state is 988 floats instead of 2,801, and the rows are bit-identical
+to those of the full-level computation.
 
 Cached vectors are therefore time-normalised but unscaled in the two value
 channels, making the on-disk cache a pure function of (dataset, degree,
@@ -120,9 +124,10 @@ def encode_prefixes(
     time_counts = basis.letter_counts[:, _TIME_CHANNELS].sum(axis=1)
     vis_on = np.zeros(_D_AUG)
     vis_on[_VIS_CHANNEL] = 1.0
+    top = basis.top
     # Running signature over [prepended start point, lead-lag body] with
     # unnormalised time; the first increment only switches visibility on.
-    running = segment_signature(vis_on, degree)
+    running = segment_signature(vis_on, degree, top)
     row = 0
     for start in range(1, T, _BLOCK):
         ks = np.arange(start, min(start + _BLOCK, T))
@@ -134,11 +139,11 @@ def encode_prefixes(
         lag = np.zeros_like(lead)
         lag[3:6] = lead[0:3]
         steps = chen_product(
-            segment_signature(lead, degree), segment_signature(lag, degree)
+            segment_signature(lead, degree, top), segment_signature(lag, degree, top)
         )
         states = [np.empty((lvl.shape[0], ks.size)) for lvl in running.levels]
         for j in range(ks.size):
-            step = TensorSeries(_D_AUG, degree, [lvl[:, j] for lvl in steps.levels])
+            step = TensorSeries(_D_AUG, degree, [lvl[:, j] for lvl in steps.levels], top)
             running = chen_product(running, step)
             for state, lvl in zip(states, running.levels):
                 state[:, j] = lvl
@@ -156,10 +161,12 @@ def encode_prefixes(
         drop[0] = drop[3] = -(n - 1.0)
         drop[1] = drop[4] = -sd[kend]
         drop[2] = drop[5] = -amt[kend]
-        ending = TensorSeries(_D_AUG, degree, [state[:, first:] for state in states])
+        ending = TensorSeries(_D_AUG, degree, [state[:, first:] for state in states], top)
         tail = chen_product(
             ending,
-            chen_product(segment_signature(off, degree), segment_signature(drop, degree)),
+            chen_product(
+                segment_signature(off, degree, top), segment_signature(drop, degree, top)
+            ),
         )
         coords = lyndon_project(tensor_log(tail), basis)
         coords *= (1.0 / (n - 1.0))[None, :] ** time_counts[:, None]

@@ -6,15 +6,23 @@ order, than every one of its proper rotations.  The Lyndon words of length
 truncated at degree M, which is the coordinate system used for log-signature
 vectors: the coefficients of the tensor logarithm at Lyndon-word positions
 determine all remaining coefficients through a unitriangular change of basis.
+
+No level above M reads the top level M of a truncated series, so a caller
+that only wants Lyndon coordinates can hold level M at the length-M Lyndon
+positions alone (588 of 2,401 at D = 7, M = 4).  :class:`TopPositions` is the
+table of kept level-M positions and their prefix/suffix splits that the
+tensor-algebra code gathers its level-M products through;
+``LyndonBasis.top`` is the Lyndon one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["lyndon_words", "witt_count", "lyndon_dim", "LyndonBasis"]
+__all__ = ["lyndon_words", "witt_count", "lyndon_dim", "LyndonBasis", "TopPositions"]
 
 
 def _mobius(n: int) -> int:
@@ -84,6 +92,65 @@ def lyndon_words(alphabet_size: int, degree: int) -> tuple[tuple[int, ...], ...]
     return tuple(words)
 
 
+@dataclass(frozen=True, eq=False)
+class TopPositions:
+    """The flat positions held in the top level M of a truncated tensor series
+    over D letters, split for the products that form them.
+
+    Attributes:
+        alphabet_size: letter count D.
+        degree: the top level M.
+        positions: (K,) intp; flat positions (base-D value of the word) kept
+            in level M, in the order the level stores them.
+        prefix, suffix: M read-only (K,) intp arrays each.  Cutting the words
+            after their first i letters, ``prefix[i]`` is the flat position
+            of that prefix in level i and ``suffix[i]`` that of the remaining
+            M - i letters in level M - i (``divmod`` by D**(M-i)), so entry k
+            of the level-M product of a level-i and a level-(M-i) block is
+            ``left[prefix[i][k]] * right[suffix[i][k]]``.
+    """
+
+    alphabet_size: int
+    degree: int
+    positions: np.ndarray = field(repr=False)
+    prefix: tuple[np.ndarray, ...] = field(repr=False)
+    suffix: tuple[np.ndarray, ...] = field(repr=False)
+
+    @classmethod
+    def build(cls, alphabet_size: int, degree: int, positions) -> "TopPositions":
+        positions = np.array(positions, dtype=np.intp)
+        prefix = tuple(positions // alphabet_size ** (degree - i) for i in range(degree))
+        suffix = tuple(positions % alphabet_size ** (degree - i) for i in range(degree))
+        for table in (positions, *prefix, *suffix):
+            table.flags.writeable = False
+        return cls(alphabet_size, degree, positions, prefix, suffix)
+
+    @classmethod
+    def full(cls, alphabet_size: int, degree: int) -> "TopPositions":
+        """All D**M positions in flat order: the untruncated top level."""
+        return _full_top(alphabet_size, degree)
+
+    @property
+    def size(self) -> int:
+        return self.positions.size
+
+    @property
+    def is_full(self) -> bool:
+        return self.matches(TopPositions.full(self.alphabet_size, self.degree))
+
+    def matches(self, other: "TopPositions") -> bool:
+        return self is other or (
+            self.alphabet_size == other.alphabet_size
+            and self.degree == other.degree
+            and np.array_equal(self.positions, other.positions)
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _full_top(alphabet_size: int, degree: int) -> TopPositions:
+    return TopPositions.build(alphabet_size, degree, np.arange(alphabet_size**degree))
+
+
 @dataclass(frozen=True)
 class LyndonBasis:
     """Lyndon-word coordinate layout for log-signature vectors.
@@ -100,6 +167,10 @@ class LyndonBasis:
         letter_counts: (dim, D) float64; entry [i, c] counts the occurrences
             of letter c in ``words[i]``.  Scaling path channel c by s
             multiplies coordinate i by s**letter_counts[i, c].
+        top: the level-M positions of the length-M words, in basis order
+            (the last ``top.size`` words), with their prefix/suffix splits; a
+            series restricted to them holds every coefficient this basis
+            reads.
     """
 
     alphabet_size: int
@@ -107,6 +178,7 @@ class LyndonBasis:
     words: tuple[tuple[int, ...], ...] = field(repr=False)
     index: np.ndarray = field(repr=False, compare=False)
     letter_counts: np.ndarray = field(repr=False, compare=False)
+    top: TopPositions = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, alphabet_size: int, degree: int) -> "LyndonBasis":
@@ -121,7 +193,11 @@ class LyndonBasis:
             index[i] = k + sum(alphabet_size**m for m in range(1, len(w)))
         index.flags.writeable = False
         letter_counts.flags.writeable = False
-        return cls(alphabet_size, degree, words, index, letter_counts)
+        # Words are sorted by length, so the length-M ones come last.
+        n_top = sum(len(w) == degree for w in words)
+        below = sum(alphabet_size**m for m in range(1, degree))
+        top = TopPositions.build(alphabet_size, degree, index[len(index) - n_top :] - below)
+        return cls(alphabet_size, degree, words, index, letter_counts, top)
 
     @property
     def dim(self) -> int:

@@ -12,6 +12,16 @@ of the leading axis.  Trailing axes, if any, index a batch of series that
 every operation treats independently.  Concatenation of words corresponds to
 the outer product of the flat blocks.
 
+No level of a product or logarithm above M reads level M, so a series may
+hold its top level at a subset of positions only (a
+:class:`~fraudsig.lyndon.TopPositions` table; all D**M by default).  Every
+operation forms level M through one rule, as the gathered products
+``left[prefix[i]] * right[suffix[i]]`` at the kept positions, added in the
+same order as the full products, so a restricted series holds exactly the
+kept entries of the full one.  The log-signature encoder keeps only the
+length-M Lyndon positions (``LyndonBasis.top``): 588 of 2,401 at D = 7,
+M = 4.
+
 The feature map used for transaction sequences is
 
     augment -> path_signature -> tensor_log -> lyndon_project
@@ -25,7 +35,7 @@ import math
 
 import numpy as np
 
-from .lyndon import LyndonBasis
+from .lyndon import LyndonBasis, TopPositions
 
 __all__ = [
     "TensorSeries",
@@ -50,29 +60,45 @@ class TensorSeries:
     Attributes:
         alphabet_size: channel count D.
         degree: truncation degree M.
-        levels: list of M+1 arrays; ``levels[m]`` has shape (D**m, *batch),
-            with ``levels[0]`` the scalar part of shape (1, *batch).  A single
-            series has ``batch = ()``; every operation below treats the
-            trailing axes as independent series.
+        levels: list of M+1 arrays; ``levels[m]`` has shape (D**m, *batch)
+            for m < M, with ``levels[0]`` the scalar part of shape (1, *batch),
+            and ``levels[M]`` has shape (top.size, *batch).  A single series
+            has ``batch = ()``; every operation below treats the trailing axes
+            as independent series.
+        top: the level-M positions held, in ``levels[M]`` order; all D**M
+            (``TopPositions.full``) unless a table is given.
     """
 
-    __slots__ = ("alphabet_size", "degree", "levels")
+    __slots__ = ("alphabet_size", "degree", "levels", "top")
 
-    def __init__(self, alphabet_size: int, degree: int, levels: list[np.ndarray]):
+    def __init__(
+        self,
+        alphabet_size: int,
+        degree: int,
+        levels: list[np.ndarray],
+        top: TopPositions | None = None,
+    ):
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         if len(levels) != degree + 1:
             raise ValueError(f"expected {degree + 1} levels, got {len(levels)}")
+        top = top or TopPositions.full(alphabet_size, degree)
+        if (top.alphabet_size, top.degree) != (alphabet_size, degree):
+            raise ValueError(
+                f"top positions over (D={top.alphabet_size}, M={top.degree}) for a "
+                f"series over (D={alphabet_size}, M={degree})"
+            )
         batch = levels[0].shape[1:]
         for m, lvl in enumerate(levels):
-            if lvl.shape != (alphabet_size**m, *batch):
+            size = top.size if m == degree else alphabet_size**m
+            if lvl.shape != (size, *batch):
                 raise ValueError(
-                    f"level {m} has shape {lvl.shape}, expected "
-                    f"{(alphabet_size**m, *batch)}"
+                    f"level {m} has shape {lvl.shape}, expected {(size, *batch)}"
                 )
         self.alphabet_size = alphabet_size
         self.degree = degree
         self.levels = levels
+        self.top = top
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -80,26 +106,32 @@ class TensorSeries:
 
     @classmethod
     def zero(
-        cls, alphabet_size: int, degree: int, batch: tuple[int, ...] = ()
+        cls,
+        alphabet_size: int,
+        degree: int,
+        batch: tuple[int, ...] = (),
+        top: TopPositions | None = None,
     ) -> "TensorSeries":
-        return cls(
-            alphabet_size,
-            degree,
-            [np.zeros((alphabet_size**m, *batch)) for m in range(degree + 1)],
-        )
+        top = top or TopPositions.full(alphabet_size, degree)
+        sizes = [alphabet_size**m for m in range(degree)] + [top.size]
+        return cls(alphabet_size, degree, [np.zeros((n, *batch)) for n in sizes], top)
 
     @classmethod
     def unit(
-        cls, alphabet_size: int, degree: int, batch: tuple[int, ...] = ()
+        cls,
+        alphabet_size: int,
+        degree: int,
+        batch: tuple[int, ...] = (),
+        top: TopPositions | None = None,
     ) -> "TensorSeries":
         """The multiplicative identity: scalar part 1, all higher levels 0."""
-        out = cls.zero(alphabet_size, degree, batch)
+        out = cls.zero(alphabet_size, degree, batch, top)
         out.levels[0][0] = 1.0
         return out
 
     def copy(self) -> "TensorSeries":
         return TensorSeries(
-            self.alphabet_size, self.degree, [lvl.copy() for lvl in self.levels]
+            self.alphabet_size, self.degree, [lvl.copy() for lvl in self.levels], self.top
         )
 
     def __repr__(self) -> str:
@@ -109,41 +141,54 @@ class TensorSeries:
         )
 
 
-def _outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Level product of two blocks (D**i, *batch) x (D**j, *batch) ->
-    (D**(i+j), *batch): word concatenation, left word first."""
-    return (left[:, None] * right[None, :]).reshape(
-        left.shape[0] * right.shape[0], *left.shape[1:]
-    )
+def _product(left: np.ndarray, right: np.ndarray, i: int, m: int, top: TopPositions):
+    """Level-m block of the product of a level-i block (D**i, *batch) and a
+    level-(m-i) block: word concatenation, left word first.  Below the top
+    level it is the outer product (D**m, *batch); at the top level only the
+    entries at ``top.positions``, (top.size, *batch)."""
+    if m < top.degree:
+        return (left[:, None] * right[None, :]).reshape(
+            left.shape[0] * right.shape[0], *left.shape[1:]
+        )
+    return left[top.prefix[i]] * right[top.suffix[i]]
 
 
-def segment_signature(increment: np.ndarray, degree: int) -> TensorSeries:
+def segment_signature(
+    increment: np.ndarray, degree: int, top: TopPositions | None = None
+) -> TensorSeries:
     """Signature of a single linear segment: the tensor exponential of the
     increment, with level m equal to increment^(tensor m) / m!.
 
-    `increment` has shape (D, *batch): one segment per trailing index.
+    `increment` has shape (D, *batch): one segment per trailing index.  The
+    top level holds the positions of `top` (all of them by default).
     """
     inc = np.asarray(increment, dtype=np.float64)
     if inc.ndim == 0 or inc.shape[0] == 0:
         raise ValueError(f"increment must be a non-empty vector, got shape {inc.shape}")
+    top = top or TopPositions.full(inc.shape[0], degree)
     levels = [np.ones((1, *inc.shape[1:]))]
     for m in range(1, degree + 1):
-        levels.append(_outer(levels[-1], inc) / m)
-    return TensorSeries(inc.shape[0], degree, levels)
+        levels.append(_product(levels[-1], inc, m - 1, m, top) / m)
+    return TensorSeries(inc.shape[0], degree, levels, top)
 
 
 def chen_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
-    """Truncated tensor-algebra product; concatenates paths by Chen's identity."""
+    """Truncated tensor-algebra product; concatenates paths by Chen's identity.
+
+    Both series must hold the same top-level positions; so does the product.
+    """
     if (
         a.alphabet_size != b.alphabet_size
         or a.degree != b.degree
         or a.batch_shape != b.batch_shape
+        or not a.top.matches(b.top)
     ):
         raise ValueError(
             f"mismatched series: D {a.alphabet_size}/{b.alphabet_size}, "
-            f"M {a.degree}/{b.degree}, batch {a.batch_shape}/{b.batch_shape}"
+            f"M {a.degree}/{b.degree}, batch {a.batch_shape}/{b.batch_shape}, "
+            f"top positions {a.top.size}/{b.top.size}"
         )
-    out = TensorSeries.zero(a.alphabet_size, a.degree, a.batch_shape)
+    out = TensorSeries.zero(a.alphabet_size, a.degree, a.batch_shape, a.top)
     for m in range(a.degree + 1):
         acc = out.levels[m]
         for i in range(m + 1):
@@ -154,7 +199,7 @@ def chen_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
             elif i == m:
                 acc += left * right[0]
             else:
-                acc += _outer(left, right)
+                acc += _product(left, right, i, m, a.top)
     return out
 
 
@@ -177,7 +222,8 @@ def tensor_log(s: TensorSeries) -> TensorSeries:
 
         log(1 + t) = sum_{n>=1} (-1)**(n-1) / n * t^(tensor n)
 
-    truncated at the series degree.  The scalar part of the result is 0.
+    truncated at the series degree.  The scalar part of the result is 0, and
+    its top level holds the positions of the input's.
     """
     if np.any(np.abs(s.levels[0] - 1.0) > 1e-9):
         raise ValueError(f"tensor_log needs scalar part 1, got {s.levels[0]!r}")
@@ -185,26 +231,27 @@ def tensor_log(s: TensorSeries) -> TensorSeries:
     out = [np.zeros_like(t[0])] + [lvl.copy() for lvl in t[1:]]
     # t has no scalar part, so t^(tensor n) vanishes below level n, and only
     # the products power[i] (x) t[m - i] with n-1 <= i <= m-1 are non-zero.
+    # Their factors sit below the top level, which only out[M] reads.
     power = t
     for n in range(2, s.degree + 1):
         coeff = (-1.0) ** (n - 1) / n
         nxt = [None] * (s.degree + 1)
         for m in range(n, s.degree + 1):
-            acc = _outer(power[n - 1], t[m - n + 1])
+            acc = _product(power[n - 1], t[m - n + 1], n - 1, m, s.top)
             for i in range(n, m):
-                acc += _outer(power[i], t[m - i])
+                acc += _product(power[i], t[m - i], i, m, s.top)
             nxt[m] = acc
             out[m] += coeff * acc
         power = nxt
-    return TensorSeries(s.alphabet_size, s.degree, out)
+    return TensorSeries(s.alphabet_size, s.degree, out, s.top)
 
 
 def tensor_exp(a: TensorSeries) -> TensorSeries:
     """Tensor exponential of a series with scalar part 0 (inverse of tensor_log)."""
     if np.any(np.abs(a.levels[0]) > 1e-9):
         raise ValueError(f"tensor_exp needs scalar part 0, got {a.levels[0]!r}")
-    out = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape)
-    power = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape)
+    out = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape, a.top)
+    power = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape, a.top)
     for n in range(1, a.degree + 1):
         power = chen_product(power, a)
         inv_fact = 1.0 / math.factorial(n)
@@ -215,13 +262,30 @@ def tensor_exp(a: TensorSeries) -> TensorSeries:
 
 def lyndon_project(log_series: TensorSeries, basis: LyndonBasis) -> np.ndarray:
     """Read the tensor-log coefficients at Lyndon-word positions, ordered like
-    ``basis.words``: shape (basis.dim, *batch)."""
+    ``basis.words``: shape (basis.dim, *batch).
+
+    The series holds its top level either in full or at exactly
+    ``basis.top``'s positions, which are then read as they stand.
+    """
     if basis.alphabet_size != log_series.alphabet_size or basis.degree != log_series.degree:
         raise ValueError(
             f"basis (D={basis.alphabet_size}, M={basis.degree}) does not match "
             f"series (D={log_series.alphabet_size}, M={log_series.degree})"
         )
-    return np.concatenate(log_series.levels[1:])[basis.index]
+    top = log_series.levels[-1]
+    if log_series.top.is_full:
+        top = top[basis.top.positions]
+    elif not log_series.top.matches(basis.top):
+        raise ValueError(
+            f"series holds {log_series.top.size} level-{basis.degree} positions "
+            f"that are not the basis's {basis.top.size}"
+        )
+    # The shorter words come first; levels[:-1] starts with the scalar part,
+    # one entry before where ``basis.index`` counts from.
+    lower = basis.dim - basis.top.size
+    return np.concatenate(
+        [np.concatenate(log_series.levels[:-1])[1 + basis.index[:lower]], top]
+    )
 
 
 # ---------------------------------------------------------------------------

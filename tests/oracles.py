@@ -1,10 +1,12 @@
 """Independent reference implementations the tests compare against.
 
 Nothing here imports the package's algebra or metric code paths beyond plain
-data types and the rate-to-bucket lookup: iterated integrals come from
-spectral integration of the piecewise-linear path, signatures from a
-dict-of-words tensor algebra, risk levels from a per-prefix loop, and metrics
-from direct counting.  Slow and obvious on purpose.  The one exception is the
+data types, the rate-to-bucket lookup and the prefix encoder's layout
+constants: iterated integrals come from spectral integration of the
+piecewise-linear path, signatures from a dict-of-words tensor algebra, the
+prefix encoder's rows from a full-level outer-product algebra, risk levels
+from a per-prefix loop, and metrics from direct counting.  Slow and obvious
+on purpose.  The one exception is the
 feature-level critic loss with its gradient penalty (the critic's input
 gradient and the penalty's second-order parameter gradient): it runs the
 networks' generic passes, the layers' tangent and second-backward rules and
@@ -20,6 +22,7 @@ import math
 import numpy as np
 
 from fraudsig.banksim import rate_to_bucket
+from fraudsig.features import _BLOCK, _D_AUG, _TIME_CHANNELS, _VIS_CHANNEL
 from fraudsig.losses import labeled_loss_grad, unlabeled_loss
 from fraudsig.nnet import critic_head_vector
 
@@ -389,3 +392,110 @@ def discriminator_loss_reference(
         pen += res
     total = unlab + lam * k * lab + gp_weight * pen
     return unlab, k * lab, pen, total, grads
+
+
+# ---------------------------------------------------------------------------
+# Full-level prefix encoder: `fraudsig.features.encode_prefixes` as it was
+# before its series held the top level at the Lyndon positions only, with
+# its own copy of the full-level tensor algebra of that version (a series is
+# a list of levels, level m of shape (D**m, *batch); every level-m product
+# is an outer product).  Same products in the same order as the restricted
+# encoder, so the rows must be bit-identical.
+# ---------------------------------------------------------------------------
+
+
+def _outer(left, right):
+    return (left[:, None] * right[None, :]).reshape(
+        left.shape[0] * right.shape[0], *left.shape[1:]
+    )
+
+
+def _segment_levels(increment, degree):
+    levels = [np.ones((1, *increment.shape[1:]))]
+    for m in range(1, degree + 1):
+        levels.append(_outer(levels[-1], increment) / m)
+    return levels
+
+
+def _chen_levels(a, b):
+    out = [np.zeros_like(lvl) for lvl in a]
+    for m, acc in enumerate(out):
+        for i in range(m + 1):
+            left, right = a[i], b[m - i]
+            if i == 0:
+                acc += left[0] * right
+            elif i == m:
+                acc += left * right[0]
+            else:
+                acc += _outer(left, right)
+    return out
+
+
+def _log_levels(t):
+    degree = len(t) - 1
+    out = [np.zeros_like(t[0])] + [lvl.copy() for lvl in t[1:]]
+    power = t
+    for n in range(2, degree + 1):
+        coeff = (-1.0) ** (n - 1) / n
+        nxt = [None] * (degree + 1)
+        for m in range(n, degree + 1):
+            acc = _outer(power[n - 1], t[m - n + 1])
+            for i in range(n, m):
+                acc += _outer(power[i], t[m - i])
+            nxt[m] = acc
+            out[m] += coeff * acc
+        power = nxt
+    return out
+
+
+def encode_prefixes_reference(step_diffs, amounts, degree, basis, min_prefix=5):
+    """Rows of `encode_prefixes`, with every series holding its whole top level."""
+    sd = np.asarray(step_diffs, dtype=np.float64)
+    amt = np.asarray(amounts, dtype=np.float64)
+    T = sd.size
+    out = np.empty((max(0, T - min_prefix + 1), basis.dim))
+    time_counts = basis.letter_counts[:, _TIME_CHANNELS].sum(axis=1)
+    vis_on = np.zeros(_D_AUG)
+    vis_on[_VIS_CHANNEL] = 1.0
+    # Running signature over [prepended start point, lead-lag body] with
+    # unnormalised time; the first increment only switches visibility on.
+    running = _segment_levels(vis_on, degree)
+    row = 0
+    for start in range(1, T, _BLOCK):
+        ks = np.arange(start, min(start + _BLOCK, T))
+        # Step k appends the lead move, then the lag catching up.
+        lead = np.zeros((_D_AUG, ks.size))
+        lead[0] = 1.0
+        lead[1] = sd[ks] - sd[ks - 1]
+        lead[2] = amt[ks] - amt[ks - 1]
+        lag = np.zeros_like(lead)
+        lag[3:6] = lead[0:3]
+        steps = _chen_levels(_segment_levels(lead, degree), _segment_levels(lag, degree))
+        states = [np.empty((lvl.shape[0], ks.size)) for lvl in running]
+        for j in range(ks.size):
+            running = _chen_levels(running, [lvl[:, j] for lvl in steps])
+            for state, lvl in zip(states, running):
+                state[:, j] = lvl
+        # Prefixes ending in this block (lengths n = k + 1 >= min_prefix),
+        # finalised as one batch.  Terminal decorations: visibility off at the
+        # last point, then the jump to the all-zero point.
+        first = max(0, min_prefix - 1 - start)
+        if first >= ks.size:
+            continue
+        kend = ks[first:]
+        n = kend + 1.0
+        off = np.zeros((_D_AUG, kend.size))
+        off[_VIS_CHANNEL] = -1.0
+        drop = np.zeros_like(off)
+        drop[0] = drop[3] = -(n - 1.0)
+        drop[1] = drop[4] = -sd[kend]
+        drop[2] = drop[5] = -amt[kend]
+        tail = _chen_levels(
+            [state[:, first:] for state in states],
+            _chen_levels(_segment_levels(off, degree), _segment_levels(drop, degree)),
+        )
+        coords = np.concatenate(_log_levels(tail)[1:])[basis.index]
+        coords *= (1.0 / (n - 1.0))[None, :] ** time_counts[:, None]
+        out[row : row + kend.size] = coords.T
+        row += kend.size
+    return out

@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fraudsig.banksim import CustomerSeries, continuous_path, make_samples
+from fraudsig.banksim import (
+    CustomerSeries,
+    continuous_path,
+    group_customers,
+    load_transactions,
+    make_samples,
+)
 from fraudsig.features import (
     _BLOCK,
     SCHEME_VERSION,
@@ -16,6 +22,9 @@ from fraudsig.features import (
 )
 from fraudsig.lyndon import LyndonBasis
 from fraudsig.signatures import encode
+from fraudsig.synthdata import SynthSpec, generate
+
+from oracles import encode_prefixes_reference
 
 
 def _customer(rng, n, name="C"):
@@ -33,13 +42,15 @@ def _customer(rng, n, name="C"):
 
 # Customer lengths around the encoder's block edges, at the default degree.
 _BLOCK_EDGE_CASES = [(4, n) for n in (5, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 150)]
-
-
-@pytest.mark.parametrize(
+# Every supported degree on a short customer, then the block edges.
+_DEGREES_AND_LENGTHS = pytest.mark.parametrize(
     "degree,length",
-    [(2, 9), (3, 9), (4, 9), *_BLOCK_EDGE_CASES],
-    ids=["2", "3", "4", *(f"{d}-T{n}" for d, n in _BLOCK_EDGE_CASES)],
+    [(1, 9), (2, 9), (3, 9), (4, 9), *_BLOCK_EDGE_CASES],
+    ids=["1", "2", "3", "4", *(f"{d}-T{n}" for d, n in _BLOCK_EDGE_CASES)],
 )
+
+
+@_DEGREES_AND_LENGTHS
 def test_incremental_matches_direct_per_prefix(degree, length, rng):
     basis = LyndonBasis.build(7, degree)
     cs = _customer(rng, length)
@@ -51,6 +62,35 @@ def test_incremental_matches_direct_per_prefix(degree, length, rng):
         direct = encode(continuous_path(cs, j, max_sd, max_amt), degree, basis)
         scale = max(1.0, np.abs(direct).max())
         np.testing.assert_allclose(rows[k], direct, atol=1e-9 * scale)
+
+
+@_DEGREES_AND_LENGTHS
+def test_rows_equal_full_level_reference(degree, length, rng):
+    """Restricting the top level to the Lyndon positions changes no bit."""
+    basis = LyndonBasis.build(7, degree)
+    cs = _customer(rng, length)
+    rows = encode_prefixes(cs.step_diffs, cs.amounts, degree, basis)
+    want = encode_prefixes_reference(cs.step_diffs, cs.amounts, degree, basis)
+    assert np.array_equal(rows, want)
+
+
+def test_feature_cache_is_byte_identical_to_reference(tmp_path):
+    """features.bin of the small synthetic corpus at degree 4 holds the bytes
+    of the full-level reference rows."""
+    csv = tmp_path / "corpus.csv"
+    generate(csv, SynthSpec.small(), seed=1)
+    customers, _ = group_customers(load_transactions(csv))
+    samples = make_samples(customers, min_prefix=5)
+    store, _ = build_feature_store(samples, 4, tmp_path / "cache", "h", 5)
+    basis = store.basis
+    want = np.concatenate(
+        [
+            encode_prefixes_reference(cs.step_diffs, cs.amounts, 4, basis, 5)
+            for cs in customers
+        ]
+    )
+    assert want.shape == (len(samples), basis.dim)
+    assert (tmp_path / "cache" / "features.bin").read_bytes() == want.astype("<f8").tobytes()
 
 
 def _encoder_peak_beyond_output(length, basis, rng):

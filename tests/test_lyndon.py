@@ -68,11 +68,30 @@ def test_letter_class_counts():
         assert b[ci] == sum(1 for letter in w if letter == 1)
 
 
+@pytest.mark.parametrize("dim,degree", [(3, 3), (7, 4), (7, 1)])
+def test_top_positions_are_the_longest_words_split_every_way(dim, degree):
+    basis = LyndonBasis.build(dim, degree)
+    top = basis.top
+    longest = [w for w in basis.words if len(w) == degree]
+    assert top.size == len(longest) == witt_count(dim, degree)
+    assert not top.is_full or degree == 1
+    for k, w in enumerate(longest):
+        assert top.positions[k] == sum(c * dim ** (degree - 1 - j) for j, c in enumerate(w))
+        for i in range(degree):
+            assert top.prefix[i][k] == sum(c * dim ** (i - 1 - j) for j, c in enumerate(w[:i]))
+            assert top.suffix[i][k] == sum(
+                c * dim ** (degree - i - 1 - j) for j, c in enumerate(w[i:])
+            )
+
+
 def test_basis_tables_are_read_only_and_out_of_equality():
     basis = LyndonBasis.build(3, 2)
     with pytest.raises(ValueError):
         basis.index[0] = 1
     with pytest.raises(ValueError):
         basis.letter_counts[0, 0] = 2.0
+    for table in (basis.top.positions, *basis.top.prefix, *basis.top.suffix):
+        with pytest.raises(ValueError):
+            table[0] = 1
     assert basis == LyndonBasis.build(3, 2)
     assert hash(basis) == hash(LyndonBasis.build(3, 2))

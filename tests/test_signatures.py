@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fraudsig.lyndon import LyndonBasis
+from fraudsig.lyndon import LyndonBasis, TopPositions
 from fraudsig.signatures import (
     TensorSeries,
     augment,
@@ -153,6 +153,64 @@ def test_chen_product_rejects_mismatched_batches():
         chen_product(TensorSeries.unit(2, 2, (3,)), TensorSeries.unit(2, 2, (4,)))
     with pytest.raises(ValueError):
         chen_product(TensorSeries.unit(2, 2, (3,)), TensorSeries.unit(2, 2))
+
+
+def _random_series(rng, d, degree, batch, scalar):
+    levels = [rng.standard_normal((d**m, *batch)) for m in range(degree + 1)]
+    levels[0][...] = scalar
+    return TensorSeries(d, degree, levels)
+
+
+def _restricted(series, top):
+    """The full series with its top level gathered at `top.positions`."""
+    levels = series.levels[:-1] + [series.levels[-1][top.positions]]
+    return TensorSeries(series.alphabet_size, series.degree, levels, top)
+
+
+def _assert_series_equal(a, b):
+    assert a.top.matches(b.top)
+    for la, lb in zip(a.levels, b.levels, strict=True):
+        np.testing.assert_array_equal(la, lb)
+
+
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["single", "batched"])
+@pytest.mark.parametrize("d,degree", [(3, 4), (7, 4), (7, 1)])
+def test_restricted_top_level_is_the_gathered_full_result(d, degree, batch, rng):
+    """Holding level M only at the Lyndon positions changes no kept value:
+    each primitive equals the full-level result gathered there, exactly."""
+    top = LyndonBasis.build(d, degree).top
+    inc = rng.standard_normal((d, *batch))
+    _assert_series_equal(
+        segment_signature(inc, degree, top),
+        _restricted(segment_signature(inc, degree), top),
+    )
+    a = _random_series(rng, d, degree, batch, 1.0)
+    b = _random_series(rng, d, degree, batch, 1.0)
+    _assert_series_equal(
+        chen_product(_restricted(a, top), _restricted(b, top)),
+        _restricted(chen_product(a, b), top),
+    )
+    _assert_series_equal(tensor_log(_restricted(a, top)), _restricted(tensor_log(a), top))
+    basis = LyndonBasis.build(d, degree)
+    np.testing.assert_array_equal(
+        lyndon_project(_restricted(a, top), basis), lyndon_project(a, basis)
+    )
+
+
+def test_restricted_operands_must_hold_the_same_positions(rng):
+    basis = LyndonBasis.build(3, 2)  # length-2 Lyndon words 01, 02, 12
+    full = _random_series(rng, 3, 2, (), 1.0)
+    lyndon = _restricted(full, basis.top)
+    other = _restricted(full, TopPositions.build(3, 2, [0, 1, 2]))
+    with pytest.raises(ValueError, match="top positions"):
+        chen_product(lyndon, full)
+    with pytest.raises(ValueError, match="top positions"):
+        chen_product(lyndon, other)
+    # an equal table built apart is accepted
+    same = _restricted(full, TopPositions.build(3, 2, basis.top.positions))
+    _assert_series_equal(chen_product(lyndon, same), chen_product(lyndon, lyndon))
+    with pytest.raises(ValueError, match="not the basis's"):
+        lyndon_project(other, basis)
 
 
 def test_log_of_unit_is_zero():
