@@ -76,9 +76,12 @@ def _load_manifest(cfg: ExperimentConfig) -> dict:
     path = Path(cfg.output_dir) / MANIFEST_REL
     if path.exists():
         try:
-            return json.loads(path.read_text())
+            manifest = json.loads(path.read_text())
         except ValueError as exc:
             raise DataError(f"{path} is not valid JSON ({exc})") from exc
+        if not isinstance(manifest, dict):
+            raise DataError(f"{path} is not a JSON object")
+        return manifest
     return {
         "package_version": __version__,
         "config": cfg.to_dict(),
@@ -233,6 +236,14 @@ def _cmd_prepare(args) -> int:
         raise ConfigError(f"--subsample must be in (0, 1], got {args.subsample}")
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    if args.dump_encoding:
+        cust, _, plen = args.dump_encoding.partition(":")
+        try:
+            dump_prefix = int(plen)
+        except ValueError:
+            raise ConfigError(
+                f"--dump-encoding must be CUSTOMER:PREFIX, got {args.dump_encoding!r}"
+            ) from None
     t0 = time.perf_counter()
     customers, stats = _load_customers(cfg)
     if args.subsample < 1.0:
@@ -300,16 +311,14 @@ def _cmd_prepare(args) -> int:
         print(f"  labeled size {size}: {fr} fraud per repetition")
 
     if args.dump_encoding:
-        cust, _, plen = args.dump_encoding.partition(":")
-        j = int(plen)
         hit_rows = [
             i
             for i in range(len(samples))
             if samples.customers[int(samples.customer_idx[i])].customer == cust
-            and int(samples.prefix_len[i]) == j
+            and int(samples.prefix_len[i]) == dump_prefix
         ]
         if not hit_rows:
-            raise DataError(f"no sample for customer {cust!r} with prefix {j}")
+            raise DataError(f"no sample for customer {cust!r} with prefix {dump_prefix}")
         vec = _scaled_rows(store, hit_rows, max_sd, max_amt)[0]
         print(" ".join(repr(float(v)) for v in vec))
     return EXIT_OK
@@ -398,6 +407,12 @@ def _cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     splits, samples, test_idx, feats = _load_split(cfg, "test_idx")
     labels = samples.labels[test_idx].astype(np.int64)
+    if not labels.any():
+        raise DataError(
+            f"the test split holds no fraud sample ({len(labels)} samples), so the "
+            "ranking metrics are undefined; use a corpus with more fraud samples "
+            "or a larger test_fraction"
+        )
     amounts = samples.amounts[test_idx]
     _, disc = build_nets(feats.shape[1], _emb_cards(splits), cfg.train)
     shapes = [spec.shape for spec in disc.param_specs]

@@ -103,6 +103,18 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        burn_in = self.burn_in_epochs()
+        if burn_in < 0:
+            raise ConfigError("burn_in must be >= 0")
+        # Members are kept at epochs e >= burn_in with (e - burn_in) % thinning
+        # == 0, from epoch 1 on; evaluate needs at least one.
+        first = burn_in if burn_in >= 1 else self.thinning
+        if 1 <= self.epochs < first:
+            raise ConfigError(
+                f"no posterior member is collected: the first is kept at epoch "
+                f"{first} (burn_in {burn_in}, thinning {self.thinning}), after the "
+                f"last epoch {self.epochs}"
+            )
 
 
 @dataclass(frozen=True)

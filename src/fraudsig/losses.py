@@ -174,7 +174,7 @@ def discriminator_loss(
         )
     k, n = fake_feat.shape[:2]
     tvec = critic_head_vector(disc.n_classes)
-    w_f = disc.feature_weights(params)
+    w_f = disc.free_weights(params)
     gram = w_f @ w_f.T
 
     # Every pass starts from `disc.proj` pre-activations: one feature

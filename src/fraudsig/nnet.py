@@ -9,15 +9,16 @@ exact parameter gradient of penalties defined on input gradients (the
 gradient-penalty term of the critic loss) without any numerical
 differentiation.
 
-The discriminator's first trunk layer, `disc.proj`, is affine in the
-features, so `DiscriminatorNet` also exposes it apart from the layers above
-it: `project` gives its pre-activation as a feature part and a condition
-part, the `upper_*` methods run the forward, backward and forward-over-reverse
-passes from a pre-activation, and `projection_grads` collects the
-projection's and the embedding tables' gradients from gradients at the
-pre-activation.  The critic loss is built on these and is their only
-caller; the feature-level form of the same passes, through the whole trunk,
-is the test reference in ``tests/oracles.py``.
+Both networks open with an affine projection `proj` of the trunk input
+[free input, condition embeddings], and every pass runs from its
+pre-activation without forming that input: `project` gives the pre-activation
+as a free-input part and a condition part, the `upper_*` methods run the
+layers above `proj` from it, and `projection_grads` collects the
+projection's and the embedding tables' gradients from gradients at it.
+`forward` and `backward` are built on these, and so is the critic loss,
+which combines projected batches linearly.  The whole-trunk form, with the
+concatenated input through `proj` as an ordinary dense layer, is the test
+reference in ``tests/oracles.py``.
 
 Conventions:
     * class index 0 is reserved for generated samples; indices 1..K are the
@@ -218,21 +219,28 @@ class _EmbeddingBank:
 class _Net:
     """Condition embeddings and one free input vector feeding a dense trunk.
 
-    The trunk input is [free, embeddings] when `free_first`, else
-    [embeddings, free]; parameters are the embedding tables followed by the
-    trunk tensors in layer order.  `forward(params, x, codes)` takes the
-    free input x (n, free_dim); `backward` returns the gradient w.r.t. it.
+    The trunk is an affine projection `proj` of [free, embeddings] (when
+    `free_first`, else [embeddings, free]) followed by `layers`; parameters
+    are the embedding tables, `proj`'s W and b, then the tensors of `layers`
+    in order.  `forward(params, x, codes)` takes the free input x
+    (n, free_dim); `backward` returns the gradient w.r.t. it.
+
+    Every pass starts from the pre-activation of `proj`, x W_x^T + e W_e^T + b
+    with W = [W_x | W_e] in trunk-input column order and e the embedding
+    outputs; the layers above `proj` are the "upper" layers.
     """
 
-    def __init__(self, emb: _EmbeddingBank, free_dim: int, free_first: bool, layers: list):
+    def __init__(self, emb: _EmbeddingBank, free_dim: int, free_first: bool, proj: Dense,
+                 layers: list):
         self.emb = emb
         self.free_dim = free_dim
         self.free_first = free_first
+        self.proj = proj
         self.layers = layers
         self.n_emb = len(emb.specs)
-        self.param_specs: list[ParamSpec] = list(emb.specs)
-        # Trunk-local parameter ranges, and the trunk-input columns of the
-        # free input and of each embedding.
+        self.param_specs: list[ParamSpec] = list(emb.specs) + proj.specs
+        # Each upper layer's range in the upper-layer tensors, and the columns
+        # of W that multiply the free input and each embedding.
         self._offsets: list[tuple[int, int]] = []
         n = 0
         for layer in layers:
@@ -247,11 +255,13 @@ class _Net:
             off += c
 
     def _split(self, params):
+        """(embedding tables, `proj` (W, b), upper-layer tensors)."""
         if len(params) != len(self.param_specs):
             raise ValueError(
                 f"expected {len(self.param_specs)} parameter tensors, got {len(params)}"
             )
-        return params[: self.n_emb], params[self.n_emb :]
+        k = self.n_emb
+        return params[:k], params[k : k + 2], params[k + 2 :]
 
     def init_params(self, rng: np.random.Generator, gain: float = 1.0):
         """Draw every tensor from its zero-mean Gaussian prior with
@@ -268,42 +278,77 @@ class _Net:
             raise ValueError(f"input batch must be (n, {self.free_dim}), got {x.shape}")
         return x, _check_codes(codes, self.emb.cards)
 
-    def _layers_forward(self, trunk_ps, h, first=0):
-        caches = []
-        for layer, (lo, hi) in zip(self.layers[first:], self._offsets[first:]):
-            h, cache = layer.forward(trunk_ps[lo:hi], h)
-            caches.append(cache)
-        return h, caches
+    def free_weights(self, params):
+        """W_x, the free-input columns of the `proj` weight (a view)."""
+        return self._split(params)[1][0][:, self._free]
 
-    def _layers_backward(self, trunk_ps, caches, dy, need_param_grads, first=0):
-        """Reverse pass over layers[first:]; returns (their grads, d input)."""
-        base = self._offsets[first][0]
-        grads = [None] * (len(trunk_ps) - base) if need_param_grads else None
+    def project(self, params, x, codes):
+        """Pre-activation of `proj` in two parts: (x W_x^T, e W_e^T + b,
+        embedding cache)."""
+        x, codes = self._check_input(x, codes)
+        emb_ps, (W, b), _ = self._split(params)
+        outs, emb_cache = self.emb.forward(emb_ps, codes)
+        cond = b + sum(o @ W[:, s].T for o, s in zip(outs, self._emb_cols))
+        return x @ W[:, self._free].T, cond, emb_cache
+
+    def upper_forward(self, params, pre):
+        """Output of the upper layers from `proj` pre-activations, with the
+        layers' caches."""
+        upper_ps = self._split(params)[2]
+        caches = []
+        for layer, (lo, hi) in zip(self.layers, self._offsets):
+            pre, cache = layer.forward(upper_ps[lo:hi], pre)
+            caches.append(cache)
+        return pre, caches
+
+    def upper_backward(self, params, caches, dy, need_param_grads=True):
+        """Reverse pass over the upper layers; returns (their grads, d pre)."""
+        upper_ps = self._split(params)[2]
+        grads = [None] * len(upper_ps) if need_param_grads else None
         for layer, (lo, hi), c in zip(
-            reversed(self.layers[first:]), reversed(self._offsets[first:]), reversed(caches)
+            reversed(self.layers), reversed(self._offsets), reversed(caches)
         ):
-            layer_grads, dy = layer.backward(trunk_ps[lo:hi], c, dy, need_param_grads)
+            layer_grads, dy = layer.backward(upper_ps[lo:hi], c, dy, need_param_grads)
             if need_param_grads:
-                grads[lo - base : hi - base] = layer_grads
+                grads[lo:hi] = layer_grads
         return grads, dy
 
+    def projection_grads(self, params, free_terms, cond_terms):
+        """Gradients of the embedding tables and of `proj` (W, b).
+
+        `free_terms` lists (D, x) pairs whose D^T x sum to the W_x block;
+        `cond_terms` lists (D, embedding cache) pairs, D (n, width) the
+        gradient at the pre-activation of the rows that cache embedded, which
+        feed W_e, b and the tables.
+        """
+        emb_ps, (W, _), _ = self._split(params)
+        dW = np.zeros_like(W)
+        dW[:, self._free] = sum(d.T @ x for d, x in free_terms)
+        db = np.zeros(W.shape[0])
+        emb_grads = zeros_like_params(emb_ps)
+        for d, emb_cache in cond_terms:
+            db += d.sum(axis=0)
+            for s, out in zip(self._emb_cols, emb_cache[1]):
+                dW[:, s] += d.T @ out
+            douts = [d @ W[:, s] for s in self._emb_cols]
+            for acc, g in zip(emb_grads, self.emb.backward(emb_ps, emb_cache, douts)):
+                acc += g
+        return emb_grads + [dW, db]
+
     def forward(self, params, x, codes):
-        x, codes = self._check_input(x, codes)
-        emb_ps, trunk_ps = self._split(params)
-        outs, emb_cache = self.emb.forward(emb_ps, codes)
-        h = np.concatenate([x] + outs if self.free_first else outs + [x], axis=1)
-        h, caches = self._layers_forward(trunk_ps, h)
-        return h, (emb_cache, caches)
+        x = np.asarray(x, dtype=np.float64)
+        proj, cond, emb_cache = self.project(params, x, codes)
+        y, caches = self.upper_forward(params, proj + cond)
+        return y, (x, emb_cache, caches)
 
     def backward(self, params, cache, dy, need_param_grads=True):
         """Reverse pass; returns (grads, d free input)."""
-        emb_ps, trunk_ps = self._split(params)
-        emb_cache, caches = cache
-        grads, dy = self._layers_backward(trunk_ps, caches, dy, need_param_grads)
+        x, emb_cache, caches = cache
+        grads, d_pre = self.upper_backward(params, caches, dy, need_param_grads)
+        dx = d_pre @ self.free_weights(params)
         if not need_param_grads:
-            return None, dy[:, self._free]
-        emb_grads = self.emb.backward(emb_ps, emb_cache, [dy[:, s] for s in self._emb_cols])
-        return emb_grads + grads, dy[:, self._free]
+            return None, dx
+        return self.projection_grads(params, [(d_pre, x)], [(d_pre, emb_cache)]) + grads, dx
 
 
 class GeneratorNet(_Net):
@@ -323,12 +368,11 @@ class GeneratorNet(_Net):
         n_residual: int = 2,
     ):
         emb = _EmbeddingBank(emb_cards, "gen")
-        layers = [Dense(emb.out_dim + latent_dim, width, "gen.proj")]
-        for r in range(n_residual):
-            layers.append(ResidualTanh(width, f"gen.res{r}"))
+        proj = Dense(emb.out_dim + latent_dim, width, "gen.proj")
+        layers = [ResidualTanh(width, f"gen.res{r}") for r in range(n_residual)]
         layers.append(TanhAct())
         layers.append(Dense(width, out_dim, "gen.out"))
-        super().__init__(emb, latent_dim, False, layers)
+        super().__init__(emb, latent_dim, False, proj, layers)
 
 
 class DiscriminatorNet(_Net):
@@ -337,7 +381,9 @@ class DiscriminatorNet(_Net):
     Trunk input [features, embeddings]: affine projection to `width`,
     `n_residual` residual tanh blocks, a tanh, a tanh-separated stack of
     narrowing affine layers (`head_widths`), and a final affine map to K+1
-    scores.
+    scores.  Beyond the shared passes it runs the critic readout's backward
+    and forward-over-reverse passes over the upper layers, which the
+    gradient penalty of the critic loss is built on.
     """
 
     def __init__(
@@ -351,9 +397,8 @@ class DiscriminatorNet(_Net):
     ):
         self.n_classes = n_classes
         emb = _EmbeddingBank(emb_cards, "disc")
-        layers = [Dense(feat_dim + emb.out_dim, width, "disc.proj")]
-        for r in range(n_residual):
-            layers.append(ResidualTanh(width, f"disc.res{r}"))
+        proj = Dense(feat_dim + emb.out_dim, width, "disc.proj")
+        layers = [ResidualTanh(width, f"disc.res{r}") for r in range(n_residual)]
         layers.append(TanhAct())
         prev = width
         for h, w in enumerate(head_widths):
@@ -361,35 +406,7 @@ class DiscriminatorNet(_Net):
             layers.append(TanhAct())
             prev = w
         layers.append(Dense(prev, n_classes + 1, "disc.out"))
-        super().__init__(emb, feat_dim, True, layers)
-
-    # The first trunk layer, `disc.proj`, is affine in the features: its
-    # pre-activation is feat W_f^T + e W_e^T + b with W = [W_f | W_e] and e
-    # the embedding outputs.  The methods below expose it apart from the
-    # layers above it ("upper" layers), so a caller can combine projected
-    # batches linearly and never pass a (n, free_dim + E) array through it.
-
-    def feature_weights(self, params):
-        """W_f, the feature columns of the `disc.proj` weight (a view)."""
-        return self._split(params)[1][0][:, self._free]
-
-    def project(self, params, feat, codes):
-        """Pre-activation of `disc.proj` in two parts: (feat W_f^T,
-        e W_e^T + b, embedding cache)."""
-        feat, codes = self._check_input(feat, codes)
-        emb_ps, trunk_ps = self._split(params)
-        W, b = trunk_ps[0], trunk_ps[1]
-        outs, emb_cache = self.emb.forward(emb_ps, codes)
-        cond = b + sum(o @ W[:, s].T for o, s in zip(outs, self._emb_cols))
-        return feat @ W[:, self._free].T, cond, emb_cache
-
-    def upper_forward(self, params, pre):
-        """Scores from `disc.proj` pre-activations (n, width)."""
-        return self._layers_forward(self._split(params)[1], pre, first=1)
-
-    def upper_backward(self, params, caches, dy, need_param_grads=True):
-        """Reverse pass over the upper layers; returns (their grads, d pre)."""
-        return self._layers_backward(self._split(params)[1], caches, dy, need_param_grads, 1)
+        super().__init__(emb, feat_dim, True, proj, layers)
 
     def critic_pre_gradient(self, params, scores, caches):
         """Per-sample gradient of the critic readout of `scores` w.r.t. the
@@ -405,46 +422,21 @@ class DiscriminatorNet(_Net):
         with lam and mu that scalar's gradients w.r.t. the pre-activation and
         its tangent.
         """
-        trunk_ps = self._split(params)[1]
-        layers, offsets = self.layers[1:], self._offsets[1:]
+        upper_ps = self._split(params)[2]
         tcaches = []
-        for layer, (lo, hi), c in zip(layers, offsets, caches):
-            pre_dot, tcache = layer.tangent(trunk_ps[lo:hi], c, pre_dot)
+        for layer, (lo, hi), c in zip(self.layers, self._offsets, caches):
+            pre_dot, tcache = layer.tangent(upper_ps[lo:hi], c, pre_dot)
             tcaches.append(tcache)
         tvec = critic_head_vector(self.n_classes)
         mu = coeffs[:, None] * tvec[None, :]
         lam = np.zeros_like(mu)
-        base = offsets[0][0]
-        grads = [None] * (len(trunk_ps) - base)
+        grads = [None] * len(upper_ps)
         for layer, (lo, hi), c, tc in zip(
-            reversed(layers), reversed(offsets), reversed(caches), reversed(tcaches)
+            reversed(self.layers), reversed(self._offsets), reversed(caches), reversed(tcaches)
         ):
-            layer_grads, lam, mu = layer.second_backward(trunk_ps[lo:hi], c, tc, lam, mu)
-            grads[lo - base : hi - base] = layer_grads
+            layer_grads, lam, mu = layer.second_backward(upper_ps[lo:hi], c, tc, lam, mu)
+            grads[lo:hi] = layer_grads
         return grads, lam, mu
-
-    def projection_grads(self, params, feat_terms, cond_terms):
-        """Gradients of the embedding tables and of `disc.proj` (W, b).
-
-        `feat_terms` lists (D, x) pairs whose D^T x sum to the W_f block;
-        `cond_terms` lists (D, embedding cache) pairs, D (n, width) the
-        gradient at the pre-activation of the rows that cache embedded, which
-        feed W_e, b and the tables.
-        """
-        emb_ps, trunk_ps = self._split(params)
-        W = trunk_ps[0]
-        dW = np.zeros_like(W)
-        dW[:, self._free] = sum(d.T @ x for d, x in feat_terms)
-        db = np.zeros(W.shape[0])
-        emb_grads = zeros_like_params(emb_ps)
-        for d, emb_cache in cond_terms:
-            db += d.sum(axis=0)
-            for s, out in zip(self._emb_cols, emb_cache[1]):
-                dW[:, s] += d.T @ out
-            douts = [d @ W[:, s] for s in self._emb_cols]
-            for acc, g in zip(emb_grads, self.emb.backward(emb_ps, emb_cache, douts)):
-                acc += g
-        return emb_grads + [dW, db]
 
 
 def critic_head_vector(n_classes: int) -> np.ndarray:

@@ -6,12 +6,13 @@ constants: iterated integrals come from spectral integration of the
 piecewise-linear path, signatures from a dict-of-words tensor algebra, the
 prefix encoder's rows from a full-level outer-product algebra, risk levels
 from a per-prefix loop, and metrics from direct counting.  Slow and obvious
-on purpose.  The one exception is the
-feature-level critic loss with its gradient penalty (the critic's input
-gradient and the penalty's second-order parameter gradient): it runs the
-networks' generic passes, the layers' tangent and second-backward rules and
-the loss's score-level terms over the full trunk input, and is the reference
-for the projection-level passes of `fraudsig.losses.discriminator_loss`.
+on purpose.  The one exception is the whole-trunk form of the networks and
+of the feature-level critic loss with its gradient penalty (the critic's
+input gradient and the penalty's second-order parameter gradient): it runs
+the concatenated trunk input through the package's layers with their
+generic forward, backward, tangent and second-backward rules, plus the
+loss's score-level terms, and is the reference for the networks'
+projection-level passes and for `fraudsig.losses.discriminator_loss`.
 """
 
 from __future__ import annotations
@@ -283,34 +284,73 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Feature-level critic loss: every pass runs the whole trunk on the
-# (B, feat_dim + E) input, and the penalty's second-order pass pushes the
-# input gradient through `disc.proj` as a tangent with zero embedding
-# columns.  Only the networks' generic forward/backward and the layers'
-# tangent and second-backward rules are used.
+# Whole-trunk networks and the feature-level critic loss.  Every pass
+# concatenates the (B, free_dim + E) trunk input and runs it through
+# [net.proj] + net.layers with the layers' generic rules; the penalty's
+# second-order pass pushes the input gradient through `proj` as a tangent
+# with zero embedding columns.  Only the embedding bank and the layers'
+# forward, backward, tangent and second-backward rules of the package are
+# used.
 # ---------------------------------------------------------------------------
 
 
-def _trunk_layout(disc):
-    n_emb = len(disc.emb.specs)
+def _trunk_layout(net):
+    """(trunk layers, their parameter ranges, free-input columns, embedding
+    columns) of a generator or discriminator."""
+    layers = [net.proj] + net.layers
     offsets, n = [], 0
-    for layer in disc.layers:
+    for layer in layers:
         offsets.append((n, n + len(layer.specs)))
         n += len(layer.specs)
-    emb_cols, off = [], disc.free_dim
-    for c in disc.emb.cards:
+    e_dim = sum(net.emb.cards)
+    free = slice(0, net.free_dim) if net.free_first else slice(e_dim, e_dim + net.free_dim)
+    emb_cols, off = [], net.free_dim if net.free_first else 0
+    for c in net.emb.cards:
         emb_cols.append(slice(off, off + c))
         off += c
-    return n_emb, offsets, emb_cols
+    return layers, offsets, free, emb_cols
+
+
+def trunk_forward(net, params, x, codes):
+    """Network output from the concatenated trunk input, with the cache for
+    `trunk_backward` and `penalty_param_grads_reference`."""
+    layers, offsets, _, _ = _trunk_layout(net)
+    n_emb = len(net.emb.specs)
+    emb_ps, trunk_ps = params[:n_emb], params[n_emb:]
+    outs, emb_cache = net.emb.forward(emb_ps, np.asarray(codes))
+    x = np.asarray(x, dtype=np.float64)
+    h = np.concatenate([x] + outs if net.free_first else outs + [x], axis=1)
+    caches = []
+    for layer, (lo, hi) in zip(layers, offsets):
+        h, cache = layer.forward(trunk_ps[lo:hi], h)
+        caches.append(cache)
+    return h, (emb_cache, caches)
+
+
+def trunk_backward(net, params, cache, dy, need_param_grads=True):
+    """Reverse pass of `trunk_forward`; returns (grads or None, d free input)."""
+    layers, offsets, free, emb_cols = _trunk_layout(net)
+    n_emb = len(net.emb.specs)
+    emb_ps, trunk_ps = params[:n_emb], params[n_emb:]
+    emb_cache, caches = cache
+    grads = [None] * len(trunk_ps)
+    for layer, (lo, hi), c in zip(reversed(layers), reversed(offsets), reversed(caches)):
+        layer_grads, dy = layer.backward(trunk_ps[lo:hi], c, dy, need_param_grads)
+        if need_param_grads:
+            grads[lo:hi] = layer_grads
+    if not need_param_grads:
+        return None, dy[:, free]
+    emb_grads = net.emb.backward(emb_ps, emb_cache, [dy[:, s] for s in emb_cols])
+    return emb_grads + grads, dy[:, free]
 
 
 def critic_input_gradient_reference(disc, params, feat, codes):
     """Per-sample gradient of the critic readout w.r.t. `feat`, with the
     forward cache for `penalty_param_grads_reference`."""
-    scores, cache = disc.forward(params, feat, codes)
+    scores, cache = trunk_forward(disc, params, feat, codes)
     tvec = critic_head_vector(disc.n_classes)
-    _, dfeat = disc.backward(
-        params, cache, np.broadcast_to(tvec, scores.shape), need_param_grads=False
+    _, dfeat = trunk_backward(
+        disc, params, cache, np.broadcast_to(tvec, scores.shape), need_param_grads=False
     )
     return dfeat, cache
 
@@ -319,13 +359,14 @@ def penalty_param_grads_reference(disc, params, cache, input_grads, coeffs):
     """Parameter gradient of sum_i coeffs[i] * <g_i, v_i> at v = `input_grads`
     held fixed, g_i the critic's input gradient at sample i: the reverse pass
     over the forward-tangent program with tangent direction v."""
-    n_emb, offsets, emb_cols = _trunk_layout(disc)
+    layers, offsets, free, emb_cols = _trunk_layout(disc)
+    n_emb = len(disc.emb.specs)
     emb_ps, trunk_ps = params[:n_emb], params[n_emb:]
     emb_cache, caches = cache
-    xdot = np.zeros((input_grads.shape[0], disc.free_dim + disc.emb.out_dim))
-    xdot[:, : disc.free_dim] = input_grads
+    xdot = np.zeros((input_grads.shape[0], disc.free_dim + sum(disc.emb.cards)))
+    xdot[:, free] = input_grads
     tcaches = []
-    for layer, (lo, hi), c in zip(disc.layers, offsets, caches):
+    for layer, (lo, hi), c in zip(layers, offsets, caches):
         xdot, tcache = layer.tangent(trunk_ps[lo:hi], c, xdot)
         tcaches.append(tcache)
     tvec = critic_head_vector(disc.n_classes)
@@ -333,7 +374,7 @@ def penalty_param_grads_reference(disc, params, cache, input_grads, coeffs):
     lam = np.zeros_like(mu)
     grads = [None] * len(trunk_ps)
     for layer, (lo, hi), c, tc in zip(
-        reversed(disc.layers), reversed(offsets), reversed(caches), reversed(tcaches)
+        reversed(layers), reversed(offsets), reversed(caches), reversed(tcaches)
     ):
         layer_grads, lam, mu = layer.second_backward(trunk_ps[lo:hi], c, tc, lam, mu)
         grads[lo:hi] = layer_grads
@@ -371,18 +412,19 @@ def discriminator_loss_reference(
     k, n = fake_feat.shape[:2]
     tvec = critic_head_vector(disc.n_classes)
 
-    real_scores, cache = disc.forward(params, real_feat, real_codes)
-    grads, _ = disc.backward(params, cache, np.broadcast_to(k * tvec / n, real_scores.shape))
-    lab_scores, cache = disc.forward(params, labeled_feat, labeled_codes)
+    real_scores, cache = trunk_forward(disc, params, real_feat, real_codes)
+    d_real = np.broadcast_to(k * tvec / n, real_scores.shape)
+    grads, _ = trunk_backward(disc, params, cache, d_real)
+    lab_scores, cache = trunk_forward(disc, params, labeled_feat, labeled_codes)
     lab, dlab_scores = labeled_loss_grad(lab_scores, labels)
-    for a, g in zip(grads, disc.backward(params, cache, (k * lam) * dlab_scores)[0]):
+    for a, g in zip(grads, trunk_backward(disc, params, cache, (k * lam) * dlab_scores)[0]):
         a += g
     unlab = pen = 0.0
     for j in range(k):
-        fake_scores, cache = disc.forward(params, fake_feat[j], fake_codes[j])
+        fake_scores, cache = trunk_forward(disc, params, fake_feat[j], fake_codes[j])
         unlab += unlabeled_loss(real_scores, fake_scores)
         d_fake = np.broadcast_to(-tvec / n, fake_scores.shape)
-        for a, g in zip(grads, disc.backward(params, cache, d_fake)[0]):
+        for a, g in zip(grads, trunk_backward(disc, params, cache, d_fake)[0]):
             a += g
         res, pen_grads = gradient_penalty_reference(
             disc, params, real_feat, fake_feat[j], real_codes, eps[j]

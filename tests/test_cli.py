@@ -323,6 +323,55 @@ def test_unreadable_manifest_is_data_error(pipeline, tmp_path):
     assert main(["report", "--config", str(cfg)]) == EXIT_DATA
 
 
+def test_manifest_not_an_object_is_data_error(pipeline, tmp_path, capsys):
+    """A manifest that parses but is not an object exits 3 and names the
+    file, instead of raising a traceback when the stage records itself."""
+    cfg = _copy_run(pipeline, tmp_path)
+    manifest = tmp_path / "out/manifest.json"
+    manifest.write_text("[1, 2]")
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
+    assert str(manifest) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["C1:five", "C1"], ids=["not-an-int", "no-prefix"])
+def test_malformed_dump_encoding_is_config_error(pipeline, tmp_path, capsys, value):
+    cfg = _copy_run(pipeline, tmp_path)
+    assert main(["prepare", "--config", str(cfg), "--dump-encoding", value]) == EXIT_CONFIG
+    assert "--dump-encoding" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [{"epochs": 1, "burn_in": None, "thinning": 10}, {"epochs": 4, "burn_in": 5},
+     {"burn_in": -1}],
+    ids=["thinning-past-end", "burn-in-past-end", "negative-burn-in"],
+)
+def test_schedule_without_posterior_member_is_config_error(pipeline, tmp_path, schedule):
+    """A schedule that keeps no ensemble member is refused before training,
+    instead of leaving a run that `evaluate` cannot score."""
+    cfg = _copy_run(pipeline, tmp_path, **schedule)
+    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_CONFIG
+
+
+def test_evaluate_without_fraud_in_test_split_is_data_error(tmp_path, capsys):
+    """3 fraud samples at test_fraction 0.1 put round(0.3) = 0 in the test
+    split, where the ranking metrics are undefined: exit 3, naming the cause."""
+    spec = SynthSpec(
+        n_customers=40, n_missing_gender=0, n_rows=800, excluded_rows=0,
+        n_fraud_customers=2, sample_frauds=3, early_frauds=0, excluded_frauds=0,
+        min_rows=5, max_rows=40,
+    )
+    generate(tmp_path / "corpus.csv", spec, seed=1)
+    cfg = _write_config(
+        tmp_path, split={"test_fraction": 0.1, "labeled_sizes": [20], "repetitions": 1}
+    )
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--nl", "20", "--rep", "0"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    assert "no fraud sample" in capsys.readouterr().err
+
+
 def test_resume_with_changed_chain_counts_is_config_error(pipeline, tmp_path):
     cfg = _copy_run(pipeline, tmp_path, chains_d=3)
     train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]

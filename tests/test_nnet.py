@@ -15,7 +15,13 @@ from fraudsig.nnet import (
     zeros_like_params,
 )
 
-from oracles import critic_input_gradient_reference, fd_grad, penalty_param_grads_reference
+from oracles import (
+    critic_input_gradient_reference,
+    fd_grad,
+    penalty_param_grads_reference,
+    trunk_backward,
+    trunk_forward,
+)
 
 
 def _layer_params(layer, rng):
@@ -151,6 +157,46 @@ def test_discriminator_backward_and_input_gradient_match_fd(rng):
             return float((disc.forward(trial, feat, codes)[0] * c).sum())
 
         np.testing.assert_allclose(grads[k], fd_grad(loss, p.copy()), rtol=1e-5, atol=1e-7)
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("need_param_grads", [True, False], ids=["params", "input-only"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GeneratorNet(latent_dim=5, emb_cards=(3, 2, 4), out_dim=7, width=6, n_residual=2),
+        lambda: DiscriminatorNet(
+            feat_dim=11, emb_cards=(3, 2, 4), n_classes=2, width=6, n_residual=2,
+            head_widths=(5, 4),
+        ),
+    ],
+    ids=["generator", "discriminator"],
+)
+def test_forward_backward_match_whole_trunk_reference(make, need_param_grads, rng):
+    """The projection-level passes equal the concatenated trunk input run
+    through `proj` as an ordinary dense layer, for either input layout."""
+    net = make()
+    params = net.init_params(rng)
+    x = rng.normal(size=(9, net.free_dim))
+    codes = np.column_stack([rng.integers(0, c, 9) for c in net.emb.cards])
+    y, cache = net.forward(params, x, codes)
+    y_ref, cache_ref = trunk_forward(net, params, x, codes)
+    _assert_rel_close(y, y_ref)
+    dy = rng.normal(size=y.shape)
+    grads, dx = net.backward(params, cache, dy, need_param_grads)
+    grads_ref, dx_ref = trunk_backward(net, params, cache_ref, dy, need_param_grads)
+    _assert_rel_close(dx, dx_ref)
+    if not need_param_grads:
+        assert grads is None
+        return
+    assert len(grads) == len(grads_ref) == len(net.param_specs)
+    for g, g_ref, spec in zip(grads, grads_ref, net.param_specs):
+        assert g.shape == spec.shape, spec.name
+        _assert_rel_close(g, g_ref)
 
 
 def test_penalty_param_grads_match_fd(rng):
