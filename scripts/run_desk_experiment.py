@@ -50,7 +50,6 @@ def main() -> None:
     ap.add_argument("--workdir", default="desk_run", help="output directory")
     ap.add_argument("--dataset", default=None, help="existing BankSim-style CSV")
     ap.add_argument("--subsample", type=float, default=0.1)
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
 
     work = Path(args.workdir)
@@ -64,8 +63,7 @@ def main() -> None:
     cfg_path = work / "desk.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg, sort_keys=True))
 
-    run(["prepare", "--config", str(cfg_path),
-         "--subsample", str(args.subsample), "--workers", str(args.workers)])
+    run(["prepare", "--config", str(cfg_path), "--subsample", str(args.subsample)])
     nl = max(1, round(25946 * args.subsample))
     run(["train", "--config", str(cfg_path), "--nl", str(nl), "--rep", "0"])
     run(["evaluate", "--config", str(cfg_path)])

@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .config import ExperimentConfig, SplitPlan, TrainConfig, HeadConfig, ConfigError
 from .lyndon import LyndonBasis, lyndon_words, witt_count
-from .signatures import augment, encode, path_signature, tensor_exp, tensor_log
+from .signatures import tensor_log
 from .training import PreparedData, TrainResult, train, predict
 
 __all__ = [
@@ -18,10 +18,6 @@ __all__ = [
     "LyndonBasis",
     "lyndon_words",
     "witt_count",
-    "augment",
-    "encode",
-    "path_signature",
-    "tensor_exp",
     "tensor_log",
     "PreparedData",
     "TrainResult",

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
+
 __all__ = [
     "Transaction",
     "CustomerSeries",
@@ -394,6 +396,12 @@ def split_and_unlabel(
     """
     rng = np.random.Generator(np.random.PCG64(seed_sequences["split"]))
     train_idx, test_idx = stratified_split(labels, test_fraction, rng)
+    too_large = [n for n in labeled_sizes if n > train_idx.size]
+    if too_large:
+        raise ConfigError(
+            f"labeled_sizes {too_large} exceed the {train_idx.size} samples of the "
+            "training split"
+        )
     labeled: dict = {}
     for si, size in enumerate(labeled_sizes):
         for rep in range(repetitions):

@@ -153,14 +153,13 @@ def _cache_path(cfg: ExperimentConfig, subsample: float) -> Path:
     return cache_dir(cfg) / f"deg{cfg.sig_degree}_v{SCHEME_VERSION}_{tag}"
 
 
-def _load_store(cfg, samples, subsample, workers=1) -> tuple[FeatureStore, bool]:
+def _load_store(cfg, samples, subsample) -> tuple[FeatureStore, bool]:
     return build_feature_store(
         samples,
         cfg.sig_degree,
         _cache_path(cfg, subsample),
         dataset_fingerprint(cfg.dataset_path),
         cfg.min_prefix,
-        workers,
     )
 
 
@@ -234,8 +233,6 @@ def _cmd_prepare(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     if not 0 < args.subsample <= 1:
         raise ConfigError(f"--subsample must be in (0, 1], got {args.subsample}")
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.dump_encoding:
         cust, _, plen = args.dump_encoding.partition(":")
         try:
@@ -265,7 +262,7 @@ def _cmd_prepare(args) -> int:
     )
     max_sd, max_amt = banksim.training_maxima(samples, split.train_idx)
 
-    store, cache_hit = _load_store(cfg, samples, args.subsample, args.workers)
+    store, cache_hit = _load_store(cfg, samples, args.subsample)
 
     splits = {
         "stats": stats,
@@ -501,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="parse, split and encode the dataset")
     p.add_argument("--config", required=True, help="YAML experiment config")
-    p.add_argument("--workers", type=int, default=1, help="encoder processes")
     p.add_argument(
         "--subsample", type=float, default=1.0,
         help="keep this fraction of customers (labeled sizes scale along)",

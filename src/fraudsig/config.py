@@ -9,6 +9,7 @@ one global seed through numpy's SeedSequence spawn-key mechanism, so each
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +54,31 @@ def derive_rng(global_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed_sequence(global_seed, *key)))
 
 
+def _is_kind(value, allowed) -> bool:
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
+def _check_kinds(section) -> None:
+    """Every field whose default is an integer or a float, or a tuple of
+    them, holds values of that kind (bools are neither)."""
+    for f in dataclasses.fields(section):
+        value, default = getattr(section, f.name), f.default
+        items = (value,)
+        if isinstance(default, tuple):
+            if not isinstance(value, tuple):
+                raise ConfigError(f"{f.name} must be a list, got {value!r}")
+            items, default = value, default[0]
+        if isinstance(default, int):
+            kind, allowed = "an integer", numbers.Integral
+        elif isinstance(default, float):
+            kind, allowed = "a number", numbers.Real
+        else:
+            continue
+        for item in items:
+            if not _is_kind(item, allowed):
+                raise ConfigError(f"{f.name} must hold {kind}, got {item!r}")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Protocol for the train/test split and the labeled-subset draws."""
@@ -95,14 +121,19 @@ class TrainConfig:
         return self.epochs // 2 if self.burn_in is None else self.burn_in
 
     def validate(self) -> None:
-        for name in ("lr_g", "lr_d", "lam", "gp_weight", "friction"):
+        for name in ("lr_g", "lr_d", "lam", "gp_weight", "friction", "noise_scale"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        for name in ("batch", "n_critic", "chains_g", "chains_d", "thinning"):
+        for name in (
+            "batch", "n_critic", "chains_g", "chains_d", "thinning", "latent_dim", "width"
+        ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        for name in ("epochs", "n_residual", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if any(w < 1 for w in self.head_widths):
+            raise ConfigError(f"head_widths entries must be >= 1, got {list(self.head_widths)}")
         burn_in = self.burn_in_epochs()
         if burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
@@ -177,6 +208,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.dataset_path:
             raise ConfigError("dataset_path is required")
+        for section in (self, self.split, self.train, self.heads):
+            _check_kinds(section)
+        burn_in = self.train.burn_in
+        if burn_in is not None and not _is_kind(burn_in, numbers.Integral):
+            raise ConfigError(f"burn_in must be an integer or null, got {burn_in!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.sig_degree < 1:
             raise ConfigError("sig_degree must be >= 1")
         if self.min_prefix < 2:
@@ -185,6 +223,12 @@ class ExperimentConfig:
             raise ConfigError("test_fraction must be in (0, 1)")
         if self.split.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if not self.split.labeled_sizes:
+            raise ConfigError("labeled_sizes must name at least one size")
+        if any(n < 1 for n in self.split.labeled_sizes):
+            raise ConfigError(
+                f"labeled_sizes entries must be >= 1, got {list(self.split.labeled_sizes)}"
+            )
         self.train.validate()
 
     def to_dict(self) -> dict:

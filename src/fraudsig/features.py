@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -201,29 +200,12 @@ class FeatureStore:
     manifest: dict
 
 
-_worker_ctx: dict = {}
-
-
-def _worker_init(degree: int, min_prefix: int):
-    _worker_ctx["degree"] = degree
-    _worker_ctx["min_prefix"] = min_prefix
-    _worker_ctx["basis"] = LyndonBasis.build(_D_AUG, degree)
-
-
-def _worker_encode(task):
-    ci, sd, amt = task
-    return ci, encode_prefixes(
-        sd, amt, _worker_ctx["degree"], _worker_ctx["basis"], _worker_ctx["min_prefix"]
-    )
-
-
 def build_feature_store(
     samples: SampleSet,
     degree: int,
     cache_path: str | Path,
     dataset_hash: str,
     min_prefix: int = 5,
-    workers: int = 1,
 ) -> tuple[FeatureStore, bool]:
     """Encode every sample once, or reuse the on-disk cache.
 
@@ -269,21 +251,11 @@ def build_feature_store(
         max(0, len(cs) - min_prefix + 1) for cs in samples.customers
     ]
     offsets[1:] = np.cumsum(lengths)
-    tasks = [
-        (ci, cs.step_diffs, cs.amounts)
-        for ci, cs in enumerate(samples.customers)
-        if lengths[ci] > 0
-    ]
-    if workers > 1:
-        with multiprocessing.Pool(
-            workers, initializer=_worker_init, initargs=(degree, min_prefix)
-        ) as pool:
-            for ci, rows in pool.imap_unordered(_worker_encode, tasks, chunksize=16):
-                matrix[offsets[ci] : offsets[ci] + rows.shape[0]] = rows
-    else:
-        for ci, sd, amt in tasks:
-            rows = encode_prefixes(sd, amt, degree, basis, min_prefix)
-            matrix[offsets[ci] : offsets[ci] + rows.shape[0]] = rows
+    for ci, cs in enumerate(samples.customers):
+        if lengths[ci] > 0:
+            matrix[offsets[ci] : offsets[ci + 1]] = encode_prefixes(
+                cs.step_diffs, cs.amounts, degree, basis, min_prefix
+            )
 
     tmp_bin = bin_path.with_suffix(".bin.tmp")
     matrix.astype("<f8", copy=False).tofile(tmp_bin)

@@ -22,16 +22,17 @@ kept entries of the full one.  The log-signature encoder keeps only the
 length-M Lyndon positions (``LyndonBasis.top``): 588 of 2,401 at D = 7,
 M = 4.
 
-The feature map used for transaction sequences is
+The direct form of the feature map for transaction sequences is
 
     augment -> path_signature -> tensor_log -> lyndon_project
 
-producing the log-signature coordinates in the Lyndon-word basis.
+(``encode``), producing the log-signature coordinates in the Lyndon-word
+basis.  The pipeline never runs it: ``prepare`` uses the incremental prefix
+encoder in :mod:`fraudsig.features`, which the tests and
+``perfbench/make_reference.py`` check against this form.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "chen_product",
     "path_signature",
     "tensor_log",
-    "tensor_exp",
     "lyndon_project",
     "augment_time",
     "augment_leadlag",
@@ -244,20 +244,6 @@ def tensor_log(s: TensorSeries) -> TensorSeries:
             out[m] += coeff * acc
         power = nxt
     return TensorSeries(s.alphabet_size, s.degree, out, s.top)
-
-
-def tensor_exp(a: TensorSeries) -> TensorSeries:
-    """Tensor exponential of a series with scalar part 0 (inverse of tensor_log)."""
-    if np.any(np.abs(a.levels[0]) > 1e-9):
-        raise ValueError(f"tensor_exp needs scalar part 0, got {a.levels[0]!r}")
-    out = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape, a.top)
-    power = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape, a.top)
-    for n in range(1, a.degree + 1):
-        power = chen_product(power, a)
-        inv_fact = 1.0 / math.factorial(n)
-        for m in range(n, a.degree + 1):
-            out.levels[m] += inv_fact * power.levels[m]
-    return out
 
 
 def lyndon_project(log_series: TensorSeries, basis: LyndonBasis) -> np.ndarray:

@@ -6,10 +6,12 @@ constants: iterated integrals come from spectral integration of the
 piecewise-linear path, signatures from a dict-of-words tensor algebra, the
 prefix encoder's rows from a full-level outer-product algebra, risk levels
 from a per-prefix loop, and metrics from direct counting.  Slow and obvious
-on purpose.  The one exception is the whole-trunk form of the networks and
-of the feature-level critic loss with its gradient penalty (the critic's
-input gradient and the penalty's second-order parameter gradient): it runs
-the concatenated trunk input through the package's layers with their
+on purpose.  There are two exceptions.  The tensor exponential, which the
+exp-log round-trip tests apply to `fraudsig.signatures.tensor_log`, is a
+power series of the package's `chen_product`.  The whole-trunk form of the
+networks and of the feature-level critic loss with its gradient penalty (the
+critic's input gradient and the penalty's second-order parameter gradient)
+runs the concatenated trunk input through the package's layers with their
 generic forward, backward, tangent and second-backward rules, plus the
 loss's score-level terms, and is the reference for the networks'
 projection-level passes and for `fraudsig.losses.discriminator_loss`.
@@ -26,6 +28,7 @@ from fraudsig.banksim import rate_to_bucket
 from fraudsig.features import _BLOCK, _D_AUG, _TIME_CHANNELS, _VIS_CHANNEL
 from fraudsig.losses import labeled_loss_grad, unlabeled_loss
 from fraudsig.nnet import critic_head_vector
+from fraudsig.signatures import TensorSeries, chen_product
 
 # ---------------------------------------------------------------------------
 # Iterated integrals by repeated integration.
@@ -146,6 +149,20 @@ def brute_lyndon_words(dim: int, max_len: int) -> list[tuple[int, ...]]:
             if all(w < w[i:] + w[:i] for i in range(1, m)):
                 out.append(w)
     return sorted(out, key=lambda w: (len(w), w))
+
+
+def tensor_exp(a: TensorSeries) -> TensorSeries:
+    """Tensor exponential of a series with scalar part 0 (inverse of tensor_log)."""
+    if np.any(np.abs(a.levels[0]) > 1e-9):
+        raise ValueError(f"tensor_exp needs scalar part 0, got {a.levels[0]!r}")
+    out = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape, a.top)
+    power = TensorSeries.unit(a.alphabet_size, a.degree, a.batch_shape, a.top)
+    for n in range(1, a.degree + 1):
+        power = chen_product(power, a)
+        inv_fact = 1.0 / math.factorial(n)
+        for m in range(n, a.degree + 1):
+            out.levels[m] += inv_fact * power.levels[m]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from fraudsig.signatures import (
     chen_product,
     encode,
     path_signature,
-    tensor_exp,
     tensor_log,
 )
 from fraudsig.synthdata import SynthSpec, generate
@@ -73,6 +72,7 @@ from oracles import (
     iterated_integral,
     reference_adam_step,
     sghmc_step,
+    tensor_exp,
 )
 
 LABELED_SIZES = (2595, 3893, 5190, 12973, 25946)

@@ -164,8 +164,6 @@ def test_invalid_config_is_config_error(tmp_path):
     assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
     cfg = _write_config(tmp_path, train={"optimizer": "adam"})  # removed setting
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_CONFIG
-    cfg = _write_config(tmp_path)
-    assert main(["prepare", "--config", str(cfg), "--workers", "0"]) == EXIT_CONFIG
     cfg = _write_config(tmp_path, split={"seed": 0})  # removed setting
     assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
 
@@ -425,3 +423,47 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_workers_option_is_refused(tmp_path):
+    """The encoder runs in one process; `--workers` is an unknown option."""
+    cfg = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--config", str(cfg), "--workers", "2"])
+    assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "field, over",
+    [
+        ("noise_scale", {"train": {"noise_scale": -1.0}}),
+        ("checkpoint_every", {"train": {"checkpoint_every": -2}}),
+        ("width", {"train": {"width": 0}}),
+        ("latent_dim", {"train": {"latent_dim": 0}}),
+        ("n_residual", {"train": {"n_residual": -1}}),
+        ("head_widths", {"train": {"head_widths": [0]}}),
+        ("seed", {"seed": -1}),
+        ("seed", {"seed": "x"}),
+        ("sig_degree", {"sig_degree": "4"}),
+        ("labeled_sizes", {"split": {"labeled_sizes": [100000]}}),
+        ("labeled_sizes", {"split": {"labeled_sizes": [0]}}),
+        ("labeled_sizes", {"split": {"labeled_sizes": []}}),
+    ],
+    ids=["negative-noise-scale", "negative-checkpoint-every", "zero-width",
+         "zero-latent-dim", "negative-n-residual", "zero-head-width", "negative-seed",
+         "string-seed", "string-degree", "size-above-pool", "size-zero", "no-size"],
+)
+def test_invalid_setting_is_config_error(tmp_path, capsys, field, over):
+    """A value of the wrong kind or range exits 2 and names the field,
+    instead of a traceback, a degenerate network, a sampler without injected
+    noise, checkpoints at a negative interval or a silently changed size."""
+    generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
+    cfg = _write_config(tmp_path, **over)
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+def test_empty_head_widths_is_valid(tmp_path):
+    generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
+    cfg = _write_config(tmp_path, train={"head_widths": []})
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_OK

@@ -204,13 +204,6 @@ def test_unreadable_manifest_is_rebuilt(tmp_path, rng, manifest):
     assert manifest_path.read_text() == written
 
 
-def test_worker_pool_matches_serial(tmp_path, rng):
-    samples = _sample_set(rng, n_customers=5)
-    a, _ = build_feature_store(samples, 2, tmp_path / "c1", "h", 5, workers=1)
-    b, _ = build_feature_store(samples, 2, tmp_path / "c2", "h", 5, workers=2)
-    np.testing.assert_array_equal(a.matrix, b.matrix)
-
-
 def test_rows_align_with_samples(tmp_path, rng):
     samples = _sample_set(rng, n_customers=4)
     store, _ = build_feature_store(samples, 2, tmp_path / "c", "h", 5)

@@ -19,11 +19,10 @@ from fraudsig.signatures import (
     lyndon_project,
     path_signature,
     segment_signature,
-    tensor_exp,
     tensor_log,
 )
 
-from oracles import iterated_integral, word_logsig_coords, word_path_sig
+from oracles import iterated_integral, tensor_exp, word_logsig_coords, word_path_sig
 
 
 def paths(max_n=7, max_d=3):
