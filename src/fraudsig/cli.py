@@ -45,7 +45,6 @@ from .training import (
     build_nets,
     load_members,
     predict,
-    recover_checkpoint,
     train,
 )
 
@@ -253,6 +252,11 @@ def _cmd_prepare(args) -> int:
     stats["n_fraud_samples"] = int(samples.labels.sum())
 
     sizes = cfg.split.scaled_sizes(args.subsample)
+    if len(set(sizes)) < len(sizes):
+        raise ConfigError(
+            f"labeled_sizes {list(cfg.split.labeled_sizes)} scale to {list(sizes)} at "
+            f"--subsample {args.subsample}; each cell needs a distinct size"
+        )
     seeds = {"split": derive_seed_sequence(cfg.seed, STAGE_SPLIT)}
     for si in range(len(sizes)):
         for rep in range(cfg.split.repetitions):
@@ -348,16 +352,11 @@ def _cmd_train(args) -> int:
         emb_cards=_emb_cards(splits),
     )
 
-    if args.seed is not None:
-        seed = args.seed
-        spawn_key = None
-    else:
-        spawn_key = [STAGE_TRAIN, si, args.rep]
-        seed = int(derive_seed_sequence(cfg.seed, *spawn_key).generate_state(1)[0])
+    spawn_key = [STAGE_TRAIN, si, args.rep]
+    seed = int(derive_seed_sequence(cfg.seed, *spawn_key).generate_state(1)[0])
 
     run_dir = _run_dir(cfg, size, args.rep)
     ckpt = run_dir / "checkpoint"
-    recover_checkpoint(ckpt)
     resume = args.resume and (ckpt / "state.json").exists()
     if not resume and ckpt.exists():
         shutil.rmtree(ckpt)
@@ -419,7 +418,6 @@ def _cmd_evaluate(args) -> int:
     for si, size in enumerate(splits["labeled_sizes"]):
         for rep in range(splits["repetitions"]):
             ckpt = _run_dir(cfg, size, rep) / "checkpoint"
-            recover_checkpoint(ckpt)
             if not (ckpt / "state.json").exists():
                 n_missing += 1
                 logger.info("no checkpoint for nl%d rep%d; skipping", size, rep)
@@ -512,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--nl", type=int, required=True, help="labeled-set size")
     p.add_argument("--rep", type=int, required=True, help="repetition index")
-    p.add_argument("--seed", type=int, default=None, help="override the derived cell seed")
     p.add_argument("--resume", action="store_true", help="continue from the cell checkpoint")
     p.set_defaults(fn=_cmd_train)
 

@@ -157,6 +157,20 @@ class HeadConfig:
     alpha: float = 0.02
     tau: float = 0.5
 
+    def validate(self) -> None:
+        if not all(0 < k <= 100 for k in self.k_percents):
+            raise ConfigError(
+                f"k_percents entries must be in (0, 100], got {list(self.k_percents)}"
+            )
+        if not all(0 < r <= 1 for r in self.recall_levels):
+            raise ConfigError(
+                f"recall_levels entries must be in (0, 1], got {list(self.recall_levels)}"
+            )
+        if not self.alpha >= 0:
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.tau <= 1:
+            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -229,7 +243,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"labeled_sizes entries must be >= 1, got {list(self.split.labeled_sizes)}"
             )
+        if len(set(self.split.labeled_sizes)) < len(self.split.labeled_sizes):
+            raise ConfigError(
+                f"labeled_sizes must not repeat a size, got {list(self.split.labeled_sizes)}"
+            )
         self.train.validate()
+        self.heads.validate()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

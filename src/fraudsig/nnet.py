@@ -31,9 +31,7 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,8 +45,6 @@ __all__ = [
     "critic_head",
     "critic_head_vector",
     "restricted_softmax",
-    "save_params",
-    "load_params",
     "zeros_like_params",
 ]
 
@@ -467,39 +463,6 @@ def restricted_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = real - real.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# Parameter serialisation: one flat little-endian float64 stream plus a JSON
-# manifest of names and shapes, in parameter order.
-# ---------------------------------------------------------------------------
-
-
-def save_params(prefix: str | Path, params) -> None:
-    prefix = Path(prefix)
-    flat = np.concatenate([np.asarray(p, dtype=np.float64).ravel() for p in params])
-    prefix.with_suffix(".bin").write_bytes(flat.astype("<f8").tobytes())
-    manifest = {
-        "dtype": "<f8",
-        "tensors": [
-            {"name": f"param{i}", "shape": list(np.shape(p))} for i, p in enumerate(params)
-        ],
-    }
-    prefix.with_suffix(".json").write_text(json.dumps(manifest, indent=1))
-
-
-def load_params(prefix: str | Path):
-    prefix = Path(prefix)
-    manifest = json.loads(prefix.with_suffix(".json").read_text())
-    flat = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype=manifest["dtype"])
-    params, off = [], 0
-    for entry in manifest["tensors"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        params.append(flat[off : off + size].reshape(entry["shape"]).astype(np.float64))
-        off += size
-    if off != flat.size:
-        raise ValueError(f"parameter stream has {flat.size} values, manifest expects {off}")
-    return params
 
 
 def zeros_like_params(params):

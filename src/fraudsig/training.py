@@ -15,7 +15,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import shutil
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,13 +24,7 @@ import numpy as np
 
 from .config import ConfigError, DataError, TrainConfig, derive_rng
 from .losses import discriminator_loss, generator_loss_from_scores
-from .nnet import (
-    DiscriminatorNet,
-    GeneratorNet,
-    load_params,
-    restricted_softmax,
-    save_params,
-)
+from .nnet import DiscriminatorNet, GeneratorNet, restricted_softmax
 from .sghmc import AdamState, GlorotPrior, adam_sghmc_step
 
 __all__ = [
@@ -42,7 +37,6 @@ __all__ = [
     "train",
     "predict",
     "save_checkpoint",
-    "recover_checkpoint",
     "load_checkpoint",
     "load_members",
 ]
@@ -236,6 +230,7 @@ def train(
     members: list[EnsembleMember] = []
     trace: list = []
     start_epoch = 0
+    n_saved = 0  # members in the checkpoint on disk
     fingerprint = _fingerprint(data, cfg)
 
     if resume:
@@ -244,6 +239,7 @@ def train(
         start_epoch = load_checkpoint(
             checkpoint_dir, gen_chains, disc_chains, cycle, members, trace, fingerprint
         )
+        n_saved = len(members)
 
     if cfg.epochs == 0 and not members:
         for j, c in enumerate(disc_chains):
@@ -331,9 +327,10 @@ def train(
             or epoch == cfg.epochs
         ):
             save_checkpoint(
-                checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, trace,
-                fingerprint,
+                checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, n_saved,
+                trace, fingerprint,
             )
+            n_saved = len(members)
 
     return TrainResult(
         members=members,
@@ -371,126 +368,147 @@ def predict(
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing.  A checkpoint directory holds one float64 stream + JSON
-# shape manifest per tensor list (chain parameters, optimizer state, ensemble
-# members) and a state.json with counters, RNG states and the fingerprint of
-# the settings and data it was trained on.  Writes go to a temporary sibling
-# directory, with state.json written last, so partially written checkpoints
-# are never loadable.  The previous checkpoint is moved
-# aside before the new one is renamed in and deleted only after, so some
-# complete checkpoint exists at every instant; `recover_checkpoint` moves
-# one left aside by a crash back into place.  A checkpoint whose files
-# cannot be parsed raises DataError naming it.
+# Checkpointing.  A checkpoint directory holds three files:
+#   members.bin         every ensemble member's tensors in collection order,
+#                       one fixed-size little-endian float64 record each;
+#   chains-<epoch>.bin  every chain's params, adam m and adam v, generator
+#                       chains first, in the same format;
+#   state.json          counters, RNG states, the member list, the trace,
+#                       the fingerprint of the settings and data, the name of
+#                       the chains file and both networks' parameter shapes.
+# A save cuts members.bin to the records the state.json on disk lists and
+# appends the new members, writes a fresh chains file, writes
+# state.json.tmp and replaces state.json with it.  That replace is the
+# commit point: before it every file the old state.json names is intact,
+# and only after it is the old chains file deleted.  A checkpoint that
+# cannot be parsed raises DataError naming it; one of another network
+# shape, or written by an older version (no chain_state key), ConfigError.
 # ---------------------------------------------------------------------------
 
+_STATE_KEYS = (
+    "epoch", "fingerprint", "data_rng", "cycle", "gen_shapes", "disc_shapes",
+    "gen_chains", "disc_chains", "members", "trace",
+)
 
-def _chain_state(chain: _Chain, prefix: str, out_dir: Path) -> dict:
-    save_params(out_dir / f"{prefix}_params", chain.params)
-    save_params(out_dir / f"{prefix}_adam_m", chain.adam.m)
-    save_params(out_dir / f"{prefix}_adam_v", chain.adam.v)
+
+def _write(f, tensors) -> None:
+    for t in tensors:
+        f.write(np.ascontiguousarray(t, dtype="<f8"))
+
+
+def _chain_entry(chain: _Chain) -> dict:
     return {"rng": chain.rng.bit_generator.state, "adam_t": chain.adam.t}
 
 
-def _read_state(in_dir: Path) -> dict:
-    try:
-        return json.loads((in_dir / "state.json").read_text())
-    except ValueError as exc:
-        raise DataError(f"checkpoint {in_dir}: unreadable state.json ({exc})") from exc
-
-
-def _load(in_dir: Path, name: str, shapes: list):
-    """The tensor list `name` of a checkpoint.  An unreadable one is a
-    DataError; one of other shapes than `shapes`, the configured network's,
-    is a ConfigError."""
-    try:
-        params = load_params(in_dir / name)
-    except ValueError as exc:
-        raise DataError(f"checkpoint {in_dir}: unreadable {name} ({exc})") from exc
-    got = [p.shape for p in params]
-    if got != shapes:
-        raise ConfigError(
-            f"checkpoint {in_dir}: {name} has parameter shapes {got}; "
-            f"the configured network has {shapes}"
-        )
-    return params
-
-
-def _restore_chain(chain: _Chain, prefix: str, in_dir: Path, entry: dict) -> None:
-    """Load one chain's state; a chain without adaptive-moment state or of
-    another network shape than the configured one is a ConfigError."""
-    if "adam_t" not in entry:
-        raise ConfigError(
-            f"checkpoint {in_dir}: chain {prefix} has no adaptive-moment state (adam_t); "
-            f"it was written by a stepper this version does not run"
-        )
-    shapes = [p.shape for p in chain.params]
-    chain.params = _load(in_dir, f"{prefix}_params", shapes)
-    chain.rng.bit_generator.state = entry["rng"]
-    chain.adam.m = _load(in_dir, f"{prefix}_adam_m", shapes)
-    chain.adam.v = _load(in_dir, f"{prefix}_adam_v", shapes)
-    chain.adam.t = int(entry["adam_t"])
-
-
 def save_checkpoint(
-    checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, trace, fingerprint
+    checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, n_saved, trace,
+    fingerprint,
 ) -> None:
-    final = Path(checkpoint_dir)
-    tmp = final.with_name(final.name + ".tmp")
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
+    """Write a checkpoint of the state after `epoch`; the first `n_saved`
+    members are already in the checkpoint on disk."""
+    out = Path(checkpoint_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    record = sum(p.size for p in disc_chains[0].params) * 8
+    with open(out / "members.bin", "ab") as f:
+        f.truncate(n_saved * record)
+        for m in members[n_saved:]:
+            _write(f, m.params)
+    chains = f"chains-{epoch}.bin"
+    with open(out / chains, "wb") as f:
+        for c in (*gen_chains, *disc_chains):
+            for tensors in (c.params, c.adam.m, c.adam.v):
+                _write(f, tensors)
     state = {
         "epoch": epoch,
         "fingerprint": fingerprint,
         "data_rng": cycle.rng.bit_generator.state,
         "cycle": cycle.state(),
-        "gen_chains": [],
-        "disc_chains": [],
-        "members": [],
+        "chain_state": chains,
+        "gen_shapes": [list(p.shape) for p in gen_chains[0].params],
+        "disc_shapes": [list(p.shape) for p in disc_chains[0].params],
+        "gen_chains": [_chain_entry(c) for c in gen_chains],
+        "disc_chains": [_chain_entry(c) for c in disc_chains],
+        "members": [{"chain": m.chain, "epoch": m.epoch} for m in members],
         "trace": [list(row) for row in trace],
     }
-    for j, chain in enumerate(gen_chains):
-        state["gen_chains"].append(_chain_state(chain, f"gen{j}", tmp))
-    for j, chain in enumerate(disc_chains):
-        state["disc_chains"].append(_chain_state(chain, f"disc{j}", tmp))
-    for i, m in enumerate(members):
-        save_params(tmp / f"member{i:05d}", m.params)
-        state["members"].append({"chain": m.chain, "epoch": m.epoch})
-    (tmp / "state.json").write_text(json.dumps(state))
-    aside = final.with_name(final.name + ".old")
-    if aside.exists():
-        shutil.rmtree(aside)
-    if final.exists():
-        final.rename(aside)
-    tmp.rename(final)
-    if aside.exists():
-        shutil.rmtree(aside)
+    tmp = out / "state.json.tmp"
+    tmp.write_text(json.dumps(state))
+    tmp.replace(out / "state.json")
+    _drop_chains_but(out, chains)
 
 
-def recover_checkpoint(checkpoint_dir) -> None:
-    """Finish a checkpoint swap that a crash interrupted: put a checkpoint
-    left aside back in place if none replaced it, else delete it."""
-    final = Path(checkpoint_dir)
-    aside = final.with_name(final.name + ".old")
-    if not aside.exists():
-        return
-    if final.exists():
-        shutil.rmtree(aside)
-    else:
-        aside.rename(final)
+def _drop_chains_but(in_dir: Path, keep: str) -> None:
+    for path in in_dir.glob("chains-*.bin"):
+        if path.name != keep:
+            path.unlink()
+
+
+@contextmanager
+def _parsing(in_dir: Path):
+    """Report a malformed entry of the checkpoint `in_dir` as a DataError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {in_dir}: unreadable state.json ({exc!r})") from exc
+
+
+def _read_state(in_dir: Path) -> dict:
+    with _parsing(in_dir):
+        state = json.loads((in_dir / "state.json").read_text())
+        if not isinstance(state, dict):
+            raise DataError(f"checkpoint {in_dir}: state.json is not a JSON object")
+        if "chain_state" not in state:
+            raise ConfigError(
+                f"checkpoint {in_dir} was written by an older version of fraudsig; "
+                f"train the cell again without --resume"
+            )
+    missing = [k for k in _STATE_KEYS if k not in state]
+    if missing:
+        raise DataError(f"checkpoint {in_dir}: state.json lacks {', '.join(missing)}")
+    return state
+
+
+def _check_shapes(in_dir: Path, state: dict, key: str, shapes: list) -> None:
+    with _parsing(in_dir):
+        got = [tuple(s) for s in state[key]]
+    if got != [tuple(s) for s in shapes]:
+        raise ConfigError(
+            f"checkpoint {in_dir}: {key} records parameter shapes {got}; "
+            f"the configured network has {shapes}"
+        )
+
+
+def _views(in_dir: Path, name: str, shapes: list) -> list[np.ndarray]:
+    """Consecutive tensors of `shapes`, as views of the start of the
+    checkpoint file `name`; a file shorter than they need is a DataError."""
+    sizes = [math.prod(s) for s in shapes]
+    flat = np.fromfile(in_dir / name, dtype="<f8", count=sum(sizes))
+    if flat.size < sum(sizes):
+        raise DataError(
+            f"checkpoint {in_dir}: {name} holds {flat.size} values; "
+            f"state.json needs {sum(sizes)}"
+        )
+    ends = np.cumsum(sizes)
+    return [flat[e - n : e].reshape(s) for e, n, s in zip(ends, sizes, shapes)]
 
 
 def _members(in_dir: Path, state: dict, shapes: list) -> list[EnsembleMember]:
+    _check_shapes(in_dir, state, "disc_shapes", shapes)
+    with _parsing(in_dir):
+        metas = [(int(m["chain"]), int(m["epoch"])) for m in state["members"]]
+    tensors = iter(_views(in_dir, "members.bin", list(shapes) * len(metas)))
     return [
-        EnsembleMember(meta["chain"], meta["epoch"], _load(in_dir, f"member{i:05d}", shapes))
-        for i, meta in enumerate(state["members"])
+        EnsembleMember(chain, epoch, [next(tensors) for _ in shapes])
+        for chain, epoch in metas
     ]
 
 
 def load_members(checkpoint_dir, shapes: list) -> list[EnsembleMember]:
-    """The discriminator posterior ensemble stored in a checkpoint; a member
-    of other parameter shapes than `shapes`, the configured network's, is a
-    ConfigError naming the checkpoint."""
+    """The discriminator posterior ensemble stored in a checkpoint, as views
+    of one array; members of other parameter shapes than `shapes`, the
+    configured network's, are a ConfigError naming the checkpoint."""
     in_dir = Path(checkpoint_dir)
     return _members(in_dir, _read_state(in_dir), shapes)
 
@@ -503,37 +521,45 @@ def load_checkpoint(
     A checkpoint whose stored fingerprint differs from `fingerprint` on any
     of its keys is a ConfigError naming them; keys this version does not
     fingerprint, such as the `optimizer` of older versions, are not
-    compared, and a checkpoint stored without a fingerprint (older versions)
-    is not compared at all.  Entries this version does not read, such as
-    the generator ensemble and the chain learning rates that older versions
-    stored, are ignored."""
+    compared.  Entries this version does not read, such as the generator
+    ensemble that older versions stored, are ignored.  A chains file that
+    the state does not name, left by a crash after the commit, is deleted."""
     in_dir = Path(checkpoint_dir)
     state = _read_state(in_dir)
-    saved_fp = state.get("fingerprint")
-    if fingerprint is not None and saved_fp is not None:
+    with _parsing(in_dir):
+        saved_fp = state["fingerprint"]
         diff = [
             f"{k}: {saved_fp.get(k)!r} -> {v!r}"
-            for k, v in sorted(fingerprint.items())
+            for k, v in sorted((fingerprint or {}).items())
             if saved_fp.get(k) != v
         ]
-        if diff:
-            raise ConfigError(
-                f"checkpoint {in_dir} was written with other sampler settings or data; "
-                f"differing keys (checkpoint -> now): {'; '.join(diff)}"
-            )
-    saved = (len(state["gen_chains"]), len(state["disc_chains"]))
+        saved = (len(state["gen_chains"]), len(state["disc_chains"]))
+    if diff:
+        raise ConfigError(
+            f"checkpoint {in_dir} was written with other sampler settings or data; "
+            f"differing keys (checkpoint -> now): {'; '.join(diff)}"
+        )
     if saved != (len(gen_chains), len(disc_chains)):
         raise ConfigError(
             f"checkpoint {in_dir} holds {saved[0]} generator and {saved[1]} discriminator "
             f"chains; the configuration asks for {len(gen_chains)} and {len(disc_chains)}"
         )
-    cycle.rng.bit_generator.state = state["data_rng"]
-    cycle.restore(state["cycle"])
-    for j, chain in enumerate(gen_chains):
-        _restore_chain(chain, f"gen{j}", in_dir, state["gen_chains"][j])
-    for j, chain in enumerate(disc_chains):
-        _restore_chain(chain, f"disc{j}", in_dir, state["disc_chains"][j])
-    members[:] = _members(in_dir, state, [p.shape for p in disc_chains[0].params])
-    trace.clear()
-    trace.extend(tuple(row) for row in state["trace"])
-    return int(state["epoch"])
+    chains = [*gen_chains, *disc_chains]
+    shapes = [[p.shape for p in c.params] for c in chains]
+    _check_shapes(in_dir, state, "gen_shapes", shapes[0])
+    members[:] = _members(in_dir, state, shapes[-1])
+    with _parsing(in_dir):
+        tensors = iter(_views(in_dir, state["chain_state"], [s for c in shapes for s in c * 3]))
+        entries = state["gen_chains"] + state["disc_chains"]
+        for chain, entry, s in zip(chains, entries, shapes):
+            chain.params, chain.adam.m, chain.adam.v = (
+                [next(tensors) for _ in s] for _ in range(3)
+            )
+            chain.rng.bit_generator.state = entry["rng"]
+            chain.adam.t = int(entry["adam_t"])
+        cycle.rng.bit_generator.state = state["data_rng"]
+        cycle.restore(state["cycle"])
+        trace[:] = [tuple(row) for row in state["trace"]]
+        epoch = int(state["epoch"])
+    _drop_chains_but(in_dir, state["chain_state"])
+    return epoch

@@ -67,7 +67,8 @@ def test_prepare_writes_splits(pipeline):
 def test_train_writes_run_dir(pipeline):
     root, _ = pipeline
     run = root / "out/runs/nl40_rep0"
-    assert (run / "checkpoint/state.json").exists()
+    names = sorted(p.name for p in (run / "checkpoint").iterdir())
+    assert names == ["chains-4.bin", "members.bin", "state.json"]
     trace = (run / "trace.csv").read_text().splitlines()
     assert trace[0] == "epoch,kind,chain,term,value"
     assert len(trace) == 1 + FAST_TRAIN["epochs"] * (2 + 4 * 2)
@@ -241,10 +242,13 @@ def test_train_resume_matches_full_run(pipeline, tmp_path):
             assert a.read_bytes() == b.read_bytes(), name
 
 
-def test_resume_after_crash_during_checkpoint_swap(pipeline, tmp_path, monkeypatch):
-    """A crash after the old checkpoint is moved aside but before the new one
-    is renamed in loses nothing: --resume continues from the old checkpoint
-    and ends bit-identical to an uninterrupted run."""
+@pytest.mark.parametrize("crash_at", ["replace", "unlink"], ids=["before-commit", "after-commit"])
+def test_resume_after_crash_during_checkpoint(pipeline, tmp_path, monkeypatch, crash_at):
+    """A crash in the epoch-4 checkpoint loses nothing.  At the replace of
+    state.json the epoch-2 checkpoint stays committed, beside a members.bin
+    tail and a chains file that no state refers to; after that replace the
+    epoch-2 chains file is left over.  Either way --resume ends with the
+    files of an uninterrupted run, byte for byte."""
     root, _ = pipeline
     base = yaml.safe_load((root / "config.yaml").read_text())
     base["output_dir"] = str(tmp_path / "out2")
@@ -255,30 +259,36 @@ def test_resume_after_crash_during_checkpoint_swap(pipeline, tmp_path, monkeypat
     class Crash(Exception):
         pass
 
-    renames = []
-    real_rename = Path.rename
+    real = getattr(Path, crash_at)
+    target = "state.json.tmp" if crash_at == "replace" else "chains-2.bin"
 
-    def crashing_rename(self, target):
-        if self.name == "checkpoint.tmp":
-            renames.append(self)
-            if len(renames) == 2:  # the epoch-4 checkpoint; epoch 2 is on disk
-                raise Crash
-        return real_rename(self, target)
+    def crashing(self, *args):
+        if self.name == target and (self.parent / "chains-4.bin").exists():
+            raise Crash
+        return real(self, *args)
 
     train_args = ["train", "--config", str(cfg2), "--nl", "40", "--rep", "0"]
     with monkeypatch.context() as m:
-        m.setattr(Path, "rename", crashing_rename)
+        m.setattr(Path, crash_at, crashing)
         with pytest.raises(Crash):
             main(train_args)
+    ref = root / "out/runs/nl40_rep0"
+    got = tmp_path / "out2/runs/nl40_rep0"
+    state = json.loads((got / "checkpoint/state.json").read_text())
+    assert state["epoch"] == (2 if crash_at == "replace" else 4)
+    assert {"chains-2.bin", "chains-4.bin"} <= {p.name for p in (got / "checkpoint").iterdir()}
+    members = (got / "checkpoint/members.bin").stat().st_size
+    assert members == (ref / "checkpoint/members.bin").stat().st_size
+
     assert main(train_args + ["--resume"]) == EXIT_OK
     manifest = json.loads((tmp_path / "out2/manifest.json").read_text())
     assert manifest["stages"]["train:nl40_rep0"]["resumed"] is True
-    ref = root / "out/runs/nl40_rep0"
-    got = tmp_path / "out2/runs/nl40_rep0"
     assert (got / "trace.csv").read_bytes() == (ref / "trace.csv").read_bytes()
     assert sorted(p.name for p in got.iterdir()) == ["checkpoint", "trace.csv"]
-    for a in sorted((ref / "checkpoint").iterdir()):
-        assert a.read_bytes() == (got / "checkpoint" / a.name).read_bytes(), a.name
+    names = sorted(p.name for p in (ref / "checkpoint").iterdir())
+    assert sorted(p.name for p in (got / "checkpoint").iterdir()) == names
+    for name in names:
+        assert (ref / "checkpoint" / name).read_bytes() == (got / "checkpoint" / name).read_bytes()
 
 
 def _copy_run(pipeline, tmp_path, **train_over) -> Path:
@@ -293,21 +303,25 @@ def _copy_run(pipeline, tmp_path, **train_over) -> Path:
     return cfg
 
 
-@pytest.mark.parametrize(
-    "name", ["state.json", "member00000.bin", "member00000.json", "disc0_params.bin"]
-)
+@pytest.mark.parametrize("name", ["state.json", "members.bin", "chains-*.bin", "no-cycle"])
 def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
-    """A cut-short checkpoint file exits 3 and names the checkpoint, in
-    evaluate and in train --resume, instead of raising a traceback."""
+    """A cut-short checkpoint file, or a state.json without its `cycle`
+    entry, exits 3 and names the checkpoint, in evaluate and in
+    train --resume, instead of raising a traceback."""
     cfg = _copy_run(pipeline, tmp_path)
     ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
-    path = ckpt / name
-    path.write_bytes(path.read_bytes()[:50])
+    if name == "no-cycle":
+        state = json.loads((ckpt / "state.json").read_text())
+        del state["cycle"]
+        (ckpt / "state.json").write_text(json.dumps(state))
+    else:
+        path = next(ckpt.glob(name))
+        path.write_bytes(path.read_bytes()[:50])
     train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
     assert main(train_args) == EXIT_DATA
     assert str(ckpt) in capsys.readouterr().err
     # evaluate reads the ensemble only, not the chain state.
-    expected = EXIT_OK if name.startswith("disc") else EXIT_DATA
+    expected = EXIT_OK if name.startswith("chains") else EXIT_DATA
     assert main(["evaluate", "--config", str(cfg)]) == expected
 
 
@@ -393,19 +407,21 @@ def test_resume_with_changed_network_or_optimizer_is_config_error(
     assert ckpt in capsys.readouterr().err
 
 
-def test_resume_of_chain_without_adam_state_is_config_error(pipeline, tmp_path, capsys):
-    """A chain entry without the adaptive stepper's `adam_t` (a checkpoint
-    of a stepper this version does not run) exits 2 and names the
-    checkpoint."""
+def test_checkpoint_of_older_layout_is_config_error(pipeline, tmp_path, capsys):
+    """A state.json without the chain-state entry (a checkpoint written by
+    an older version) exits 2 and names the checkpoint, in train --resume
+    and in evaluate, and says to train the cell again."""
     cfg = _copy_run(pipeline, tmp_path)
     ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
     state = json.loads((ckpt / "state.json").read_text())
-    del state["disc_chains"][1]["adam_t"]
+    del state["chain_state"]
     (ckpt / "state.json").write_text(json.dumps(state))
     train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
     assert main(train_args) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert str(ckpt) in err and "adam_t" in err
+    assert str(ckpt) in err and "without --resume" in err
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
+    assert str(ckpt) in capsys.readouterr().err
 
 
 def test_resume_with_changed_learning_rate_is_config_error(pipeline, tmp_path, capsys):
@@ -433,6 +449,15 @@ def test_workers_option_is_refused(tmp_path):
     assert exc.value.code == EXIT_CONFIG
 
 
+def test_seed_option_is_refused(tmp_path):
+    """A cell's seed always derives from the config seed; `train --seed` is
+    an unknown option."""
+    cfg = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--seed", "3"])
+    assert exc.value.code == EXIT_CONFIG
+
+
 @pytest.mark.parametrize(
     "field, over",
     [
@@ -448,10 +473,19 @@ def test_workers_option_is_refused(tmp_path):
         ("labeled_sizes", {"split": {"labeled_sizes": [100000]}}),
         ("labeled_sizes", {"split": {"labeled_sizes": [0]}}),
         ("labeled_sizes", {"split": {"labeled_sizes": []}}),
+        ("labeled_sizes", {"split": {"labeled_sizes": [40, 40]}}),
+        ("k_percents", {"heads": {"k_percents": [-1.0]}}),
+        ("k_percents", {"heads": {"k_percents": [150.0]}}),
+        ("recall_levels", {"heads": {"recall_levels": [1.5]}}),
+        ("recall_levels", {"heads": {"recall_levels": [0.0]}}),
+        ("alpha", {"heads": {"alpha": -1.0}}),
+        ("tau", {"heads": {"tau": 7.0}}),
     ],
     ids=["negative-noise-scale", "negative-checkpoint-every", "zero-width",
          "zero-latent-dim", "negative-n-residual", "zero-head-width", "negative-seed",
-         "string-seed", "string-degree", "size-above-pool", "size-zero", "no-size"],
+         "string-seed", "string-degree", "size-above-pool", "size-zero", "no-size",
+         "repeated-size", "negative-k-percent", "k-percent-above-100",
+         "recall-above-1", "recall-zero", "negative-alpha", "tau-above-1"],
 )
 def test_invalid_setting_is_config_error(tmp_path, capsys, field, over):
     """A value of the wrong kind or range exits 2 and names the field,
@@ -461,6 +495,15 @@ def test_invalid_setting_is_config_error(tmp_path, capsys, field, over):
     cfg = _write_config(tmp_path, **over)
     assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+def test_sizes_scaled_to_one_value_are_config_error(tmp_path, capsys):
+    """Two labeled sizes that --subsample scales to one value would give two
+    cells one labeled set and one run directory: exit 2, naming the field."""
+    generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
+    cfg = _write_config(tmp_path, split={"labeled_sizes": [40, 41]})
+    assert main(["prepare", "--config", str(cfg), "--subsample", "0.5"]) == EXIT_CONFIG
+    assert "labeled_sizes" in capsys.readouterr().err
 
 
 def test_empty_head_widths_is_valid(tmp_path):

@@ -9,9 +9,7 @@ from fraudsig.nnet import (
     TanhAct,
     critic_head,
     critic_head_vector,
-    load_params,
     restricted_softmax,
-    save_params,
     zeros_like_params,
 )
 
@@ -291,17 +289,6 @@ def test_init_variance_follows_fan_sum(rng):
             continue
         target = 2.0 / (spec.fan_in + spec.fan_out)
         assert p.var() == pytest.approx(target, rel=0.25)
-
-
-def test_save_load_round_trip(tmp_path, rng):
-    gen = GeneratorNet(latent_dim=2, emb_cards=(2,), out_dim=3, width=4, n_residual=1)
-    params = gen.init_params(rng)
-    save_params(tmp_path / "p", params)
-    back = load_params(tmp_path / "p")
-    assert len(back) == len(params)
-    for a, b in zip(params, back):
-        assert a.dtype == b.dtype == np.float64
-        np.testing.assert_array_equal(a, b)
 
 
 def test_zeros_like_params(rng):

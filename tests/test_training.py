@@ -169,26 +169,6 @@ def test_resume_with_changed_labeled_set_is_config_error(tmp_path, rng):
     assert str(ck) in str(exc.value)
 
 
-def test_resume_without_fingerprint_keeps_older_checks(tmp_path, rng):
-    """A state.json without a fingerprint (older versions) resumes as
-    before, and a changed network shape is still refused."""
-    data = _tiny_data(rng)
-    full = train(data, _tiny_cfg(epochs=6), seed=11)
-    ck = tmp_path / "ck"
-    train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=11, checkpoint_dir=ck)
-    state = json.loads((ck / "state.json").read_text())
-    del state["fingerprint"]
-    (ck / "state.json").write_text(json.dumps(state))
-    saved = {p.name: p.read_bytes() for p in ck.iterdir()}
-    with pytest.raises(ConfigError, match="parameter shapes"):
-        train(data, _tiny_cfg(epochs=6, width=6), seed=11, checkpoint_dir=ck, resume=True)
-    assert {p.name: p.read_bytes() for p in ck.iterdir()} == saved
-    resumed = train(data, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=ck, resume=True)
-    for ma, mb in zip(full.members, resumed.members):
-        np.testing.assert_array_equal(_flat(ma.params), _flat(mb.params))
-    assert full.trace == resumed.trace
-
-
 def test_checkpoint_restores_counters(tmp_path, rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg(epochs=4, checkpoint_every=2)
