@@ -358,6 +358,8 @@ def _cmd_train(args) -> int:
     run_dir = _run_dir(cfg, size, args.rep)
     ckpt = run_dir / "checkpoint"
     resume = args.resume and (ckpt / "state.json").exists()
+    if args.resume and not resume:
+        logger.warning("--resume: no committed checkpoint in %s; training starts at epoch 1", ckpt)
     if not resume and ckpt.exists():
         shutil.rmtree(ckpt)
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -54,43 +54,54 @@ def derive_rng(global_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed_sequence(global_seed, *key)))
 
 
-def _is_kind(value, allowed) -> bool:
-    return isinstance(value, allowed) and not isinstance(value, bool)
+def _setting(default, kind: type, interval: str, *, null: bool = False):
+    """A numeric setting: values of `kind` (int or float; bools are neither)
+    inside `interval`, written "[lo, hi)" and so on, with an open inf end for
+    no bound.  A tuple default makes it a list of such values; `null` also
+    admits None."""
+    return field(default=default, metadata={"admits": (kind, interval, null)})
 
 
-def _check_kinds(section) -> None:
-    """Every field whose default is an integer or a float, or a tuple of
-    them, holds values of that kind (bools are neither)."""
+def _check_settings(section) -> None:
+    """Every numeric setting of `section` holds values of its kind inside its
+    interval.  No interval admits NaN or inf, so both are refused."""
     for f in dataclasses.fields(section):
-        value, default = getattr(section, f.name), f.default
-        items = (value,)
-        if isinstance(default, tuple):
-            if not isinstance(value, tuple):
-                raise ConfigError(f"{f.name} must be a list, got {value!r}")
-            items, default = value, default[0]
-        if isinstance(default, int):
-            kind, allowed = "an integer", numbers.Integral
-        elif isinstance(default, float):
-            kind, allowed = "a number", numbers.Real
-        else:
+        if "admits" not in f.metadata:
             continue
-        for item in items:
-            if not _is_kind(item, allowed):
-                raise ConfigError(f"{f.name} must hold {kind}, got {item!r}")
+        kind, interval, null = f.metadata["admits"]
+        value = getattr(section, f.name)
+        items, verb = (value,), "be"
+        if isinstance(f.default, tuple):
+            if not isinstance(value, (tuple, list)):
+                raise ConfigError(f"{f.name} must be a list, got {value!r}")
+            items, verb = value, "hold"
+        elif null and value is None:
+            continue
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        abc = numbers.Integral if kind is int else numbers.Real
+        for v in items:
+            if not (
+                isinstance(v, abc) and not isinstance(v, bool)
+                and (lo < v if interval[0] == "(" else lo <= v)
+                and (v < hi if interval[-1] == ")" else v <= hi)
+            ):
+                noun = "an integer" if kind is int else "a number"
+                raise ConfigError(
+                    f"{f.name} must {verb} {noun} in {interval}{' or null' if null else ''}, "
+                    f"got {v!r}"
+                )
 
 
 @dataclass(frozen=True)
 class SplitPlan:
     """Protocol for the train/test split and the labeled-subset draws."""
 
-    test_fraction: float = 0.1
-    labeled_sizes: tuple[int, ...] = (2595, 3893, 5190, 12973, 25946)
-    repetitions: int = 5
+    test_fraction: float = _setting(0.1, float, "(0, 1)")
+    labeled_sizes: tuple[int, ...] = _setting((2595, 3893, 5190, 12973, 25946), int, "[1, inf)")
+    repetitions: int = _setting(5, int, "[1, inf)")
 
     def scaled_sizes(self, fraction: float) -> tuple[int, ...]:
         """Labeled sizes scaled proportionally for subsampled runs."""
-        if not 0 < fraction <= 1:
-            raise ConfigError(f"subsample fraction must be in (0, 1], got {fraction}")
         return tuple(max(1, round(n * fraction)) for n in self.labeled_sizes)
 
 
@@ -98,49 +109,35 @@ class SplitPlan:
 class TrainConfig:
     """Adversarial training hyperparameters."""
 
-    lr_g: float = 1e-4
-    lr_d: float = 5e-3
-    batch: int = 2048
-    lam: float = 10.0
-    gp_weight: float = 10.0
-    n_critic: int = 5
-    epochs: int = 1000
-    chains_g: int = 4
-    chains_d: int = 4
-    friction: float = 0.1
-    noise_scale: float = 1.0
-    burn_in: int | None = None       # default: epochs // 2
-    thinning: int = 10
-    latent_dim: int = 64
-    width: int = 128
-    n_residual: int = 2
-    head_widths: tuple[int, ...] = (64, 32)
-    checkpoint_every: int = 0        # epochs between checkpoints; 0 = end only
+    lr_g: float = _setting(1e-4, float, "[0, inf)")
+    lr_d: float = _setting(5e-3, float, "[0, inf)")
+    batch: int = _setting(2048, int, "[1, inf)")
+    lam: float = _setting(10.0, float, "[0, inf)")
+    gp_weight: float = _setting(10.0, float, "[0, inf)")
+    n_critic: int = _setting(5, int, "[1, inf)")
+    epochs: int = _setting(1000, int, "[1, inf)")
+    chains_g: int = _setting(4, int, "[1, inf)")
+    chains_d: int = _setting(4, int, "[1, inf)")
+    friction: float = _setting(0.1, float, "[0, inf)")
+    noise_scale: float = _setting(1.0, float, "[0, inf)")
+    burn_in: int | None = _setting(None, int, "[0, inf)", null=True)  # default: epochs // 2
+    thinning: int = _setting(10, int, "[1, inf)")
+    latent_dim: int = _setting(64, int, "[1, inf)")
+    width: int = _setting(128, int, "[1, inf)")
+    n_residual: int = _setting(2, int, "[0, inf)")
+    head_widths: tuple[int, ...] = _setting((64, 32), int, "[1, inf)")
+    checkpoint_every: int = _setting(0, int, "[0, inf)")  # epochs between saves; 0 = end only
 
     def burn_in_epochs(self) -> int:
         return self.epochs // 2 if self.burn_in is None else self.burn_in
 
     def validate(self) -> None:
-        for name in ("lr_g", "lr_d", "lam", "gp_weight", "friction", "noise_scale"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        for name in (
-            "batch", "n_critic", "chains_g", "chains_d", "thinning", "latent_dim", "width"
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("epochs", "n_residual", "checkpoint_every"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if any(w < 1 for w in self.head_widths):
-            raise ConfigError(f"head_widths entries must be >= 1, got {list(self.head_widths)}")
+        _check_settings(self)
         burn_in = self.burn_in_epochs()
-        if burn_in < 0:
-            raise ConfigError("burn_in must be >= 0")
         # Members are kept at epochs e >= burn_in with (e - burn_in) % thinning
         # == 0, from epoch 1 on; evaluate needs at least one.
         first = burn_in if burn_in >= 1 else self.thinning
-        if 1 <= self.epochs < first:
+        if self.epochs < first:
             raise ConfigError(
                 f"no posterior member is collected: the first is kept at epoch "
                 f"{first} (burn_in {burn_in}, thinning {self.thinning}), after the "
@@ -152,24 +149,10 @@ class TrainConfig:
 class HeadConfig:
     """Alert-head and cost evaluation grid."""
 
-    k_percents: tuple[float, ...] = (0.1, 0.2, 0.5, 1.0)
-    recall_levels: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8)
-    alpha: float = 0.02
-    tau: float = 0.5
-
-    def validate(self) -> None:
-        if not all(0 < k <= 100 for k in self.k_percents):
-            raise ConfigError(
-                f"k_percents entries must be in (0, 100], got {list(self.k_percents)}"
-            )
-        if not all(0 < r <= 1 for r in self.recall_levels):
-            raise ConfigError(
-                f"recall_levels entries must be in (0, 1], got {list(self.recall_levels)}"
-            )
-        if not self.alpha >= 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0 <= self.tau <= 1:
-            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
+    k_percents: tuple[float, ...] = _setting((0.1, 0.2, 0.5, 1.0), float, "(0, 100]")
+    recall_levels: tuple[float, ...] = _setting((0.5, 0.6, 0.7, 0.8), float, "(0, 1]")
+    alpha: float = _setting(0.02, float, "[0, inf)")
+    tau: float = _setting(0.5, float, "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -178,9 +161,9 @@ class ExperimentConfig:
 
     dataset_path: str
     output_dir: str
-    seed: int = 0
-    sig_degree: int = 4
-    min_prefix: int = 5
+    seed: int = _setting(0, int, "[0, inf)")
+    sig_degree: int = _setting(4, int, "[1, inf)")
+    min_prefix: int = _setting(5, int, "[2, inf)")
     split: SplitPlan = field(default_factory=SplitPlan)
     train: TrainConfig = field(default_factory=TrainConfig)
     heads: HeadConfig = field(default_factory=HeadConfig)
@@ -222,33 +205,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.dataset_path:
             raise ConfigError("dataset_path is required")
-        for section in (self, self.split, self.train, self.heads):
-            _check_kinds(section)
-        burn_in = self.train.burn_in
-        if burn_in is not None and not _is_kind(burn_in, numbers.Integral):
-            raise ConfigError(f"burn_in must be an integer or null, got {burn_in!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.sig_degree < 1:
-            raise ConfigError("sig_degree must be >= 1")
-        if self.min_prefix < 2:
-            raise ConfigError("min_prefix must be >= 2")
-        if not 0 < self.split.test_fraction < 1:
-            raise ConfigError("test_fraction must be in (0, 1)")
-        if self.split.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if not self.split.labeled_sizes:
+        for section in (self, self.split, self.heads):
+            _check_settings(section)
+        sizes = self.split.labeled_sizes
+        if not sizes:
             raise ConfigError("labeled_sizes must name at least one size")
-        if any(n < 1 for n in self.split.labeled_sizes):
-            raise ConfigError(
-                f"labeled_sizes entries must be >= 1, got {list(self.split.labeled_sizes)}"
-            )
-        if len(set(self.split.labeled_sizes)) < len(self.split.labeled_sizes):
-            raise ConfigError(
-                f"labeled_sizes must not repeat a size, got {list(self.split.labeled_sizes)}"
-            )
+        if len(set(sizes)) < len(sizes):
+            raise ConfigError(f"labeled_sizes must not repeat a size, got {list(sizes)}")
         self.train.validate()
-        self.heads.validate()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -196,7 +196,6 @@ class FeatureStore:
 
     matrix: np.ndarray
     basis: LyndonBasis
-    degree: int
     manifest: dict
 
 
@@ -243,7 +242,7 @@ def build_feature_store(
             matrix = np.fromfile(bin_path, dtype="<f8").reshape(
                 expected["n_rows"], expected["n_cols"]
             )
-            return FeatureStore(matrix, basis, degree, manifest), True
+            return FeatureStore(matrix, basis, manifest), True
 
     matrix = np.empty((len(samples), basis.dim))
     offsets = np.zeros(len(samples.customers) + 1, dtype=np.intp)
@@ -263,4 +262,4 @@ def build_feature_store(
     tmp_manifest = manifest_path.with_suffix(".json.tmp")
     tmp_manifest.write_text(json.dumps(expected, indent=1))
     tmp_manifest.replace(manifest_path)
-    return FeatureStore(matrix, basis, degree, dict(expected)), False
+    return FeatureStore(matrix, basis, dict(expected)), False

@@ -259,12 +259,12 @@ class _Net:
         k = self.n_emb
         return params[:k], params[k : k + 2], params[k + 2 :]
 
-    def init_params(self, rng: np.random.Generator, gain: float = 1.0):
+    def init_params(self, rng: np.random.Generator):
         """Draw every tensor from its zero-mean Gaussian prior with
-        fan-balanced variance gain**2 * 2 / (fan_in + fan_out)."""
+        fan-balanced variance 2 / (fan_in + fan_out)."""
         out = []
         for spec in self.param_specs:
-            sigma = gain * np.sqrt(2.0 / (spec.fan_in + spec.fan_out))
+            sigma = np.sqrt(2.0 / (spec.fan_in + spec.fan_out))
             out.append(rng.normal(0.0, sigma, size=spec.shape))
         return out
 

@@ -18,6 +18,9 @@ from .nnet import ParamSpec
 
 __all__ = ["GlorotPrior", "AdamState", "adam_sghmc_step"]
 
+# Moment decay rates and the denominator guard of the adaptive step.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class GlorotPrior:
@@ -60,9 +63,6 @@ def adam_sghmc_step(
     friction: float,
     rng: np.random.Generator,
     noise_scale: float = 1.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ):
     """Adaptive moment step with posterior-exploration noise on the increment.
 
@@ -74,16 +74,16 @@ def adam_sghmc_step(
         (new_params, state) with `state` updated in place.
     """
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - BETA1**state.t
+    c2 = 1.0 - BETA2**state.t
     std = noise_scale * np.sqrt(2.0 * friction * lr)
     new_p = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
         mhat = state.m[i] / c1
         vhat = state.v[i] / c2
-        delta = lr * mhat / (np.sqrt(vhat) + eps)
+        delta = lr * mhat / (np.sqrt(vhat) + EPS)
         if std > 0.0:
             delta = delta + rng.normal(0.0, std, size=p.shape)
         new_p.append(p + delta)

@@ -129,11 +129,6 @@ class TensorSeries:
         out.levels[0][0] = 1.0
         return out
 
-    def copy(self) -> "TensorSeries":
-        return TensorSeries(
-            self.alphabet_size, self.degree, [lvl.copy() for lvl in self.levels], self.top
-        )
-
     def __repr__(self) -> str:
         return (
             f"TensorSeries(D={self.alphabet_size}, M={self.degree}, "

@@ -201,8 +201,7 @@ def train(
 
     Args:
         data: features, condition codes, labels and the labeled-index set.
-        cfg: hyperparameters; `cfg.epochs == 0` returns the prior-initialised
-            chains as the ensemble.
+        cfg: hyperparameters, validated here.
         seed: cell seed; all chain and sampling randomness derives from it.
         checkpoint_dir: when set, training state is saved there every
             `cfg.checkpoint_every` epochs (and at the end).
@@ -240,10 +239,6 @@ def train(
             checkpoint_dir, gen_chains, disc_chains, cycle, members, trace, fingerprint
         )
         n_saved = len(members)
-
-    if cfg.epochs == 0 and not members:
-        for j, c in enumerate(disc_chains):
-            members.append(EnsembleMember(j, 0, [p.copy() for p in c.params]))
 
     n_rows = data.feats.shape[0]
     batch = min(cfg.batch, n_rows)
@@ -514,7 +509,7 @@ def load_members(checkpoint_dir, shapes: list) -> list[EnsembleMember]:
 
 
 def load_checkpoint(
-    checkpoint_dir, gen_chains, disc_chains, cycle, members, trace, fingerprint=None
+    checkpoint_dir, gen_chains, disc_chains, cycle, members, trace, fingerprint
 ) -> int:
     """Restore training state in place; returns the checkpointed epoch.
 
@@ -530,7 +525,7 @@ def load_checkpoint(
         saved_fp = state["fingerprint"]
         diff = [
             f"{k}: {saved_fp.get(k)!r} -> {v!r}"
-            for k, v in sorted((fingerprint or {}).items())
+            for k, v in sorted(fingerprint.items())
             if saved_fp.get(k) != v
         ]
         saved = (len(state["gen_chains"]), len(state["disc_chains"]))

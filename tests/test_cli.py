@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -355,8 +356,8 @@ def test_malformed_dump_encoding_is_config_error(pipeline, tmp_path, capsys, val
 @pytest.mark.parametrize(
     "schedule",
     [{"epochs": 1, "burn_in": None, "thinning": 10}, {"epochs": 4, "burn_in": 5},
-     {"burn_in": -1}],
-    ids=["thinning-past-end", "burn-in-past-end", "negative-burn-in"],
+     {"burn_in": -1}, {"epochs": 0}],
+    ids=["thinning-past-end", "burn-in-past-end", "negative-burn-in", "zero-epochs"],
 )
 def test_schedule_without_posterior_member_is_config_error(pipeline, tmp_path, schedule):
     """A schedule that keeps no ensemble member is refused before training,
@@ -382,6 +383,20 @@ def test_evaluate_without_fraud_in_test_split_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
     assert "no fraud sample" in capsys.readouterr().err
+
+
+def test_resume_without_checkpoint_says_so(pipeline, tmp_path, caplog):
+    """`train --resume` on a run directory without a committed checkpoint
+    trains from epoch 1, and logs that it does, naming the directory."""
+    cfg = _copy_run(pipeline, tmp_path)
+    shutil.rmtree(tmp_path / "out/runs/nl40_rep0")
+    with caplog.at_level(logging.WARNING):
+        rc = main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"])
+    assert rc == EXIT_OK
+    ckpt = str(tmp_path / "out/runs/nl40_rep0/checkpoint")
+    assert any(ckpt in r.message and "epoch 1" in r.message for r in caplog.records)
+    manifest = json.loads((tmp_path / "out/manifest.json").read_text())
+    assert manifest["stages"]["train:nl40_rep0"]["resumed"] is False
 
 
 def test_resume_with_changed_chain_counts_is_config_error(pipeline, tmp_path):
@@ -462,6 +477,9 @@ def test_seed_option_is_refused(tmp_path):
     "field, over",
     [
         ("noise_scale", {"train": {"noise_scale": -1.0}}),
+        ("lr_d", {"train": {"lr_d": float("nan")}}),
+        ("noise_scale", {"train": {"noise_scale": float("nan")}}),
+        ("friction", {"train": {"friction": float("inf")}}),
         ("checkpoint_every", {"train": {"checkpoint_every": -2}}),
         ("width", {"train": {"width": 0}}),
         ("latent_dim", {"train": {"latent_dim": 0}}),
@@ -481,7 +499,8 @@ def test_seed_option_is_refused(tmp_path):
         ("alpha", {"heads": {"alpha": -1.0}}),
         ("tau", {"heads": {"tau": 7.0}}),
     ],
-    ids=["negative-noise-scale", "negative-checkpoint-every", "zero-width",
+    ids=["negative-noise-scale", "nan-lr-d", "nan-noise-scale", "inf-friction",
+         "negative-checkpoint-every", "zero-width",
          "zero-latent-dim", "negative-n-residual", "zero-head-width", "negative-seed",
          "string-seed", "string-degree", "size-above-pool", "size-zero", "no-size",
          "repeated-size", "negative-k-percent", "k-percent-above-100",

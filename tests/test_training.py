@@ -74,16 +74,11 @@ def test_member_collection_schedule(rng):
     assert chains == [0, 1]
 
 
-def test_zero_epochs_returns_prior_ensemble(rng):
-    data = _tiny_data(rng)
-    cfg = _tiny_cfg(epochs=0, burn_in=0)
-    res = train(data, cfg, seed=3)
-    assert len(res.members) == cfg.chains_d
-    assert all(m.epoch == 0 for m in res.members)
-    assert res.trace == []
-    # prior samples depend only on the seed-derived init stream
-    res2 = train(data, cfg, seed=3)
-    np.testing.assert_array_equal(_flat(res.members[0].params), _flat(res2.members[0].params))
+def test_zero_epochs_is_config_error(rng):
+    """A run of no epochs samples no posterior: train() refuses it, as the
+    CLI does, instead of returning the prior draws as an ensemble."""
+    with pytest.raises(ConfigError, match="epochs"):
+        train(_tiny_data(rng), _tiny_cfg(epochs=0, burn_in=0), seed=3)
 
 
 def test_trace_rows_structure(rng):
@@ -169,21 +164,24 @@ def test_resume_with_changed_labeled_set_is_config_error(tmp_path, rng):
     assert str(ck) in str(exc.value)
 
 
+def _zeros(params):
+    return [np.zeros_like(p) for p in params]
+
+
 def test_checkpoint_restores_counters(tmp_path, rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg(epochs=4, checkpoint_every=2)
     res = train(data, cfg, seed=2, checkpoint_dir=tmp_path / "ck")
-    gen, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
-    chains = train(data, _tiny_cfg(epochs=0), seed=2)  # shape templates
     members, trace = [], []
     from fraudsig.training import _Chain  # shape-compatible holders
 
-    gch = [_Chain(p, cfg.lr_g, np.random.default_rng(0)) for p in chains.gen_chains]
-    dch = [_Chain(p, cfg.lr_d, np.random.default_rng(0)) for p in chains.disc_chains]
+    gch = [_Chain(_zeros(ps), cfg.lr_g, np.random.default_rng(0)) for ps in res.gen_chains]
+    dch = [_Chain(_zeros(ps), cfg.lr_d, np.random.default_rng(0)) for ps in res.disc_chains]
     from fraudsig.training import _LabeledCycle
 
     cyc = _LabeledCycle(data.labeled_idx, np.random.default_rng(0))
-    epoch = load_checkpoint(tmp_path / "ck", gch, dch, cyc, members, trace)
+    fingerprint = json.loads((tmp_path / "ck/state.json").read_text())["fingerprint"]
+    epoch = load_checkpoint(tmp_path / "ck", gch, dch, cyc, members, trace, fingerprint)
     assert epoch == 4
     assert len(members) == len(res.members)
     assert trace == res.trace
