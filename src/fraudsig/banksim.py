@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import STAGE_SPLIT, ConfigError, derive_rng
 
 __all__ = [
     "Transaction",
@@ -386,15 +386,15 @@ def split_and_unlabel(
     labeled_sizes: tuple[int, ...],
     repetitions: int,
     test_fraction: float,
-    seed_sequences: dict,
+    seed: int,
 ) -> SplitResult:
     """Fixed stratified train/test split plus per-(size, repetition) labeled
     subsets.
 
-    `seed_sequences` maps "split" and (size_index, repetition) keys to
-    numpy SeedSequence objects so every draw is independently reproducible.
+    The split draws from the `seed` stream (STAGE_SPLIT) and each subset from
+    (STAGE_SPLIT, size index, repetition), so every draw is reproducible alone.
     """
-    rng = np.random.Generator(np.random.PCG64(seed_sequences["split"]))
+    rng = derive_rng(seed, STAGE_SPLIT)
     train_idx, test_idx = stratified_split(labels, test_fraction, rng)
     too_large = [n for n in labeled_sizes if n > train_idx.size]
     if too_large:
@@ -405,6 +405,6 @@ def split_and_unlabel(
     labeled: dict = {}
     for si, size in enumerate(labeled_sizes):
         for rep in range(repetitions):
-            sub_rng = np.random.Generator(np.random.PCG64(seed_sequences[(si, rep)]))
+            sub_rng = derive_rng(seed, STAGE_SPLIT, si, rep)
             labeled[(size, rep)] = stratified_subset(labels, train_idx, size, sub_rng)
     return SplitResult(train_idx=train_idx, test_idx=test_idx, labeled=labeled)

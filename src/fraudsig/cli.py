@@ -22,14 +22,15 @@ from . import __version__
 from . import banksim, reports
 from .config import (
     STAGE_PREPARE,
-    STAGE_SPLIT,
     STAGE_TRAIN,
     ConfigError,
     DataError,
     ExperimentConfig,
     cache_dir,
+    committing,
     derive_rng,
     derive_seed_sequence,
+    read_json,
 )
 from .features import (
     SCHEME_VERSION,
@@ -57,6 +58,12 @@ EXIT_DIVERGED = 4
 
 SPLITS_REL = "prepared/splits.json"
 MANIFEST_REL = "manifest.json"
+# Top-level entries the stages read from each JSON artifact.
+_SPLITS_KEYS = (
+    "stats", "subsample", "customers", "max_sd", "max_amt", "age_vocab", "gender_vocab",
+    "configured_sizes", "labeled_sizes", "repetitions", "train_idx", "test_idx", "labeled",
+)
+_MANIFEST_KEYS = ("stages", "artifacts", "seeds")
 
 
 # ---------------------------------------------------------------------------
@@ -64,23 +71,10 @@ MANIFEST_REL = "manifest.json"
 # ---------------------------------------------------------------------------
 
 
-def _atomic_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True))
-    tmp.replace(path)
-
-
 def _load_manifest(cfg: ExperimentConfig) -> dict:
     path = Path(cfg.output_dir) / MANIFEST_REL
     if path.exists():
-        try:
-            manifest = json.loads(path.read_text())
-        except ValueError as exc:
-            raise DataError(f"{path} is not valid JSON ({exc})") from exc
-        if not isinstance(manifest, dict):
-            raise DataError(f"{path} is not a JSON object")
-        return manifest
+        return read_json(path, _MANIFEST_KEYS)
     return {
         "package_version": __version__,
         "config": cfg.to_dict(),
@@ -96,29 +90,13 @@ def _record_stage(cfg, manifest, name, seconds, artifacts=(), **extra) -> None:
     for rel in artifacts:
         if rel not in manifest["artifacts"]:
             manifest["artifacts"].append(rel)
-    _atomic_json(Path(cfg.output_dir) / MANIFEST_REL, manifest)
+    with committing(Path(cfg.output_dir) / MANIFEST_REL) as tmp:
+        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
 # Shared loading.
 # ---------------------------------------------------------------------------
-
-
-def _splits_path(cfg: ExperimentConfig) -> Path:
-    return Path(cfg.output_dir) / SPLITS_REL
-
-
-def _read_splits(cfg: ExperimentConfig) -> dict:
-    path = _splits_path(cfg)
-    if not path.exists():
-        raise DataError(f"{path} not found; run `fraudsig prepare` first")
-    try:
-        splits = json.loads(path.read_text())
-    except ValueError as exc:
-        raise DataError(f"{path} is not valid JSON; run `fraudsig prepare` again") from exc
-    if not isinstance(splits, dict):
-        raise DataError(f"{path} is not a JSON object; run `fraudsig prepare` again")
-    return splits
 
 
 def _load_customers(cfg: ExperimentConfig):
@@ -172,7 +150,10 @@ def _scaled_rows(store: FeatureStore, rows, max_sd: float, max_amt: float) -> np
 def _load_split(cfg: ExperimentConfig, split: str):
     """(splits, samples, row indices, scaled features) of the prepared
     split `split` ("train_idx" or "test_idx")."""
-    splits = _read_splits(cfg)
+    path = Path(cfg.output_dir) / SPLITS_REL
+    if not path.exists():
+        raise DataError(f"{path} not found; run `fraudsig prepare` first")
+    splits = read_json(path, _SPLITS_KEYS)
     samples = _rebuild_samples(cfg, splits)
     store, _ = _load_store(cfg, samples, splits["subsample"])
     idx = np.asarray(splits[split], dtype=np.intp)
@@ -257,12 +238,8 @@ def _cmd_prepare(args) -> int:
             f"labeled_sizes {list(cfg.split.labeled_sizes)} scale to {list(sizes)} at "
             f"--subsample {args.subsample}; each cell needs a distinct size"
         )
-    seeds = {"split": derive_seed_sequence(cfg.seed, STAGE_SPLIT)}
-    for si in range(len(sizes)):
-        for rep in range(cfg.split.repetitions):
-            seeds[(si, rep)] = derive_seed_sequence(cfg.seed, STAGE_SPLIT, si, rep)
     split = banksim.split_and_unlabel(
-        samples.labels, sizes, cfg.split.repetitions, cfg.split.test_fraction, seeds
+        samples.labels, sizes, cfg.split.repetitions, cfg.split.test_fraction, cfg.seed
     )
     max_sd, max_amt = banksim.training_maxima(samples, split.train_idx)
 
@@ -287,7 +264,8 @@ def _cmd_prepare(args) -> int:
             for rep in range(cfg.split.repetitions)
         },
     }
-    _atomic_json(_splits_path(cfg), splits)
+    with committing(Path(cfg.output_dir) / SPLITS_REL) as tmp:
+        tmp.write_text(json.dumps(splits, indent=2, sort_keys=True))
 
     manifest = _load_manifest(cfg)
     manifest["dataset_sha256"] = store.manifest["dataset_sha256"]
@@ -445,9 +423,8 @@ def _cmd_evaluate(args) -> int:
 
     report_dir = Path(cfg.output_dir) / "reports"
     written = reports.write_cell_reports(report_dir, cells)
-    manifest = _load_manifest(cfg)
     _record_stage(
-        cfg, manifest, "evaluate", time.perf_counter() - t0,
+        cfg, _load_manifest(cfg), "evaluate", time.perf_counter() - t0,
         artifacts=[f"reports/{name}" for name in written],
         cells=len(cells), missing=n_missing,
     )
@@ -467,9 +444,8 @@ def _cmd_report(args) -> int:
     if not (report_dir / reports.GLOBAL_CSV).exists():
         raise DataError("no evaluation tables found; run `fraudsig evaluate` first")
     written = reports.aggregate_reports(report_dir, cfg.split.repetitions)
-    manifest = _load_manifest(cfg)
     _record_stage(
-        cfg, manifest, "report", time.perf_counter() - t0,
+        cfg, _load_manifest(cfg), "report", time.perf_counter() - t0,
         artifacts=[f"reports/{name}" for name in written],
     )
     for row in reports.read_csv(report_dir / reports.AGGREGATE_CSV):

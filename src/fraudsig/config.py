@@ -1,5 +1,6 @@
-"""Experiment configuration, deterministic seed derivation and the error
-kinds the CLI maps to exit codes.
+"""Experiment configuration, deterministic seed derivation, the error kinds
+the CLI maps to exit codes, and the one way every pipeline artifact is
+committed (whole, by a rename) and read (a malformed one is a DataError).
 
 A single YAML file drives every pipeline stage.  All randomness flows from
 one global seed through numpy's SeedSequence spawn-key mechanism, so each
@@ -9,8 +10,9 @@ one global seed through numpy's SeedSequence spawn-key mechanism, so each
 from __future__ import annotations
 
 import dataclasses
+import json
 import numbers
-import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,10 +29,10 @@ __all__ = [
     "derive_rng",
     "derive_seed_sequence",
     "cache_dir",
-    "CACHE_ENV_VAR",
+    "committing",
+    "read_json",
+    "parsing",
 ]
-
-CACHE_ENV_VAR = "FRAUDSIG_CACHE"
 
 # Stage identifiers for seed spawn keys.
 STAGE_SPLIT = 1
@@ -44,6 +46,41 @@ class ConfigError(ValueError):
 
 class DataError(RuntimeError):
     """Missing, unreadable or inconsistent pipeline inputs."""
+
+
+@contextmanager
+def committing(path: str | Path):
+    """Yield `<path>.tmp` to write the artifact `path` into, and rename it
+    over `path` once written: readers see the old file or the new one whole."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    yield tmp
+    tmp.replace(path)
+
+
+@contextmanager
+def parsing(path: str | Path):
+    """Report a malformed entry of the artifact `path` as a DataError naming it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} is unreadable ({exc!r})") from exc
+
+
+def read_json(path: str | Path, keys=()) -> dict:
+    """The JSON object in the artifact `path`; a file that does not parse,
+    holds no object or lacks one of `keys` is a DataError naming it."""
+    with parsing(path):
+        obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise DataError(f"{path} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise DataError(f"{path} lacks {', '.join(missing)}")
+    return obj
 
 
 def derive_seed_sequence(global_seed: int, *key: int) -> np.random.SeedSequence:
@@ -131,11 +168,15 @@ class TrainConfig:
     def burn_in_epochs(self) -> int:
         return self.epochs // 2 if self.burn_in is None else self.burn_in
 
+    def collects(self, epoch: int) -> bool:
+        """Whether the member schedule keeps the discriminator chains at `epoch`."""
+        burn_in = self.burn_in_epochs()
+        return epoch >= burn_in and (epoch - burn_in) % self.thinning == 0
+
     def validate(self) -> None:
         _check_settings(self)
         burn_in = self.burn_in_epochs()
-        # Members are kept at epochs e >= burn_in with (e - burn_in) % thinning
-        # == 0, from epoch 1 on; evaluate needs at least one.
+        # The first epoch >= 1 that `collects`; evaluate needs a member.
         first = burn_in if burn_in >= 1 else self.thinning
         if self.epochs < first:
             raise ConfigError(
@@ -219,11 +260,8 @@ class ExperimentConfig:
 
 
 def cache_dir(cfg: ExperimentConfig) -> Path:
-    """Feature-cache directory: environment override, then config, then a
-    `cache/` directory under the output directory."""
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
+    """Feature-cache directory: the config's `cache`, else a `cache/`
+    directory under the output directory."""
     if cfg.cache:
         return Path(cfg.cache)
     return Path(cfg.output_dir) / "cache"

@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .banksim import SampleSet
+from .config import DataError, committing, read_json
 from .lyndon import LyndonBasis
 from .signatures import (
     TensorSeries,
@@ -215,7 +216,6 @@ def build_feature_store(
         (store, cache_hit).
     """
     cache_path = Path(cache_path)
-    cache_path.mkdir(parents=True, exist_ok=True)
     basis = LyndonBasis.build(_D_AUG, degree)
     bin_path = cache_path / "features.bin"
     manifest_path = cache_path / "manifest.json"
@@ -230,15 +230,11 @@ def build_feature_store(
     if manifest_path.exists() and bin_path.exists():
         # A cut-short manifest or matrix file is a cache miss, not a crash.
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except ValueError:
-            manifest = None
+            manifest = read_json(manifest_path)
+        except DataError:
+            manifest = {}
         complete = bin_path.stat().st_size == 8 * expected["n_rows"] * expected["n_cols"]
-        if (
-            complete
-            and isinstance(manifest, dict)
-            and {k: manifest.get(k) for k in expected} == expected
-        ):
+        if complete and {k: manifest.get(k) for k in expected} == expected:
             matrix = np.fromfile(bin_path, dtype="<f8").reshape(
                 expected["n_rows"], expected["n_cols"]
             )
@@ -256,10 +252,8 @@ def build_feature_store(
                 cs.step_diffs, cs.amounts, degree, basis, min_prefix
             )
 
-    tmp_bin = bin_path.with_suffix(".bin.tmp")
-    matrix.astype("<f8", copy=False).tofile(tmp_bin)
-    tmp_bin.replace(bin_path)
-    tmp_manifest = manifest_path.with_suffix(".json.tmp")
-    tmp_manifest.write_text(json.dumps(expected, indent=1))
-    tmp_manifest.replace(manifest_path)
+    with committing(bin_path) as tmp:
+        matrix.astype("<f8", copy=False).tofile(tmp)
+    with committing(manifest_path) as tmp:
+        tmp.write_text(json.dumps(expected, indent=1))
     return FeatureStore(matrix, basis, dict(expected)), False

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import HeadConfig
+from .config import HeadConfig, committing, parsing
 from . import metrics
 
 __all__ = [
@@ -41,6 +41,15 @@ PARTIAL_CSV = "partial_pr_auc.csv"
 UNCERTAINTY_CSV = "uncertainty_metrics.csv"
 AGGREGATE_CSV = "aggregate.csv"
 COST_CURVE_CSV = "cost_curve.csv"
+# The four long tables: file, grid column if any (its value joins the metric
+# name when aggregated) and metric columns, after model, n_labeled, repetition.
+_TABLES = (
+    (GLOBAL_CSV, (), ("macro_f1", "pr_auc", "cross_entropy")),
+    (HEAD_CSV, ("k_percent",), ("precision_at_k", "recall_at_k", "expected_cost_at_k")),
+    (PARTIAL_CSV, ("recall_cap",), ("partial_pr_auc",)),
+    (UNCERTAINTY_CSV, (),
+     ("uncertainty_auroc", "width_tp", "width_fp", "width_tn", "width_fn")),
+)
 
 
 @dataclass
@@ -109,9 +118,7 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with committing(path) as tmp, tmp.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -125,30 +132,16 @@ def read_csv(path: str | Path) -> list[dict]:
 
 def write_cell_reports(report_dir: str | Path, cells: list[CellScores]) -> list[str]:
     """Write the four long-format CSVs; returns the file names written."""
-    report_dir = Path(report_dir)
-    write_csv(
-        report_dir / GLOBAL_CSV,
-        ["model", "n_labeled", "repetition", "macro_f1", "pr_auc", "cross_entropy"],
+    rows = (
         [c.global_row for c in cells],
-    )
-    write_csv(
-        report_dir / HEAD_CSV,
-        ["model", "n_labeled", "repetition", "k_percent",
-         "precision_at_k", "recall_at_k", "expected_cost_at_k"],
         [row for c in cells for row in c.head_rows],
-    )
-    write_csv(
-        report_dir / PARTIAL_CSV,
-        ["model", "n_labeled", "repetition", "recall_cap", "partial_pr_auc"],
         [row for c in cells for row in c.partial_rows],
-    )
-    write_csv(
-        report_dir / UNCERTAINTY_CSV,
-        ["model", "n_labeled", "repetition", "uncertainty_auroc",
-         "width_tp", "width_fp", "width_tn", "width_fn"],
         [c.uncertainty_row for c in cells],
     )
-    return [GLOBAL_CSV, HEAD_CSV, PARTIAL_CSV, UNCERTAINTY_CSV]
+    for (name, grid, columns), table in zip(_TABLES, rows):
+        header = ["model", "n_labeled", "repetition", *grid, *columns]
+        write_csv(Path(report_dir) / name, header, table)
+    return [name for name, _, _ in _TABLES]
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -164,26 +157,18 @@ def aggregate_reports(report_dir: str | Path, expected_reps: int) -> list[str]:
     `aggregate.csv` holds one row per (model, n_labeled, metric); metrics
     from gridded tables carry the grid point in their name.  Expected cost
     additionally lands in `cost_curve.csv` in thousands of currency units.
+    A table with a missing column or value is a DataError naming it.
     """
     report_dir = Path(report_dir)
     groups: dict[tuple, list[float]] = {}
-
-    def add(model, n_labeled, metric, value):
-        groups.setdefault((model, int(n_labeled), metric), []).append(float(value))
-
-    for row in read_csv(report_dir / GLOBAL_CSV):
-        for m in ("macro_f1", "pr_auc", "cross_entropy"):
-            add(row["model"], row["n_labeled"], m, row[m])
-    for row in read_csv(report_dir / HEAD_CSV):
-        k = row["k_percent"]
-        for m in ("precision_at_k", "recall_at_k", "expected_cost_at_k"):
-            add(row["model"], row["n_labeled"], f"{m}[{k}]", row[m])
-    for row in read_csv(report_dir / PARTIAL_CSV):
-        add(row["model"], row["n_labeled"],
-            f"partial_pr_auc[{row['recall_cap']}]", row["partial_pr_auc"])
-    for row in read_csv(report_dir / UNCERTAINTY_CSV):
-        for m in ("uncertainty_auroc", "width_tp", "width_fp", "width_tn", "width_fn"):
-            add(row["model"], row["n_labeled"], m, row[m])
+    for name, grid, columns in _TABLES:
+        path = report_dir / name
+        with parsing(path):
+            for row in read_csv(path):
+                point = "".join(f"[{row[g]}]" for g in grid)
+                for m in columns:
+                    key = (row["model"], int(row["n_labeled"]), m + point)
+                    groups.setdefault(key, []).append(float(row[m]))
 
     agg_rows = []
     cost_rows = []

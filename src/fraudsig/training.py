@@ -16,13 +16,12 @@ import dataclasses
 import hashlib
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, DataError, TrainConfig, derive_rng
+from .config import ConfigError, DataError, TrainConfig, committing, derive_rng, parsing, read_json
 from .losses import discriminator_loss, generator_loss_from_scores
 from .nnet import DiscriminatorNet, GeneratorNet, restricted_softmax
 from .sghmc import AdamState, GlorotPrior, adam_sghmc_step
@@ -181,6 +180,19 @@ def _fingerprint(data: PreparedData, cfg: TrainConfig) -> dict:
     return json.loads(json.dumps(fp))
 
 
+def _check_schedule(checkpoint_dir, cfg: TrainConfig, epoch: int, members: list) -> None:
+    """A checkpoint resumes only into its own member schedule, which follows
+    `epochs` (left out of the fingerprint) when `burn_in` is null."""
+    want = [(j, e) for e in range(1, epoch + 1) if cfg.collects(e) for j in range(cfg.chains_d)]
+    if epoch > cfg.epochs or [(m.chain, m.epoch) for m in members] != want:
+        raise ConfigError(
+            f"checkpoint {checkpoint_dir}, at epoch {epoch} with members of epochs "
+            f"{sorted({m.epoch for m in members})}, was written under another member "
+            f"schedule than epochs {cfg.epochs}, burn_in {cfg.burn_in_epochs()}, thinning "
+            f"{cfg.thinning}; resume with the epochs it was written with"
+        )
+
+
 def _check_finite(epoch, chain_name, value, grads, trace):
     if not np.isfinite(value):
         raise DivergedChainError(epoch, chain_name, trace)
@@ -238,11 +250,11 @@ def train(
         start_epoch = load_checkpoint(
             checkpoint_dir, gen_chains, disc_chains, cycle, members, trace, fingerprint
         )
+        _check_schedule(checkpoint_dir, cfg, start_epoch, members)
         n_saved = len(members)
 
     n_rows = data.feats.shape[0]
     batch = min(cfg.batch, n_rows)
-    burn_in = cfg.burn_in_epochs()
     all_idx = np.arange(n_rows)
     # Losses are minibatch means (1/N of the log-likelihood sum), so the
     # prior must enter at the same per-sample weight or it swamps the data.
@@ -307,7 +319,7 @@ def train(
             for term in ("unlabeled", "labeled", "penalty", "total"):
                 trace.append((epoch, "disc", j, term, sums[term] / cfg.n_critic))
 
-        if epoch >= burn_in and (epoch - burn_in) % cfg.thinning == 0:
+        if cfg.collects(epoch):
             for j, chain in enumerate(disc_chains):
                 members.append(EnsembleMember(j, epoch, [p.copy() for p in chain.params]))
 
@@ -371,17 +383,19 @@ def predict(
 #   state.json          counters, RNG states, the member list, the trace,
 #                       the fingerprint of the settings and data, the name of
 #                       the chains file and both networks' parameter shapes.
-# A save cuts members.bin to the records the state.json on disk lists and
-# appends the new members, writes a fresh chains file, writes
-# state.json.tmp and replaces state.json with it.  That replace is the
-# commit point: before it every file the old state.json names is intact,
-# and only after it is the old chains file deleted.  A checkpoint that
-# cannot be parsed raises DataError naming it; one of another network
-# shape, or written by an older version (no chain_state key), ConfigError.
+# A save cuts members.bin to the records the state.json on disk lists,
+# appends the new members, writes a fresh chains file and commits state.json
+# (config.committing).  That rename is the commit point: before it every
+# file the old state.json names is intact, and only after it is the old
+# chains file deleted.  A state.json that config.read_json refuses, or a
+# file shorter than it lists, is a DataError naming it; a checkpoint of
+# another network shape or member schedule, or of an older version (no
+# chain_state entry), a ConfigError.
 # ---------------------------------------------------------------------------
 
+# Entries of every state.json, of this layout and of older ones.
 _STATE_KEYS = (
-    "epoch", "fingerprint", "data_rng", "cycle", "gen_shapes", "disc_shapes",
+    "epoch", "fingerprint", "data_rng", "cycle",
     "gen_chains", "disc_chains", "members", "trace",
 )
 
@@ -426,9 +440,8 @@ def save_checkpoint(
         "members": [{"chain": m.chain, "epoch": m.epoch} for m in members],
         "trace": [list(row) for row in trace],
     }
-    tmp = out / "state.json.tmp"
-    tmp.write_text(json.dumps(state))
-    tmp.replace(out / "state.json")
+    with committing(out / "state.json") as tmp:
+        tmp.write_text(json.dumps(state))
     _drop_chains_but(out, chains)
 
 
@@ -438,35 +451,18 @@ def _drop_chains_but(in_dir: Path, keep: str) -> None:
             path.unlink()
 
 
-@contextmanager
-def _parsing(in_dir: Path):
-    """Report a malformed entry of the checkpoint `in_dir` as a DataError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint {in_dir}: unreadable state.json ({exc!r})") from exc
-
-
 def _read_state(in_dir: Path) -> dict:
-    with _parsing(in_dir):
-        state = json.loads((in_dir / "state.json").read_text())
-        if not isinstance(state, dict):
-            raise DataError(f"checkpoint {in_dir}: state.json is not a JSON object")
-        if "chain_state" not in state:
-            raise ConfigError(
-                f"checkpoint {in_dir} was written by an older version of fraudsig; "
-                f"train the cell again without --resume"
-            )
-    missing = [k for k in _STATE_KEYS if k not in state]
-    if missing:
-        raise DataError(f"checkpoint {in_dir}: state.json lacks {', '.join(missing)}")
+    state = read_json(in_dir / "state.json", _STATE_KEYS)
+    if "chain_state" not in state:
+        raise ConfigError(
+            f"checkpoint {in_dir} was written by an older version of fraudsig; "
+            f"train the cell again without --resume"
+        )
     return state
 
 
 def _check_shapes(in_dir: Path, state: dict, key: str, shapes: list) -> None:
-    with _parsing(in_dir):
+    with parsing(in_dir / "state.json"):
         got = [tuple(s) for s in state[key]]
     if got != [tuple(s) for s in shapes]:
         raise ConfigError(
@@ -491,7 +487,7 @@ def _views(in_dir: Path, name: str, shapes: list) -> list[np.ndarray]:
 
 def _members(in_dir: Path, state: dict, shapes: list) -> list[EnsembleMember]:
     _check_shapes(in_dir, state, "disc_shapes", shapes)
-    with _parsing(in_dir):
+    with parsing(in_dir / "state.json"):
         metas = [(int(m["chain"]), int(m["epoch"])) for m in state["members"]]
     tensors = iter(_views(in_dir, "members.bin", list(shapes) * len(metas)))
     return [
@@ -521,7 +517,7 @@ def load_checkpoint(
     the state does not name, left by a crash after the commit, is deleted."""
     in_dir = Path(checkpoint_dir)
     state = _read_state(in_dir)
-    with _parsing(in_dir):
+    with parsing(in_dir / "state.json"):
         saved_fp = state["fingerprint"]
         diff = [
             f"{k}: {saved_fp.get(k)!r} -> {v!r}"
@@ -543,7 +539,7 @@ def load_checkpoint(
     shapes = [[p.shape for p in c.params] for c in chains]
     _check_shapes(in_dir, state, "gen_shapes", shapes[0])
     members[:] = _members(in_dir, state, shapes[-1])
-    with _parsing(in_dir):
+    with parsing(in_dir / "state.json"):
         tensors = iter(_views(in_dir, state["chain_state"], [s for c in shapes for s in c * 3]))
         entries = state["gen_chains"] + state["disc_chains"]
         for chain, entry, s in zip(chains, entries, shapes):

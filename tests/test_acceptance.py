@@ -34,7 +34,6 @@ from fraudsig.banksim import (
 from fraudsig.cli import _condition_codes
 from fraudsig.config import (
     STAGE_PREPARE,
-    STAGE_SPLIT,
     STAGE_TRAIN,
     TrainConfig,
     derive_rng,
@@ -498,14 +497,6 @@ def kept_customers(corpus_path):
     return kept, stats
 
 
-def _split_seeds(global_seed, n_sizes, reps):
-    seeds = {"split": derive_seed_sequence(global_seed, STAGE_SPLIT)}
-    for si in range(n_sizes):
-        for rep in range(reps):
-            seeds[(si, rep)] = derive_seed_sequence(global_seed, STAGE_SPLIT, si, rep)
-    return seeds
-
-
 def _feature_cache(tmp_path):
     env = os.environ.get("FRAUDSIG_CACHE")
     return Path(env) if env else tmp_path / "cache"
@@ -520,10 +511,7 @@ def test_c08_data_shape_reproduction(kept_customers):
         assert sum(1 for c in kept if c.frauds.any()) == 1479
 
         samples = make_samples(kept, 5)
-        split = split_and_unlabel(
-            samples.labels, LABELED_SIZES, 2, 0.1,
-            _split_seeds(0, len(LABELED_SIZES), 2),
-        )
+        split = split_and_unlabel(samples.labels, LABELED_SIZES, 2, 0.1, 0)
         for size, want in zip(LABELED_SIZES, EXPECTED_LABELED_FRAUDS):
             for rep in range(2):
                 got = int(samples.labels[split.labeled[(size, rep)]].sum())
@@ -540,9 +528,7 @@ def test_c09_desk_scale_training_dynamics(kept_customers, tmp_path):
         samples = make_samples([kept[i] for i in idx], 5)
 
         n_labeled = max(1, round(0.1 * LABELED_SIZES[-1]))
-        split = split_and_unlabel(
-            samples.labels, (n_labeled,), 1, 0.1, _split_seeds(0, 1, 1)
-        )
+        split = split_and_unlabel(samples.labels, (n_labeled,), 1, 0.1, 0)
         max_sd, max_amt = training_maxima(samples, split.train_idx)
         labeled = split.labeled[(n_labeled, 0)]
         rate = category_rate_table(samples, labeled)
@@ -627,9 +613,7 @@ def test_c10_full_scale_stretch(kept_customers, tmp_path):
         kept, _ = kept_customers
         samples = make_samples(kept, 5)
         reps = 5
-        split = split_and_unlabel(
-            samples.labels, (2595,), reps, 0.1, _split_seeds(0, 1, reps)
-        )
+        split = split_and_unlabel(samples.labels, (2595,), reps, 0.1, 0)
         max_sd, max_amt = training_maxima(samples, split.train_idx)
         meta = {
             "age_vocab": sorted(set(samples.ages)),

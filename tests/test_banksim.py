@@ -226,11 +226,7 @@ def test_split_and_unlabel_invariants(seed, size):
     labels = (rng.uniform(size=400) < 0.1).astype(int)
     if labels.sum() == 0:
         labels[0] = 1
-    seqs = {"split": np.random.SeedSequence(seed, spawn_key=(1,))}
-    for si in range(2):
-        for rep in range(2):
-            seqs[(si, rep)] = np.random.SeedSequence(seed, spawn_key=(1, si, rep))
-    res = split_and_unlabel(labels, (size, 2 * size), 2, 0.1, seqs)
+    res = split_and_unlabel(labels, (size, 2 * size), 2, 0.1, seed)
     train_set = set(res.train_idx)
     assert not train_set & set(res.test_idx)
     assert len(res.train_idx) + len(res.test_idx) == 400
@@ -244,10 +240,7 @@ def test_split_and_unlabel_deterministic():
     labels = np.array([0] * 95 + [1] * 5)
 
     def run():
-        seqs = {"split": np.random.SeedSequence(7, spawn_key=(1,))}
-        for rep in range(3):
-            seqs[(0, rep)] = np.random.SeedSequence(7, spawn_key=(1, 0, rep))
-        return split_and_unlabel(labels, (20,), 3, 0.1, seqs)
+        return split_and_unlabel(labels, (20,), 3, 0.1, 7)
 
     a, b = run(), run()
     np.testing.assert_array_equal(a.train_idx, b.train_idx)

@@ -48,6 +48,8 @@ def pipeline(tmp_path_factory):
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "1"]) == EXIT_OK
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_OK
     assert main(["report", "--config", str(cfg)]) == EXIT_OK
+    # Every artifact, the feature cache's too, is committed by a rename.
+    assert not list((root / "out").rglob("*.tmp"))
     return root, cfg
 
 
@@ -171,16 +173,25 @@ def test_invalid_config_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content", ['{"customers": ["C1", "C', "[1, 2]"], ids=["truncated", "not-an-object"]
+    "content", ['{"customers": ["C1", "C', "[1, 2]", "no-train-idx"],
+    ids=["truncated", "not-an-object", "no-train-idx"],
 )
-def test_unreadable_splits_is_data_error(tmp_path, content):
+def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
+    """A splits file that does not parse, is not an object or lacks an entry
+    exits 3 and names the file, in train and in evaluate."""
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path)
     splits = tmp_path / "out" / "prepared" / "splits.json"
-    splits.parent.mkdir(parents=True)
+    if content == "no-train-idx":
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        prepared = json.loads(splits.read_text())
+        del prepared["train_idx"]
+        content = json.dumps(prepared)
+    splits.parent.mkdir(parents=True, exist_ok=True)
     splits.write_text(content)
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DATA
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    assert capsys.readouterr().err.count(str(splits)) == 2
 
 
 def test_evaluate_without_training_is_data_error(tmp_path):
@@ -337,13 +348,35 @@ def test_unreadable_manifest_is_data_error(pipeline, tmp_path):
 
 
 def test_manifest_not_an_object_is_data_error(pipeline, tmp_path, capsys):
-    """A manifest that parses but is not an object exits 3 and names the
-    file, instead of raising a traceback when the stage records itself."""
+    """A manifest that parses but is not an object, or is one without its
+    `stages` entry, exits 3 and names the file, instead of raising a
+    traceback when the stage records itself."""
     cfg = _copy_run(pipeline, tmp_path)
     manifest = tmp_path / "out/manifest.json"
+    stageless = json.loads(manifest.read_text())
+    del stageless["stages"]
     manifest.write_text("[1, 2]")
     assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
     assert str(manifest) in capsys.readouterr().err
+    manifest.write_text(json.dumps(stageless))
+    assert main(["report", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "stages" in err
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["global_metrics.csv", "head_metrics.csv", "partial_pr_auc.csv", "uncertainty_metrics.csv"],
+)
+def test_cut_short_report_table_is_data_error(pipeline, tmp_path, capsys, name):
+    """`report` over an evaluation table cut short inside its first row
+    exits 3 and names the table, instead of raising a traceback."""
+    cfg = _copy_run(pipeline, tmp_path)
+    table = tmp_path / "out/reports" / name
+    text = table.read_text()
+    table.write_text(text[: text.index("\n") + 8])
+    assert main(["report", "--config", str(cfg)]) == EXIT_DATA
+    assert str(table) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["C1:five", "C1"], ids=["not-an-int", "no-prefix"])
@@ -397,6 +430,32 @@ def test_resume_without_checkpoint_says_so(pipeline, tmp_path, caplog):
     assert any(ckpt in r.message and "epoch 1" in r.message for r in caplog.records)
     manifest = json.loads((tmp_path / "out/manifest.json").read_text())
     assert manifest["stages"]["train:nl40_rep0"]["resumed"] is False
+
+
+def test_resume_past_configured_epochs_is_config_error(pipeline, tmp_path, capsys):
+    """A 4-epoch checkpoint resumed with `epochs: 2` exits 2 and names the
+    setting, instead of returning the longer run as the configured one."""
+    cfg = _copy_run(pipeline, tmp_path, epochs=2)
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    assert main(train_args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out/runs/nl40_rep0/checkpoint") in err and "epochs 2" in err
+
+
+def test_resume_into_another_member_schedule_is_config_error(pipeline, tmp_path, capsys):
+    """With `burn_in: null` the burn-in is `epochs // 2`, so a 4-epoch
+    checkpoint (members from epoch 2) resumed with `epochs: 8` (members from
+    epoch 4) would mix two schedules: exit 2, naming the setting."""
+    cfg = _copy_run(pipeline, tmp_path, burn_in=None)
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]
+    assert main(train_args) == EXIT_OK
+    base = yaml.safe_load(cfg.read_text())
+    base["train"]["epochs"] = 8
+    cfg.write_text(yaml.safe_dump(base))
+    capsys.readouterr()
+    assert main(train_args + ["--resume"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(tmp_path / "out/runs/nl40_rep0/checkpoint") in err and "epochs 8" in err
 
 
 def test_resume_with_changed_chain_counts_is_config_error(pipeline, tmp_path):
