@@ -2,7 +2,7 @@
 """Paired stage benchmark of two checkouts, written as BENCH_<name>.json.
 
     python3 scripts/bench_pairs.py --base DIR --change DIR --name 6 \\
-        --workloads train --seeds 7 8 9 --pairs 10 [--seconds 10]
+        --workloads train --seeds 7 8 9 --pairs 10 [--seconds 10] [--note TEXT]
 
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once in each checkout (a `git clone` of the parent commit and
@@ -80,6 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", type=Path, default=Path("."), help="directory for the file")
+    parser.add_argument("--note", default="", help="what the change does to the runs, recorded as is")
     args = parser.parse_args(argv)
 
     bench = {
@@ -87,6 +88,7 @@ def main(argv=None) -> int:
                    f"--seconds {args.seconds:g} --trace 0",
         "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "base": revision(args.base), "change": revision(args.change),
+        "note": args.note,
         "workloads": {},
     }
     machine = None

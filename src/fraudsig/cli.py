@@ -30,6 +30,7 @@ from .config import (
     committing,
     derive_rng,
     derive_seed_sequence,
+    parsing,
     read_json,
 )
 from .features import (
@@ -147,13 +148,37 @@ def _scaled_rows(store: FeatureStore, rows, max_sd: float, max_amt: float) -> np
     return feats
 
 
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _read_splits(path: Path) -> dict:
+    """The prepared splits, with the nested entries the stages read checked
+    too: `stats.n_samples`, the labeled set of every (size, repetition) cell
+    and both vocabularies; a missing or malformed one is a DataError naming
+    the file."""
+    splits = read_json(path, _SPLITS_KEYS)
+    with parsing(path):
+        bad = [] if isinstance(splits["stats"].get("n_samples"), int) else ["stats.n_samples"]
+        bad += [
+            f"labeled[{si}:{rep}]"
+            for si in range(len(splits["labeled_sizes"]))
+            for rep in range(splits["repetitions"])
+            if not _list_of(splits["labeled"].get(f"{si}:{rep}"), int)
+        ]
+        bad += [name for name in ("age_vocab", "gender_vocab") if not _list_of(splits[name], str)]
+    if bad:
+        raise DataError(f"{path} has missing or malformed entries: {', '.join(bad)}")
+    return splits
+
+
 def _load_split(cfg: ExperimentConfig, split: str):
     """(splits, samples, row indices, scaled features) of the prepared
     split `split` ("train_idx" or "test_idx")."""
     path = Path(cfg.output_dir) / SPLITS_REL
     if not path.exists():
         raise DataError(f"{path} not found; run `fraudsig prepare` first")
-    splits = read_json(path, _SPLITS_KEYS)
+    splits = _read_splits(path)
     samples = _rebuild_samples(cfg, splits)
     store, _ = _load_store(cfg, samples, splits["subsample"])
     idx = np.asarray(splits[split], dtype=np.intp)
@@ -311,6 +336,9 @@ def _cmd_prepare(args) -> int:
 def _cmd_train(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     t0 = time.perf_counter()
+    # A malformed manifest exits before the checkpoint is removed and the
+    # cell trained; it is read again for the update, after training.
+    _load_manifest(cfg)
     splits, samples, train_idx, feats = _load_split(cfg, "train_idx")
 
     si = _size_index(args.nl, splits)

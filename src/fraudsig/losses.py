@@ -140,12 +140,12 @@ def discriminator_loss(
     params,
     real_feat: np.ndarray,
     real_codes: np.ndarray,
-    fake_feat: np.ndarray,
-    fake_codes: np.ndarray,
+    fake_feat,
+    fake_codes,
     labeled_feat: np.ndarray,
     labeled_codes: np.ndarray,
     labels: np.ndarray,
-    eps: np.ndarray,
+    eps,
     lam: float,
     gp_weight: float,
     want_grads: bool = False,
@@ -153,26 +153,29 @@ def discriminator_loss(
     """Critic loss unlabeled + lam*labeled + gp_weight*penalty, summed over
     one fake batch per generator chain.
 
-    `fake_feat` (k, B, l), `fake_codes` (k, B, F) and `eps` (k, B) hold the
-    fakes of k generator chains; a 2-D `fake_feat` is the single-chain case
-    k = 1.  Each fake batch is scored against the same real and labeled
-    batches, and its penalty interpolates `real_feat` against it under the
-    real batch's condition codes.  The real and labeled terms do not depend
-    on the chain, so they are evaluated once and weighted by k.  Returns
-    (parts, total) or (parts, total, grads) when `want_grads`.
+    The fakes of k generator chains come as arrays, `fake_feat` (k, B, l),
+    `fake_codes` (k, B, F) and `eps` (k, B), where a 2-D `fake_feat` is the
+    single-chain case k = 1; or, with `fake_codes` and `eps` None, as a
+    sized iterable `fake_feat` of k (feat, codes, eps) batches, read once in
+    order, so that each fake can be made when it is scored and freed after.
+    Each fake batch is scored against the same real and labeled batches, and
+    its penalty interpolates `real_feat` against it under the real batch's
+    condition codes.  The real and labeled terms do not depend on the chain,
+    so they are evaluated once and weighted by k.  Returns (parts, total) or
+    (parts, total, grads) when `want_grads`.
     """
-    fake_feat = np.asarray(fake_feat, dtype=np.float64)
-    if fake_feat.ndim == 2:
-        fake_feat = fake_feat[None]
-        fake_codes = np.asarray(fake_codes)[None]
-        eps = np.asarray(eps)[None]
+    if fake_codes is None:
+        fakes = fake_feat
+    else:
+        fake_feat = np.asarray(fake_feat, dtype=np.float64)
+        if fake_feat.ndim == 2:
+            fake_feat = fake_feat[None]
+            fake_codes = np.asarray(fake_codes)[None]
+            eps = np.asarray(eps)[None]
+        fakes = list(zip(fake_feat, fake_codes, eps))
     real_feat = np.asarray(real_feat, dtype=np.float64)
     labeled_feat = np.asarray(labeled_feat, dtype=np.float64)
-    if fake_feat.shape[1:] != real_feat.shape:
-        raise ValueError(
-            f"real/fake batches must align, got {real_feat.shape} vs {fake_feat.shape[1:]}"
-        )
-    k, n = fake_feat.shape[:2]
+    k, n = len(fakes), real_feat.shape[0]
     tvec = critic_head_vector(disc.n_classes)
     w_f = disc.free_weights(params)
     gram = w_f @ w_f.T
@@ -192,15 +195,23 @@ def discriminator_loss(
         _accumulate(grads, upper)
         # Gradients at the pre-activation, split by what they multiply: the
         # real rows' features (d_real_feat) and their condition part (d_real).
+        # The W_f gradient sums D^T x over the batches as they are scored:
+        # labeled, each fake, real, then the penalty's M W_f.
         d_real_feat = d_real.copy()
-        feat_terms = [(d_lab, labeled_feat)]
+        w_grad = np.zeros_like(w_f)
+        w_grad += d_lab.T @ labeled_feat
         cond_terms = [(d_lab, lab_emb)]
         m_sum = np.zeros_like(gram)
     del caches
 
     unlab = pen = 0.0
-    for j in range(k):
-        proj, cond, emb = disc.project(params, fake_feat[j], fake_codes[j])
+    for feat, codes, e in fakes:
+        feat = np.asarray(feat, dtype=np.float64)
+        if feat.shape != real_feat.shape:
+            raise ValueError(
+                f"real/fake batches must align, got {real_feat.shape} vs {feat.shape}"
+            )
+        proj, cond, emb = disc.project(params, feat, codes)
         fake_scores, caches = disc.upper_forward(params, proj + cond)
         unlab += unlabeled_loss(real_scores, fake_scores)
         if want_grads:
@@ -208,7 +219,7 @@ def discriminator_loss(
             upper, d_fake = disc.upper_backward(params, caches, d_fake)
             _accumulate(grads, upper)
         del caches
-        e = eps[j][:, None]
+        e = np.asarray(e)[:, None]
         res, pen_grads = _penalty_at(
             disc, params, e * real_proj + (1.0 - e) * proj + real_cond, gram, want_grads
         )
@@ -219,17 +230,19 @@ def discriminator_loss(
             lam_pen *= gp_weight
             d_real_feat += e * lam_pen
             d_real += lam_pen
-            feat_terms.append((d_fake + (1.0 - e) * lam_pen, fake_feat[j]))
+            w_grad += (d_fake + (1.0 - e) * lam_pen).T @ feat
             cond_terms.append((d_fake, emb))
             m_sum += gp_weight * m
+        del feat, proj  # before the next fake batch is made
 
     parts = DiscriminatorLossParts(unlab, k * lab, pen)
     total = parts.total(lam, gp_weight)
     if not want_grads:
         return parts, total
-    feat_terms += [(d_real_feat, real_feat), (m_sum.T, w_f)]
+    w_grad += d_real_feat.T @ real_feat
+    w_grad += m_sum @ w_f
     cond_terms.append((d_real, real_emb))
-    return parts, total, disc.projection_grads(params, feat_terms, cond_terms) + grads
+    return parts, total, disc.projection_grads(params, w_grad, cond_terms) + grads
 
 
 def _accumulate(acc, grads, weight: float = 1.0) -> None:

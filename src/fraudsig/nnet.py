@@ -309,17 +309,18 @@ class _Net:
                 grads[lo:hi] = layer_grads
         return grads, dy
 
-    def projection_grads(self, params, free_terms, cond_terms):
+    def projection_grads(self, params, free_grad, cond_terms):
         """Gradients of the embedding tables and of `proj` (W, b).
 
-        `free_terms` lists (D, x) pairs whose D^T x sum to the W_x block;
-        `cond_terms` lists (D, embedding cache) pairs, D (n, width) the
-        gradient at the pre-activation of the rows that cache embedded, which
-        feed W_e, b and the tables.
+        `free_grad` is the W_x block, the sum of D^T x over the free-input
+        batches x and the gradients D at their pre-activations; `cond_terms`
+        lists (D, embedding cache) pairs, D (n, width) the gradient at the
+        pre-activation of the rows that cache embedded, which feed W_e, b and
+        the tables.
         """
         emb_ps, (W, _), _ = self._split(params)
         dW = np.zeros_like(W)
-        dW[:, self._free] = sum(d.T @ x for d, x in free_terms)
+        dW[:, self._free] += free_grad
         db = np.zeros(W.shape[0])
         emb_grads = zeros_like_params(emb_ps)
         for d, emb_cache in cond_terms:
@@ -344,7 +345,7 @@ class _Net:
         dx = d_pre @ self.free_weights(params)
         if not need_param_grads:
             return None, dx
-        return self.projection_grads(params, [(d_pre, x)], [(d_pre, emb_cache)]) + grads, dx
+        return self.projection_grads(params, d_pre.T @ x, [(d_pre, emb_cache)]) + grads, dx
 
 
 class GeneratorNet(_Net):

@@ -71,18 +71,21 @@ def adam_sghmc_step(
     the final parameter increment.
 
     Returns:
-        (new_params, state) with `state` updated in place.
+        (new_params, state) with `state`, and its moment arrays, updated in
+        place.
     """
     state.t += 1
     c1 = 1.0 - BETA1**state.t
     c2 = 1.0 - BETA2**state.t
     std = noise_scale * np.sqrt(2.0 * friction * lr)
     new_p = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
-        mhat = state.m[i] / c1
-        vhat = state.v[i] / c2
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        mhat = m / c1
+        vhat = v / c2
         delta = lr * mhat / (np.sqrt(vhat) + EPS)
         if std > 0.0:
             delta = delta + rng.normal(0.0, std, size=p.shape)

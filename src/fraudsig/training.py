@@ -12,10 +12,16 @@ empirical 5%/95% quantiles, whose spread is the per-sample uncertainty.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +45,10 @@ __all__ = [
     "load_checkpoint",
     "load_members",
 ]
+
+
+# Trace terms of a critic chain, in the order of its rows per epoch.
+_CRITIC_TERMS = ("unlabeled", "labeled", "penalty", "total")
 
 
 class DivergedChainError(RuntimeError):
@@ -193,12 +203,101 @@ def _check_schedule(checkpoint_dir, cfg: TrainConfig, epoch: int, members: list)
         )
 
 
-def _check_finite(epoch, chain_name, value, grads, trace):
-    if not np.isfinite(value):
-        raise DivergedChainError(epoch, chain_name, trace)
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise DivergedChainError(epoch, chain_name, trace)
+def _finite(value, grads) -> bool:
+    return bool(np.isfinite(value)) and all(np.all(np.isfinite(g)) for g in grads)
+
+
+def _direction(grads, params, prior: GlorotPrior, prior_w: float):
+    """The sampler's direction -(grads + prior_w * prior gradient), formed in
+    the `grads` arrays."""
+    for a, b in zip(grads, prior.neg_log_grad(params)):
+        a += prior_w * b
+        np.negative(a, out=a)
+    return grads
+
+
+class _Lazy:
+    """`fn` of each of `items`, in order, each made when it is read; sized."""
+
+    def __init__(self, fn, items):
+        self.fn, self.items = fn, items
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return map(self.fn, self.items)
+
+
+# ---------------------------------------------------------------------------
+# Chain threads.  Within an epoch the generator chains read only critic
+# parameters and the critic chains only generator parameters, so each phase
+# maps its chains over a thread pool (numpy releases the GIL in GEMMs and
+# ufuncs).  Each chain draws only from its own RNG, the labeled batches are
+# drawn up front in chain order, and the main thread appends trace rows in
+# chain order, so results do not depend on the number of threads.
+# ---------------------------------------------------------------------------
+
+_M_ARENA_MAX = -8  # mallopt parameter of glibc's <malloc.h>
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy has loaded, or
+    None when there is none to find (another BLAS, or no /proc/self/maps).
+    numpy's wheels bundle it as scipy_openblas, older ones as openblas, with
+    or without the 64_ suffix of its 64-bit-integer build."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+def _one_malloc_arena() -> None:
+    """Keep glibc's allocator to one arena for the rest of the process.  By
+    default every thread that allocates gets an arena of its own, which keeps
+    the freed temporaries of its chains resident beside the others'."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
+
+
+@contextmanager
+def _chain_pool(n_chains: int):
+    """A pool of min(usable CPUs, `n_chains`) threads, with OpenBLAS pinned to
+    one thread while it is open: chain threads times BLAS threads would
+    oversubscribe the cores, and one BLAS thread makes every GEMM of a run,
+    and of its resume, the same whatever the environment asks for."""
+    blas = _openblas_threads()
+    saved = blas[0]() if blas else None
+    _one_malloc_arena()
+    try:
+        if blas:
+            blas[1](1)
+        with ThreadPoolExecutor(min(_usable_cpus(), n_chains)) as pool:
+            yield pool
+    finally:
+        if blas:
+            blas[1](saved)
 
 
 def train(
@@ -210,6 +309,10 @@ def train(
     epoch_callback=None,
 ) -> TrainResult:
     """Run the full adversarial sampling loop for one experiment cell.
+
+    Within an epoch the generator chains, then the discriminator chains,
+    step in parallel on min(usable CPUs, chains) threads, with OpenBLAS at
+    one thread; results do not depend on either count.
 
     Args:
         data: features, condition codes, labels and the labeled-index set.
@@ -259,85 +362,88 @@ def train(
     # Losses are minibatch means (1/N of the log-likelihood sum), so the
     # prior must enter at the same per-sample weight or it swamps the data.
     prior_w = 1.0 / n_rows
-    # One fake batch per generator chain, scored in one critic-loss call.
-    fakes = np.empty((cfg.chains_g, batch, data.feats.shape[1]))
-    fake_codes = np.empty((cfg.chains_g, batch, data.codes.shape[1]), dtype=data.codes.dtype)
-    eps = np.empty((cfg.chains_g, batch))
 
-    for epoch in range(start_epoch + 1, cfg.epochs + 1):
-        # Generator chains follow the summed critic response.
-        for j, chain in enumerate(gen_chains):
+    def generator_step(chain):
+        """Step a generator chain along the critic response summed over all
+        discriminator chains; returns its loss, or None if it diverged."""
+        z = chain.rng.standard_normal((batch, cfg.latent_dim))
+        cond_rows = chain.rng.choice(all_idx, size=batch, replace=True)
+        codes = data.codes[cond_rows]
+        fake, gcache = gen.forward(chain.params, z, codes)
+        dfeat_total = np.zeros_like(fake)
+        loss = 0.0
+        for dchain in disc_chains:
+            scores, dcache = disc.forward(dchain.params, fake, codes)
+            val, dscores = generator_loss_from_scores(scores)
+            loss += val
+            _, dfeat = disc.backward(dchain.params, dcache, dscores, need_param_grads=False)
+            dfeat_total += dfeat
+        grads, _ = gen.backward(chain.params, gcache, dfeat_total)
+        direction = _direction(grads, chain.params, gen_prior, prior_w)
+        if not _finite(loss, direction):
+            return None
+        chain.step(direction, cfg)
+        return loss
+
+    def critic_step(chain, lab_batches):
+        """`n_critic` steps of a discriminator chain, one per labeled batch,
+        with a fake batch from every generator chain; returns the mean of
+        each of `_CRITIC_TERMS`, or None if it diverged."""
+
+        def fake(gchain):
             z = chain.rng.standard_normal((batch, cfg.latent_dim))
-            cond_rows = chain.rng.choice(all_idx, size=batch, replace=True)
-            codes = data.codes[cond_rows]
-            fake, gcache = gen.forward(chain.params, z, codes)
-            dfeat_total = np.zeros_like(fake)
-            loss_j = 0.0
-            for dchain in disc_chains:
-                scores, dcache = disc.forward(dchain.params, fake, codes)
-                val, dscores = generator_loss_from_scores(scores)
-                loss_j += val
-                _, dfeat = disc.backward(dchain.params, dcache, dscores, need_param_grads=False)
-                dfeat_total += dfeat
-            grads, _ = gen.backward(chain.params, gcache, dfeat_total)
-            prior_g = gen_prior.neg_log_grad(chain.params)
-            direction = [-(a + prior_w * b) for a, b in zip(grads, prior_g)]
-            _check_finite(epoch, f"gen{j}", loss_j, direction, trace)
+            codes = data.codes[chain.rng.choice(all_idx, size=batch, replace=True)]
+            return gen.forward(gchain.params, z, codes)[0], codes, chain.rng.uniform(size=batch)
+
+        sums = [0.0] * len(_CRITIC_TERMS)
+        for lab_rows in lab_batches:
+            real_rows = chain.rng.choice(all_idx, size=batch, replace=False)
+            parts, total, grads = discriminator_loss(
+                disc, chain.params, data.feats[real_rows], data.codes[real_rows],
+                _Lazy(fake, gen_chains), None, data.feats[lab_rows], data.codes[lab_rows],
+                data.labels[lab_rows] + 1, None, cfg.lam, cfg.gp_weight, want_grads=True,
+            )
+            direction = _direction(grads, chain.params, disc_prior, prior_w)
+            if not _finite(total, direction):
+                return None
             chain.step(direction, cfg)
-            trace.append((epoch, "gen", j, "loss", loss_j))
+            terms = (parts.unlabeled, parts.labeled, parts.penalty, total)
+            sums = [a + b for a, b in zip(sums, terms)]
+        return [a / cfg.n_critic for a in sums]
 
-        # Discriminator chains: n_critic steps each, fakes from every
-        # generator chain.
-        for j, chain in enumerate(disc_chains):
-            sums = {"unlabeled": 0.0, "labeled": 0.0, "penalty": 0.0, "total": 0.0}
-            for _ in range(cfg.n_critic):
-                real_rows = chain.rng.choice(all_idx, size=batch, replace=False)
-                real_feat = data.feats[real_rows]
-                real_codes = data.codes[real_rows]
-                lab_rows = cycle.take(batch)
-                lab_feat = data.feats[lab_rows]
-                lab_codes = data.codes[lab_rows]
-                lab_labels = data.labels[lab_rows] + 1
-                for g, gchain in enumerate(gen_chains):
-                    z = chain.rng.standard_normal((batch, cfg.latent_dim))
-                    fake_codes[g] = data.codes[chain.rng.choice(all_idx, size=batch, replace=True)]
-                    fakes[g] = gen.forward(gchain.params, z, fake_codes[g])[0]
-                    eps[g] = chain.rng.uniform(size=batch)
-                parts, total, grads = discriminator_loss(
-                    disc, chain.params, real_feat, real_codes, fakes, fake_codes,
-                    lab_feat, lab_codes, lab_labels, eps, cfg.lam, cfg.gp_weight,
-                    want_grads=True,
+    with _chain_pool(max(cfg.chains_g, cfg.chains_d)) as pool:
+        for epoch in range(start_epoch + 1, cfg.epochs + 1):
+            for j, loss in enumerate(pool.map(generator_step, gen_chains)):
+                if loss is None:
+                    raise DivergedChainError(epoch, f"gen{j}", trace)
+                trace.append((epoch, "gen", j, "loss", loss))
+
+            lab_batches = [[cycle.take(batch) for _ in range(cfg.n_critic)] for _ in disc_chains]
+            for j, means in enumerate(pool.map(critic_step, disc_chains, lab_batches)):
+                if means is None:
+                    raise DivergedChainError(epoch, f"disc{j}", trace)
+                for term, value in zip(_CRITIC_TERMS, means):
+                    trace.append((epoch, "disc", j, term, value))
+
+            if cfg.collects(epoch):
+                for j, chain in enumerate(disc_chains):
+                    members.append(EnsembleMember(j, epoch, [p.copy() for p in chain.params]))
+
+            if epoch_callback is not None:
+                epoch_callback(
+                    epoch,
+                    [c.params for c in disc_chains],
+                    [c.params for c in gen_chains],
                 )
-                prior_g = disc_prior.neg_log_grad(chain.params)
-                direction = [-(a + prior_w * b) for a, b in zip(grads, prior_g)]
-                _check_finite(epoch, f"disc{j}", total, direction, trace)
-                chain.step(direction, cfg)
-                sums["unlabeled"] += parts.unlabeled
-                sums["labeled"] += parts.labeled
-                sums["penalty"] += parts.penalty
-                sums["total"] += total
-            for term in ("unlabeled", "labeled", "penalty", "total"):
-                trace.append((epoch, "disc", j, term, sums[term] / cfg.n_critic))
-
-        if cfg.collects(epoch):
-            for j, chain in enumerate(disc_chains):
-                members.append(EnsembleMember(j, epoch, [p.copy() for p in chain.params]))
-
-        if epoch_callback is not None:
-            epoch_callback(
-                epoch,
-                [c.params for c in disc_chains],
-                [c.params for c in gen_chains],
-            )
-        if checkpoint_dir is not None and (
-            (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0)
-            or epoch == cfg.epochs
-        ):
-            save_checkpoint(
-                checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, n_saved,
-                trace, fingerprint,
-            )
-            n_saved = len(members)
+            if checkpoint_dir is not None and (
+                (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0)
+                or epoch == cfg.epochs
+            ):
+                save_checkpoint(
+                    checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, n_saved,
+                    trace, fingerprint,
+                )
+                n_saved = len(members)
 
     return TrainResult(
         members=members,

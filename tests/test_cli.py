@@ -1,11 +1,13 @@
 import json
 import logging
 import shutil
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 import yaml
 
+from fraudsig import training
 from fraudsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from fraudsig.synthdata import SynthSpec, generate
 
@@ -173,12 +175,13 @@ def test_invalid_config_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content", ['{"customers": ["C1", "C', "[1, 2]", "no-train-idx"],
-    ids=["truncated", "not-an-object", "no-train-idx"],
+    "content", ['{"customers": ["C1", "C', "[1, 2]", "no-train-idx", "no-n-samples"],
+    ids=["truncated", "not-an-object", "no-train-idx", "no-n-samples"],
 )
 def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
-    """A splits file that does not parse, is not an object or lacks an entry
-    exits 3 and names the file, in train and in evaluate."""
+    """A splits file that does not parse, is not an object or lacks an entry,
+    top-level or nested, exits 3 and names the file, in train and in
+    evaluate."""
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path)
     splits = tmp_path / "out" / "prepared" / "splits.json"
@@ -186,6 +189,11 @@ def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
         assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
         prepared = json.loads(splits.read_text())
         del prepared["train_idx"]
+        content = json.dumps(prepared)
+    elif content == "no-n-samples":
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        prepared = json.loads(splits.read_text())
+        del prepared["stats"]["n_samples"]
         content = json.dumps(prepared)
     splits.parent.mkdir(parents=True, exist_ok=True)
     splits.write_text(content)
@@ -252,6 +260,33 @@ def test_train_resume_matches_full_run(pipeline, tmp_path):
         b = got / "checkpoint" / name
         if a.is_file():
             assert a.read_bytes() == b.read_bytes(), name
+
+
+def test_train_is_byte_identical_on_one_or_two_threads(pipeline, tmp_path, monkeypatch):
+    """The 2+2 chains of a cell step on a pool of as many threads as there
+    are usable CPUs, up to the chain count; one thread and two write the
+    same trace and checkpoint files, byte for byte."""
+    pools = []
+
+    def pool(n):
+        pools.append(n)
+        return ThreadPoolExecutor(n)
+
+    monkeypatch.setattr(training, "ThreadPoolExecutor", pool)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        cfg = _copy_run(pipeline, tmp_path / f"cpus{cpus}")
+        assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_OK
+        run = tmp_path / f"cpus{cpus}/out/runs/nl40_rep0"
+        runs[cpus] = {
+            p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()
+        }
+    assert pools == [1, 2]
+    assert sorted(map(str, runs[1])) == [
+        "checkpoint/chains-4.bin", "checkpoint/members.bin", "checkpoint/state.json", "trace.csv",
+    ]
+    assert runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("crash_at", ["replace", "unlink"], ids=["before-commit", "after-commit"])
@@ -338,11 +373,21 @@ def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
 
 
 def test_unreadable_manifest_is_data_error(pipeline, tmp_path):
+    """A cut-short manifest exits 3 in every stage; `train` finds it before
+    it removes the cell's checkpoint to train it again."""
     cfg = _copy_run(pipeline, tmp_path)
     manifest = tmp_path / "out/manifest.json"
     manifest.write_text(manifest.read_text()[:40])
+    ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
+
+    def files():
+        # A retrained checkpoint has the same bytes, but not the same mtimes.
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in ckpt.iterdir()}
+
+    before = files()
     assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DATA
+    assert files() == before
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
     assert main(["report", "--config", str(cfg)]) == EXIT_DATA
 

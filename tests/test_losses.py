@@ -191,6 +191,16 @@ def test_discriminator_loss_stacked_fakes_sum_single_calls(rng):
         lam=10.0, gp_weight=10.0,
     )
     assert total_only == total
+    # The fakes as a sized iterable of (feat, codes, eps) batches: the same
+    # result, bit for bit.
+    batches = list(zip(fakes, fake_codes, eps))
+    parts_it, total_it, grads_it = discriminator_loss(
+        disc, params, real, codes, batches, None, lab, lab_codes, labels, None,
+        lam=10.0, gp_weight=10.0, want_grads=True,
+    )
+    assert (parts_it, total_it) == (parts, total)
+    for g, want in zip(grads_it, grads):
+        np.testing.assert_array_equal(g, want)
 
 
 def _loss_case(rng, k, B, feat_dim=3, cards=(2,), width=5, zero=False):

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from fraudsig import training
 from fraudsig.config import ConfigError, TrainConfig
 from fraudsig.training import (
     DivergedChainError,
@@ -202,6 +204,78 @@ def test_divergence_raises_with_epoch(rng):
         train(data, cfg, seed=0)
     assert exc.value.epoch >= 1
     assert exc.value.chain.startswith(("gen", "disc"))
+
+
+def test_more_threads_than_cores_match_one_thread(rng, monkeypatch):
+    """4+4 chains on a pool of 4 threads, on any host, with the interpreter
+    switching threads every microsecond, give the members, final chains and
+    trace of a pool of one, bit for bit."""
+    data, cfg = _tiny_data(rng), _tiny_cfg(epochs=3, chains_g=4, chains_d=4)
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 4):
+            monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+            runs.append(train(data, cfg, seed=13))
+    finally:
+        sys.setswitchinterval(interval)
+    one, four = runs
+    assert len(one.members) == len(four.members)
+    for ma, mb in zip(one.members, four.members):
+        assert (ma.chain, ma.epoch) == (mb.chain, mb.epoch)
+        np.testing.assert_array_equal(_flat(ma.params), _flat(mb.params))
+    for pa, pb in zip(one.disc_chains + one.gen_chains, four.disc_chains + four.gen_chains):
+        np.testing.assert_array_equal(_flat(pa), _flat(pb))
+    assert one.trace == four.trace
+
+
+def test_openblas_runs_one_thread_inside_train_and_is_restored(rng):
+    """Set to two threads before `train`, OpenBLAS runs one in every epoch
+    and two again after it."""
+    blas = training._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is no OpenBLAS found in the process maps")
+    get, put = blas
+    before, seen = get(), []
+    try:
+        put(2)
+        train(_tiny_data(rng), _tiny_cfg(epochs=2), seed=1,
+              epoch_callback=lambda *args: seen.append(get()))
+        after = get()
+    finally:
+        put(before)
+    assert (seen, after) == ([1, 1], 2)
+
+
+def test_divergence_in_one_critic_chain_names_it_with_the_serial_trace(rng, monkeypatch):
+    """NaN interpolation weights in discriminator chain 1 alone, stepping on
+    two threads beside chain 0, raise for `disc1` at epoch 1, with the trace
+    the serial loop holds there: the generator rows and chain 0's rows."""
+    data, cfg = _tiny_data(rng), _tiny_cfg(epochs=1, burn_in=1, thinning=1)
+    clean = train(data, cfg, seed=3)
+
+    class NaNWeights:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def uniform(self, size):
+            return np.full(size, np.nan)
+
+    real = training.derive_rng
+    # Key (4, j) seeds discriminator chain j's stream.
+    monkeypatch.setattr(
+        training, "derive_rng",
+        lambda seed, *key: NaNWeights(real(seed, *key)) if key == (4, 1) else real(seed, *key),
+    )
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    with pytest.raises(DivergedChainError) as exc:
+        train(data, cfg, seed=3)
+    assert (exc.value.epoch, exc.value.chain) == (1, "disc1")
+    assert exc.value.trace_tail == clean.trace[: cfg.chains_g + 4]
 
 
 def test_predict_quantiles_match_numpy(rng):
