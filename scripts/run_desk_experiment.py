@@ -64,7 +64,8 @@ def main() -> None:
     cfg_path.write_text(yaml.safe_dump(cfg, sort_keys=True))
 
     run(["prepare", "--config", str(cfg_path), "--subsample", str(args.subsample)])
-    nl = max(1, round(25946 * args.subsample))
+    # `--nl` takes the configured size as well as the one --subsample made of it.
+    (nl,) = DESK_CONFIG["split"]["labeled_sizes"]
     run(["train", "--config", str(cfg_path), "--nl", str(nl), "--rep", "0"])
     run(["evaluate", "--config", str(cfg_path)])
     run(["report", "--config", str(cfg_path)])

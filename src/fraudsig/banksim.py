@@ -40,6 +40,8 @@ __all__ = [
     "continuous_path",
     "category_rate_table",
     "rate_to_bucket",
+    "condition_cards",
+    "condition_codes",
     "stratified_split",
     "stratified_subset",
     "split_and_unlabel",
@@ -56,6 +58,7 @@ VALID_GENDERS = frozenset({"M", "F"})
 # Risk buckets over category fraud rates in percent: [0,2], (2,10], (10,30],
 # (30,50], (50,100].
 _BUCKET_EDGES = (2.0, 10.0, 30.0, 50.0)
+RISK_LEVELS = len(_BUCKET_EDGES) + 1
 
 
 class TransactionParseError(ValueError):
@@ -268,10 +271,10 @@ def continuous_path(
 
 
 # ---------------------------------------------------------------------------
-# Risk levels.  Category fraud rates come from the labeled training portion
-# only: each labeled sample reveals the fraud flag of its label transaction,
-# so the rate of a category is the fraud fraction of labeled label-
-# transactions in that category, in percent.
+# Risk levels and the condition codes built on them.  Category fraud rates
+# come from the labeled training portion only: each labeled sample reveals
+# the fraud flag of its label transaction, so the rate of a category is the
+# fraud fraction of labeled label-transactions in that category, in percent.
 # ---------------------------------------------------------------------------
 
 
@@ -288,13 +291,13 @@ def category_rate_table(samples: SampleSet, labeled_idx: np.ndarray) -> dict[str
 
 
 def rate_to_bucket(rate_percent: float) -> int:
-    """Map a fraud rate in percent to risk bucket 1..5."""
+    """Map a fraud rate in percent to risk bucket 1..RISK_LEVELS."""
     if not 0.0 <= rate_percent <= 100.0:
         raise ValueError(f"rate must be a percentage in [0, 100], got {rate_percent}")
     for bucket, edge in enumerate(_BUCKET_EDGES, start=1):
         if rate_percent <= edge:
             return bucket
-    return 5
+    return RISK_LEVELS
 
 
 _warned_categories: set[str] = set()
@@ -322,6 +325,29 @@ def risk_levels(cs: CustomerSeries, rate_table: dict[str, float]) -> np.ndarray:
     weights = np.arange(1, n + 1, dtype=np.float64)
     avg = np.cumsum(weights * buckets) / np.cumsum(weights)
     return np.floor(avg + 0.5).astype(np.int64)
+
+
+def condition_cards(samples: SampleSet) -> tuple[int, int, int]:
+    """Number of values of each condition code of `samples`: age bands,
+    genders and risk levels (all RISK_LEVELS, whichever occur)."""
+    return len(set(samples.ages)), len(set(samples.genders)), RISK_LEVELS
+
+
+def condition_codes(samples: SampleSet, rows, labeled) -> np.ndarray:
+    """(len(rows), 3) condition codes of the samples `rows`: the index of the
+    age band and of the gender of the label transaction among the sorted
+    values of all `samples`, and the risk level minus 1 under the rate table
+    of the samples `labeled`."""
+    table = category_rate_table(samples, labeled)
+    levels = np.concatenate([risk_levels(cs, table) for cs in samples.customers])
+    starts = np.cumsum([0] + [len(cs) for cs in samples.customers])
+    rows = np.asarray(rows, dtype=np.intp)
+    codes = np.empty((rows.size, 3), dtype=np.int64)
+    for col, values in enumerate((samples.ages, samples.genders)):
+        index = {v: k for k, v in enumerate(sorted(set(values)))}
+        codes[:, col] = [index[values[i]] for i in rows]
+    codes[:, 2] = levels[starts[samples.customer_idx[rows]] + samples.prefix_len[rows] - 1] - 1
+    return codes
 
 
 # ---------------------------------------------------------------------------

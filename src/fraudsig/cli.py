@@ -61,8 +61,8 @@ SPLITS_REL = "prepared/splits.json"
 MANIFEST_REL = "manifest.json"
 # Top-level entries the stages read from each JSON artifact.
 _SPLITS_KEYS = (
-    "stats", "subsample", "customers", "max_sd", "max_amt", "age_vocab", "gender_vocab",
-    "configured_sizes", "labeled_sizes", "repetitions", "train_idx", "test_idx", "labeled",
+    "stats", "subsample", "customers", "max_sd", "max_amt", "configured_sizes",
+    "labeled_sizes", "repetitions", "train_idx", "test_idx", "labeled",
 )
 _MANIFEST_KEYS = ("stages", "artifacts", "seeds")
 
@@ -148,25 +148,38 @@ def _scaled_rows(store: FeatureStore, rows, max_sd: float, max_amt: float) -> np
     return feats
 
 
-def _list_of(value, kind) -> bool:
-    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+def _is_index_list(value, n: int) -> bool:
+    """Whether `value` is a strictly increasing list of ints in [0, n)."""
+    return (
+        isinstance(value, list)
+        and all(isinstance(v, int) for v in value)
+        and all(a < b for a, b in zip([-1, *value], [*value, n]))
+    )
 
 
 def _read_splits(path: Path) -> dict:
     """The prepared splits, with the nested entries the stages read checked
-    too: `stats.n_samples`, the labeled set of every (size, repetition) cell
-    and both vocabularies; a missing or malformed one is a DataError naming
-    the file."""
+    too: `stats.n_samples`, and the train, test and every (size, repetition)
+    labeled index set, each a strictly increasing list of sample indices,
+    train and test disjoint and every labeled set inside train; a missing or
+    malformed one is a DataError naming the file."""
     splits = read_json(path, _SPLITS_KEYS)
     with parsing(path):
-        bad = [] if isinstance(splits["stats"].get("n_samples"), int) else ["stats.n_samples"]
-        bad += [
-            f"labeled[{si}:{rep}]"
+        n = splits["stats"].get("n_samples")
+        sets = {name: splits[name] for name in ("train_idx", "test_idx")}
+        sets.update(
+            (f"labeled[{si}:{rep}]", splits["labeled"].get(f"{si}:{rep}"))
             for si in range(len(splits["labeled_sizes"]))
             for rep in range(splits["repetitions"])
-            if not _list_of(splits["labeled"].get(f"{si}:{rep}"), int)
-        ]
-        bad += [name for name in ("age_vocab", "gender_vocab") if not _list_of(splits[name], str)]
+        )
+    if not isinstance(n, int):
+        raise DataError(f"{path} has a missing or malformed entry: stats.n_samples")
+    bad = [name for name, value in sets.items() if not _is_index_list(value, n)]
+    if not bad:
+        train = set(sets.pop("train_idx"))
+        if not train.isdisjoint(sets.pop("test_idx")):
+            bad.append("test_idx (shares samples with train_idx)")
+        bad += [f"{name} (outside train_idx)" for name, v in sets.items() if not train.issuperset(v)]
     if bad:
         raise DataError(f"{path} has missing or malformed entries: {', '.join(bad)}")
     return splits
@@ -186,47 +199,22 @@ def _load_split(cfg: ExperimentConfig, split: str):
 
 
 def _size_index(nl: int, splits: dict) -> int:
+    """The one cell whose effective (prepared) or configured labeled size is
+    `nl`; no such cell, or two, is a ConfigError naming them."""
     effective = list(splits["labeled_sizes"])
     configured = list(splits["configured_sizes"])
-    if nl in effective:
-        return effective.index(nl)
-    if nl in configured:
-        return configured.index(nl)
-    raise ConfigError(
-        f"--nl {nl} is not one of the prepared sizes {effective} "
-        f"(configured: {configured})"
-    )
-
-
-def _condition_codes(
-    samples: banksim.SampleSet,
-    splits: dict,
-    rate_table: dict,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """(len(rows), 3) embedding codes: age, gender, risk bucket."""
-    age_map = {a: i for i, a in enumerate(splits["age_vocab"])}
-    gender_map = {g: i for i, g in enumerate(splits["gender_vocab"])}
-    codes = np.zeros((len(rows), 3), dtype=np.int64)
-    risk_cache: dict[int, np.ndarray] = {}
-    for k, i in enumerate(rows):
-        i = int(i)
-        codes[k, 0] = age_map[samples.ages[i]]
-        codes[k, 1] = gender_map[samples.genders[i]]
-        ci = int(samples.customer_idx[i])
-        if ci not in risk_cache:
-            risk_cache[ci] = banksim.risk_levels(samples.customers[ci], rate_table)
-        codes[k, 2] = risk_cache[ci][int(samples.prefix_len[i]) - 1] - 1
-    return codes
+    cells = sorted({sizes.index(nl) for sizes in (effective, configured) if nl in sizes})
+    if len(cells) != 1:
+        named = " and ".join(f"the cell configured as {configured[i]}" for i in cells)
+        raise ConfigError(
+            f"--nl {nl} names {named or 'no cell'}; the prepared sizes are {effective} "
+            f"(configured: {configured})"
+        )
+    return cells[0]
 
 
 def _run_dir(cfg: ExperimentConfig, size: int, rep: int) -> Path:
     return Path(cfg.output_dir) / "runs" / f"nl{size}_rep{rep}"
-
-
-def _emb_cards(splits: dict) -> tuple[int, int, int]:
-    # Risk buckets are a fixed 1..5 scale regardless of which fire.
-    return (len(splits["age_vocab"]), len(splits["gender_vocab"]), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +264,6 @@ def _cmd_prepare(args) -> int:
         "customers": [cs.customer for cs in samples.customers],
         "max_sd": max_sd,
         "max_amt": max_amt,
-        "age_vocab": sorted(set(samples.ages)),
-        "gender_vocab": sorted(set(samples.genders)),
         "configured_sizes": list(cfg.split.labeled_sizes),
         "labeled_sizes": list(sizes),
         "repetitions": cfg.split.repetitions,
@@ -347,15 +333,12 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"--rep must be in [0, {splits['repetitions']})")
     labeled_global = np.asarray(splits["labeled"][f"{si}:{args.rep}"], dtype=np.intp)
 
-    rate_table = banksim.category_rate_table(samples, labeled_global)
-    codes = _condition_codes(samples, splits, rate_table, train_idx)
-    labeled_pos = np.searchsorted(train_idx, labeled_global)
     data = PreparedData(
         feats=feats,
-        codes=codes,
+        codes=banksim.condition_codes(samples, train_idx, labeled_global),
         labels=samples.labels[train_idx].astype(np.int64),
-        labeled_idx=labeled_pos,
-        emb_cards=_emb_cards(splits),
+        labeled_idx=np.searchsorted(train_idx, labeled_global),
+        emb_cards=banksim.condition_cards(samples),
     )
 
     spawn_key = [STAGE_TRAIN, si, args.rep]
@@ -418,7 +401,7 @@ def _cmd_evaluate(args) -> int:
             "or a larger test_fraction"
         )
     amounts = samples.amounts[test_idx]
-    _, disc = build_nets(feats.shape[1], _emb_cards(splits), cfg.train)
+    _, disc = build_nets(feats.shape[1], banksim.condition_cards(samples), cfg.train)
     shapes = [spec.shape for spec in disc.param_specs]
 
     cells: list[reports.CellScores] = []
@@ -431,8 +414,7 @@ def _cmd_evaluate(args) -> int:
                 logger.info("no checkpoint for nl%d rep%d; skipping", size, rep)
                 continue
             labeled_global = np.asarray(splits["labeled"][f"{si}:{rep}"], dtype=np.intp)
-            rate_table = banksim.category_rate_table(samples, labeled_global)
-            codes = _condition_codes(samples, splits, rate_table, test_idx)
+            codes = banksim.condition_codes(samples, test_idx, labeled_global)
             pred = predict(disc, load_members(ckpt, shapes), feats, codes)
             cells.append(
                 reports.score_cell(

@@ -156,7 +156,6 @@ class TrainConfig:
     chains_g: int = _setting(4, int, "[1, inf)")
     chains_d: int = _setting(4, int, "[1, inf)")
     friction: float = _setting(0.1, float, "[0, inf)")
-    noise_scale: float = _setting(1.0, float, "[0, inf)")
     burn_in: int | None = _setting(None, int, "[0, inf)", null=True)  # default: epochs // 2
     thinning: int = _setting(10, int, "[1, inf)")
     latent_dim: int = _setting(64, int, "[1, inf)")

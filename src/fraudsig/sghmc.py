@@ -5,7 +5,7 @@ posterior sampling pass the negative gradient of the potential (loss plus
 negative log prior).  It takes moment-rescaled (adaptive) steps and adds
 noise N(0, 2*friction*lr), the calibration of friction-damped SGHMC (Chen,
 Fox & Guestrin, ICML 2014), directly to each parameter increment, so
-`noise_scale=0` reproduces the deterministic adaptive optimizer exactly.
+`friction=0` reproduces the deterministic adaptive optimizer exactly.
 """
 
 from __future__ import annotations
@@ -62,13 +62,12 @@ def adam_sghmc_step(
     lr: float,
     friction: float,
     rng: np.random.Generator,
-    noise_scale: float = 1.0,
 ):
     """Adaptive moment step with posterior-exploration noise on the increment.
 
-    With `noise_scale=0` this is exactly the deterministic adaptive optimizer
-    (moving along `grads`); otherwise N(0, 2*friction*lr) noise is added to
-    the final parameter increment.
+    With `friction=0` this is exactly the deterministic adaptive optimizer
+    (moving along `grads`) and draws nothing from `rng`; otherwise
+    N(0, 2*friction*lr) noise is added to the final parameter increment.
 
     Returns:
         (new_params, state) with `state`, and its moment arrays, updated in
@@ -77,7 +76,7 @@ def adam_sghmc_step(
     state.t += 1
     c1 = 1.0 - BETA1**state.t
     c2 = 1.0 - BETA2**state.t
-    std = noise_scale * np.sqrt(2.0 * friction * lr)
+    std = np.sqrt(2.0 * friction * lr)
     new_p = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= BETA1

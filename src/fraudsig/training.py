@@ -6,8 +6,8 @@ discriminator chains, and each discriminator step sums its loss over fakes
 from every generator chain (appearing once per opposing chain).
 Discriminator parameters visited after burn-in are collected at a fixed
 thinning stride into a posterior ensemble; prediction averages the
-restricted-softmax fraud probability over ensemble members and reports
-empirical 5%/95% quantiles, whose spread is the per-sample uncertainty.
+restricted-softmax fraud probability over ensemble members and reports the
+spread of its empirical 5%/95% quantiles as the per-sample uncertainty.
 """
 
 from __future__ import annotations
@@ -96,18 +96,15 @@ class EnsembleMember:
 @dataclass
 class TrainResult:
     members: list            # discriminator posterior ensemble
-    disc_chains: list        # final per-chain parameter lists
-    gen_chains: list
     trace: list              # rows (epoch, kind, chain, term, value)
 
 
 @dataclass
 class Prediction:
-    """Posterior-averaged fraud probabilities with uncertainty intervals."""
+    """Posterior-averaged fraud probabilities with the widths of their
+    uncertainty intervals."""
 
     mean: np.ndarray
-    q05: np.ndarray
-    q95: np.ndarray
     width: np.ndarray
 
 
@@ -169,8 +166,7 @@ class _Chain:
 
     def step(self, direction, cfg: TrainConfig) -> None:
         self.params, self.adam = adam_sghmc_step(
-            self.params, direction, self.adam, self.lr, cfg.friction,
-            self.rng, cfg.noise_scale,
+            self.params, direction, self.adam, self.lr, cfg.friction, self.rng
         )
 
 
@@ -322,10 +318,10 @@ def train(
             `cfg.checkpoint_every` epochs (and at the end).
         resume: continue from the checkpoint in `checkpoint_dir`.
         epoch_callback: optional fn(epoch, disc_param_lists, gen_param_lists)
-            invoked after every epoch.
+            invoked after every epoch; the last call sees the final chains.
 
     Returns:
-        TrainResult with the posterior ensembles and the loss trace.
+        TrainResult with the posterior ensemble and the loss trace.
     """
     cfg.validate()
     gen, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
@@ -445,12 +441,7 @@ def train(
                 )
                 n_saved = len(members)
 
-    return TrainResult(
-        members=members,
-        disc_chains=[c.params for c in disc_chains],
-        gen_chains=[c.params for c in gen_chains],
-        trace=trace,
-    )
+    return TrainResult(members=members, trace=trace)
 
 
 def predict(
@@ -460,7 +451,8 @@ def predict(
     codes: np.ndarray,
     batch_size: int = 8192,
 ) -> Prediction:
-    """Posterior-mean fraud probability and 5%-95% interval per sample.
+    """Posterior-mean fraud probability and the width of its 5%-95% interval
+    per sample.
 
     The fraud probability of one member is the restricted-softmax mass on the
     fraud class; quantiles over members use linear interpolation.
@@ -474,10 +466,8 @@ def predict(
             hi = min(lo + batch_size, n)
             scores, _ = disc.forward(member.params, feats[lo:hi], codes[lo:hi])
             probs[mi, lo:hi] = restricted_softmax(scores)[:, 1]
-    mean = probs.mean(axis=0)
-    q05 = np.quantile(probs, 0.05, axis=0)
-    q95 = np.quantile(probs, 0.95, axis=0)
-    return Prediction(mean=mean, q05=q05, q95=q95, width=q95 - q05)
+    width = np.quantile(probs, 0.95, axis=0) - np.quantile(probs, 0.05, axis=0)
+    return Prediction(mean=probs.mean(axis=0), width=width)
 
 
 # ---------------------------------------------------------------------------

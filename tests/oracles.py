@@ -5,7 +5,7 @@ data types, the rate-to-bucket lookup and the prefix encoder's layout
 constants: iterated integrals come from spectral integration of the
 piecewise-linear path, signatures from a dict-of-words tensor algebra, the
 prefix encoder's rows from a full-level outer-product algebra, risk levels
-from a per-prefix loop, and metrics from direct counting.  Slow and obvious
+and condition codes from a per-prefix loop, and metrics from direct counting.  Slow and obvious
 on purpose.  There are two exceptions.  The tensor exponential, which the
 exp-log round-trip tests apply to `fraudsig.signatures.tensor_log`, is a
 power series of the package's `chen_product`.  The whole-trunk form of the
@@ -230,7 +230,7 @@ def brute_auroc(pos_vals, neg_vals) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Scalar risk level and the prior's density.
+# Scalar risk level, condition codes and the prior's density.
 # ---------------------------------------------------------------------------
 
 
@@ -245,6 +245,21 @@ def risk_level(cs, prefix_len: int, rate_table: dict[str, float]) -> int:
         total += i * bucket
         weight_sum += i
     return int(math.floor(total / weight_sum + 0.5))
+
+
+def condition_codes_reference(samples, age_vocab, gender_vocab, rate_table, rows) -> np.ndarray:
+    """(len(rows), 3) condition codes one row at a time: the age band's and
+    gender's index in the given vocabularies and the risk level minus 1."""
+    age_map = {a: i for i, a in enumerate(age_vocab)}
+    gender_map = {g: i for i, g in enumerate(gender_vocab)}
+    codes = np.zeros((len(rows), 3), dtype=np.int64)
+    for k, i in enumerate(rows):
+        i = int(i)
+        codes[k, 0] = age_map[samples.ages[i]]
+        codes[k, 1] = gender_map[samples.genders[i]]
+        cs = samples.customers[int(samples.customer_idx[i])]
+        codes[k, 2] = risk_level(cs, int(samples.prefix_len[i]), rate_table) - 1
+    return codes
 
 
 def glorot_neg_log_density(prior, params) -> float:

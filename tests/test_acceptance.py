@@ -24,14 +24,14 @@ import pytest
 
 from fraudsig import metrics
 from fraudsig.banksim import (
-    category_rate_table,
+    condition_cards,
+    condition_codes,
     group_customers,
     load_transactions,
     make_samples,
     split_and_unlabel,
     training_maxima,
 )
-from fraudsig.cli import _condition_codes
 from fraudsig.config import (
     STAGE_PREPARE,
     STAGE_TRAIN,
@@ -347,7 +347,7 @@ def test_c05_optimizer_degeneracy_bit_identity():
         for t in range(1, 101):
             g = grad(p_a)
             g_ref = grad(p_ref)
-            p_a, state = adam_sghmc_step(p_a, g, state, lr, 0.1, noise_rng, noise_scale=0.0)
+            p_a, state = adam_sghmc_step(p_a, g, state, lr, 0.0, noise_rng)
             for i in range(len(shapes)):
                 p_ref[i], m[i], v[i] = reference_adam_step(
                     p_ref[i], g_ref[i], m[i], v[i], t, lr
@@ -531,24 +531,19 @@ def test_c09_desk_scale_training_dynamics(kept_customers, tmp_path):
         split = split_and_unlabel(samples.labels, (n_labeled,), 1, 0.1, 0)
         max_sd, max_amt = training_maxima(samples, split.train_idx)
         labeled = split.labeled[(n_labeled, 0)]
-        rate = category_rate_table(samples, labeled)
-        meta = {
-            "age_vocab": sorted(set(samples.ages)),
-            "gender_vocab": sorted(set(samples.genders)),
-        }
-        cards = (len(meta["age_vocab"]), len(meta["gender_vocab"]), 5)
+        cards = condition_cards(samples)
 
         store, _ = build_feature_store(samples, 4, _feature_cache(tmp_path), "desk", 5)
         feats_tr = scale_matrix(store.matrix[split.train_idx], store.basis, max_sd, max_amt)
         data = PreparedData(
             feats=feats_tr,
-            codes=_condition_codes(samples, meta, rate, split.train_idx),
+            codes=condition_codes(samples, split.train_idx, labeled),
             labels=samples.labels[split.train_idx].astype(np.int64),
             labeled_idx=np.searchsorted(split.train_idx, labeled),
             emb_cards=cards,
         )
         feats_te = scale_matrix(store.matrix[split.test_idx], store.basis, max_sd, max_amt)
-        codes_te = _condition_codes(samples, meta, rate, split.test_idx)
+        codes_te = condition_codes(samples, split.test_idx, labeled)
         labels_te = samples.labels[split.test_idx].astype(np.int64)
 
         # fixed held-out evaluation subset for the per-epoch cross-entropy
@@ -615,11 +610,7 @@ def test_c10_full_scale_stretch(kept_customers, tmp_path):
         reps = 5
         split = split_and_unlabel(samples.labels, (2595,), reps, 0.1, 0)
         max_sd, max_amt = training_maxima(samples, split.train_idx)
-        meta = {
-            "age_vocab": sorted(set(samples.ages)),
-            "gender_vocab": sorted(set(samples.genders)),
-        }
-        cards = (len(meta["age_vocab"]), len(meta["gender_vocab"]), 5)
+        cards = condition_cards(samples)
         store, _ = build_feature_store(samples, 4, _feature_cache(tmp_path), "full", 5)
         labels_te = samples.labels[split.test_idx].astype(np.int64)
         feats_te = scale_matrix(store.matrix[split.test_idx], store.basis, max_sd, max_amt)
@@ -629,10 +620,9 @@ def test_c10_full_scale_stretch(kept_customers, tmp_path):
         f1s, aurocs = [], []
         for rep in range(reps):
             labeled = split.labeled[(2595, rep)]
-            rate = category_rate_table(samples, labeled)
             data = PreparedData(
                 feats=scale_matrix(store.matrix[split.train_idx], store.basis, max_sd, max_amt),
-                codes=_condition_codes(samples, meta, rate, split.train_idx),
+                codes=condition_codes(samples, split.train_idx, labeled),
                 labels=samples.labels[split.train_idx].astype(np.int64),
                 labeled_idx=np.searchsorted(split.train_idx, labeled),
                 emb_cards=cards,
@@ -640,8 +630,7 @@ def test_c10_full_scale_stretch(kept_customers, tmp_path):
             seed = int(derive_seed_sequence(0, STAGE_TRAIN, 0, rep).generate_state(1)[0])
             result = train(data, cfg, seed)
             pred = predict(
-                disc, result.members, feats_te,
-                _condition_codes(samples, meta, rate, split.test_idx),
+                disc, result.members, feats_te, condition_codes(samples, split.test_idx, labeled)
             )
             f1s.append(metrics.macro_f1(labels_te, pred.mean, 0.5))
             aurocs.append(

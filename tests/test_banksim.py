@@ -11,6 +11,8 @@ from fraudsig.banksim import (
     CustomerSeries,
     TransactionParseError,
     category_rate_table,
+    condition_cards,
+    condition_codes,
     continuous_path,
     group_customers,
     load_transactions,
@@ -22,8 +24,9 @@ from fraudsig.banksim import (
     stratified_subset,
     training_maxima,
 )
+from fraudsig.synthdata import SynthSpec, generate
 
-from oracles import risk_level
+from oracles import condition_codes_reference, risk_level
 
 HEADER = "step,customer,age,gender,zipcodeOri,merchant,zipMerchant,category,amount,fraud"
 
@@ -186,6 +189,25 @@ def test_risk_levels_vector_matches_scalar():
     table = {"a": 1.0, "b": 25.0, "c": 80.0}
     vec = risk_levels(cs, table)
     assert list(vec) == [risk_level(cs, j, table) for j in range(1, 10)]
+
+
+def test_condition_encoding_matches_reference(tmp_path):
+    """The condition codes of the small corpus's train and test rows equal
+    the per-row reference, under the rate table of a labeled set too small
+    to see every category; each code has the number of values
+    `condition_cards` gives."""
+    generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
+    kept, _ = group_customers(load_transactions(tmp_path / "corpus.csv"))
+    samples = make_samples(kept, 5)
+    split = split_and_unlabel(samples.labels, (8,), 1, 0.2, 0)
+    labeled = split.labeled[(8, 0)]
+    table = category_rate_table(samples, labeled)
+    assert {cat for cs in samples.customers for cat in cs.categories} - set(table)
+    ages, genders = sorted(set(samples.ages)), sorted(set(samples.genders))
+    assert condition_cards(samples) == (len(ages), len(genders), 5)
+    for rows in (split.train_idx, split.test_idx):
+        want = condition_codes_reference(samples, ages, genders, table, rows)
+        assert np.array_equal(condition_codes(samples, rows, labeled), want)
 
 
 def test_unknown_category_warns_once(caplog):

@@ -153,6 +153,22 @@ def test_unknown_nl_rejected(pipeline):
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "7"]) == EXIT_CONFIG
 
 
+def test_ambiguous_nl_is_config_error(tmp_path, capsys):
+    """At --subsample 0.1 the sizes [40, 400] become [4, 40]: `--nl 40` is one
+    cell's effective size and the other's configured size, so it exits 2
+    naming both, while `--nl 4` and `--nl 400` each train their cell."""
+    generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
+    cfg = _write_config(tmp_path, split={"labeled_sizes": [40, 400], "repetitions": 1})
+    assert main(["prepare", "--config", str(cfg), "--subsample", "0.1"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configured as 40 and the cell configured as 400" in err
+    for nl, cell in (("4", "nl4_rep0"), ("400", "nl40_rep0")):
+        assert main(["train", "--config", str(cfg), "--nl", nl, "--rep", "0"]) == EXIT_OK
+        assert (tmp_path / "out/runs" / cell / "trace.csv").exists()
+
+
 def test_missing_dataset_is_data_error(tmp_path):
     cfg = _write_config(tmp_path)  # corpus.csv never generated
     assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
@@ -172,28 +188,56 @@ def test_invalid_config_is_config_error(tmp_path):
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_CONFIG
     cfg = _write_config(tmp_path, split={"seed": 0})  # removed setting
     assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG
+    cfg = _write_config(tmp_path, train={"noise_scale": 0.0})  # removed setting
+    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_CONFIG
+
+
+def _no_train_idx(splits):
+    del splits["train_idx"]
+
+
+def _no_n_samples(splits):
+    del splits["stats"]["n_samples"]
+
+
+def _train_idx_out_of_range(splits):
+    splits["train_idx"][-1] = splits["stats"]["n_samples"]
+
+
+def _string_in_test_idx(splits):
+    splits["test_idx"][0] = str(splits["test_idx"][0])
+
+
+def _labeled_out_of_range(splits):
+    splits["labeled"]["0:0"][-1] = splits["stats"]["n_samples"] + 5
+
+
+def _labeled_from_test_idx(splits):
+    labeled = splits["labeled"]["0:0"]
+    labeled[0] = splits["test_idx"][0]
+    labeled.sort()
 
 
 @pytest.mark.parametrize(
-    "content", ['{"customers": ["C1", "C', "[1, 2]", "no-train-idx", "no-n-samples"],
-    ids=["truncated", "not-an-object", "no-train-idx", "no-n-samples"],
+    "content",
+    ['{"customers": ["C1", "C', "[1, 2]", _no_train_idx, _no_n_samples, _train_idx_out_of_range,
+     _string_in_test_idx, _labeled_out_of_range, _labeled_from_test_idx],
+    ids=["truncated", "not-an-object", "no-train-idx", "no-n-samples", "train-idx-out-of-range",
+         "string-in-test-idx", "labeled-out-of-range", "labeled-from-test-idx"],
 )
 def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
-    """A splits file that does not parse, is not an object or lacks an entry,
-    top-level or nested, exits 3 and names the file, in train and in
-    evaluate."""
+    """A splits file that does not parse, is not an object, lacks an entry,
+    top-level or nested, or holds an index set that is not a strictly
+    increasing list of sample indices, a test set that shares a sample with
+    the train set or a labeled set not inside it exits 3 and names the file,
+    in train and in evaluate."""
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path)
     splits = tmp_path / "out" / "prepared" / "splits.json"
-    if content == "no-train-idx":
+    if callable(content):
         assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
         prepared = json.loads(splits.read_text())
-        del prepared["train_idx"]
-        content = json.dumps(prepared)
-    elif content == "no-n-samples":
-        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
-        prepared = json.loads(splits.read_text())
-        del prepared["stats"]["n_samples"]
+        content(prepared)
         content = json.dumps(prepared)
     splits.parent.mkdir(parents=True, exist_ok=True)
     splits.write_text(content)
@@ -215,7 +259,7 @@ def test_diverged_training_exit_code(tmp_path):
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=3)
     cfg = _write_config(
         tmp_path,
-        train=dict(lr_d=1e14, lr_g=1e14, epochs=30, noise_scale=0.0),
+        train=dict(lr_d=1e14, lr_g=1e14, epochs=30, friction=0.0),
     )
     assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DIVERGED
@@ -580,9 +624,9 @@ def test_seed_option_is_refused(tmp_path):
 @pytest.mark.parametrize(
     "field, over",
     [
-        ("noise_scale", {"train": {"noise_scale": -1.0}}),
+        ("friction", {"train": {"friction": -1.0}}),
         ("lr_d", {"train": {"lr_d": float("nan")}}),
-        ("noise_scale", {"train": {"noise_scale": float("nan")}}),
+        ("friction", {"train": {"friction": float("nan")}}),
         ("friction", {"train": {"friction": float("inf")}}),
         ("checkpoint_every", {"train": {"checkpoint_every": -2}}),
         ("width", {"train": {"width": 0}}),
@@ -603,7 +647,7 @@ def test_seed_option_is_refused(tmp_path):
         ("alpha", {"heads": {"alpha": -1.0}}),
         ("tau", {"heads": {"tau": 7.0}}),
     ],
-    ids=["negative-noise-scale", "nan-lr-d", "nan-noise-scale", "inf-friction",
+    ids=["negative-friction", "nan-lr-d", "nan-friction", "inf-friction",
          "negative-checkpoint-every", "zero-width",
          "zero-latent-dim", "negative-n-residual", "zero-head-width", "negative-seed",
          "string-seed", "string-degree", "size-above-pool", "size-zero", "no-size",

@@ -44,6 +44,18 @@ def _flat(params):
     return np.concatenate([p.ravel() for p in params])
 
 
+def _train_with_chains(*args, **kwargs):
+    """`train`'s result and its final discriminator and generator chains,
+    as the epoch callback sees them after the last epoch."""
+    final = {}
+
+    def keep(epoch, disc, gen):
+        final.update(disc=disc, gen=gen)
+
+    result = train(*args, epoch_callback=keep, **kwargs)
+    return result, final["disc"], final["gen"]
+
+
 def test_rerun_is_bit_identical(rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg()
@@ -100,16 +112,16 @@ def test_trace_rows_structure(rng):
 
 def test_resume_matches_uninterrupted(tmp_path, rng):
     data = _tiny_data(rng)
-    full = train(data, _tiny_cfg(epochs=6), seed=11)
+    full, full_disc, _ = _train_with_chains(data, _tiny_cfg(epochs=6), seed=11)
     ck = tmp_path / "ck"
     train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=11, checkpoint_dir=ck)
-    resumed = train(
+    resumed, resumed_disc, _ = _train_with_chains(
         data, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=ck, resume=True
     )
     assert len(full.members) == len(resumed.members)
     for ma, mb in zip(full.members, resumed.members):
         np.testing.assert_array_equal(_flat(ma.params), _flat(mb.params))
-    for pa, pb in zip(full.disc_chains, resumed.disc_chains):
+    for pa, pb in zip(full_disc, resumed_disc):
         np.testing.assert_array_equal(_flat(pa), _flat(pb))
     assert full.trace == resumed.trace
 
@@ -122,7 +134,7 @@ def test_resume_ignores_generator_members_of_older_checkpoints(tmp_path, rng):
     ck = tmp_path / "ck"
     part = train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=11, checkpoint_dir=ck)
     assert not list(ck.glob("gen*member*"))
-    assert len(load_members(ck, [p.shape for p in part.disc_chains[0]])) == len(part.members)
+    assert len(load_members(ck, [p.shape for p in part.members[0].params])) == len(part.members)
     state = json.loads((ck / "state.json").read_text())
     state["gen_members"] = [{"chain": 0, "epoch": 2}]
     (ck / "state.json").write_text(json.dumps(state))
@@ -173,12 +185,14 @@ def _zeros(params):
 def test_checkpoint_restores_counters(tmp_path, rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg(epochs=4, checkpoint_every=2)
-    res = train(data, cfg, seed=2, checkpoint_dir=tmp_path / "ck")
+    res, disc_chains, gen_chains = _train_with_chains(
+        data, cfg, seed=2, checkpoint_dir=tmp_path / "ck"
+    )
     members, trace = [], []
     from fraudsig.training import _Chain  # shape-compatible holders
 
-    gch = [_Chain(_zeros(ps), cfg.lr_g, np.random.default_rng(0)) for ps in res.gen_chains]
-    dch = [_Chain(_zeros(ps), cfg.lr_d, np.random.default_rng(0)) for ps in res.disc_chains]
+    gch = [_Chain(_zeros(ps), cfg.lr_g, np.random.default_rng(0)) for ps in gen_chains]
+    dch = [_Chain(_zeros(ps), cfg.lr_d, np.random.default_rng(0)) for ps in disc_chains]
     from fraudsig.training import _LabeledCycle
 
     cyc = _LabeledCycle(data.labeled_idx, np.random.default_rng(0))
@@ -187,7 +201,7 @@ def test_checkpoint_restores_counters(tmp_path, rng):
     assert epoch == 4
     assert len(members) == len(res.members)
     assert trace == res.trace
-    np.testing.assert_array_equal(_flat(dch[0].params), _flat(res.disc_chains[0]))
+    np.testing.assert_array_equal(_flat(dch[0].params), _flat(disc_chains[0]))
 
 
 def test_resume_without_checkpoint_dir_raises(rng):
@@ -217,15 +231,15 @@ def test_more_threads_than_cores_match_one_thread(rng, monkeypatch):
         sys.setswitchinterval(1e-6)
         for cpus in (1, 4):
             monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
-            runs.append(train(data, cfg, seed=13))
+            runs.append(_train_with_chains(data, cfg, seed=13))
     finally:
         sys.setswitchinterval(interval)
-    one, four = runs
+    (one, *one_chains), (four, *four_chains) = runs
     assert len(one.members) == len(four.members)
     for ma, mb in zip(one.members, four.members):
         assert (ma.chain, ma.epoch) == (mb.chain, mb.epoch)
         np.testing.assert_array_equal(_flat(ma.params), _flat(mb.params))
-    for pa, pb in zip(one.disc_chains + one.gen_chains, four.disc_chains + four.gen_chains):
+    for pa, pb in zip(sum(one_chains, []), sum(four_chains, [])):
         np.testing.assert_array_equal(_flat(pa), _flat(pb))
     assert one.trace == four.trace
 
@@ -295,9 +309,8 @@ def test_predict_quantiles_match_numpy(rng):
         ]
     )
     np.testing.assert_allclose(pred.mean, probs.mean(axis=0), atol=1e-14)
-    np.testing.assert_allclose(pred.q05, np.quantile(probs, 0.05, axis=0), atol=1e-14)
-    np.testing.assert_allclose(pred.q95, np.quantile(probs, 0.95, axis=0), atol=1e-14)
-    np.testing.assert_allclose(pred.width, pred.q95 - pred.q05, atol=1e-15)
+    width = np.quantile(probs, 0.95, axis=0) - np.quantile(probs, 0.05, axis=0)
+    np.testing.assert_allclose(pred.width, width, atol=1e-14)
     assert np.all(pred.width >= 0)
 
 
