@@ -10,8 +10,18 @@ the working tree, say), the base first in odd pairs and the change first in
 even ones, so slow drift of the host falls on both sides alike.  Seeds are
 used in turn, one per pair.  The file records, per workload and end-to-end
 metric, both sides' values, medians and quartiles, how many pairs the change
-won and the median gap, together with every run's correctness, the seeds,
-the command and the machine record perfbench/run.py wrote for the change.
+won, the median gap and a verdict, together with every run's correctness, the
+seeds, the command and the machine record perfbench/run.py wrote for the
+change.
+
+The verdict of a metric, whose relative bound BENCHMARK.json gives:
+  worse       the change's median exceeds the base median by more than the bound;
+  gain        the change wins at least 9 of 10 pairs and its median is below the
+              base median by more than the base's interquartile range;
+  unresolved  neither, and the base's interquartile range is wider than the
+              bound times the base median, so the runs cannot tell, unless
+              every run of the change is below every run of the base;
+  unchanged   otherwise.
 """
 
 from __future__ import annotations
@@ -24,8 +34,16 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-# The end-to-end metrics of BENCHMARK.json; lower is better for each.
-METRICS = ("wall_s", "setup_s", "peak_rss_mib")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def bounds() -> dict[str, float]:
+    """Relative bound of each end-to-end metric of BENCHMARK.json, all of
+    which are better lower."""
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    if any(m["better"] != "lower" for m in metrics):
+        raise ValueError(f"{BENCHMARK}: an end-to-end metric is not better lower")
+    return {m["name"]: m["bound"] for m in metrics}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -54,17 +72,31 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(base: list[dict], change: list[dict]) -> dict:
+def verdict(wins: int, pairs: int, base: dict, change: dict, bound: float) -> str:
+    iqr = base["q3"] - base["q1"]
+    if change["median"] > base["median"] * (1 + bound):
+        return "worse"
+    if 10 * wins >= 9 * pairs and base["median"] - change["median"] > iqr:
+        return "gain"
+    if iqr > bound * base["median"] and max(change["values"]) >= min(base["values"]):
+        return "unresolved"
+    return "unchanged"
+
+
+def compare(base: list[dict], change: list[dict], bounds: dict[str, float]) -> dict:
     out = {}
-    for name in METRICS:
+    for name, bound in bounds.items():
         b = [r["values"][name] for r in base]
         c = [r["values"][name] for r in change]
         sb, sc = summary(b), summary(c)
+        wins = sum(y < x for x, y in zip(b, c))
         out[name] = {
-            "base": sb, "change": sc, "change_wins": sum(y < x for x, y in zip(b, c)),
+            "base": sb, "change": sc, "change_wins": wins,
             "median_ratio": sc["median"] / sb["median"],
             "median_gap": sb["median"] - sc["median"],
             "base_iqr": sb["q3"] - sb["q1"],
+            "bound": bound,
+            "verdict": verdict(wins, len(b), sb, sc, bound),
         }
     return out
 
@@ -110,8 +142,12 @@ def main(argv=None) -> int:
             "all_correct": all(r["correct"] for r in base + change),
             "failed": {"base": sum(r["failed"] for r in base),
                        "change": sum(r["failed"] for r in change)},
-            "metrics": compare(base, change),
+            "metrics": compare(base, change, bounds()),
         }
+        for name, m in bench["workloads"][workload]["metrics"].items():
+            print(f"{workload} {name}: {m['verdict']} (median {m['base']['median']:.4g} -> "
+                  f"{m['change']['median']:.4g}, {m['change_wins']}/{args.pairs} wins)",
+                  file=sys.stderr)
     bench["machine"] = machine
     path = args.out / f"BENCH_{args.name}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")

@@ -2,9 +2,16 @@
 
 The corpus is a simulated card-payment log: one CSV row per transaction with
 a day counter (`step`), customer and merchant identifiers, coarse customer
-age band and gender, merchant category, amount, and a fraud flag.  Rows are
-grouped per customer (ordered by step, file order breaking ties) and every
-prefix of length >= `min_prefix` becomes one sample: the continuous path
+age band and gender, merchant category, amount, and a fraud flag.
+
+The CSV is read column-wise: one pass over the rows, in file order, checks
+each row and appends the seven fields later stages read to per-column lists,
+which become a `TransactionLog` of numpy arrays (step, amount, fraud) and
+string lists (customer, age, gender, category); no per-row record is built.
+Customers are numbered in order of first appearance, and one stable sort by
+(customer, step) orders all rows, so every customer's series is a slice of
+that order with file order breaking ties of step.  Every prefix of length
+>= `min_prefix` of a series becomes one sample: the continuous path
 carries scaled step differences and amounts, the condition carries the age
 band, gender, and a risk level derived from merchant-category fraud rates,
 and the label is the fraud flag of the prefix's last transaction.
@@ -20,6 +27,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +36,7 @@ import numpy as np
 from .config import STAGE_SPLIT, ConfigError, derive_rng
 
 __all__ = [
-    "Transaction",
+    "TransactionLog",
     "CustomerSeries",
     "SampleSet",
     "SplitResult",
@@ -70,36 +78,57 @@ class TransactionParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Transaction:
-    step: int
-    customer: str
-    age: str
-    gender: str
-    merchant: str
-    category: str
-    amount: float
-    fraud: int
+class TransactionLog:
+    """The columns of a transaction CSV that later stages read, one entry per
+    row in file order."""
+
+    steps: np.ndarray        # int64
+    amounts: np.ndarray      # float64
+    frauds: np.ndarray       # int8, 0 or 1
+    customers: list[str]
+    ages: list[str]
+    genders: list[str]
+    categories: list[str]
+
+    def __len__(self) -> int:
+        return len(self.steps)
 
 
-def _clean(value: str) -> str:
-    return value.strip().strip("'\"")
+_QUOTES = "'\""
+# surrogateescape decodes a byte that is not UTF-8 to one of these.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def load_transactions(path: str | Path) -> list[Transaction]:
-    """Parse the transaction CSV into typed records.
+def _utf8_lines(fh):
+    """The lines of `fh`, opened with errors="surrogateescape"; the first line
+    holding a byte that is not UTF-8 raises when it is reached, so a bad row
+    above it is reported first."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            bad = _UNDECODED.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                raise TransactionParseError(lineno, f"byte 0x{byte:02x} is not UTF-8")
+        yield line
 
-    Accepts single- or double-quoted fields; raises TransactionParseError
-    with the offending line number and column on malformed rows.
+
+def load_transactions(path: str | Path) -> TransactionLog:
+    """Parse the UTF-8 transaction CSV into the columns of a TransactionLog.
+
+    Accepts single- or double-quoted fields and surrounding whitespace, and
+    skips blank lines; raises TransactionParseError with the offending line
+    number and column at the first malformed row.
     """
     path = Path(path)
-    out: list[Transaction] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    steps, amounts, frauds = [], [], []
+    customers, ages, genders, categories = [], [], [], []
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(_utf8_lines(fh))
         try:
             header = next(reader)
         except StopIteration:
             raise TransactionParseError(1, "empty file") from None
-        header = [_clean(h) for h in header]
+        header = [h.strip().strip(_QUOTES) for h in header]
         if tuple(header) != COLUMNS:
             raise TransactionParseError(
                 1, f"unexpected header {header!r}, want {list(COLUMNS)}"
@@ -111,34 +140,41 @@ def load_transactions(path: str | Path) -> list[Transaction]:
                 raise TransactionParseError(
                     lineno, f"expected {len(COLUMNS)} fields, got {len(row)}"
                 )
-            fields = [_clean(v) for v in row]
+            step, customer, age, gender, _, _, _, category, amount, fraud = row
+            step = step.strip().strip(_QUOTES)
             try:
-                step = int(fields[0])
+                steps.append(int(step))
             except ValueError:
                 raise TransactionParseError(
-                    lineno, f"non-integer 'step' value {fields[0]!r}"
+                    lineno, f"non-integer 'step' value {step!r}"
                 ) from None
+            amount = amount.strip().strip(_QUOTES)
             try:
-                amount = float(fields[8])
+                amounts.append(float(amount))
             except ValueError:
                 raise TransactionParseError(
-                    lineno, f"non-numeric 'amount' value {fields[8]!r}"
+                    lineno, f"non-numeric 'amount' value {amount!r}"
                 ) from None
+            fraud = fraud.strip().strip(_QUOTES)
             try:
-                fraud = int(fields[9])
+                flag = int(fraud)
             except ValueError:
                 raise TransactionParseError(
-                    lineno, f"non-integer 'fraud' value {fields[9]!r}"
+                    lineno, f"non-integer 'fraud' value {fraud!r}"
                 ) from None
-            if fraud not in (0, 1):
-                raise TransactionParseError(lineno, f"'fraud' must be 0/1, got {fraud}")
-            out.append(
-                Transaction(
-                    step=step, customer=fields[1], age=fields[2], gender=fields[3],
-                    merchant=fields[5], category=fields[7], amount=amount, fraud=fraud,
-                )
-            )
-    return out
+            if flag not in (0, 1):
+                raise TransactionParseError(lineno, f"'fraud' must be 0/1, got {flag}")
+            frauds.append(flag)
+            customers.append(customer.strip().strip(_QUOTES))
+            ages.append(age.strip().strip(_QUOTES))
+            genders.append(gender.strip().strip(_QUOTES))
+            categories.append(category.strip().strip(_QUOTES))
+    return TransactionLog(
+        steps=np.asarray(steps, dtype=np.int64),
+        amounts=np.asarray(amounts, dtype=np.float64),
+        frauds=np.asarray(frauds, dtype=np.int8),
+        customers=customers, ages=ages, genders=genders, categories=categories,
+    )
 
 
 @dataclass
@@ -164,33 +200,35 @@ class CustomerSeries:
         return len(self.steps)
 
 
-def group_customers(txns: list[Transaction]) -> tuple[list[CustomerSeries], int]:
+def group_customers(log: TransactionLog) -> tuple[list[CustomerSeries], int]:
     """Group transactions per customer and drop customers without a valid
     most-recent gender.
 
-    Returns (kept series, number of customers excluded for missing gender).
-    Within a customer, rows keep file order for equal steps.
+    Returns (kept series, number of customers excluded for missing gender),
+    customers in order of first appearance.  Within a customer, rows keep
+    file order for equal steps: one stable sort by (customer, step) orders
+    all rows, and each series is a slice of that order.
     """
-    by_customer: dict[str, list[Transaction]] = {}
-    for t in txns:
-        by_customer.setdefault(t.customer, []).append(t)
+    number = {c: i for i, c in enumerate(dict.fromkeys(log.customers))}
+    ids = np.fromiter(map(number.__getitem__, log.customers), dtype=np.intp, count=len(log))
+    order = np.lexsort((log.steps, ids))
+    ends = np.cumsum(np.bincount(ids, minlength=len(number))).tolist()
+    steps, amounts, frauds = log.steps[order], log.amounts[order], log.frauds[order]
+    rows = order.tolist()
+    ages = [log.ages[i] for i in rows]
+    genders = [log.genders[i] for i in rows]
+    categories = [log.categories[i] for i in rows]
     kept: list[CustomerSeries] = []
-    excluded = 0
-    for cid, rows in by_customer.items():
-        order = sorted(range(len(rows)), key=lambda i: rows[i].step)
-        rows = [rows[i] for i in order]
-        if rows[-1].gender not in VALID_GENDERS:
+    excluded = start = 0
+    for cid, end in zip(number, ends):
+        own, start = slice(start, end), end
+        if genders[end - 1] not in VALID_GENDERS:
             excluded += 1
             continue
         kept.append(
             CustomerSeries(
-                customer=cid,
-                steps=np.asarray([r.step for r in rows], dtype=np.int64),
-                amounts=np.asarray([r.amount for r in rows], dtype=np.float64),
-                frauds=np.asarray([r.fraud for r in rows], dtype=np.int8),
-                ages=[r.age for r in rows],
-                genders=[r.gender for r in rows],
-                categories=[r.category for r in rows],
+                customer=cid, steps=steps[own], amounts=amounts[own], frauds=frauds[own],
+                ages=ages[own], genders=genders[own], categories=categories[own],
             )
         )
     return kept, excluded

@@ -101,11 +101,11 @@ def _record_stage(cfg, manifest, name, seconds, artifacts=(), **extra) -> None:
 
 
 def _load_customers(cfg: ExperimentConfig):
-    txns = banksim.load_transactions(cfg.dataset_path)
-    customers, excluded = banksim.group_customers(txns)
+    log = banksim.load_transactions(cfg.dataset_path)
+    customers, excluded = banksim.group_customers(log)
     stats = {
-        "n_rows": len(txns),
-        "n_fraud_rows": int(sum(t.fraud for t in txns)),
+        "n_rows": len(log),
+        "n_fraud_rows": int(log.frauds.sum()),
         "n_customers": len(customers) + excluded,
         "n_customers_kept": len(customers),
         "n_customers_excluded": excluded,
@@ -236,12 +236,21 @@ def _cmd_prepare(args) -> int:
             ) from None
     t0 = time.perf_counter()
     customers, stats = _load_customers(cfg)
-    if args.subsample < 1.0:
+    if args.subsample < 1.0 and customers:
         rng = derive_rng(cfg.seed, STAGE_PREPARE, 0)
         n_keep = max(1, round(args.subsample * len(customers)))
         keep = np.sort(rng.choice(len(customers), size=n_keep, replace=False))
         customers = [customers[i] for i in keep]
     samples = banksim.make_samples(customers, cfg.min_prefix)
+    if not len(samples):
+        subsampled = ""
+        if args.subsample < 1:
+            subsampled = f" ({len(customers)} at --subsample {args.subsample:g})"
+        raise DataError(
+            f"dataset {cfg.dataset_path} has {stats['n_rows']} rows and "
+            f"{stats['n_customers_kept']} kept customers{subsampled} but 0 samples: "
+            f"no kept customer has {cfg.min_prefix} transactions (min_prefix)"
+        )
     stats["n_samples"] = len(samples)
     stats["n_fraud_samples"] = int(samples.labels.sum())
 

@@ -2,7 +2,8 @@
 
 Nothing here imports the package's algebra or metric code paths beyond plain
 data types, the rate-to-bucket lookup and the prefix encoder's layout
-constants: iterated integrals come from spectral integration of the
+constants: customer series come from one typed record per CSV row grouped
+in per-customer lists, iterated integrals from spectral integration of the
 piecewise-linear path, signatures from a dict-of-words tensor algebra, the
 prefix encoder's rows from a full-level outer-product algebra, risk levels
 and condition codes from a per-prefix loop, and metrics from direct counting.  Slow and obvious
@@ -19,12 +20,21 @@ projection-level passes and for `fraudsig.losses.discriminator_loss`.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from fraudsig.banksim import rate_to_bucket
+from fraudsig.banksim import (
+    COLUMNS,
+    VALID_GENDERS,
+    CustomerSeries,
+    TransactionParseError,
+    rate_to_bucket,
+)
 from fraudsig.features import _BLOCK, _D_AUG, _TIME_CHANNELS, _VIS_CHANNEL
 from fraudsig.losses import labeled_loss_grad, unlabeled_loss
 from fraudsig.nnet import critic_head_vector
@@ -227,6 +237,92 @@ def brute_auroc(pos_vals, neg_vals) -> float:
             elif p == n:
                 wins += 0.5
     return wins / (len(pos_vals) * len(neg_vals))
+
+
+# ---------------------------------------------------------------------------
+# Transaction ingest one record at a time.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Transaction:
+    step: int
+    customer: str
+    age: str
+    gender: str
+    category: str
+    amount: float
+    fraud: int
+
+
+def _clean(value: str) -> str:
+    return value.strip().strip("'\"")
+
+
+def load_transactions_reference(path) -> list[Transaction]:
+    """One typed record per CSV row, every field cleaned, with the package's
+    checks in the same order (header, field count, step, amount, fraud)."""
+    out: list[Transaction] = []
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [_clean(h) for h in next(reader)]
+        if tuple(header) != COLUMNS:
+            raise TransactionParseError(1, f"unexpected header {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(COLUMNS):
+                raise TransactionParseError(lineno, f"expected {len(COLUMNS)} fields")
+            fields = [_clean(v) for v in row]
+            try:
+                step = int(fields[0])
+            except ValueError:
+                raise TransactionParseError(lineno, "step") from None
+            try:
+                amount = float(fields[8])
+            except ValueError:
+                raise TransactionParseError(lineno, "amount") from None
+            try:
+                fraud = int(fields[9])
+            except ValueError:
+                raise TransactionParseError(lineno, "fraud") from None
+            if fraud not in (0, 1):
+                raise TransactionParseError(lineno, "fraud")
+            out.append(
+                Transaction(
+                    step=step, customer=fields[1], age=fields[2], gender=fields[3],
+                    category=fields[7], amount=amount, fraud=fraud,
+                )
+            )
+    return out
+
+
+def group_customers_reference(txns: list[Transaction]) -> tuple[list[CustomerSeries], int]:
+    """Per-customer lists in order of first appearance, each sorted by step
+    with Python's stable sort; a customer whose latest row has no valid
+    gender is counted as excluded."""
+    by_customer: dict[str, list[Transaction]] = {}
+    for t in txns:
+        by_customer.setdefault(t.customer, []).append(t)
+    kept: list[CustomerSeries] = []
+    excluded = 0
+    for cid, rows in by_customer.items():
+        rows = sorted(rows, key=lambda r: r.step)
+        if rows[-1].gender not in VALID_GENDERS:
+            excluded += 1
+            continue
+        kept.append(
+            CustomerSeries(
+                customer=cid,
+                steps=np.asarray([r.step for r in rows], dtype=np.int64),
+                amounts=np.asarray([r.amount for r in rows], dtype=np.float64),
+                frauds=np.asarray([r.fraud for r in rows], dtype=np.int8),
+                ages=[r.age for r in rows],
+                genders=[r.gender for r in rows],
+                categories=[r.category for r in rows],
+            )
+        )
+    return kept, excluded
 
 
 # ---------------------------------------------------------------------------

@@ -487,11 +487,11 @@ def corpus_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def kept_customers(corpus_path):
-    txns = load_transactions(corpus_path)
-    kept, excluded = group_customers(txns)
+    log = load_transactions(corpus_path)
+    kept, excluded = group_customers(log)
     stats = {
-        "rows": len(txns),
-        "frauds": sum(t.fraud for t in txns),
+        "rows": len(log),
+        "frauds": int(log.frauds.sum()),
         "excluded": excluded,
     }
     return kept, stats

@@ -26,7 +26,12 @@ from fraudsig.banksim import (
 )
 from fraudsig.synthdata import SynthSpec, generate
 
-from oracles import condition_codes_reference, risk_level
+from oracles import (
+    condition_codes_reference,
+    group_customers_reference,
+    load_transactions_reference,
+    risk_level,
+)
 
 HEADER = "step,customer,age,gender,zipcodeOri,merchant,zipMerchant,category,amount,fraud"
 
@@ -45,11 +50,11 @@ def _row(step, cust, gender="F", cat="es_food", amount="10.00", fraud=0, age="3"
 
 def test_parse_round_trip(tmp_path):
     path = _write(tmp_path, [_row(0, "C1"), _row(5, "C1", amount="3.50", fraud=1)])
-    txns = load_transactions(path)
-    assert len(txns) == 2
-    assert txns[0].customer == "C1" and txns[0].step == 0
-    assert txns[1].amount == 3.5 and txns[1].fraud == 1
-    assert txns[0].category == "es_food" and txns[0].gender == "F"
+    log = load_transactions(path)
+    assert len(log) == 2
+    assert log.customers[0] == "C1" and log.steps[0] == 0
+    assert log.amounts[1] == 3.5 and log.frauds[1] == 1
+    assert log.categories[0] == "es_food" and log.genders[0] == "F"
 
 
 def test_parse_errors_carry_line_numbers(tmp_path):
@@ -72,6 +77,95 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(TransactionParseError) as ei:
         load_transactions(bad_header)
     assert ei.value.line == 1
+
+
+def test_first_bad_line_wins(tmp_path):
+    rows = [_row(0, "C1"), _row(1, "C1", amount="x"), _row(2, "C1"), "y" + _row(3, "C1")]
+    with pytest.raises(TransactionParseError) as ei:
+        load_transactions(_write(tmp_path, rows))
+    assert ei.value.line == 3 and "'amount' value 'x'" in str(ei.value)
+
+
+def test_undecodable_byte_names_its_line(tmp_path):
+    """A byte that is not UTF-8 (latin-1 e-acute) is a parse error on its
+    line; a bad row above it is still reported first; the same character
+    encoded as UTF-8 parses."""
+    path = tmp_path / "latin1.csv"
+    rows = [_row(0, "C1"), _row(1, "C1"), _row(2, "C1", cat="caf\xe9")]
+    path.write_bytes(("\n".join([HEADER] + rows) + "\n").encode("latin-1"))
+    with pytest.raises(TransactionParseError) as ei:
+        load_transactions(path)
+    assert ei.value.line == 4 and "0xe9 is not UTF-8" in str(ei.value)
+
+    rows[0] = _row(0, "C1", amount="x")
+    path.write_bytes(("\n".join([HEADER] + rows) + "\n").encode("latin-1"))
+    with pytest.raises(TransactionParseError) as ei:
+        load_transactions(path)
+    assert ei.value.line == 2 and "amount" in str(ei.value)
+
+    rows[0] = _row(0, "C1")
+    path.write_bytes(("\n".join([HEADER] + rows) + "\n").encode("utf-8"))
+    assert load_transactions(path).categories[2] == "caf\xe9"
+
+
+def _assert_same_grouping(got, want):
+    """Same customers in the same order, equal arrays of equal dtype, equal
+    lists and the same excluded count."""
+    (kept, excluded), (ref_kept, ref_excluded) = got, want
+    assert excluded == ref_excluded
+    assert [cs.customer for cs in kept] == [cs.customer for cs in ref_kept]
+    for cs, ref in zip(kept, ref_kept):
+        for name in ("steps", "amounts", "frauds", "step_diffs"):
+            a, b = getattr(cs, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (cs.customer, name)
+        for name in ("ages", "genders", "categories"):
+            assert getattr(cs, name) == getattr(ref, name), (cs.customer, name)
+
+
+_TEXT = st.text(alphabet="abXY09_- \xe9", min_size=1, max_size=4)
+# How a field is written: bare, single- or double-quoted, padded with blanks or a tab.
+_STYLES = ("{}", "'{}'", '"{}"', " '{}' ", " {} ", "\t{}")
+
+
+@st.composite
+def _csv_logs(draw):
+    """A CSV text of interleaved customers with repeated steps, every field
+    written in a random style, blank lines and LF or CRLF endings."""
+    pool = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [HEADER]
+    for _ in range(draw(st.integers(0, 25))):
+        fields = [
+            draw(st.integers(0, 6)),
+            draw(st.sampled_from(pool)),
+            draw(st.sampled_from(["1", "2", "U"])),
+            draw(st.sampled_from(["M", "F", "E", "U"])),
+            "28007", draw(_TEXT), "28007", draw(_TEXT),
+            draw(st.floats(0, 1e4, allow_nan=False)),
+            draw(st.integers(0, 1)),
+        ]
+        lines.append(",".join(draw(st.sampled_from(_STYLES)).format(f) for f in fields))
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append("")
+    return end.join(lines) + end
+
+
+@given(_csv_logs())
+def test_columnar_ingest_matches_per_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "random_log.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same_grouping(
+        group_customers(load_transactions(path)),
+        group_customers_reference(load_transactions_reference(path)),
+    )
+
+
+def test_small_corpus_matches_per_row_reference(tmp_path):
+    path = tmp_path / "corpus.csv"
+    generate(path, SynthSpec.small(), seed=2)
+    want = group_customers_reference(load_transactions_reference(path))
+    _assert_same_grouping(group_customers(load_transactions(path)), want)
+    assert want[1] > 0
 
 
 def test_group_drops_missing_final_gender(tmp_path):

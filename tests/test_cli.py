@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from fraudsig import training
+from fraudsig.banksim import COLUMNS
 from fraudsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from fraudsig.synthdata import SynthSpec, generate
 
@@ -178,6 +179,47 @@ def test_malformed_dataset_is_data_error(tmp_path):
     (tmp_path / "corpus.csv").write_text("step,bogus\n1,2\n")
     cfg = _write_config(tmp_path)
     assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
+
+
+_HEADER = ",".join(COLUMNS)
+
+
+def _rows(customer, n, gender="F"):
+    return [f"{i},'{customer}','2','{gender}','28007','M1','28007','es_food',9.5,0" for i in range(n)]
+
+
+# (corpus rows, prepare options, counts the message gives) of corpora that
+# yield no prefix sample at min_prefix 5.
+_NO_SAMPLES = {
+    "header-only": ([], [], "has 0 rows and 0 kept customers"),
+    "header-only-subsampled": ([], ["--subsample", "0.5"], "has 0 rows and 0 kept customers"),
+    "all-excluded-for-gender": (
+        _rows("C1", 6, gender="E") + _rows("C2", 7, gender="U"), [],
+        "has 13 rows and 0 kept customers",
+    ),
+    "all-shorter-than-min-prefix": (
+        _rows("C1", 4) + _rows("C2", 3), [], "has 7 rows and 2 kept customers",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_NO_SAMPLES))
+def test_corpus_without_samples_is_data_error(tmp_path, capsys, case):
+    rows, options, counts = _NO_SAMPLES[case]
+    (tmp_path / "corpus.csv").write_text("\n".join([_HEADER, *rows]) + "\n")
+    cfg = _write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg), *options]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(tmp_path / "corpus.csv") in err and counts in err and "0 samples" in err
+
+
+def test_undecodable_dataset_is_data_error(tmp_path, capsys):
+    rows = _rows("C1", 6)
+    rows[2] = rows[2].replace("es_food", "caf\xe9")
+    (tmp_path / "corpus.csv").write_bytes(("\n".join([_HEADER, *rows]) + "\n").encode("latin-1"))
+    cfg = _write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
+    assert "line 4: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
 
 def test_invalid_config_is_config_error(tmp_path):

@@ -27,12 +27,12 @@ def test_header_and_quoting(small_corpus):
 
 def test_shape_matches_spec(small_corpus):
     spec = SynthSpec.small()
-    txns = load_transactions(small_corpus)
-    assert len(txns) == spec.n_rows
-    assert len({t.customer for t in txns}) == spec.n_customers
-    assert sum(t.fraud for t in txns) == spec.total_frauds
+    log = load_transactions(small_corpus)
+    assert len(log) == spec.n_rows
+    assert len(set(log.customers)) == spec.n_customers
+    assert int(log.frauds.sum()) == spec.total_frauds
 
-    kept, excluded = group_customers(txns)
+    kept, excluded = group_customers(log)
     assert excluded == spec.n_missing_gender
     assert len(kept) == spec.n_kept
     assert sum(c.steps.size for c in kept) == spec.kept_rows
