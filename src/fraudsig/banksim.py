@@ -95,6 +95,7 @@ class TransactionLog:
 
 
 _QUOTES = "'\""
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # surrogateescape decodes a byte that is not UTF-8 to one of these.
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
@@ -116,8 +117,9 @@ def load_transactions(path: str | Path) -> TransactionLog:
     """Parse the UTF-8 transaction CSV into the columns of a TransactionLog.
 
     Accepts single- or double-quoted fields and surrounding whitespace, and
-    skips blank lines; raises TransactionParseError with the offending line
-    number and column at the first malformed row.
+    skips blank lines; raises TransactionParseError with the offending
+    physical line number and column at the first malformed row.  A `step`
+    must fit int64 and an `amount` must be finite.
     """
     path = Path(path)
     steps, amounts, frauds = [], [], []
@@ -133,9 +135,11 @@ def load_transactions(path: str | Path) -> TransactionLog:
             raise TransactionParseError(
                 1, f"unexpected header {header!r}, want {list(COLUMNS)}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            # The physical line the record ends on: a quoted field may span lines.
+            lineno = reader.line_num
             if len(row) != len(COLUMNS):
                 raise TransactionParseError(
                     lineno, f"expected {len(COLUMNS)} fields, got {len(row)}"
@@ -143,18 +147,24 @@ def load_transactions(path: str | Path) -> TransactionLog:
             step, customer, age, gender, _, _, _, category, amount, fraud = row
             step = step.strip().strip(_QUOTES)
             try:
-                steps.append(int(step))
+                value = int(step)
             except ValueError:
                 raise TransactionParseError(
                     lineno, f"non-integer 'step' value {step!r}"
                 ) from None
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                raise TransactionParseError(lineno, f"'step' value {step!r} is outside int64")
+            steps.append(value)
             amount = amount.strip().strip(_QUOTES)
             try:
-                amounts.append(float(amount))
+                value = float(amount)
             except ValueError:
                 raise TransactionParseError(
                     lineno, f"non-numeric 'amount' value {amount!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise TransactionParseError(lineno, f"non-finite 'amount' value {amount!r}")
+            amounts.append(value)
             fraud = fraud.strip().strip(_QUOTES)
             try:
                 flag = int(fraud)

@@ -38,7 +38,6 @@ from .features import (
     FeatureStore,
     build_feature_store,
     dataset_fingerprint,
-    scale_vector,
 )
 from .metrics import majority_class_scores
 from .training import (
@@ -141,13 +140,6 @@ def _load_store(cfg, samples, subsample) -> tuple[FeatureStore, bool]:
     )
 
 
-def _scaled_rows(store: FeatureStore, rows, max_sd: float, max_amt: float) -> np.ndarray:
-    """Cached feature rows `rows`, gathered once and scaled in place."""
-    feats = store.matrix[rows]
-    feats *= scale_vector(store.basis, max_sd, max_amt)
-    return feats
-
-
 def _is_index_list(value, n: int) -> bool:
     """Whether `value` is a strictly increasing list of ints in [0, n)."""
     return (
@@ -195,7 +187,7 @@ def _load_split(cfg: ExperimentConfig, split: str):
     samples = _rebuild_samples(cfg, splits)
     store, _ = _load_store(cfg, samples, splits["subsample"])
     idx = np.asarray(splits[split], dtype=np.intp)
-    return splits, samples, idx, _scaled_rows(store, idx, splits["max_sd"], splits["max_amt"])
+    return splits, samples, idx, store.rows(idx, splits["max_sd"], splits["max_amt"])
 
 
 def _size_index(nl: int, splits: dict) -> int:
@@ -318,7 +310,7 @@ def _cmd_prepare(args) -> int:
         ]
         if not hit_rows:
             raise DataError(f"no sample for customer {cust!r} with prefix {dump_prefix}")
-        vec = _scaled_rows(store, hit_rows, max_sd, max_amt)[0]
+        vec = store.rows(hit_rows[:1], max_sd, max_amt)[0]
         print(" ".join(repr(float(v)) for v in vec))
     return EXIT_OK
 

@@ -27,7 +27,16 @@ to those of the full-level computation.
 Cached vectors are therefore time-normalised but unscaled in the two value
 channels, making the on-disk cache a pure function of (dataset, degree,
 augmentation scheme); the split-dependent scaling happens at load time.  A
-cache entry is one flat little-endian float64 matrix plus a JSON manifest.
+cache entry is one flat little-endian float64 matrix, ``features.bin``, plus a
+JSON manifest.
+
+No stage holds the whole matrix.  A cache miss encodes one customer at a time
+and appends its rows to the file; the stages get their split's rows, scaled,
+from :meth:`FeatureStore.rows`, which reads the file in chunks of at most
+``_CHUNK_ROWS`` rows with plain file reads.  ``FeatureStore.matrix`` is a
+read-only memory map of the file, for inspection only: a file cut short
+under a live mapping faults the reading process, whereas the reader raises a
+DataError naming the file.
 """
 
 from __future__ import annotations
@@ -73,6 +82,8 @@ _VIS_CHANNEL = 6
 # Steps per batch of segment products and prefix finalisations; bounds the
 # temporaries to a few MiB whatever the customer's length.
 _BLOCK = 32
+# Rows per read of FeatureStore.rows: about 3 MiB at degree 4 (728 columns).
+_CHUNK_ROWS = 512
 
 
 def dataset_fingerprint(path: str | Path) -> str:
@@ -193,11 +204,48 @@ def scale_matrix(
 
 @dataclass
 class FeatureStore:
-    """Cached unscaled feature matrix, row-aligned with a SampleSet."""
+    """Cached unscaled feature matrix, row-aligned with a SampleSet.
 
+    `matrix` is a read-only memory map of `path`, for inspection; stages
+    read rows through `rows`, which never maps the file.
+    """
+
+    path: Path
     matrix: np.ndarray
     basis: LyndonBasis
     manifest: dict
+
+    def rows(self, idx, max_sd: float, max_amt: float) -> np.ndarray:
+        """Rows `idx` (strictly increasing), scaled for the value-channel
+        maxima (max_sd, max_amt) of the split.
+
+        The file is read in chunks of at most `_CHUNK_ROWS` rows, each
+        starting at the next requested row, and only the requested rows are
+        kept; a file cut short is a DataError naming it.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        n_rows, n_cols = self.matrix.shape
+        if idx.size and (idx[0] < 0 or idx[-1] >= n_rows or np.any(idx[1:] <= idx[:-1])):
+            raise ValueError(f"row indices must be strictly increasing in [0, {n_rows})")
+        scale = scale_vector(self.basis, max_sd, max_amt)
+        out = np.empty((idx.size, n_cols))
+        chunk = np.empty((min(_CHUNK_ROWS, n_rows), n_cols), dtype="<f8")
+        with open(self.path, "rb") as fh:
+            lo = 0
+            while lo < idx.size:
+                first = idx[lo]
+                hi = int(np.searchsorted(idx, first + _CHUNK_ROWS))
+                buf = chunk[: idx[hi - 1] - first + 1]
+                fh.seek(int(first) * 8 * n_cols)
+                if fh.readinto(buf) != buf.nbytes:
+                    raise DataError(
+                        f"{self.path} is cut short: rows {first}..{idx[hi - 1]} of "
+                        f"{n_rows} cannot be read"
+                    )
+                np.take(buf, idx[lo:hi] - first, axis=0, out=out[lo:hi])
+                out[lo:hi] *= scale
+                lo = hi
+        return out
 
 
 def build_feature_store(
@@ -210,7 +258,9 @@ def build_feature_store(
     """Encode every sample once, or reuse the on-disk cache.
 
     The cache key is (dataset hash, degree, augmentation scheme version,
-    minimum prefix); a valid entry is loaded without touching the encoder.
+    minimum prefix); a valid entry is opened without touching the encoder.
+    A miss encodes one customer at a time and appends its rows to the file,
+    so only that customer's rows are held.
 
     Returns:
         (store, cache_hit).
@@ -227,33 +277,24 @@ def build_feature_store(
         "n_rows": len(samples),
         "n_cols": basis.dim,
     }
+    shape = (expected["n_rows"], expected["n_cols"])
+    hit = False
     if manifest_path.exists() and bin_path.exists():
         # A cut-short manifest or matrix file is a cache miss, not a crash.
         try:
             manifest = read_json(manifest_path)
         except DataError:
             manifest = {}
-        complete = bin_path.stat().st_size == 8 * expected["n_rows"] * expected["n_cols"]
-        if complete and {k: manifest.get(k) for k in expected} == expected:
-            matrix = np.fromfile(bin_path, dtype="<f8").reshape(
-                expected["n_rows"], expected["n_cols"]
-            )
-            return FeatureStore(matrix, basis, manifest), True
-
-    matrix = np.empty((len(samples), basis.dim))
-    offsets = np.zeros(len(samples.customers) + 1, dtype=np.intp)
-    lengths = [
-        max(0, len(cs) - min_prefix + 1) for cs in samples.customers
-    ]
-    offsets[1:] = np.cumsum(lengths)
-    for ci, cs in enumerate(samples.customers):
-        if lengths[ci] > 0:
-            matrix[offsets[ci] : offsets[ci + 1]] = encode_prefixes(
-                cs.step_diffs, cs.amounts, degree, basis, min_prefix
-            )
-
-    with committing(bin_path) as tmp:
-        matrix.astype("<f8", copy=False).tofile(tmp)
-    with committing(manifest_path) as tmp:
-        tmp.write_text(json.dumps(expected, indent=1))
-    return FeatureStore(matrix, basis, dict(expected)), False
+        complete = bin_path.stat().st_size == 8 * shape[0] * shape[1]
+        hit = complete and {k: manifest.get(k) for k in expected} == expected
+    if not hit:
+        with committing(bin_path) as tmp, open(tmp, "wb") as fh:
+            for cs in samples.customers:
+                if len(cs) >= min_prefix:
+                    coords = encode_prefixes(cs.step_diffs, cs.amounts, degree, basis, min_prefix)
+                    coords.astype("<f8", copy=False).tofile(fh)
+        manifest = dict(expected)
+        with committing(manifest_path) as tmp:
+            tmp.write_text(json.dumps(manifest, indent=1))
+    matrix = np.memmap(bin_path, dtype="<f8", mode="r", shape=shape)
+    return FeatureStore(bin_path, matrix, basis, manifest), hit

@@ -39,7 +39,7 @@ from fraudsig.config import (
     derive_rng,
     derive_seed_sequence,
 )
-from fraudsig.features import build_feature_store, scale_matrix
+from fraudsig.features import build_feature_store
 from fraudsig.losses import discriminator_loss, generator_loss_from_scores
 from fraudsig.lyndon import LyndonBasis, witt_count
 from fraudsig.nnet import (
@@ -534,7 +534,7 @@ def test_c09_desk_scale_training_dynamics(kept_customers, tmp_path):
         cards = condition_cards(samples)
 
         store, _ = build_feature_store(samples, 4, _feature_cache(tmp_path), "desk", 5)
-        feats_tr = scale_matrix(store.matrix[split.train_idx], store.basis, max_sd, max_amt)
+        feats_tr = store.rows(split.train_idx, max_sd, max_amt)
         data = PreparedData(
             feats=feats_tr,
             codes=condition_codes(samples, split.train_idx, labeled),
@@ -542,7 +542,7 @@ def test_c09_desk_scale_training_dynamics(kept_customers, tmp_path):
             labeled_idx=np.searchsorted(split.train_idx, labeled),
             emb_cards=cards,
         )
-        feats_te = scale_matrix(store.matrix[split.test_idx], store.basis, max_sd, max_amt)
+        feats_te = store.rows(split.test_idx, max_sd, max_amt)
         codes_te = condition_codes(samples, split.test_idx, labeled)
         labels_te = samples.labels[split.test_idx].astype(np.int64)
 
@@ -613,7 +613,7 @@ def test_c10_full_scale_stretch(kept_customers, tmp_path):
         cards = condition_cards(samples)
         store, _ = build_feature_store(samples, 4, _feature_cache(tmp_path), "full", 5)
         labels_te = samples.labels[split.test_idx].astype(np.int64)
-        feats_te = scale_matrix(store.matrix[split.test_idx], store.basis, max_sd, max_amt)
+        feats_te = store.rows(split.test_idx, max_sd, max_amt)
         cfg = TrainConfig()  # reference hyperparameters
         _, disc = build_nets(feats_te.shape[1], cards, cfg)
 
@@ -621,7 +621,7 @@ def test_c10_full_scale_stretch(kept_customers, tmp_path):
         for rep in range(reps):
             labeled = split.labeled[(2595, rep)]
             data = PreparedData(
-                feats=scale_matrix(store.matrix[split.train_idx], store.basis, max_sd, max_amt),
+                feats=store.rows(split.train_idx, max_sd, max_amt),
                 codes=condition_codes(samples, split.train_idx, labeled),
                 labels=samples.labels[split.train_idx].astype(np.int64),
                 labeled_idx=np.searchsorted(split.train_idx, labeled),

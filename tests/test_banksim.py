@@ -86,6 +86,33 @@ def test_first_bad_line_wins(tmp_path):
     assert ei.value.line == 3 and "'amount' value 'x'" in str(ei.value)
 
 
+@pytest.mark.parametrize("amount", ["nan", "inf", "-inf"])
+def test_non_finite_amount_names_its_line(tmp_path, amount):
+    path = _write(tmp_path, [_row(0, "C1"), _row(1, "C1", amount=amount), _row(2, "C1")])
+    with pytest.raises(TransactionParseError) as ei:
+        load_transactions(path)
+    assert ei.value.line == 3 and f"non-finite 'amount' value '{amount}'" in str(ei.value)
+
+
+def test_step_beyond_int64_names_its_line(tmp_path):
+    path = _write(tmp_path, [_row(0, "C1"), _row(99999999999999999999, "C1")])
+    with pytest.raises(TransactionParseError) as ei:
+        load_transactions(path)
+    assert ei.value.line == 3 and "outside int64" in str(ei.value)
+
+
+def test_line_numbers_are_physical_lines(tmp_path):
+    """A quoted category spanning lines 2-3 parses; the bad amount on line 5
+    is reported as line 5, not as the fourth record."""
+    split = '0,C1,3,F,28007,M1,28007,"es\nfood",10.00,0'
+    rows = [split, _row(1, "C1"), _row(2, "C1", amount="x")]
+    with pytest.raises(TransactionParseError) as ei:
+        load_transactions(_write(tmp_path, rows))
+    assert ei.value.line == 5 and "amount" in str(ei.value)
+    log = load_transactions(_write(tmp_path, rows[:2], name="ok.csv"))
+    assert log.categories == ["es\nfood", "es_food"]
+
+
 def test_undecodable_byte_names_its_line(tmp_path):
     """A byte that is not UTF-8 (latin-1 e-acute) is a parse error on its
     line; a bad row above it is still reported first; the same character

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fraudsig import training
+from fraudsig import cli, training
 from fraudsig.banksim import COLUMNS
 from fraudsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from fraudsig.synthdata import SynthSpec, generate
@@ -222,6 +222,15 @@ def test_undecodable_dataset_is_data_error(tmp_path, capsys):
     assert "line 4: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
 
+def test_step_beyond_int64_is_data_error(tmp_path, capsys):
+    rows = _rows("C1", 6)
+    rows[3] = "99999999999999999999" + rows[3][1:]
+    (tmp_path / "corpus.csv").write_text("\n".join([_HEADER, *rows]) + "\n")
+    cfg = _write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
+    assert "line 5: 'step' value '99999999999999999999' is outside int64" in capsys.readouterr().err
+
+
 def test_invalid_config_is_config_error(tmp_path):
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path, sig_degree=0)
@@ -422,6 +431,30 @@ def test_resume_after_crash_during_checkpoint(pipeline, tmp_path, monkeypatch, c
     assert sorted(p.name for p in (got / "checkpoint").iterdir()) == names
     for name in names:
         assert (ref / "checkpoint" / name).read_bytes() == (got / "checkpoint" / name).read_bytes()
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate"])
+def test_feature_cache_cut_short_while_open_is_data_error(
+    pipeline, tmp_path, capsys, monkeypatch, stage
+):
+    """features.bin cut short in place after the stage opened the cache and
+    before it read its rows: exit 3 naming the file, with no traceback."""
+    cfg = _copy_run(pipeline, tmp_path)
+    bin_path = next((tmp_path / "out/cache").rglob("features.bin"))
+    build = cli.build_feature_store
+
+    def build_then_cut(*args, **kwargs):
+        store, hit = build(*args, **kwargs)
+        assert hit
+        data = bin_path.read_bytes()
+        bin_path.write_bytes(data[: len(data) // 2])
+        return store, hit
+
+    monkeypatch.setattr(cli, "build_feature_store", build_then_cut)
+    argv = {"train": ["--nl", "40", "--rep", "0"], "evaluate": []}[stage]
+    assert main([stage, "--config", str(cfg), *argv]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{bin_path} is cut short" in err and "Traceback" not in err
 
 
 def _copy_run(pipeline, tmp_path, **train_over) -> Path:

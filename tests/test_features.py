@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fraudsig import features
 from fraudsig.banksim import (
     CustomerSeries,
     continuous_path,
@@ -11,6 +12,7 @@ from fraudsig.banksim import (
     load_transactions,
     make_samples,
 )
+from fraudsig.config import DataError
 from fraudsig.features import (
     _BLOCK,
     SCHEME_VERSION,
@@ -180,13 +182,43 @@ def test_cache_invalidated_by_key_change(tmp_path, rng):
 def test_truncated_cache_is_rebuilt(tmp_path, rng):
     samples = _sample_set(rng)
     store1, _ = build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
+    # A copy: the file is rewritten in place under the store's mapping.
+    matrix1 = np.array(store1.matrix)
     bin_path = tmp_path / "cache" / "features.bin"
     data = bin_path.read_bytes()
     bin_path.write_bytes(data[: len(data) - 100])
     store2, hit = build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
     assert not hit
-    np.testing.assert_array_equal(store1.matrix, store2.matrix)
+    np.testing.assert_array_equal(matrix1, store2.matrix)
     assert bin_path.read_bytes() == data
+
+
+def test_rows_reads_and_scales_requested_rows(tmp_path, rng, monkeypatch):
+    """The chunked reader gives the scaled rows the mapping holds, whether
+    the requested rows share a chunk, span several or are far apart."""
+    monkeypatch.setattr(features, "_CHUNK_ROWS", 3)
+    samples = _sample_set(rng, n_customers=4)
+    store, _ = build_feature_store(samples, 2, tmp_path / "c", "h", 5)
+    n = len(samples)
+    for idx in (np.arange(n), np.array([0, 1, 5, n - 1]), np.array([n - 1]), np.array([], int)):
+        want = scale_matrix(np.asarray(store.matrix)[idx], store.basis, 3.0, 70.0)
+        np.testing.assert_array_equal(store.rows(idx, 3.0, 70.0), want)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        store.rows([2, 1], 1.0, 1.0)
+
+
+def test_cache_cut_short_while_open_is_data_error(tmp_path, rng):
+    """features.bin cut short in place after a cache hit opened it: reading
+    its rows is a DataError naming the file, not a fault of the process."""
+    samples = _sample_set(rng)
+    build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
+    store, hit = build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
+    assert hit
+    bin_path = tmp_path / "cache" / "features.bin"
+    bin_path.write_bytes(bin_path.read_bytes()[:-100])
+    assert store.rows([0], 1.0, 1.0).shape == (1, store.basis.dim)
+    with pytest.raises(DataError, match="features.bin is cut short"):
+        store.rows(np.arange(len(samples)), 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
