@@ -219,7 +219,7 @@ def _cmd_prepare(args) -> int:
     if not 0 < args.subsample <= 1:
         raise ConfigError(f"--subsample must be in (0, 1], got {args.subsample}")
     if args.dump_encoding:
-        cust, _, plen = args.dump_encoding.partition(":")
+        cust, _, plen = args.dump_encoding.rpartition(":")
         try:
             dump_prefix = int(plen)
         except ValueError:
@@ -302,13 +302,11 @@ def _cmd_prepare(args) -> int:
         print(f"  labeled size {size}: {fr} fraud per repetition")
 
     if args.dump_encoding:
-        hit_rows = [
-            i
-            for i in range(len(samples))
-            if samples.customers[int(samples.customer_idx[i])].customer == cust
-            and int(samples.prefix_len[i]) == dump_prefix
-        ]
-        if not hit_rows:
+        index = {cs.customer: ci for ci, cs in enumerate(samples.customers)}
+        hit_rows = np.flatnonzero(
+            (samples.customer_idx == index.get(cust, -1)) & (samples.prefix_len == dump_prefix)
+        )
+        if not hit_rows.size:
             raise DataError(f"no sample for customer {cust!r} with prefix {dump_prefix}")
         vec = store.rows(hit_rows[:1], max_sd, max_amt)[0]
         print(" ".join(repr(float(v)) for v in vec))
@@ -491,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--dump-encoding", metavar="CUSTOMER:PREFIX", default=None,
-        help="print one encoded sample row and exit (debugging aid)",
+        help="after preparing, also print this sample's encoded row (debugging aid)",
     )
     p.set_defaults(fn=_cmd_prepare)
 

@@ -162,7 +162,9 @@ class TrainConfig:
     width: int = _setting(128, int, "[1, inf)")
     n_residual: int = _setting(2, int, "[0, inf)")
     head_widths: tuple[int, ...] = _setting((64, 32), int, "[1, inf)")
-    checkpoint_every: int = _setting(0, int, "[0, inf)")  # epochs between saves; 0 = end only
+    # Epochs between checkpoint saves, and one at the end; 0 saves only at the
+    # end.  100 bounds the work a crash loses to about 15 min at the defaults.
+    checkpoint_every: int = _setting(100, int, "[0, inf)")
 
     def burn_in_epochs(self) -> int:
         return self.epochs // 2 if self.burn_in is None else self.burn_in

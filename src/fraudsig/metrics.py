@@ -91,24 +91,14 @@ def partial_pr_auc(labels, scores, r: float) -> float:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise ValueError("partial_pr_auc undefined without positive samples")
-    order = _ranking(scores)
-    hits = 0
-    area = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if labels[idx] != 1:
-            continue
-        hits += 1
-        recall_prev = (hits - 1) / n_pos
-        recall_now = hits / n_pos
-        precision = hits / rank
-        if recall_now <= r:
-            area += (recall_now - recall_prev) * precision
-            if recall_now == r:
-                break
-        else:
-            area += (r - recall_prev) * precision
-            break
-    return float(area)
+    # Positive h (1-based, in rank order) at rank rank_h adds the recall it
+    # gains below the cap times its precision h / rank_h; positives past the
+    # cap gain nothing.  cumsum adds the terms one by one in rank order, so
+    # the area rounds as a running sum does (`sum` adds pairwise).
+    ranks = np.flatnonzero(labels[_ranking(scores)] == 1) + 1
+    hits = np.arange(1, n_pos + 1)
+    gain = np.maximum(np.minimum(hits / n_pos, r) - (hits - 1) / n_pos, 0.0)
+    return float(np.cumsum(gain * (hits / ranks))[-1])
 
 
 def cross_entropy(labels, scores, clip: float = 1e-7) -> float:
@@ -165,17 +155,9 @@ def expected_cost_at_k(labels, scores, amounts, k_percent: float, alpha: float =
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of `values` in ascending order, ties sharing their mean."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def uncertainty_auroc(labels, scores, widths, tau: float = 0.5) -> float:

@@ -165,14 +165,17 @@ def aggregate_reports(report_dir: str | Path, expected_reps: int) -> list[str]:
         path = report_dir / name
         with parsing(path):
             for row in read_csv(path):
-                point = "".join(f"[{row[g]}]" for g in grid)
+                point = tuple(row[g] for g in grid)
+                label = "".join(f"[{v}]" for v in point)
                 for m in columns:
-                    key = (row["model"], int(row["n_labeled"]), m + point)
+                    # Keys sort by the label, which fixes the column and the
+                    # grid point: rows stay in the order of their metric names.
+                    key = (row["model"], int(row["n_labeled"]), m + label, m, point)
                     groups.setdefault(key, []).append(float(row[m]))
 
     agg_rows = []
     cost_rows = []
-    for (model, n_labeled, metric), values in sorted(groups.items()):
+    for (model, n_labeled, metric, column, point), values in sorted(groups.items()):
         finite = [v for v in values if not math.isnan(v)]
         mean, std = _mean_std(finite) if finite else (math.nan, 0.0)
         agg_rows.append(
@@ -186,13 +189,12 @@ def aggregate_reports(report_dir: str | Path, expected_reps: int) -> list[str]:
                 "complete": int(len(values) == expected_reps),
             }
         )
-        if metric.startswith("expected_cost_at_k["):
-            k = metric[len("expected_cost_at_k[") : -1]
+        if column == "expected_cost_at_k":
             cost_rows.append(
                 {
                     "model": model,
                     "n_labeled": n_labeled,
-                    "k_percent": k,
+                    "k_percent": point[0],
                     "mean_cost_thousands": mean / 1000.0,
                     "std_cost_thousands": std / 1000.0,
                     "n_reps": len(values),

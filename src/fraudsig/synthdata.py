@@ -67,10 +67,6 @@ class SynthSpec:
     def kept_rows(self) -> int:
         return self.n_rows - self.excluded_rows
 
-    @property
-    def total_frauds(self) -> int:
-        return self.sample_frauds + self.early_frauds + self.excluded_frauds
-
     @classmethod
     def small(cls) -> "SynthSpec":
         """A quick variant for smoke tests and demos (~2k rows)."""
@@ -107,14 +103,12 @@ def _counts_with_bounds(rng, n, total, low, high):
         return np.zeros(0, dtype=np.int64)
     counts = np.full(n, low, dtype=np.int64)
     remaining = total - low * n
-    cap = high - low
     while remaining > 0:
         extra = rng.multinomial(remaining, np.full(n, 1.0 / n))
         counts += extra
         overflow = np.maximum(counts - high, 0)
         counts -= overflow
         remaining = int(overflow.sum())
-        cap = high - counts  # noqa: F841 (capacity shrinks; loop converges)
     return counts
 
 

@@ -466,8 +466,8 @@ def predict(
             hi = min(lo + batch_size, n)
             scores, _ = disc.forward(member.params, feats[lo:hi], codes[lo:hi])
             probs[mi, lo:hi] = restricted_softmax(scores)[:, 1]
-    width = np.quantile(probs, 0.95, axis=0) - np.quantile(probs, 0.05, axis=0)
-    return Prediction(mean=probs.mean(axis=0), width=width)
+    q05, q95 = np.quantile(probs, [0.05, 0.95], axis=0)
+    return Prediction(mean=probs.mean(axis=0), width=q95 - q05)
 
 
 # ---------------------------------------------------------------------------

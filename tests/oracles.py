@@ -6,8 +6,9 @@ constants: customer series come from one typed record per CSV row grouped
 in per-customer lists, iterated integrals from spectral integration of the
 piecewise-linear path, signatures from a dict-of-words tensor algebra, the
 prefix encoder's rows from a full-level outer-product algebra, risk levels
-and condition codes from a per-prefix loop, and metrics from direct counting.  Slow and obvious
-on purpose.  There are two exceptions.  The tensor exponential, which the
+and condition codes from a per-prefix loop, and metrics from direct counting
+or per-sample loops.  Slow and obvious on purpose.  There are two
+exceptions.  The tensor exponential, which the
 exp-log round-trip tests apply to `fraudsig.signatures.tensor_log`, is a
 power series of the package's `chen_product`.  The whole-trunk form of the
 networks and of the feature-level critic loss with its gradient penalty (the
@@ -210,6 +211,48 @@ def brute_partial_ap(labels, scores, cap: float) -> float:
         if hi >= cap:
             break
     return area
+
+
+def partial_pr_auc_loop(labels: np.ndarray, scores: np.ndarray, r: float) -> float:
+    """Per-sample walk of `fraudsig.metrics.partial_pr_auc`'s ranking (the
+    stable descending order), adding each positive's step in rank order and
+    stopping at the recall cap; the vectorised form must equal it exactly."""
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="stable")
+    hits = 0
+    area = 0.0
+    for rank, idx in enumerate(order, start=1):
+        if labels[idx] != 1:
+            continue
+        hits += 1
+        recall_prev = (hits - 1) / n_pos
+        recall_now = hits / n_pos
+        precision = hits / rank
+        if recall_now <= r:
+            area += (recall_now - recall_prev) * precision
+            if recall_now == r:
+                break
+        else:
+            area += (r - recall_prev) * precision
+            break
+    return float(area)
+
+
+def midranks_loop(values: np.ndarray) -> np.ndarray:
+    """Ascending 1-based ranks with each run of ties sharing its mean rank,
+    found by scanning the sorted values; `fraudsig.metrics._midranks` must
+    equal it exactly."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 def brute_head(labels, scores, k_percent: float) -> list[int]:

@@ -550,6 +550,21 @@ def test_malformed_dump_encoding_is_config_error(pipeline, tmp_path, capsys, val
     assert "--dump-encoding" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unknown", ["customer", "prefix"])
+def test_dump_encoding_of_no_sample_is_data_error(pipeline, tmp_path, capsys, unknown):
+    """A CUSTOMER:PREFIX that names no sample, by an unknown customer or by a
+    prefix past the customer's series, exits 3 naming the customer."""
+    cfg = _copy_run(pipeline, tmp_path)
+    cust = json.loads((tmp_path / "out/prepared/splits.json").read_text())["customers"][0]
+    if unknown == "customer":
+        cust, prefix = "nobody", 5
+    else:
+        prefix = 100_000
+    value = f"{cust}:{prefix}"
+    assert main(["prepare", "--config", str(cfg), "--dump-encoding", value]) == EXIT_DATA
+    assert f"no sample for customer {cust!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "schedule",
     [{"epochs": 1, "burn_in": None, "thinning": 10}, {"epochs": 4, "burn_in": 5},

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fraudsig.metrics import (
     OutcomeWidths,
+    _midranks,
     cross_entropy,
     expected_cost_at_k,
     head_size,
@@ -20,7 +21,15 @@ from fraudsig.metrics import (
     threshold_predictions,
     uncertainty_auroc,
 )
-from oracles import brute_auroc, brute_cost, brute_macro_f1, brute_partial_ap, brute_rank
+from oracles import (
+    brute_auroc,
+    brute_cost,
+    brute_macro_f1,
+    brute_partial_ap,
+    brute_rank,
+    midranks_loop,
+    partial_pr_auc_loop,
+)
 
 
 def _random_instance(rng, n=None, ties=True):
@@ -61,6 +70,25 @@ def test_partial_pr_auc_matches_brute(rng):
         assert partial_pr_auc(labels, scores, r) == pytest.approx(
             brute_partial_ap(labels.tolist(), scores.tolist(), r), abs=1e-12
         )
+
+
+def test_partial_pr_auc_equals_loop(rng):
+    """Bit for bit the per-sample walk, with tied scores, a zero cap, a cap
+    at a positive's exact recall (where the walk stops on equality), a
+    random cap and the full area."""
+    for _ in range(250):
+        labels, scores = _random_instance(rng)
+        n_pos = int(labels.sum())
+        exact = int(rng.integers(1, n_pos + 1)) / n_pos
+        for r in (0.0, exact, float(rng.random()), 1.0):
+            assert partial_pr_auc(labels, scores, r) == partial_pr_auc_loop(labels, scores, r)
+
+
+def test_midranks_equal_loop(rng):
+    for _ in range(250):
+        n = int(rng.integers(1, 40))
+        values = np.round(rng.random(n), int(rng.integers(0, 3)))  # many ties
+        np.testing.assert_array_equal(_midranks(values), midranks_loop(values))
 
 
 def test_partial_pr_auc_monotone_in_cap(rng):

@@ -30,14 +30,15 @@ def test_shape_matches_spec(small_corpus):
     log = load_transactions(small_corpus)
     assert len(log) == spec.n_rows
     assert len(set(log.customers)) == spec.n_customers
-    assert int(log.frauds.sum()) == spec.total_frauds
+    total_frauds = spec.sample_frauds + spec.early_frauds + spec.excluded_frauds
+    assert int(log.frauds.sum()) == total_frauds
 
     kept, excluded = group_customers(log)
     assert excluded == spec.n_missing_gender
     assert len(kept) == spec.n_kept
     assert sum(c.steps.size for c in kept) == spec.kept_rows
     kept_frauds = sum(int(c.frauds.sum()) for c in kept)
-    assert spec.total_frauds - kept_frauds == spec.excluded_frauds
+    assert total_frauds - kept_frauds == spec.excluded_frauds
     assert sum(1 for c in kept if c.frauds.any()) == spec.n_fraud_customers
 
 
@@ -84,7 +85,7 @@ def test_default_spec_reproduces_reference_shape():
     spec = SynthSpec()
     spec.validate()
     assert spec.n_rows == 594643
-    assert spec.total_frauds == 7200
+    assert spec.sample_frauds + spec.early_frauds + spec.excluded_frauds == 7200
     assert spec.n_customers == 4112
     assert spec.n_kept == 4100
     assert spec.n_fraud_customers == 1479

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -156,6 +157,37 @@ def test_resume_ignores_fingerprint_keys_this_version_drops(tmp_path, rng):
     state["fingerprint"]["optimizer"] = "adam"
     (ck / "state.json").write_text(json.dumps(state))
     train(data, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=ck, resume=True)
+    files = sorted(p.name for p in full_ck.iterdir())
+    assert sorted(p.name for p in ck.iterdir()) == files
+    for name in files:
+        assert (ck / name).read_bytes() == (full_ck / name).read_bytes(), name
+
+
+def test_default_interval_resumes_after_a_crash(tmp_path, rng):
+    """With no interval set, a crash in epoch 101 leaves epoch 100's
+    checkpoint, and the resume from it continues at epoch 101 and writes the
+    same checkpoint files, byte for byte, as an uninterrupted run."""
+    settings = dataclasses.asdict(_tiny_cfg(epochs=104, burn_in=100))
+    del settings["checkpoint_every"]
+    cfg = TrainConfig(**settings)
+    data = _tiny_data(rng)
+    full_ck, ck = tmp_path / "full", tmp_path / "ck"
+    full = train(data, cfg, seed=11, checkpoint_dir=full_ck)
+
+    def crash(epoch, disc, gen):
+        if epoch == 101:
+            raise RuntimeError("crash in epoch 101")
+
+    with pytest.raises(RuntimeError, match="crash"):
+        train(data, cfg, seed=11, checkpoint_dir=ck, epoch_callback=crash)
+    assert json.loads((ck / "state.json").read_text())["epoch"] == 100
+    epochs = []
+    resumed = train(
+        data, cfg, seed=11, checkpoint_dir=ck, resume=True,
+        epoch_callback=lambda epoch, disc, gen: epochs.append(epoch),
+    )
+    assert epochs == [101, 102, 103, 104]
+    assert resumed.trace == full.trace
     files = sorted(p.name for p in full_ck.iterdir())
     assert sorted(p.name for p in ck.iterdir()) == files
     for name in files:
