@@ -18,6 +18,8 @@ The stage `ingest` parses the dataset, groups the customers and makes the
 prefix samples, as every stage does first, and stops: a stage's peak above
 it is what the stage itself holds.  It takes only --config, and an error in
 it is reported as exit 1 with its traceback.
+
+`--help` or `-h` in place of a stage prints this text and runs nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ def ingest(argv: list[str]) -> int:
 def main(argv: list[str]) -> int:
     if not argv:
         raise SystemExit(__doc__)
+    if argv[0] in ("-h", "--help"):
+        print(__doc__)
+        return 0
     t0 = time.perf_counter()
     try:
         with contextlib.redirect_stdout(sys.stderr):

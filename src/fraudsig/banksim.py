@@ -289,13 +289,12 @@ def make_samples(customers: list[CustomerSeries], min_prefix: int = 5) -> Sample
 def training_maxima(samples: SampleSet, train_idx: np.ndarray) -> tuple[float, float]:
     """Largest step difference and amount over all transactions covered by
     training-split samples; frozen before any unlabeling repetition."""
-    reach: dict[int, int] = {}
-    for i in train_idx:
-        ci = int(samples.customer_idx[i])
-        reach[ci] = max(reach.get(ci, 0), int(samples.prefix_len[i]))
+    # Each customer's reach: its longest training prefix, 0 if it has none.
+    reach = np.zeros(len(samples.customers), dtype=np.intp)
+    np.maximum.at(reach, samples.customer_idx[train_idx], samples.prefix_len[train_idx])
     max_sd, max_amt = 0.0, 0.0
-    for ci, j in reach.items():
-        cs = samples.customers[ci]
+    for ci in np.flatnonzero(reach):
+        cs, j = samples.customers[ci], reach[ci]
         max_sd = max(max_sd, float(cs.step_diffs[:j].max()))
         max_amt = max(max_amt, float(cs.amounts[:j].max()))
     return max_sd, max_amt

@@ -33,12 +33,7 @@ from .config import (
     parsing,
     read_json,
 )
-from .features import (
-    SCHEME_VERSION,
-    FeatureStore,
-    build_feature_store,
-    dataset_fingerprint,
-)
+from .features import SCHEME_VERSION, build_feature_store, dataset_fingerprint, store_key
 from .metrics import majority_class_scores
 from .training import (
     DivergedChainError,
@@ -60,7 +55,7 @@ SPLITS_REL = "prepared/splits.json"
 MANIFEST_REL = "manifest.json"
 # Top-level entries the stages read from each JSON artifact.
 _SPLITS_KEYS = (
-    "stats", "subsample", "customers", "max_sd", "max_amt", "configured_sizes",
+    "stats", "subsample", "customers", "features", "max_sd", "max_amt", "configured_sizes",
     "labeled_sizes", "repetitions", "train_idx", "test_idx", "labeled",
 )
 _MANIFEST_KEYS = ("stages", "artifacts", "seeds")
@@ -113,31 +108,9 @@ def _load_customers(cfg: ExperimentConfig):
     return customers, stats
 
 
-def _rebuild_samples(cfg: ExperimentConfig, splits: dict) -> banksim.SampleSet:
-    customers, _ = _load_customers(cfg)
-    wanted = set(splits["customers"])
-    kept = [cs for cs in customers if cs.customer in wanted]
-    if len(kept) != len(splits["customers"]):
-        raise DataError("dataset no longer matches the prepared customer list")
-    samples = banksim.make_samples(kept, cfg.min_prefix)
-    if len(samples) != splits["stats"]["n_samples"]:
-        raise DataError("dataset no longer matches the prepared sample count")
-    return samples
-
-
 def _cache_path(cfg: ExperimentConfig, subsample: float) -> Path:
     tag = "full" if subsample >= 1.0 else f"sub{subsample:g}"
     return cache_dir(cfg) / f"deg{cfg.sig_degree}_v{SCHEME_VERSION}_{tag}"
-
-
-def _load_store(cfg, samples, subsample) -> tuple[FeatureStore, bool]:
-    return build_feature_store(
-        samples,
-        cfg.sig_degree,
-        _cache_path(cfg, subsample),
-        dataset_fingerprint(cfg.dataset_path),
-        cfg.min_prefix,
-    )
 
 
 def _is_index_list(value, n: int) -> bool:
@@ -151,20 +124,21 @@ def _is_index_list(value, n: int) -> bool:
 
 def _read_splits(path: Path) -> dict:
     """The prepared splits, with the nested entries the stages read checked
-    too: `stats.n_samples`, and the train, test and every (size, repetition)
-    labeled index set, each a strictly increasing list of sample indices,
-    train and test disjoint and every labeled set inside train; a missing or
-    malformed one is a DataError naming the file."""
+    too: `stats.n_samples` (the feature key's `n_rows`), and the train, test
+    and every (size, repetition) labeled index set, each a strictly increasing
+    list of sample indices, train and test disjoint and every labeled set
+    inside train; a missing or malformed one is a DataError naming the file."""
     splits = read_json(path, _SPLITS_KEYS)
     with parsing(path):
         n = splits["stats"].get("n_samples")
+        n_rows = splits["features"].get("n_rows")
         sets = {name: splits[name] for name in ("train_idx", "test_idx")}
         sets.update(
             (f"labeled[{si}:{rep}]", splits["labeled"].get(f"{si}:{rep}"))
             for si in range(len(splits["labeled_sizes"]))
             for rep in range(splits["repetitions"])
         )
-    if not isinstance(n, int):
+    if not isinstance(n, int) or n != n_rows:
         raise DataError(f"{path} has a missing or malformed entry: stats.n_samples")
     bad = [name for name, value in sets.items() if not _is_index_list(value, n)]
     if not bad:
@@ -179,13 +153,26 @@ def _read_splits(path: Path) -> dict:
 
 def _load_split(cfg: ExperimentConfig, split: str):
     """(splits, samples, row indices, scaled features) of the prepared
-    split `split` ("train_idx" or "test_idx")."""
+    split `split` ("train_idx" or "test_idx"); a corpus or settings that no
+    longer give the feature key `prepare` recorded are a DataError."""
     path = Path(cfg.output_dir) / SPLITS_REL
     if not path.exists():
         raise DataError(f"{path} not found; run `fraudsig prepare` first")
     splits = _read_splits(path)
-    samples = _rebuild_samples(cfg, splits)
-    store, _ = _load_store(cfg, samples, splits["subsample"])
+    dataset_hash = dataset_fingerprint(cfg.dataset_path)
+    wanted = set(splits["customers"])
+    kept = [cs for cs in _load_customers(cfg)[0] if cs.customer in wanted]
+    samples = banksim.make_samples(kept, cfg.min_prefix)
+    now = store_key(samples, cfg.sig_degree, dataset_hash, cfg.min_prefix)
+    prepared = splits["features"]
+    diff = [f"{k}: {prepared.get(k)!r} -> {v!r}" for k, v in now.items() if prepared.get(k) != v]
+    if diff:
+        raise DataError(
+            f"{path} was prepared from another corpus or other settings; differing keys "
+            f"(prepared -> now): {'; '.join(diff)}; run `fraudsig prepare` again"
+        )
+    cache = _cache_path(cfg, splits["subsample"])
+    store, _ = build_feature_store(samples, cfg.sig_degree, cache, dataset_hash, cfg.min_prefix)
     idx = np.asarray(splits[split], dtype=np.intp)
     return splits, samples, idx, store.rows(idx, splits["max_sd"], splits["max_amt"])
 
@@ -257,12 +244,17 @@ def _cmd_prepare(args) -> int:
     )
     max_sd, max_amt = banksim.training_maxima(samples, split.train_idx)
 
-    store, cache_hit = _load_store(cfg, samples, args.subsample)
+    cache = _cache_path(cfg, args.subsample)
+    dataset_hash = dataset_fingerprint(cfg.dataset_path)
+    store, cache_hit = build_feature_store(
+        samples, cfg.sig_degree, cache, dataset_hash, cfg.min_prefix
+    )
 
     splits = {
         "stats": stats,
         "subsample": args.subsample,
         "customers": [cs.customer for cs in samples.customers],
+        "features": store.manifest,
         "max_sd": max_sd,
         "max_amt": max_amt,
         "configured_sizes": list(cfg.split.labeled_sizes),
@@ -280,10 +272,10 @@ def _cmd_prepare(args) -> int:
         tmp.write_text(json.dumps(splits, indent=2, sort_keys=True))
 
     manifest = _load_manifest(cfg)
-    manifest["dataset_sha256"] = store.manifest["dataset_sha256"]
+    manifest["dataset_sha256"] = dataset_hash
     artifacts = [SPLITS_REL]
     try:
-        cache_rel = _cache_path(cfg, args.subsample).relative_to(cfg.output_dir)
+        cache_rel = cache.relative_to(cfg.output_dir)
         artifacts.append(str(cache_rel) + "/")
     except ValueError:
         pass  # cache redirected outside the run directory

@@ -25,10 +25,11 @@ running state is 988 floats instead of 2,801, and the rows are bit-identical
 to those of the full-level computation.
 
 Cached vectors are therefore time-normalised but unscaled in the two value
-channels, making the on-disk cache a pure function of (dataset, degree,
-augmentation scheme); the split-dependent scaling happens at load time.  A
-cache entry is one flat little-endian float64 matrix, ``features.bin``, plus a
-JSON manifest.
+channels, making the on-disk cache a pure function of its key (dataset, kept
+customers, degree, augmentation scheme, minimum prefix; see
+:func:`store_key`); the split-dependent scaling happens at load time.  A cache
+entry is one flat little-endian float64 matrix, ``features.bin``, plus a JSON
+manifest holding the key.
 
 No stage holds the whole matrix.  A cache miss encodes one customer at a time
 and appends its rows to the file; the stages get their split's rows, scaled,
@@ -50,7 +51,7 @@ import numpy as np
 
 from .banksim import SampleSet
 from .config import DataError, committing, read_json
-from .lyndon import LyndonBasis
+from .lyndon import LyndonBasis, lyndon_dim
 from .signatures import (
     TensorSeries,
     augmented_dim,
@@ -66,6 +67,7 @@ __all__ = [
     "dataset_fingerprint",
     "encode_prefixes",
     "build_feature_store",
+    "store_key",
     "scale_matrix",
     "scale_vector",
 ]
@@ -248,6 +250,23 @@ class FeatureStore:
         return out
 
 
+def store_key(samples: SampleSet, degree: int, dataset_hash: str, min_prefix: int = 5) -> dict:
+    """What a feature cache of `samples` is made from: the dataset hash, the
+    degree, augmentation scheme and minimum prefix, the kept customers (a
+    digest of their ids, as the JSON list, in sample order) and the matrix
+    shape.  Equal keys mean equal rows."""
+    ids = json.dumps([cs.customer for cs in samples.customers]).encode()
+    return {
+        "dataset_sha256": dataset_hash,
+        "degree": degree,
+        "scheme_version": SCHEME_VERSION,
+        "min_prefix": min_prefix,
+        "customers_sha256": hashlib.sha256(ids).hexdigest(),
+        "n_rows": len(samples),
+        "n_cols": lyndon_dim(_D_AUG, degree),
+    }
+
+
 def build_feature_store(
     samples: SampleSet,
     degree: int,
@@ -257,27 +276,20 @@ def build_feature_store(
 ) -> tuple[FeatureStore, bool]:
     """Encode every sample once, or reuse the on-disk cache.
 
-    The cache key is (dataset hash, degree, augmentation scheme version,
-    minimum prefix); a valid entry is opened without touching the encoder.
-    A miss encodes one customer at a time and appends its rows to the file,
-    so only that customer's rows are held.
+    The cache is valid when its manifest is the `store_key` of these
+    arguments and its matrix file is whole; a valid entry is opened without
+    touching the encoder.  A miss encodes one customer at a time and appends
+    its rows to the file, so only that customer's rows are held.
 
     Returns:
-        (store, cache_hit).
+        (store, cache_hit); the store's manifest is the key.
     """
     cache_path = Path(cache_path)
     basis = LyndonBasis.build(_D_AUG, degree)
     bin_path = cache_path / "features.bin"
     manifest_path = cache_path / "manifest.json"
-    expected = {
-        "dataset_sha256": dataset_hash,
-        "degree": degree,
-        "scheme_version": SCHEME_VERSION,
-        "min_prefix": min_prefix,
-        "n_rows": len(samples),
-        "n_cols": basis.dim,
-    }
-    shape = (expected["n_rows"], expected["n_cols"])
+    key = store_key(samples, degree, dataset_hash, min_prefix)
+    shape = (key["n_rows"], key["n_cols"])
     hit = False
     if manifest_path.exists() and bin_path.exists():
         # A cut-short manifest or matrix file is a cache miss, not a crash.
@@ -285,16 +297,14 @@ def build_feature_store(
             manifest = read_json(manifest_path)
         except DataError:
             manifest = {}
-        complete = bin_path.stat().st_size == 8 * shape[0] * shape[1]
-        hit = complete and {k: manifest.get(k) for k in expected} == expected
+        hit = manifest == key and bin_path.stat().st_size == 8 * shape[0] * shape[1]
     if not hit:
         with committing(bin_path) as tmp, open(tmp, "wb") as fh:
             for cs in samples.customers:
                 if len(cs) >= min_prefix:
                     coords = encode_prefixes(cs.step_diffs, cs.amounts, degree, basis, min_prefix)
                     coords.astype("<f8", copy=False).tofile(fh)
-        manifest = dict(expected)
         with committing(manifest_path) as tmp:
-            tmp.write_text(json.dumps(manifest, indent=1))
+            tmp.write_text(json.dumps(key, indent=1))
     matrix = np.memmap(bin_path, dtype="<f8", mode="r", shape=shape)
-    return FeatureStore(bin_path, matrix, basis, manifest), hit
+    return FeatureStore(bin_path, matrix, basis, key), hit

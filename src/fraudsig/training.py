@@ -608,9 +608,10 @@ def load_checkpoint(
     A checkpoint whose stored fingerprint differs from `fingerprint` on any
     of its keys is a ConfigError naming them; keys this version does not
     fingerprint, such as the `optimizer` of older versions, are not
-    compared.  Entries this version does not read, such as the generator
-    ensemble that older versions stored, are ignored.  A chains file that
-    the state does not name, left by a crash after the commit, is deleted."""
+    compared; chain entries that are not one per chain are a DataError.
+    Entries this version does not read, such as the generator ensemble that
+    older versions stored, are ignored.  A chains file that the state does
+    not name, left by a crash after the commit, is deleted."""
     in_dir = Path(checkpoint_dir)
     state = _read_state(in_dir)
     with parsing(in_dir / "state.json"):
@@ -620,16 +621,10 @@ def load_checkpoint(
             for k, v in sorted(fingerprint.items())
             if saved_fp.get(k) != v
         ]
-        saved = (len(state["gen_chains"]), len(state["disc_chains"]))
     if diff:
         raise ConfigError(
             f"checkpoint {in_dir} was written with other sampler settings or data; "
             f"differing keys (checkpoint -> now): {'; '.join(diff)}"
-        )
-    if saved != (len(gen_chains), len(disc_chains)):
-        raise ConfigError(
-            f"checkpoint {in_dir} holds {saved[0]} generator and {saved[1]} discriminator "
-            f"chains; the configuration asks for {len(gen_chains)} and {len(disc_chains)}"
         )
     chains = [*gen_chains, *disc_chains]
     shapes = [[p.shape for p in c.params] for c in chains]
@@ -638,7 +633,7 @@ def load_checkpoint(
     with parsing(in_dir / "state.json"):
         tensors = iter(_views(in_dir, state["chain_state"], [s for c in shapes for s in c * 3]))
         entries = state["gen_chains"] + state["disc_chains"]
-        for chain, entry, s in zip(chains, entries, shapes):
+        for chain, entry, s in zip(chains, entries, shapes, strict=True):
             chain.params, chain.adam.m, chain.adam.v = (
                 [next(tensors) for _ in s] for _ in range(3)
             )

@@ -8,7 +8,8 @@ import pytest
 import yaml
 
 from fraudsig import cli, training
-from fraudsig.banksim import COLUMNS
+from fraudsig.banksim import COLUMNS, group_customers, load_transactions, make_samples
+from fraudsig.features import build_feature_store
 from fraudsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from fraudsig.synthdata import SynthSpec, generate
 
@@ -251,6 +252,10 @@ def _no_n_samples(splits):
     del splits["stats"]["n_samples"]
 
 
+def _no_features(splits):
+    del splits["features"]
+
+
 def _train_idx_out_of_range(splits):
     splits["train_idx"][-1] = splits["stats"]["n_samples"]
 
@@ -272,13 +277,13 @@ def _labeled_from_test_idx(splits):
 @pytest.mark.parametrize(
     "content",
     ['{"customers": ["C1", "C', "[1, 2]", _no_train_idx, _no_n_samples, _train_idx_out_of_range,
-     _string_in_test_idx, _labeled_out_of_range, _labeled_from_test_idx],
+     _string_in_test_idx, _labeled_out_of_range, _labeled_from_test_idx, _no_features],
     ids=["truncated", "not-an-object", "no-train-idx", "no-n-samples", "train-idx-out-of-range",
-         "string-in-test-idx", "labeled-out-of-range", "labeled-from-test-idx"],
+         "string-in-test-idx", "labeled-out-of-range", "labeled-from-test-idx", "no-features"],
 )
 def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
     """A splits file that does not parse, is not an object, lacks an entry,
-    top-level or nested, or holds an index set that is not a strictly
+    top-level (the feature key among them) or nested, or holds an index set that is not a strictly
     increasing list of sample indices, a test set that shares a sample with
     the train set or a labeled set not inside it exits 3 and names the file,
     in train and in evaluate."""
@@ -295,6 +300,76 @@ def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DATA
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
     assert capsys.readouterr().err.count(str(splits)) == 2
+
+
+def test_subsample_of_other_customers_misses_the_cache(tmp_path, capsys):
+    """On a corpus of equal-length customers, `prepare --subsample 0.5` at
+    seeds 0 and 3 keeps as many samples of other customers.  The second run
+    misses the cache, and its features.bin is the encoding of its customers."""
+    rows = [
+        f"{i},'C{c}','2','F','28007','M1','28007','es_food',{c + 0.5 * i},"
+        f"{int(i == 9 and c % 3 == 0)}"
+        for c in range(20)
+        for i in range(10)
+    ]
+    (tmp_path / "corpus.csv").write_text("\n".join([_HEADER, *rows]) + "\n")
+    splits = tmp_path / "out/prepared/splits.json"
+    kept = []
+    for seed in (0, 3):
+        capsys.readouterr()
+        cfg = _write_config(tmp_path, seed=seed)
+        assert main(["prepare", "--config", str(cfg), "--subsample", "0.5"]) == EXIT_OK
+        kept.append(json.loads(splits.read_text())["customers"])
+    assert kept[0] != kept[1] and len(kept[0]) == len(kept[1])
+    assert "cache_hit=False" in capsys.readouterr().out
+    customers, _ = group_customers(load_transactions(tmp_path / "corpus.csv"))
+    samples = make_samples([cs for cs in customers if cs.customer in set(kept[1])], 5)
+    fresh, _ = build_feature_store(samples, 2, tmp_path / "fresh", "h", 5)
+    (cached,) = (tmp_path / "out/cache").rglob("features.bin")
+    assert cached.read_bytes() == fresh.path.read_bytes()
+
+
+def _edit_one_kept_amount(base: dict, splits: dict, root: Path) -> None:
+    lines = Path(base["dataset_path"]).read_text().splitlines()
+    i = next(
+        i for i, line in enumerate(lines[1:], 1)
+        if line.split(",")[1].strip("'") in set(splits["customers"])
+    )
+    fields = lines[i].split(",")
+    fields[COLUMNS.index("amount")] = repr(float(fields[COLUMNS.index("amount")]) + 1.0)
+    lines[i] = ",".join(fields)
+    base["dataset_path"] = str(root / "edited.csv")
+    Path(base["dataset_path"]).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [(_edit_one_kept_amount, "dataset_sha256"), ({"sig_degree": 3}, "degree"),
+     ({"min_prefix": 6}, "min_prefix")],
+    ids=["edited-amount", "sig-degree", "min-prefix"],
+)
+def test_change_since_prepare_is_data_error(pipeline, tmp_path, capsys, change, key):
+    """A corpus, `sig_degree` or `min_prefix` changed since `prepare` exits 3
+    in train and in evaluate, naming splits.json and the differing key,
+    before any feature is encoded: the cache stays as it was."""
+    cfg = _copy_run(pipeline, tmp_path)
+    splits = tmp_path / "out/prepared/splits.json"
+    base = yaml.safe_load(cfg.read_text())
+    if callable(change):
+        change(base, json.loads(splits.read_text()), tmp_path)
+    else:
+        base.update(change)
+    cfg.write_text(yaml.safe_dump(base))
+
+    def cache_files():
+        return {p: p.is_file() and p.read_bytes() for p in (tmp_path / "out/cache").rglob("*")}
+
+    before = cache_files()
+    for stage, *argv in (["train", "--nl", "40", "--rep", "0"], ["evaluate"]):
+        assert main([stage, "--config", str(cfg), *argv]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(splits) in err and f"{key}: " in err and "run `fraudsig prepare` again" in err
+    assert cache_files() == before
 
 
 def test_evaluate_without_training_is_data_error(tmp_path):
@@ -469,16 +544,22 @@ def _copy_run(pipeline, tmp_path, **train_over) -> Path:
     return cfg
 
 
-@pytest.mark.parametrize("name", ["state.json", "members.bin", "chains-*.bin", "no-cycle"])
+@pytest.mark.parametrize(
+    "name", ["state.json", "members.bin", "chains-*.bin", "no-cycle", "chains-entry-dropped"]
+)
 def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
-    """A cut-short checkpoint file, or a state.json without its `cycle`
-    entry, exits 3 and names the checkpoint, in evaluate and in
-    train --resume, instead of raising a traceback."""
+    """A cut-short checkpoint file, a state.json without its `cycle` entry,
+    or one with a generator chain entry fewer than its fingerprint's chain
+    count, exits 3 and names the checkpoint, in evaluate and in
+    train --resume, instead of raising a traceback or blaming the config."""
     cfg = _copy_run(pipeline, tmp_path)
     ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
-    if name == "no-cycle":
+    if name in ("no-cycle", "chains-entry-dropped"):
         state = json.loads((ckpt / "state.json").read_text())
-        del state["cycle"]
+        if name == "no-cycle":
+            del state["cycle"]
+        else:
+            state["gen_chains"].pop()
         (ckpt / "state.json").write_text(json.dumps(state))
     else:
         path = next(ckpt.glob(name))

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,7 +176,12 @@ def test_cache_invalidated_by_key_change(tmp_path, rng):
     assert not hit
     # different dataset hash -> rebuild
     csv.write_text("v2\n")
-    _, hit = build_feature_store(samples, 3, tmp_path / "cache", dataset_fingerprint(csv), 5)
+    h2 = dataset_fingerprint(csv)
+    _, hit = build_feature_store(samples, 3, tmp_path / "cache", h2, 5)
+    assert not hit
+    # other customers with as many rows -> rebuild
+    renamed = make_samples([replace(cs, customer=cs.customer + "x") for cs in samples.customers])
+    _, hit = build_feature_store(renamed, 3, tmp_path / "cache", h2, 5)
     assert not hit
 
 

@@ -36,15 +36,28 @@ def _spec() -> SynthSpec:
     })
 
 
-def _stage(*argv: str) -> dict:
+def _run(*argv: str) -> str:
+    """Standard output of scripts/stage_memory.py run with `argv`."""
     # One BLAS thread, so BLAS buffers do not grow with the core count.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(STAGE_MEMORY), *argv], env=env, check=True,
         capture_output=True, text=True, timeout=120,
     ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+
+
+def _stage(*argv: str) -> dict:
+    return json.loads(_run(*argv).strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_prints_the_script_usage(flag):
+    """`--help` prints the script's own usage and exits 0, without running
+    a stage or printing a measurement."""
+    out = _run(flag)
+    assert "scripts/stage_memory.py prepare --config" in out
+    assert '"stage": ' not in out and "usage: fraudsig" not in out
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
