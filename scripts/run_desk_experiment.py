@@ -3,7 +3,7 @@
 
 Generates the demo corpus if needed, writes a config, then drives the four
 pipeline stages through the CLI.  Finishes in well under half an hour on a
-laptop-class machine.
+laptop-class machine.  The recipe is also acceptance criterion 9's.
 """
 
 import argparse
@@ -15,6 +15,7 @@ import yaml
 from fraudsig.cli import main as fraudsig_main
 from fraudsig.synthdata import SynthSpec, generate
 
+DESK_SUBSAMPLE = 0.1  # fraction of customers `prepare --subsample` keeps
 DESK_CONFIG = {
     "seed": 0,
     "sig_degree": 4,
@@ -39,6 +40,14 @@ DESK_CONFIG = {
 }
 
 
+def write_config(dataset, work: Path, **over) -> Path:
+    """Write the desk recipe for `dataset`, outputs in `work/out`, to `work/desk.yaml`."""
+    cfg = dict(DESK_CONFIG, dataset_path=str(dataset), output_dir=str(work / "out"), **over)
+    path = work / "desk.yaml"
+    path.write_text(yaml.safe_dump(cfg, sort_keys=True))
+    return path
+
+
 def run(argv) -> None:
     code = fraudsig_main(argv)
     if code != 0:
@@ -49,7 +58,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--workdir", default="desk_run", help="output directory")
     ap.add_argument("--dataset", default=None, help="existing BankSim-style CSV")
-    ap.add_argument("--subsample", type=float, default=0.1)
     args = ap.parse_args()
 
     work = Path(args.workdir)
@@ -59,16 +67,13 @@ def main() -> None:
         print(f"generating demo corpus at {dataset} ...")
         generate(dataset, SynthSpec(), seed=0)
 
-    cfg = dict(DESK_CONFIG, dataset_path=str(dataset), output_dir=str(work / "out"))
-    cfg_path = work / "desk.yaml"
-    cfg_path.write_text(yaml.safe_dump(cfg, sort_keys=True))
-
-    run(["prepare", "--config", str(cfg_path), "--subsample", str(args.subsample)])
+    cfg_path = str(write_config(dataset, work))
+    run(["prepare", "--config", cfg_path, "--subsample", str(DESK_SUBSAMPLE)])
     # `--nl` takes the configured size as well as the one --subsample made of it.
     (nl,) = DESK_CONFIG["split"]["labeled_sizes"]
-    run(["train", "--config", str(cfg_path), "--nl", str(nl), "--rep", "0"])
-    run(["evaluate", "--config", str(cfg_path)])
-    run(["report", "--config", str(cfg_path)])
+    run(["train", "--config", cfg_path, "--nl", str(nl), "--rep", "0"])
+    run(["evaluate", "--config", cfg_path])
+    run(["report", "--config", cfg_path])
 
 
 if __name__ == "__main__":

@@ -2,18 +2,23 @@
 
 Each stage reads one YAML config and an output directory; artifacts, stage
 timings and derived seeds are recorded in `manifest.json` so a finished run
-directory is self-describing.  Exit codes: 0 success, 2 configuration
-problems, 3 data problems, 4 diverged training.
+directory is self-describing.  `Prepared` is the one path from prepared data
+to a cell's arrays, for `train`, `evaluate` and the acceptance checks alike.
+Exit codes: 0 success, 2 configuration problems, 3 data problems, 4 diverged
+training.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
 import shutil
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,78 +127,138 @@ def _is_index_list(value, n: int) -> bool:
     )
 
 
-def _read_splits(path: Path) -> dict:
-    """The prepared splits, with the nested entries the stages read checked
-    too: `stats.n_samples` (the feature key's `n_rows`), and the train, test
-    and every (size, repetition) labeled index set, each a strictly increasing
-    list of sample indices, train and test disjoint and every labeled set
-    inside train; a missing or malformed one is a DataError naming the file."""
-    splits = read_json(path, _SPLITS_KEYS)
-    with parsing(path):
-        n = splits["stats"].get("n_samples")
-        n_rows = splits["features"].get("n_rows")
-        sets = {name: splits[name] for name in ("train_idx", "test_idx")}
-        sets.update(
-            (f"labeled[{si}:{rep}]", splits["labeled"].get(f"{si}:{rep}"))
-            for si in range(len(splits["labeled_sizes"]))
-            for rep in range(splits["repetitions"])
+@dataclass
+class Cell:
+    """One (labeled size, repetition) cell of the prepared grid: its labeled
+    sample indices, its training seed and its run directory `nl<size>_rep<rep>`."""
+
+    size: int
+    rep: int
+    labeled: np.ndarray
+    spawn_key: list
+    seed: int
+    run_dir: Path
+
+
+@dataclass
+class Split:
+    """One prepared split: its sample indices, scaled feature rows, labels,
+    amounts and embedding cardinalities; `codes(cell)` is its rows'
+    condition codes under that cell's labeled set."""
+
+    idx: np.ndarray
+    feats: np.ndarray
+    labels: np.ndarray
+    amounts: np.ndarray
+    emb_cards: tuple[int, ...]
+    codes: Callable[[Cell], np.ndarray]
+
+
+class Prepared:
+    """The data `prepare` left in `cfg.output_dir`.  `splits.json` is read and
+    checked at once, so a cell is checked before the corpus is read; the
+    corpus is ingested, checked against the recorded feature key (a DataError
+    if it no longer gives it) and its store opened on first use, once."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        """Checks the entries the stages read: `stats.n_samples` (the feature
+        key's `n_rows`), and the train, test and every labeled index set, each
+        a strictly increasing list of sample indices, train and test disjoint
+        and every labeled set inside train; a bad one is a DataError."""
+        self.cfg = cfg
+        self.path = path = Path(cfg.output_dir) / SPLITS_REL
+        if not path.exists():
+            raise DataError(f"{path} not found; run `fraudsig prepare` first")
+        self.splits = splits = read_json(path, _SPLITS_KEYS)
+        with parsing(path):
+            n = splits["stats"].get("n_samples")
+            n_rows = splits["features"].get("n_rows")
+            sets = {name: splits[name] for name in ("train_idx", "test_idx")}
+            sets.update(
+                (f"labeled[{si}:{rep}]", splits["labeled"].get(f"{si}:{rep}"))
+                for si in range(len(splits["labeled_sizes"]))
+                for rep in range(splits["repetitions"])
+            )
+        if not isinstance(n, int) or n != n_rows:
+            raise DataError(f"{path} has a missing or malformed entry: stats.n_samples")
+        bad = [name for name, value in sets.items() if not _is_index_list(value, n)]
+        if not bad:
+            train = set(sets.pop("train_idx"))
+            if not train.isdisjoint(sets.pop("test_idx")):
+                bad.append("test_idx (shares samples with train_idx)")
+            bad += [f"{k} (outside train_idx)" for k, v in sets.items() if not train.issuperset(v)]
+        if bad:
+            raise DataError(f"{path} has missing or malformed entries: {', '.join(bad)}")
+
+    def cell(self, nl: int, rep: int) -> Cell:
+        """The cell of `train --nl nl --rep rep`: the one whose effective
+        (prepared) or configured labeled size is `nl`; no such cell, or two,
+        or a repetition out of range is a ConfigError naming them."""
+        effective = list(self.splits["labeled_sizes"])
+        configured = list(self.splits["configured_sizes"])
+        cells = sorted({sizes.index(nl) for sizes in (effective, configured) if nl in sizes})
+        if len(cells) != 1:
+            named = " and ".join(f"the cell configured as {configured[i]}" for i in cells)
+            raise ConfigError(
+                f"--nl {nl} names {named or 'no cell'}; the prepared sizes are {effective} "
+                f"(configured: {configured})"
+            )
+        if not 0 <= rep < self.splits["repetitions"]:
+            raise ConfigError(f"--rep must be in [0, {self.splits['repetitions']})")
+        return self._cell(cells[0], rep)
+
+    def cells(self) -> list[Cell]:
+        """Every cell, size by size, repetitions in order."""
+        sizes, reps = range(len(self.splits["labeled_sizes"])), range(self.splits["repetitions"])
+        return [self._cell(si, rep) for si in sizes for rep in reps]
+
+    def _cell(self, si: int, rep: int) -> Cell:
+        size, spawn_key = self.splits["labeled_sizes"][si], [STAGE_TRAIN, si, rep]
+        labeled = np.asarray(self.splits["labeled"][f"{si}:{rep}"], dtype=np.intp)
+        seed = int(derive_seed_sequence(self.cfg.seed, *spawn_key).generate_state(1)[0])
+        run_dir = Path(self.cfg.output_dir) / "runs" / f"nl{size}_rep{rep}"
+        return Cell(size, rep, labeled, spawn_key, seed, run_dir)
+
+    @functools.cached_property
+    def _source(self):
+        """(samples, feature store) of the prepared customers."""
+        cfg, key = self.cfg, self.splits["features"]
+        dataset_hash = dataset_fingerprint(cfg.dataset_path)
+        wanted = set(self.splits["customers"])
+        kept = [cs for cs in _load_customers(cfg)[0] if cs.customer in wanted]
+        samples = banksim.make_samples(kept, cfg.min_prefix)
+        now = store_key(samples, cfg.sig_degree, dataset_hash, cfg.min_prefix)
+        diff = [f"{k}: {key.get(k)!r} -> {v!r}" for k, v in now.items() if key.get(k) != v]
+        if diff:
+            raise DataError(
+                f"{self.path} was prepared from another corpus or other settings; differing "
+                f"keys (prepared -> now): {'; '.join(diff)}; run `fraudsig prepare` again"
+            )
+        cache = _cache_path(cfg, self.splits["subsample"])
+        store, _ = build_feature_store(samples, cfg.sig_degree, cache, dataset_hash, cfg.min_prefix)
+        return samples, store
+
+    def split(self, name: str) -> Split:
+        """The split `name` ("train_idx" or "test_idx"); only its rows are read."""
+        samples, store = self._source
+        idx = np.asarray(self.splits[name], dtype=np.intp)
+        return Split(
+            idx=idx,
+            feats=store.rows(idx, self.splits["max_sd"], self.splits["max_amt"]),
+            labels=samples.labels[idx].astype(np.int64),
+            amounts=samples.amounts[idx],
+            emb_cards=banksim.condition_cards(samples),
+            codes=lambda cell: banksim.condition_codes(samples, idx, cell.labeled),
         )
-    if not isinstance(n, int) or n != n_rows:
-        raise DataError(f"{path} has a missing or malformed entry: stats.n_samples")
-    bad = [name for name, value in sets.items() if not _is_index_list(value, n)]
-    if not bad:
-        train = set(sets.pop("train_idx"))
-        if not train.isdisjoint(sets.pop("test_idx")):
-            bad.append("test_idx (shares samples with train_idx)")
-        bad += [f"{name} (outside train_idx)" for name, v in sets.items() if not train.issuperset(v)]
-    if bad:
-        raise DataError(f"{path} has missing or malformed entries: {', '.join(bad)}")
-    return splits
 
-
-def _load_split(cfg: ExperimentConfig, split: str):
-    """(splits, samples, row indices, scaled features) of the prepared
-    split `split` ("train_idx" or "test_idx"); a corpus or settings that no
-    longer give the feature key `prepare` recorded are a DataError."""
-    path = Path(cfg.output_dir) / SPLITS_REL
-    if not path.exists():
-        raise DataError(f"{path} not found; run `fraudsig prepare` first")
-    splits = _read_splits(path)
-    dataset_hash = dataset_fingerprint(cfg.dataset_path)
-    wanted = set(splits["customers"])
-    kept = [cs for cs in _load_customers(cfg)[0] if cs.customer in wanted]
-    samples = banksim.make_samples(kept, cfg.min_prefix)
-    now = store_key(samples, cfg.sig_degree, dataset_hash, cfg.min_prefix)
-    prepared = splits["features"]
-    diff = [f"{k}: {prepared.get(k)!r} -> {v!r}" for k, v in now.items() if prepared.get(k) != v]
-    if diff:
-        raise DataError(
-            f"{path} was prepared from another corpus or other settings; differing keys "
-            f"(prepared -> now): {'; '.join(diff)}; run `fraudsig prepare` again"
+    def train_data(self, cell: Cell) -> PreparedData:
+        """The training arrays of `cell`, from the train split."""
+        train = self.split("train_idx")
+        return PreparedData(
+            feats=train.feats, codes=train.codes(cell), labels=train.labels,
+            labeled_idx=np.searchsorted(train.idx, cell.labeled),
+            emb_cards=train.emb_cards, feature_key=self.splits["features"],
         )
-    cache = _cache_path(cfg, splits["subsample"])
-    store, _ = build_feature_store(samples, cfg.sig_degree, cache, dataset_hash, cfg.min_prefix)
-    idx = np.asarray(splits[split], dtype=np.intp)
-    return splits, samples, idx, store.rows(idx, splits["max_sd"], splits["max_amt"])
-
-
-def _size_index(nl: int, splits: dict) -> int:
-    """The one cell whose effective (prepared) or configured labeled size is
-    `nl`; no such cell, or two, is a ConfigError naming them."""
-    effective = list(splits["labeled_sizes"])
-    configured = list(splits["configured_sizes"])
-    cells = sorted({sizes.index(nl) for sizes in (effective, configured) if nl in sizes})
-    if len(cells) != 1:
-        named = " and ".join(f"the cell configured as {configured[i]}" for i in cells)
-        raise ConfigError(
-            f"--nl {nl} names {named or 'no cell'}; the prepared sizes are {effective} "
-            f"(configured: {configured})"
-        )
-    return cells[0]
-
-
-def _run_dir(cfg: ExperimentConfig, size: int, rep: int) -> Path:
-    return Path(cfg.output_dir) / "runs" / f"nl{size}_rep{rep}"
 
 
 # ---------------------------------------------------------------------------
@@ -316,39 +381,22 @@ def _cmd_train(args) -> int:
     # A malformed manifest exits before the checkpoint is removed and the
     # cell trained; it is read again for the update, after training.
     _load_manifest(cfg)
-    splits, samples, train_idx, feats = _load_split(cfg, "train_idx")
+    prepared = Prepared(cfg)
+    cell = prepared.cell(args.nl, args.rep)
+    data = prepared.train_data(cell)
 
-    si = _size_index(args.nl, splits)
-    size = splits["labeled_sizes"][si]
-    if not 0 <= args.rep < splits["repetitions"]:
-        raise ConfigError(f"--rep must be in [0, {splits['repetitions']})")
-    labeled_global = np.asarray(splits["labeled"][f"{si}:{args.rep}"], dtype=np.intp)
-
-    data = PreparedData(
-        feats=feats,
-        codes=banksim.condition_codes(samples, train_idx, labeled_global),
-        labels=samples.labels[train_idx].astype(np.int64),
-        labeled_idx=np.searchsorted(train_idx, labeled_global),
-        emb_cards=banksim.condition_cards(samples),
-    )
-
-    spawn_key = [STAGE_TRAIN, si, args.rep]
-    seed = int(derive_seed_sequence(cfg.seed, *spawn_key).generate_state(1)[0])
-
-    run_dir = _run_dir(cfg, size, args.rep)
-    ckpt = run_dir / "checkpoint"
+    ckpt = cell.run_dir / "checkpoint"
     resume = args.resume and (ckpt / "state.json").exists()
     if args.resume and not resume:
         logger.warning("--resume: no committed checkpoint in %s; training starts at epoch 1", ckpt)
     if not resume and ckpt.exists():
         shutil.rmtree(ckpt)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    cell.run_dir.mkdir(parents=True, exist_ok=True)
 
-    result = train(data, cfg.train, seed, checkpoint_dir=ckpt, resume=resume)
+    result = train(data, cfg.train, cell.seed, checkpoint_dir=ckpt, resume=resume)
 
-    trace_path = run_dir / "trace.csv"
     reports.write_csv(
-        trace_path,
+        cell.run_dir / "trace.csv",
         ["epoch", "kind", "chain", "term", "value"],
         [
             {"epoch": e, "kind": k, "chain": c, "term": t, "value": v}
@@ -356,21 +404,21 @@ def _cmd_train(args) -> int:
         ],
     )
 
+    name = cell.run_dir.name
     manifest = _load_manifest(cfg)
-    cell = f"nl{size}_rep{args.rep}"
-    manifest["seeds"][cell] = {
+    manifest["seeds"][name] = {
         "global_seed": cfg.seed,
-        "spawn_key": spawn_key,
-        "cell_seed": seed,
+        "spawn_key": cell.spawn_key,
+        "cell_seed": cell.seed,
     }
     _record_stage(
-        cfg, manifest, f"train:{cell}", time.perf_counter() - t0,
-        artifacts=[f"runs/{cell}/"], resumed=resume, epochs=cfg.train.epochs,
+        cfg, manifest, f"train:{name}", time.perf_counter() - t0,
+        artifacts=[f"runs/{name}/"], resumed=resume, epochs=cfg.train.epochs,
         ensemble_size=len(result.members),
     )
     print(
-        f"trained {cell}: {cfg.train.epochs} epochs, "
-        f"{len(result.members)} posterior members -> {run_dir}"
+        f"trained {name}: {cfg.train.epochs} epochs, "
+        f"{len(result.members)} posterior members -> {cell.run_dir}"
     )
     return EXIT_OK
 
@@ -383,53 +431,45 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     t0 = time.perf_counter()
-    splits, samples, test_idx, feats = _load_split(cfg, "test_idx")
-    labels = samples.labels[test_idx].astype(np.int64)
-    if not labels.any():
+    prepared = Prepared(cfg)
+    test = prepared.split("test_idx")
+    if not test.labels.any():
         raise DataError(
-            f"the test split holds no fraud sample ({len(labels)} samples), so the "
+            f"the test split holds no fraud sample ({len(test.labels)} samples), so the "
             "ranking metrics are undefined; use a corpus with more fraud samples "
             "or a larger test_fraction"
         )
-    amounts = samples.amounts[test_idx]
-    _, disc = build_nets(feats.shape[1], banksim.condition_cards(samples), cfg.train)
+    _, disc = build_nets(test.feats.shape[1], test.emb_cards, cfg.train)
     shapes = [spec.shape for spec in disc.param_specs]
 
-    cells: list[reports.CellScores] = []
+    scores: list[reports.CellScores] = []
     n_missing = 0
-    for si, size in enumerate(splits["labeled_sizes"]):
-        for rep in range(splits["repetitions"]):
-            ckpt = _run_dir(cfg, size, rep) / "checkpoint"
-            if not (ckpt / "state.json").exists():
-                n_missing += 1
-                logger.info("no checkpoint for nl%d rep%d; skipping", size, rep)
-                continue
-            labeled_global = np.asarray(splits["labeled"][f"{si}:{rep}"], dtype=np.intp)
-            codes = banksim.condition_codes(samples, test_idx, labeled_global)
-            pred = predict(disc, load_members(ckpt, shapes), feats, codes)
-            cells.append(
-                reports.score_cell(
-                    "ours", size, rep, labels, pred.mean, pred.width, amounts, cfg.heads
-                )
-            )
-            cells.append(
-                reports.score_cell(
-                    "majority", size, rep, labels,
-                    majority_class_scores(len(labels)), np.zeros(len(labels)),
-                    amounts, cfg.heads,
-                )
-            )
-    if not cells:
+    for cell in prepared.cells():
+        ckpt = cell.run_dir / "checkpoint"
+        if not (ckpt / "state.json").exists():
+            n_missing += 1
+            logger.info("no checkpoint for nl%d rep%d; skipping", cell.size, cell.rep)
+            continue
+        pred = predict(disc, load_members(ckpt, shapes), test.feats, test.codes(cell))
+        n = len(test.labels)
+        for model, mean, width in (
+            ("ours", pred.mean, pred.width),
+            ("majority", majority_class_scores(n), np.zeros(n)),
+        ):
+            scores.append(reports.score_cell(
+                model, cell.size, cell.rep, test.labels, mean, width, test.amounts, cfg.heads
+            ))
+    if not scores:
         raise DataError("no trained cells found; run `fraudsig train` first")
 
     report_dir = Path(cfg.output_dir) / "reports"
-    written = reports.write_cell_reports(report_dir, cells)
+    written = reports.write_cell_reports(report_dir, scores)
     _record_stage(
         cfg, _load_manifest(cfg), "evaluate", time.perf_counter() - t0,
         artifacts=[f"reports/{name}" for name in written],
-        cells=len(cells), missing=n_missing,
+        cells=len(scores), missing=n_missing,
     )
-    print(f"evaluated {len(cells)} cells ({n_missing} missing) -> {report_dir}")
+    print(f"evaluated {len(scores)} cells ({n_missing} missing) -> {report_dir}")
     return EXIT_OK
 
 

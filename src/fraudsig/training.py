@@ -69,7 +69,9 @@ class PreparedData:
 
     labels hold the true class for every row (0 legit, 1 fraud); rows outside
     `labeled_idx` are treated as unlabeled during training and their labels
-    are only ever used by evaluation code.
+    are only ever used by evaluation code.  `feature_key` is the key of the
+    prepared features the rows were read from (the `features` entry of
+    `splits.json`), recorded in the checkpoint fingerprint.
     """
 
     feats: np.ndarray
@@ -77,6 +79,7 @@ class PreparedData:
     labels: np.ndarray
     labeled_idx: np.ndarray
     emb_cards: tuple[int, ...]
+    feature_key: dict | None = None
 
     def __post_init__(self):
         n = self.feats.shape[0]
@@ -173,7 +176,8 @@ class _Chain:
 def _fingerprint(data: PreparedData, cfg: TrainConfig) -> dict:
     """What a checkpoint must have been written with to be resumed: every
     sampler setting except the run length and the checkpoint interval, the
-    data shape and a digest of the labeled set, in JSON form."""
+    data shape, the prepared feature key and a digest of the labeled set, in
+    JSON form."""
     fp = dataclasses.asdict(cfg)
     del fp["epochs"], fp["checkpoint_every"]
     labeled = np.asarray(data.labeled_idx, dtype="<i8").tobytes()
@@ -182,6 +186,7 @@ def _fingerprint(data: PreparedData, cfg: TrainConfig) -> dict:
         feat_dim=data.feats.shape[1],
         emb_cards=list(data.emb_cards),
         labeled_sha256=hashlib.sha256(labeled).hexdigest(),
+        feature_key=data.feature_key,
     )
     return json.loads(json.dumps(fp))
 
@@ -608,7 +613,8 @@ def load_checkpoint(
     A checkpoint whose stored fingerprint differs from `fingerprint` on any
     of its keys is a ConfigError naming them; keys this version does not
     fingerprint, such as the `optimizer` of older versions, are not
-    compared; chain entries that are not one per chain are a DataError.
+    compared; chain entries that are not one per chain of their side are a
+    DataError.
     Entries this version does not read, such as the generator ensemble that
     older versions stored, are ignored.  A chains file that the state does
     not name, left by a crash after the commit, is deleted."""
@@ -633,7 +639,14 @@ def load_checkpoint(
     with parsing(in_dir / "state.json"):
         tensors = iter(_views(in_dir, state["chain_state"], [s for c in shapes for s in c * 3]))
         entries = state["gen_chains"] + state["disc_chains"]
-        for chain, entry, s in zip(chains, entries, shapes, strict=True):
+        sides = [len(state["gen_chains"]), len(state["disc_chains"])]
+        if sides != [len(gen_chains), len(disc_chains)]:
+            raise DataError(
+                f"{in_dir / 'state.json'} holds {sides[0]} generator and {sides[1]} "
+                f"critic chain entries; its fingerprint has {len(gen_chains)} and "
+                f"{len(disc_chains)}"
+            )
+        for chain, entry, s in zip(chains, entries, shapes):
             chain.params, chain.adam.m, chain.adam.v = (
                 [next(tensors) for _ in s] for _ in range(3)
             )

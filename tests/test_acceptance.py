@@ -3,16 +3,18 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Criteria 1-7 validate the math against independent oracles at fixed
 tolerances and time budgets; criterion 8 pins the dataset protocol shape;
-criterion 9 runs a reduced-scale training and checks qualitative learning
-properties; criterion 10 is an optional full-scale run, skipped unless
-``FRAUDSIG_FULL_SCALE=1``.  Criteria 8-9 read a real transaction CSV from
-``FRAUDSIG_DATASET`` when set and otherwise use the bundled synthetic
+criterion 9 prepares the desk recipe of ``scripts/run_desk_experiment.py``
+through the CLI, trains its cell and checks qualitative learning properties;
+criterion 10 is an optional full-scale run of the four CLI stages, skipped
+unless ``FRAUDSIG_FULL_SCALE=1``.  Criteria 8-10 read a real transaction CSV
+from ``FRAUDSIG_DATASET`` when set and otherwise use the bundled synthetic
 generator, whose shape statistics match the reference corpus exactly.
 ``FRAUDSIG_CACHE`` points the feature cache of criteria 9-10 at a persistent
 directory so repeated runs skip the encoding pass.
 """
 
 import contextlib
+import importlib.util
 import itertools
 import math
 import os
@@ -21,25 +23,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from fraudsig import metrics
-from fraudsig.banksim import (
-    condition_cards,
-    condition_codes,
-    group_customers,
-    load_transactions,
-    make_samples,
-    split_and_unlabel,
-    training_maxima,
-)
-from fraudsig.config import (
-    STAGE_PREPARE,
-    STAGE_TRAIN,
-    TrainConfig,
-    derive_rng,
-    derive_seed_sequence,
-)
-from fraudsig.features import build_feature_store
+from fraudsig import cli, metrics, reports
+from fraudsig.banksim import group_customers, load_transactions, make_samples, split_and_unlabel
+from fraudsig.config import ExperimentConfig
 from fraudsig.losses import discriminator_loss, generator_loss_from_scores
 from fraudsig.lyndon import LyndonBasis, witt_count
 from fraudsig.nnet import (
@@ -58,7 +46,7 @@ from fraudsig.signatures import (
     tensor_log,
 )
 from fraudsig.synthdata import SynthSpec, generate
-from fraudsig.training import PreparedData, build_nets, predict, train
+from fraudsig.training import build_nets, predict, train
 
 from oracles import (
     brute_auroc,
@@ -73,6 +61,11 @@ from oracles import (
     sghmc_step,
     tensor_exp,
 )
+
+_DESK = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_experiment.py"
+_spec = importlib.util.spec_from_file_location("run_desk_experiment", _DESK)
+desk = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(desk)
 
 LABELED_SIZES = (2595, 3893, 5190, 12973, 25946)
 EXPECTED_LABELED_FRAUDS = (29, 44, 58, 144, 288)
@@ -497,11 +490,6 @@ def kept_customers(corpus_path):
     return kept, stats
 
 
-def _feature_cache(tmp_path):
-    env = os.environ.get("FRAUDSIG_CACHE")
-    return Path(env) if env else tmp_path / "cache"
-
-
 def test_c08_data_shape_reproduction(kept_customers):
     with criterion(8, "594643 rows / 7200 frauds / 4100 customers / 1479 fraud customers; labeled frauds {29,44,58,144,288}"):
         kept, stats = kept_customers
@@ -518,48 +506,27 @@ def test_c08_data_shape_reproduction(kept_customers):
                 assert got == want, (size, rep, got, want)
 
 
-def test_c09_desk_scale_training_dynamics(kept_customers, tmp_path):
+def test_c09_desk_scale_training_dynamics(corpus_path, tmp_path):
     with criterion(9, "10% subsample, 100 epochs, 2 chains: held-out CE drops, macro F1 beats majority, widths separate; <30 min"):
         t_start = time.perf_counter()
-        kept, _ = kept_customers
-        rng = derive_rng(0, STAGE_PREPARE, 0)
-        n_keep = max(1, round(0.1 * len(kept)))
-        idx = np.sort(rng.choice(len(kept), size=n_keep, replace=False))
-        samples = make_samples([kept[i] for i in idx], 5)
-
-        n_labeled = max(1, round(0.1 * LABELED_SIZES[-1]))
-        split = split_and_unlabel(samples.labels, (n_labeled,), 1, 0.1, 0)
-        max_sd, max_amt = training_maxima(samples, split.train_idx)
-        labeled = split.labeled[(n_labeled, 0)]
-        cards = condition_cards(samples)
-
-        store, _ = build_feature_store(samples, 4, _feature_cache(tmp_path), "desk", 5)
-        feats_tr = store.rows(split.train_idx, max_sd, max_amt)
-        data = PreparedData(
-            feats=feats_tr,
-            codes=condition_codes(samples, split.train_idx, labeled),
-            labels=samples.labels[split.train_idx].astype(np.int64),
-            labeled_idx=np.searchsorted(split.train_idx, labeled),
-            emb_cards=cards,
-        )
-        feats_te = store.rows(split.test_idx, max_sd, max_amt)
-        codes_te = condition_codes(samples, split.test_idx, labeled)
-        labels_te = samples.labels[split.test_idx].astype(np.int64)
+        cfg_path = desk.write_config(corpus_path, tmp_path, cache=os.environ.get("FRAUDSIG_CACHE"))
+        prepare = ["prepare", "--config", str(cfg_path), "--subsample", str(desk.DESK_SUBSAMPLE)]
+        assert cli.main(prepare) == cli.EXIT_OK
+        prepared = cli.Prepared(ExperimentConfig.from_yaml(cfg_path))
+        cell = prepared.cell(desk.DESK_CONFIG["split"]["labeled_sizes"][0], 0)
+        data = prepared.train_data(cell)
+        test = prepared.split("test_idx")
+        codes_te, labels_te = test.codes(cell), test.labels
 
         # fixed held-out evaluation subset for the per-epoch cross-entropy
-        cap = min(2048, len(split.test_idx))
-        ev = np.sort(np.random.default_rng(0).choice(len(split.test_idx), cap, replace=False))
-        ef, ec, el = feats_te[ev], codes_te[ev], labels_te[ev]
+        cap = min(2048, len(labels_te))
+        ev = np.sort(np.random.default_rng(0).choice(len(labels_te), cap, replace=False))
+        ef, ec, el = test.feats[ev], codes_te[ev], labels_te[ev]
 
-        # friction: the reference value 0.1 is calibrated for full-scale
-        # budgets (5000 critic steps); at 500 steps the injected noise
-        # (std per step sqrt(2*friction*lr)) must stay below the adam step
-        # scale for the posterior mean to clear the decision threshold.
-        cfg = TrainConfig(
-            epochs=100, chains_g=2, chains_d=2, batch=512, burn_in=50,
-            thinning=10, n_critic=5, friction=0.001, checkpoint_every=0,
-        )
-        _, disc = build_nets(feats_tr.shape[1], cards, cfg)
+        # The desk recipe's sampler; train() writes no checkpoint without a
+        # checkpoint_dir, so its checkpoint_every has no effect here.
+        cfg = prepared.cfg.train
+        _, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
         snaps = {}
 
         def cb(epoch, disc_params, gen_params):
@@ -569,9 +536,8 @@ def test_c09_desk_scale_training_dynamics(kept_customers, tmp_path):
                 ).mean(axis=0)
                 snaps[epoch] = metrics.cross_entropy(el, probs)
 
-        seed = int(derive_seed_sequence(0, STAGE_TRAIN, 0, 0).generate_state(1)[0])
-        result = train(data, cfg, seed, epoch_callback=cb)
-        pred = predict(disc, result.members, feats_te, codes_te)
+        result = train(data, cfg, cell.seed, epoch_callback=cb)
+        pred = predict(disc, result.members, test.feats, codes_te)
 
         assert snaps[cfg.epochs] < snaps[1], (
             f"held-out CE did not decrease: {snaps[1]:.4f} -> {snaps[cfg.epochs]:.4f}"
@@ -596,7 +562,7 @@ def test_c09_desk_scale_training_dynamics(kept_customers, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_c10_full_scale_stretch(kept_customers, tmp_path):
+def test_c10_full_scale_stretch(corpus_path, tmp_path):
     if os.environ.get("FRAUDSIG_FULL_SCALE") != "1":
         print(
             "[criterion 10] SKIP  optional full-scale run "
@@ -605,36 +571,24 @@ def test_c10_full_scale_stretch(kept_customers, tmp_path):
         )
         pytest.skip("full-scale stretch disabled")
     with criterion(10, "full corpus, 5 unlabelings at N_l=2595: macro F1 ~ 0.810 +-0.05, uncertainty AUROC ~ 0.8730 +-0.05"):
-        kept, _ = kept_customers
-        samples = make_samples(kept, 5)
-        reps = 5
-        split = split_and_unlabel(samples.labels, (2595,), reps, 0.1, 0)
-        max_sd, max_amt = training_maxima(samples, split.train_idx)
-        cards = condition_cards(samples)
-        store, _ = build_feature_store(samples, 4, _feature_cache(tmp_path), "full", 5)
-        labels_te = samples.labels[split.test_idx].astype(np.int64)
-        feats_te = store.rows(split.test_idx, max_sd, max_amt)
-        cfg = TrainConfig()  # reference hyperparameters
-        _, disc = build_nets(feats_te.shape[1], cards, cfg)
-
-        f1s, aurocs = [], []
+        reps, cfg_path = 5, tmp_path / "full.yaml"
+        cfg_path.write_text(yaml.safe_dump({  # reference hyperparameters
+            "dataset_path": str(corpus_path), "output_dir": str(tmp_path / "out"),
+            "cache": os.environ.get("FRAUDSIG_CACHE"),
+            "split": {"test_fraction": 0.1, "labeled_sizes": [2595], "repetitions": reps},
+        }))
+        config = ["--config", str(cfg_path)]
+        assert cli.main(["prepare", *config]) == cli.EXIT_OK
         for rep in range(reps):
-            labeled = split.labeled[(2595, rep)]
-            data = PreparedData(
-                feats=store.rows(split.train_idx, max_sd, max_amt),
-                codes=condition_codes(samples, split.train_idx, labeled),
-                labels=samples.labels[split.train_idx].astype(np.int64),
-                labeled_idx=np.searchsorted(split.train_idx, labeled),
-                emb_cards=cards,
-            )
-            seed = int(derive_seed_sequence(0, STAGE_TRAIN, 0, rep).generate_state(1)[0])
-            result = train(data, cfg, seed)
-            pred = predict(
-                disc, result.members, feats_te, condition_codes(samples, split.test_idx, labeled)
-            )
-            f1s.append(metrics.macro_f1(labels_te, pred.mean, 0.5))
-            aurocs.append(
-                metrics.uncertainty_auroc(labels_te, pred.mean, pred.width, 0.5)
-            )
+            assert cli.main(["train", *config, "--nl", "2595", "--rep", str(rep)]) == cli.EXIT_OK
+        assert cli.main(["evaluate", *config]) == cli.EXIT_OK
+
+        def ours(table, metric):
+            rows = reports.read_csv(tmp_path / "out/reports" / table)
+            return [float(row[metric]) for row in rows if row["model"] == "ours"]
+
+        f1s = ours(reports.GLOBAL_CSV, "macro_f1")
+        aurocs = ours(reports.UNCERTAINTY_CSV, "uncertainty_auroc")
+        assert len(f1s) == len(aurocs) == reps
         assert abs(float(np.mean(f1s)) - 0.810) <= 0.05, f1s
         assert abs(float(np.mean(aurocs)) - 0.8730) <= 0.05, aurocs

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fraudsig import cli, training
+from fraudsig import banksim, cli, training
 from fraudsig.banksim import COLUMNS, group_customers, load_transactions, make_samples
-from fraudsig.features import build_feature_store
+from fraudsig.features import FeatureStore, build_feature_store
 from fraudsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from fraudsig.synthdata import SynthSpec, generate
 
@@ -149,10 +149,18 @@ def test_prepare_cache_hit_on_rerun(pipeline, capsys):
     assert "cache_hit=True" in capsys.readouterr().out
 
 
-def test_unknown_nl_rejected(pipeline):
+def test_unknown_nl_rejected(pipeline, monkeypatch):
+    """A cell that was not prepared exits 2 before the corpus or a feature
+    row is read."""
     _, cfg = pipeline
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("read data before the cell was checked")
+
+    monkeypatch.setattr(FeatureStore, "rows", unexpected)
+    monkeypatch.setattr(banksim, "load_transactions", unexpected)
     assert main(["train", "--config", str(cfg), "--nl", "99", "--rep", "0"]) == EXIT_CONFIG
-    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "7"]) == EXIT_CONFIG
+    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "99"]) == EXIT_CONFIG
 
 
 def test_ambiguous_nl_is_config_error(tmp_path, capsys):
@@ -545,21 +553,26 @@ def _copy_run(pipeline, tmp_path, **train_over) -> Path:
 
 
 @pytest.mark.parametrize(
-    "name", ["state.json", "members.bin", "chains-*.bin", "no-cycle", "chains-entry-dropped"]
+    "name",
+    ["state.json", "members.bin", "chains-*.bin", "no-cycle", "chains-entry-dropped",
+     "chains-entry-moved"],
 )
 def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
     """A cut-short checkpoint file, a state.json without its `cycle` entry,
     or one with a generator chain entry fewer than its fingerprint's chain
-    count, exits 3 and names the checkpoint, in evaluate and in
-    train --resume, instead of raising a traceback or blaming the config."""
+    count, or moved to the critic side, exits 3 and names the checkpoint, in
+    evaluate and in train --resume, instead of raising a traceback or
+    blaming the config."""
     cfg = _copy_run(pipeline, tmp_path)
     ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
-    if name in ("no-cycle", "chains-entry-dropped"):
+    if name in ("no-cycle", "chains-entry-dropped", "chains-entry-moved"):
         state = json.loads((ckpt / "state.json").read_text())
         if name == "no-cycle":
             del state["cycle"]
-        else:
+        elif name == "chains-entry-dropped":
             state["gen_chains"].pop()
+        else:
+            state["disc_chains"].append(state["gen_chains"].pop())
         (ckpt / "state.json").write_text(json.dumps(state))
     else:
         path = next(ckpt.glob(name))
@@ -756,6 +769,31 @@ def test_checkpoint_of_older_layout_is_config_error(pipeline, tmp_path, capsys):
     assert str(ckpt) in err and "without --resume" in err
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
     assert str(ckpt) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["edited-corpus", "older-checkpoint"])
+def test_resume_into_other_prepared_features_is_config_error(pipeline, tmp_path, capsys, case):
+    """A checkpoint resumes only into the prepared features it was trained
+    on: after `prepare` on an edited corpus of the same shape, or from a
+    checkpoint whose fingerprint lacks the feature key, train --resume exits
+    2 naming the checkpoint and the key."""
+    cfg = _copy_run(pipeline, tmp_path)
+    ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
+    if case == "edited-corpus":
+        base = yaml.safe_load(cfg.read_text())
+        splits = json.loads((tmp_path / "out/prepared/splits.json").read_text())
+        _edit_one_kept_amount(base, splits, tmp_path)
+        cfg.write_text(yaml.safe_dump(base))
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+    else:
+        state = json.loads((ckpt / "state.json").read_text())
+        del state["fingerprint"]["feature_key"]
+        (ckpt / "state.json").write_text(json.dumps(state))
+    capsys.readouterr()
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    assert main(train_args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "feature_key: " in err
 
 
 def test_resume_with_changed_learning_rate_is_config_error(pipeline, tmp_path, capsys):
