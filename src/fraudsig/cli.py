@@ -1,9 +1,11 @@
 """Pipeline driver: prepare / train / evaluate / report.
 
-Each stage reads one YAML config and an output directory; artifacts, stage
-timings and derived seeds are recorded in `manifest.json` so a finished run
-directory is self-describing.  `Prepared` is the one path from prepared data
-to a cell's arrays, for `train`, `evaluate` and the acceptance checks alike.
+Each stage reads one YAML config and an output directory, and commits a
+record of its run beside its own outputs (`_record`): `prepared/prepare.json`,
+`runs/<cell>/train.json`, `reports/evaluate.json` and `reports/report.json`.
+No stage reads another's record, so cells can train side by side on one
+output directory.  `Prepared` is the one path from prepared data to a cell's
+arrays, for `train`, `evaluate` and the acceptance checks alike.
 Exit codes: 0 success, 2 configuration problems, 3 data problems, 4 diverged
 training.
 """
@@ -57,41 +59,26 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 SPLITS_REL = "prepared/splits.json"
-MANIFEST_REL = "manifest.json"
 # Top-level entries the stages read from each JSON artifact.
 _SPLITS_KEYS = (
     "stats", "subsample", "customers", "features", "max_sd", "max_amt", "configured_sizes",
     "labeled_sizes", "repetitions", "train_idx", "test_idx", "labeled",
 )
-_MANIFEST_KEYS = ("stages", "artifacts", "seeds")
 
 
 # ---------------------------------------------------------------------------
-# Run manifest.
+# Stage records.
 # ---------------------------------------------------------------------------
 
 
-def _load_manifest(cfg: ExperimentConfig) -> dict:
-    path = Path(cfg.output_dir) / MANIFEST_REL
-    if path.exists():
-        return read_json(path, _MANIFEST_KEYS)
-    return {
-        "package_version": __version__,
-        "config": cfg.to_dict(),
-        "dataset_sha256": None,
-        "stages": {},
-        "artifacts": [MANIFEST_REL],
-        "seeds": {},
-    }
-
-
-def _record_stage(cfg, manifest, name, seconds, artifacts=(), **extra) -> None:
-    manifest["stages"][name] = dict(extra, seconds=seconds)
-    for rel in artifacts:
-        if rel not in manifest["artifacts"]:
-            manifest["artifacts"].append(rel)
-    with committing(Path(cfg.output_dir) / MANIFEST_REL) as tmp:
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+def _record(path: Path, cfg: ExperimentConfig, t0: float, **facts) -> None:
+    """Commit the record of one stage run to `path`, in the directory of the
+    outputs it wrote: the package version, the config, the seconds since
+    `t0` and the stage's own `facts`.  Only this stage run writes it."""
+    seconds = time.perf_counter() - t0
+    record = dict(facts, package_version=__version__, config=cfg.to_dict(), seconds=seconds)
+    with committing(path) as tmp:
+        tmp.write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +323,9 @@ def _cmd_prepare(args) -> int:
     with committing(Path(cfg.output_dir) / SPLITS_REL) as tmp:
         tmp.write_text(json.dumps(splits, indent=2, sort_keys=True))
 
-    manifest = _load_manifest(cfg)
-    manifest["dataset_sha256"] = dataset_hash
-    artifacts = [SPLITS_REL]
-    try:
-        cache_rel = cache.relative_to(cfg.output_dir)
-        artifacts.append(str(cache_rel) + "/")
-    except ValueError:
-        pass  # cache redirected outside the run directory
-    _record_stage(
-        cfg, manifest, "prepare", time.perf_counter() - t0,
-        artifacts=artifacts, cache_hit=cache_hit, subsample=args.subsample,
-        stats=stats,
+    _record(
+        Path(cfg.output_dir) / "prepared/prepare.json", cfg, t0, cache=str(cache),
+        cache_hit=cache_hit, dataset_sha256=dataset_hash, subsample=args.subsample, stats=stats,
     )
     print(
         f"prepared {stats['n_samples']} samples from {stats['n_rows']} rows "
@@ -378,9 +356,6 @@ def _cmd_prepare(args) -> int:
 def _cmd_train(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     t0 = time.perf_counter()
-    # A malformed manifest exits before the checkpoint is removed and the
-    # cell trained; it is read again for the update, after training.
-    _load_manifest(cfg)
     prepared = Prepared(cfg)
     cell = prepared.cell(args.nl, args.rep)
     data = prepared.train_data(cell)
@@ -389,9 +364,8 @@ def _cmd_train(args) -> int:
     resume = args.resume and (ckpt / "state.json").exists()
     if args.resume and not resume:
         logger.warning("--resume: no committed checkpoint in %s; training starts at epoch 1", ckpt)
-    if not resume and ckpt.exists():
-        shutil.rmtree(ckpt)
-    cell.run_dir.mkdir(parents=True, exist_ok=True)
+    if not resume and cell.run_dir.exists():
+        shutil.rmtree(cell.run_dir)  # the old checkpoint, trace and record
 
     result = train(data, cfg.train, cell.seed, checkpoint_dir=ckpt, resume=resume)
 
@@ -404,20 +378,13 @@ def _cmd_train(args) -> int:
         ],
     )
 
-    name = cell.run_dir.name
-    manifest = _load_manifest(cfg)
-    manifest["seeds"][name] = {
-        "global_seed": cfg.seed,
-        "spawn_key": cell.spawn_key,
-        "cell_seed": cell.seed,
-    }
-    _record_stage(
-        cfg, manifest, f"train:{name}", time.perf_counter() - t0,
-        artifacts=[f"runs/{name}/"], resumed=resume, epochs=cfg.train.epochs,
+    _record(
+        cell.run_dir / "train.json", cfg, t0, global_seed=cfg.seed, spawn_key=cell.spawn_key,
+        cell_seed=cell.seed, resumed=resume, epochs=cfg.train.epochs,
         ensemble_size=len(result.members),
     )
     print(
-        f"trained {name}: {cfg.train.epochs} epochs, "
+        f"trained {cell.run_dir.name}: {cfg.train.epochs} epochs, "
         f"{len(result.members)} posterior members -> {cell.run_dir}"
     )
     return EXIT_OK
@@ -463,12 +430,8 @@ def _cmd_evaluate(args) -> int:
         raise DataError("no trained cells found; run `fraudsig train` first")
 
     report_dir = Path(cfg.output_dir) / "reports"
-    written = reports.write_cell_reports(report_dir, scores)
-    _record_stage(
-        cfg, _load_manifest(cfg), "evaluate", time.perf_counter() - t0,
-        artifacts=[f"reports/{name}" for name in written],
-        cells=len(scores), missing=n_missing,
-    )
+    reports.write_cell_reports(report_dir, scores)
+    _record(report_dir / "evaluate.json", cfg, t0, cells=len(scores), missing=n_missing)
     print(f"evaluated {len(scores)} cells ({n_missing} missing) -> {report_dir}")
     return EXIT_OK
 
@@ -484,11 +447,8 @@ def _cmd_report(args) -> int:
     report_dir = Path(cfg.output_dir) / "reports"
     if not (report_dir / reports.GLOBAL_CSV).exists():
         raise DataError("no evaluation tables found; run `fraudsig evaluate` first")
-    written = reports.aggregate_reports(report_dir, cfg.split.repetitions)
-    _record_stage(
-        cfg, _load_manifest(cfg), "report", time.perf_counter() - t0,
-        artifacts=[f"reports/{name}" for name in written],
-    )
+    reports.aggregate_reports(report_dir, cfg.split.repetitions)
+    _record(report_dir / "report.json", cfg, t0)
     for row in reports.read_csv(report_dir / reports.AGGREGATE_CSV):
         if row["metric"] in ("macro_f1", "pr_auc", "cross_entropy"):
             flag = "" if row["complete"] == "1" else "  [incomplete]"

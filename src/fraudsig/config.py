@@ -10,8 +10,10 @@ one global seed through numpy's SeedSequence spawn-key mechanism, so each
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import numbers
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,15 +50,26 @@ class DataError(RuntimeError):
     """Missing, unreadable or inconsistent pipeline inputs."""
 
 
+# Numbers the temporary files of one process, so no two writers share one.
+_writers = itertools.count()
+
+
 @contextmanager
 def committing(path: str | Path):
-    """Yield `<path>.tmp` to write the artifact `path` into, and rename it
-    over `path` once written: readers see the old file or the new one whole."""
+    """Yield a temporary file of this writer's own, `<path>.<pid>-<n>.tmp`,
+    to write the artifact `path` into, and rename it over `path` once
+    written: readers see the old file or the new one whole, and the last
+    writer to commit wins.  A body that raises leaves `path` as it was and
+    removes its temporary file; only a killed writer leaves one behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    yield tmp
-    tmp.replace(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{next(_writers)}.tmp")
+    try:
+        yield tmp
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @contextmanager

@@ -130,8 +130,8 @@ def read_csv(path: str | Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def write_cell_reports(report_dir: str | Path, cells: list[CellScores]) -> list[str]:
-    """Write the four long-format CSVs; returns the file names written."""
+def write_cell_reports(report_dir: str | Path, cells: list[CellScores]) -> None:
+    """Write the four long-format CSVs."""
     rows = (
         [c.global_row for c in cells],
         [row for c in cells for row in c.head_rows],
@@ -141,7 +141,6 @@ def write_cell_reports(report_dir: str | Path, cells: list[CellScores]) -> list[
     for (name, grid, columns), table in zip(_TABLES, rows):
         header = ["model", "n_labeled", "repetition", *grid, *columns]
         write_csv(Path(report_dir) / name, header, table)
-    return [name for name, _, _ in _TABLES]
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -151,7 +150,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def aggregate_reports(report_dir: str | Path, expected_reps: int) -> list[str]:
+def aggregate_reports(report_dir: str | Path, expected_reps: int) -> None:
     """Aggregate the per-cell CSVs into mean/std tables.
 
     `aggregate.csv` holds one row per (model, n_labeled, metric); metrics
@@ -211,4 +210,3 @@ def aggregate_reports(report_dir: str | Path, expected_reps: int) -> list[str]:
          "std_cost_thousands", "n_reps"],
         cost_rows,
     )
-    return [AGGREGATE_CSV, COST_CURVE_CSV]

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import logging
 import shutil
@@ -11,6 +12,7 @@ from fraudsig import banksim, cli, training
 from fraudsig.banksim import COLUMNS, group_customers, load_transactions, make_samples
 from fraudsig.features import FeatureStore, build_feature_store
 from fraudsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
+from fraudsig.config import ExperimentConfig
 from fraudsig.synthdata import SynthSpec, generate
 
 FAST_TRAIN = dict(
@@ -115,22 +117,33 @@ def test_report_aggregates_and_prints(pipeline, capsys):
     assert (root / "out/reports/cost_curve.csv").exists()
 
 
-def test_manifest_covers_all_artifacts(pipeline):
-    root, _ = pipeline
+RECORDS = (
+    "prepared/prepare.json", "runs/nl40_rep0/train.json", "runs/nl40_rep1/train.json",
+    "reports/evaluate.json", "reports/report.json",
+)
+
+
+def test_stage_records_cover_all_artifacts(pipeline):
+    """Every stage run wrote its own record, and every file under the output
+    directory lies in a directory that holds a record, or in the cache
+    directory that `prepare` recorded."""
+    root, cfg = pipeline
     out = root / "out"
-    manifest = json.loads((out / "manifest.json").read_text())
-    stages = manifest["stages"]
-    for name in ("prepare", "train:nl40_rep0", "train:nl40_rep1", "evaluate", "report"):
-        assert name in stages
-        assert "seconds" in stages[name]
-    assert manifest["seeds"]["nl40_rep0"]["cell_seed"] != manifest["seeds"]["nl40_rep1"]["cell_seed"]
-    prefixes = [a for a in manifest["artifacts"] if a.endswith("/")]
-    exact = set(manifest["artifacts"])
+    records = {rel: json.loads((out / rel).read_text()) for rel in RECORDS}
+    config = ExperimentConfig.from_yaml(cfg)
+    for record in records.values():
+        assert ExperimentConfig.from_dict(record["config"]) == config
+        assert record["seconds"] > 0
+    cache = Path(records["prepared/prepare.json"]["cache"])
+    assert records["prepared/prepare.json"]["stats"]["n_samples"] > 0
+    rep0, rep1 = (records[f"runs/nl40_rep{rep}/train.json"] for rep in (0, 1))
+    assert rep0["spawn_key"] != rep1["spawn_key"]
+    assert rep0["cell_seed"] != rep1["cell_seed"]
+    assert records["reports/evaluate.json"]["cells"] == 4
+    recorded = {(out / rel).parent for rel in RECORDS} | {cache}
     for f in out.rglob("*"):
-        if f.is_dir():
-            continue
-        rel = str(f.relative_to(out))
-        assert rel in exact or any(rel.startswith(p) for p in prefixes), rel
+        if f.is_file():
+            assert recorded & set(f.parents), f.relative_to(out)
 
 
 def test_dump_encoding_prints_feature_row(pipeline, capsys):
@@ -457,8 +470,9 @@ def test_train_is_byte_identical_on_one_or_two_threads(pipeline, tmp_path, monke
         cfg = _copy_run(pipeline, tmp_path / f"cpus{cpus}")
         assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_OK
         run = tmp_path / f"cpus{cpus}/out/runs/nl40_rep0"
-        runs[cpus] = {
-            p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()
+        runs[cpus] = {  # all but the record, which holds the seconds
+            p.relative_to(run): p.read_bytes()
+            for p in sorted(run.rglob("*")) if p.is_file() and p.name != "train.json"
         }
     assert pools == [1, 2]
     assert sorted(map(str, runs[1])) == [
@@ -485,12 +499,12 @@ def test_resume_after_crash_during_checkpoint(pipeline, tmp_path, monkeypatch, c
         pass
 
     real = getattr(Path, crash_at)
-    target = "state.json.tmp" if crash_at == "replace" else "chains-2.bin"
+    target = "state.json.*.tmp" if crash_at == "replace" else "chains-2.bin"
 
-    def crashing(self, *args):
-        if self.name == target and (self.parent / "chains-4.bin").exists():
+    def crashing(self, *args, **kwargs):
+        if self.match(target) and (self.parent / "chains-4.bin").exists():
             raise Crash
-        return real(self, *args)
+        return real(self, *args, **kwargs)
 
     train_args = ["train", "--config", str(cfg2), "--nl", "40", "--rep", "0"]
     with monkeypatch.context() as m:
@@ -506,10 +520,9 @@ def test_resume_after_crash_during_checkpoint(pipeline, tmp_path, monkeypatch, c
     assert members == (ref / "checkpoint/members.bin").stat().st_size
 
     assert main(train_args + ["--resume"]) == EXIT_OK
-    manifest = json.loads((tmp_path / "out2/manifest.json").read_text())
-    assert manifest["stages"]["train:nl40_rep0"]["resumed"] is True
+    assert json.loads((got / "train.json").read_text())["resumed"] is True
     assert (got / "trace.csv").read_bytes() == (ref / "trace.csv").read_bytes()
-    assert sorted(p.name for p in got.iterdir()) == ["checkpoint", "trace.csv"]
+    assert sorted(p.name for p in got.iterdir()) == ["checkpoint", "trace.csv", "train.json"]
     names = sorted(p.name for p in (ref / "checkpoint").iterdir())
     assert sorted(p.name for p in (got / "checkpoint").iterdir()) == names
     for name in names:
@@ -583,43 +596,6 @@ def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
     # evaluate reads the ensemble only, not the chain state.
     expected = EXIT_OK if name.startswith("chains") else EXIT_DATA
     assert main(["evaluate", "--config", str(cfg)]) == expected
-
-
-def test_unreadable_manifest_is_data_error(pipeline, tmp_path):
-    """A cut-short manifest exits 3 in every stage; `train` finds it before
-    it removes the cell's checkpoint to train it again."""
-    cfg = _copy_run(pipeline, tmp_path)
-    manifest = tmp_path / "out/manifest.json"
-    manifest.write_text(manifest.read_text()[:40])
-    ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
-
-    def files():
-        # A retrained checkpoint has the same bytes, but not the same mtimes.
-        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in ckpt.iterdir()}
-
-    before = files()
-    assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
-    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DATA
-    assert files() == before
-    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
-    assert main(["report", "--config", str(cfg)]) == EXIT_DATA
-
-
-def test_manifest_not_an_object_is_data_error(pipeline, tmp_path, capsys):
-    """A manifest that parses but is not an object, or is one without its
-    `stages` entry, exits 3 and names the file, instead of raising a
-    traceback when the stage records itself."""
-    cfg = _copy_run(pipeline, tmp_path)
-    manifest = tmp_path / "out/manifest.json"
-    stageless = json.loads(manifest.read_text())
-    del stageless["stages"]
-    manifest.write_text("[1, 2]")
-    assert main(["prepare", "--config", str(cfg)]) == EXIT_DATA
-    assert str(manifest) in capsys.readouterr().err
-    manifest.write_text(json.dumps(stageless))
-    assert main(["report", "--config", str(cfg)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert str(manifest) in err and "stages" in err
 
 
 @pytest.mark.parametrize(
@@ -699,10 +675,47 @@ def test_resume_without_checkpoint_says_so(pipeline, tmp_path, caplog):
     with caplog.at_level(logging.WARNING):
         rc = main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"])
     assert rc == EXIT_OK
-    ckpt = str(tmp_path / "out/runs/nl40_rep0/checkpoint")
+    run = tmp_path / "out/runs/nl40_rep0"
+    ckpt = str(run / "checkpoint")
     assert any(ckpt in r.message and "epoch 1" in r.message for r in caplog.records)
-    manifest = json.loads((tmp_path / "out/manifest.json").read_text())
-    assert manifest["stages"]["train:nl40_rep0"]["resumed"] is False
+    assert json.loads((run / "train.json").read_text())["resumed"] is False
+
+
+def test_fresh_train_clears_the_run_directory(pipeline, tmp_path):
+    """Training a trained cell again without --resume removes its whole run
+    directory first, so a run that diverges leaves no trace, checkpoint or
+    record of the old one behind."""
+    cfg = _copy_run(pipeline, tmp_path, lr_d=1e14, lr_g=1e14)
+    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DIVERGED
+    run = tmp_path / "out/runs/nl40_rep0"
+    for name in ("trace.csv", "train.json", "checkpoint/state.json"):
+        assert not (run / name).exists(), name
+
+
+def test_two_cells_train_side_by_side(pipeline, tmp_path, monkeypatch):
+    """Cell rep 1 trains from start to end while cell rep 0 commits its
+    record, as two `train` processes on one output directory may: both exit
+    0 and each keeps its own record."""
+    cfg = _copy_run(pipeline, tmp_path)
+    shutil.rmtree(tmp_path / "out/runs")
+    train = ["train", "--config", str(cfg), "--nl", "40", "--rep"]
+    real, waiting, inner = cli.committing, ["1"], []
+
+    @contextlib.contextmanager
+    def committing(path):
+        with real(path) as tmp:
+            yield tmp
+            if waiting:
+                inner.append(main([*train, waiting.pop()]))
+
+    monkeypatch.setattr(cli, "committing", committing)
+    assert main([*train, "0"]) == EXIT_OK
+    assert inner == [EXIT_OK]
+    rep0, rep1 = (
+        json.loads((tmp_path / f"out/runs/nl40_rep{rep}/train.json").read_text()) for rep in (0, 1)
+    )
+    assert (rep0["spawn_key"], rep1["spawn_key"]) == ([2, 0, 0], [2, 0, 1])
+    assert rep0["cell_seed"] != rep1["cell_seed"]
 
 
 def test_resume_past_configured_epochs_is_config_error(pipeline, tmp_path, capsys):

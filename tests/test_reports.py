@@ -89,8 +89,8 @@ def test_cell_reports_and_aggregate_round_trip(tmp_path, rng):
         cells.append(cell)
         raw[rep] = arrays
     write_cell_reports(tmp_path, cells)
-    files = aggregate_reports(tmp_path, expected_reps=3)
-    assert files == [AGGREGATE_CSV, COST_CURVE_CSV]
+    aggregate_reports(tmp_path, expected_reps=3)
+    assert (tmp_path / COST_CURVE_CSV).exists()
     agg = {
         (r["model"], int(r["n_labeled"]), r["metric"]): r
         for r in read_csv(tmp_path / AGGREGATE_CSV)
