@@ -410,8 +410,9 @@ def _cmd_evaluate(args) -> int:
     shapes = [spec.shape for spec in disc.param_specs]
 
     scores: list[reports.CellScores] = []
+    cells = prepared.cells()
     n_missing = 0
-    for cell in prepared.cells():
+    for cell in cells:
         ckpt = cell.run_dir / "checkpoint"
         if not (ckpt / "state.json").exists():
             n_missing += 1
@@ -431,8 +432,9 @@ def _cmd_evaluate(args) -> int:
 
     report_dir = Path(cfg.output_dir) / "reports"
     reports.write_cell_reports(report_dir, scores)
-    _record(report_dir / "evaluate.json", cfg, t0, cells=len(scores), missing=n_missing)
-    print(f"evaluated {len(scores)} cells ({n_missing} missing) -> {report_dir}")
+    n_cells = len(cells) - n_missing
+    _record(report_dir / "evaluate.json", cfg, t0, cells=n_cells, missing=n_missing)
+    print(f"evaluated {n_cells} cells ({n_missing} missing) -> {report_dir}")
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -98,7 +99,7 @@ class EnsembleMember:
 
 @dataclass
 class TrainResult:
-    members: list            # discriminator posterior ensemble
+    members: Sequence[EnsembleMember]  # discriminator posterior ensemble
     trace: list              # rows (epoch, kind, chain, term, value)
 
 
@@ -191,14 +192,15 @@ def _fingerprint(data: PreparedData, cfg: TrainConfig) -> dict:
     return json.loads(json.dumps(fp))
 
 
-def _check_schedule(checkpoint_dir, cfg: TrainConfig, epoch: int, members: list) -> None:
+def _check_schedule(checkpoint_dir, cfg: TrainConfig, epoch: int, keys: list) -> None:
     """A checkpoint resumes only into its own member schedule, which follows
-    `epochs` (left out of the fingerprint) when `burn_in` is null."""
+    `epochs` (left out of the fingerprint) when `burn_in` is null; `keys` are
+    the (chain, epoch) of its members."""
     want = [(j, e) for e in range(1, epoch + 1) if cfg.collects(e) for j in range(cfg.chains_d)]
-    if epoch > cfg.epochs or [(m.chain, m.epoch) for m in members] != want:
+    if epoch > cfg.epochs or keys != want:
         raise ConfigError(
             f"checkpoint {checkpoint_dir}, at epoch {epoch} with members of epochs "
-            f"{sorted({m.epoch for m in members})}, was written under another member "
+            f"{sorted({e for _, e in keys})}, was written under another member "
             f"schedule than epochs {cfg.epochs}, burn_in {cfg.burn_in_epochs()}, thinning "
             f"{cfg.thinning}; resume with the epochs it was written with"
         )
@@ -319,14 +321,17 @@ def train(
         data: features, condition codes, labels and the labeled-index set.
         cfg: hyperparameters, validated here.
         seed: cell seed; all chain and sampling randomness derives from it.
-        checkpoint_dir: when set, training state is saved there every
-            `cfg.checkpoint_every` epochs (and at the end).
+        checkpoint_dir: when set, each member is appended to its members.bin
+            when it is collected, and the rest of the training state is saved
+            there every `cfg.checkpoint_every` epochs (and at the end).
         resume: continue from the checkpoint in `checkpoint_dir`.
         epoch_callback: optional fn(epoch, disc_param_lists, gen_param_lists)
             invoked after every epoch; the last call sees the final chains.
 
     Returns:
-        TrainResult with the posterior ensemble and the loss trace.
+        TrainResult with the posterior ensemble and the loss trace.  With a
+        checkpoint directory the ensemble is read from its members.bin, one
+        member per access; without one it is held in memory.
     """
     cfg.validate()
     gen, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
@@ -342,20 +347,27 @@ def train(
         for j in range(cfg.chains_d)
     ]
     cycle = _LabeledCycle(data.labeled_idx, derive_rng(seed, 0))
-    members: list[EnsembleMember] = []
+    members: Sequence[EnsembleMember] = []  # members.bin's, with a checkpoint directory
+    keys: list[tuple[int, int]] = []  # (chain, epoch) of every member
     trace: list = []
     start_epoch = 0
-    n_saved = 0  # members in the checkpoint on disk
     fingerprint = _fingerprint(data, cfg)
 
-    if resume:
-        if checkpoint_dir is None:
-            raise ValueError("resume requested without a checkpoint directory")
-        start_epoch = load_checkpoint(
-            checkpoint_dir, gen_chains, disc_chains, cycle, members, trace, fingerprint
-        )
-        _check_schedule(checkpoint_dir, cfg, start_epoch, members)
-        n_saved = len(members)
+    if resume and checkpoint_dir is None:
+        raise ValueError("resume requested without a checkpoint directory")
+    if checkpoint_dir is not None:
+        out = Path(checkpoint_dir)
+        if resume:
+            start_epoch = load_checkpoint(
+                out, gen_chains, disc_chains, cycle, keys, trace, fingerprint
+            )
+            _check_schedule(out, cfg, start_epoch, keys)
+        else:  # a checkpoint left here is another run's
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "state.json").unlink(missing_ok=True)
+        members = _MemberFile(out, [p.shape for p in disc_chains[0].params], keys)
+        with open(out / "members.bin", "ab") as f:
+            f.truncate(len(keys) * members.record)
 
     n_rows = data.feats.shape[0]
     batch = min(cfg.batch, n_rows)
@@ -427,8 +439,16 @@ def train(
                     trace.append((epoch, "disc", j, term, value))
 
             if cfg.collects(epoch):
-                for j, chain in enumerate(disc_chains):
-                    members.append(EnsembleMember(j, epoch, [p.copy() for p in chain.params]))
+                keys += [(j, epoch) for j in range(cfg.chains_d)]
+                if checkpoint_dir is None:
+                    members += [
+                        EnsembleMember(j, epoch, [p.copy() for p in chain.params])
+                        for j, chain in enumerate(disc_chains)
+                    ]
+                else:
+                    with open(out / "members.bin", "ab") as f:
+                        for chain in disc_chains:
+                            _write(f, chain.params)
 
             if epoch_callback is not None:
                 epoch_callback(
@@ -441,17 +461,15 @@ def train(
                 or epoch == cfg.epochs
             ):
                 save_checkpoint(
-                    checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, n_saved,
-                    trace, fingerprint,
+                    out, epoch, gen_chains, disc_chains, cycle, keys, trace, fingerprint
                 )
-                n_saved = len(members)
 
     return TrainResult(members=members, trace=trace)
 
 
 def predict(
     disc: DiscriminatorNet,
-    members: list,
+    members: Sequence[EnsembleMember],
     feats: np.ndarray,
     codes: np.ndarray,
     batch_size: int = 8192,
@@ -460,7 +478,8 @@ def predict(
     per sample.
 
     The fraud probability of one member is the restricted-softmax mass on the
-    fraud class; quantiles over members use linear interpolation.
+    fraud class; quantiles over members use linear interpolation.  The
+    members are walked once, in order.
     """
     if not members:
         raise ValueError("posterior ensemble is empty")
@@ -469,7 +488,7 @@ def predict(
     for mi, member in enumerate(members):
         for lo in range(0, n, batch_size):
             hi = min(lo + batch_size, n)
-            scores, _ = disc.forward(member.params, feats[lo:hi], codes[lo:hi])
+            scores = disc.forward(member.params, feats[lo:hi], codes[lo:hi])[0]
             probs[mi, lo:hi] = restricted_softmax(scores)[:, 1]
     q05, q95 = np.quantile(probs, [0.05, 0.95], axis=0)
     return Prediction(mean=probs.mean(axis=0), width=q95 - q05)
@@ -484,8 +503,10 @@ def predict(
 #   state.json          counters, RNG states, the member list, the trace,
 #                       the fingerprint of the settings and data, the name of
 #                       the chains file and both networks' parameter shapes.
-# A save cuts members.bin to the records the state.json on disk lists,
-# appends the new members, writes a fresh chains file and commits state.json
+# members.bin is the only copy of the ensemble: `train` cuts it to the
+# records the committed state.json lists when it starts or resumes (a tail
+# past them is of epochs not yet committed) and appends each member when it
+# is collected.  A save writes a fresh chains file and commits state.json
 # (config.committing).  That rename is the commit point: before it every
 # file the old state.json names is intact, and only after it is the old
 # chains file deleted.  A state.json that config.read_json refuses, or a
@@ -511,18 +532,11 @@ def _chain_entry(chain: _Chain) -> dict:
 
 
 def save_checkpoint(
-    checkpoint_dir, epoch, gen_chains, disc_chains, cycle, members, n_saved, trace,
-    fingerprint,
+    checkpoint_dir, epoch, gen_chains, disc_chains, cycle, keys, trace, fingerprint
 ) -> None:
-    """Write a checkpoint of the state after `epoch`; the first `n_saved`
-    members are already in the checkpoint on disk."""
+    """Commit a checkpoint of the state after `epoch`, whose members, of the
+    (chain, epoch) `keys`, are already in members.bin."""
     out = Path(checkpoint_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    record = sum(p.size for p in disc_chains[0].params) * 8
-    with open(out / "members.bin", "ab") as f:
-        f.truncate(n_saved * record)
-        for m in members[n_saved:]:
-            _write(f, m.params)
     chains = f"chains-{epoch}.bin"
     with open(out / chains, "wb") as f:
         for c in (*gen_chains, *disc_chains):
@@ -538,7 +552,7 @@ def save_checkpoint(
         "disc_shapes": [list(p.shape) for p in disc_chains[0].params],
         "gen_chains": [_chain_entry(c) for c in gen_chains],
         "disc_chains": [_chain_entry(c) for c in disc_chains],
-        "members": [{"chain": m.chain, "epoch": m.epoch} for m in members],
+        "members": [{"chain": chain, "epoch": e} for chain, e in keys],
         "trace": [list(row) for row in trace],
     }
     with committing(out / "state.json") as tmp:
@@ -572,43 +586,72 @@ def _check_shapes(in_dir: Path, state: dict, key: str, shapes: list) -> None:
         )
 
 
-def _views(in_dir: Path, name: str, shapes: list) -> list[np.ndarray]:
-    """Consecutive tensors of `shapes`, as views of the start of the
-    checkpoint file `name`; a file shorter than they need is a DataError."""
+def _views(in_dir: Path, name: str, shapes: list, offset: int = 0) -> list[np.ndarray]:
+    """Consecutive tensors of `shapes`, as views of the checkpoint file `name`
+    from byte `offset` on; a file that ends before they do is a DataError."""
     sizes = [math.prod(s) for s in shapes]
-    flat = np.fromfile(in_dir / name, dtype="<f8", count=sum(sizes))
+    flat = np.fromfile(in_dir / name, dtype="<f8", count=sum(sizes), offset=offset)
     if flat.size < sum(sizes):
         raise DataError(
-            f"checkpoint {in_dir}: {name} holds {flat.size} values; "
+            f"checkpoint {in_dir}: {name} holds {flat.size} values from byte {offset}; "
             f"state.json needs {sum(sizes)}"
         )
     ends = np.cumsum(sizes)
     return [flat[e - n : e].reshape(s) for e, n, s in zip(ends, sizes, shapes)]
 
 
-def _members(in_dir: Path, state: dict, shapes: list) -> list[EnsembleMember]:
+class _MemberFile:
+    """The members of the (chain, epoch) `keys`, in order, read from the
+    checkpoint's members.bin one record per access; sized and indexable."""
+
+    def __init__(self, in_dir: Path, shapes: list, keys: list):
+        self.in_dir, self.shapes, self.keys = in_dir, shapes, keys
+        self.record = sum(math.prod(s) for s in shapes) * 8
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> EnsembleMember:
+        chain, epoch = self.keys[i]
+        offset = range(len(self.keys))[i] * self.record
+        params = _views(self.in_dir, "members.bin", self.shapes, offset)
+        return EnsembleMember(chain, epoch, params)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.keys)))
+
+
+def _members(in_dir: Path, state: dict, shapes: list) -> _MemberFile:
+    """The ensemble state.json lists; a members.bin too short to hold all of
+    it is a DataError."""
     _check_shapes(in_dir, state, "disc_shapes", shapes)
     with parsing(in_dir / "state.json"):
-        metas = [(int(m["chain"]), int(m["epoch"])) for m in state["members"]]
-    tensors = iter(_views(in_dir, "members.bin", list(shapes) * len(metas)))
-    return [
-        EnsembleMember(chain, epoch, [next(tensors) for _ in shapes])
-        for chain, epoch in metas
-    ]
+        keys = [(int(m["chain"]), int(m["epoch"])) for m in state["members"]]
+    members = _MemberFile(in_dir, list(shapes), keys)
+    size = (in_dir / "members.bin").stat().st_size
+    if size < len(keys) * members.record:
+        raise DataError(
+            f"checkpoint {in_dir}: members.bin holds {size} bytes; state.json lists "
+            f"{len(keys)} members of {members.record} bytes"
+        )
+    return members
 
 
-def load_members(checkpoint_dir, shapes: list) -> list[EnsembleMember]:
-    """The discriminator posterior ensemble stored in a checkpoint, as views
-    of one array; members of other parameter shapes than `shapes`, the
-    configured network's, are a ConfigError naming the checkpoint."""
+def load_members(checkpoint_dir, shapes: list) -> Sequence[EnsembleMember]:
+    """The discriminator posterior ensemble stored in a checkpoint, read one
+    member per access; members of other parameter shapes than `shapes`, the
+    configured network's, are a ConfigError naming the checkpoint, and a
+    members.bin too short to hold every member state.json lists, checked
+    here and at each read, a DataError."""
     in_dir = Path(checkpoint_dir)
     return _members(in_dir, _read_state(in_dir), shapes)
 
 
 def load_checkpoint(
-    checkpoint_dir, gen_chains, disc_chains, cycle, members, trace, fingerprint
+    checkpoint_dir, gen_chains, disc_chains, cycle, keys, trace, fingerprint
 ) -> int:
-    """Restore training state in place; returns the checkpointed epoch.
+    """Restore training state in place, and the (chain, epoch) of each member
+    into `keys`; returns the checkpointed epoch.
 
     A checkpoint whose stored fingerprint differs from `fingerprint` on any
     of its keys is a ConfigError naming them; keys this version does not
@@ -635,7 +678,7 @@ def load_checkpoint(
     chains = [*gen_chains, *disc_chains]
     shapes = [[p.shape for p in c.params] for c in chains]
     _check_shapes(in_dir, state, "gen_shapes", shapes[0])
-    members[:] = _members(in_dir, state, shapes[-1])
+    keys[:] = _members(in_dir, state, shapes[-1]).keys
     with parsing(in_dir / "state.json"):
         tensors = iter(_views(in_dir, state["chain_state"], [s for c in shapes for s in c * 3]))
         entries = state["gen_chains"] + state["disc_chains"]

@@ -139,7 +139,7 @@ def test_stage_records_cover_all_artifacts(pipeline):
     rep0, rep1 = (records[f"runs/nl40_rep{rep}/train.json"] for rep in (0, 1))
     assert rep0["spawn_key"] != rep1["spawn_key"]
     assert rep0["cell_seed"] != rep1["cell_seed"]
-    assert records["reports/evaluate.json"]["cells"] == 4
+    assert records["reports/evaluate.json"]["cells"] == 2
     recorded = {(out / rel).parent for rel in RECORDS} | {cache}
     for f in out.rglob("*"):
         if f.is_file():
@@ -551,6 +551,27 @@ def test_feature_cache_cut_short_while_open_is_data_error(
     assert main([stage, "--config", str(cfg), *argv]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{bin_path} is cut short" in err and "Traceback" not in err
+
+
+def test_members_cut_short_while_open_is_data_error(pipeline, tmp_path, capsys, monkeypatch):
+    """members.bin cut short in place after `evaluate` checked it against
+    state.json and before it read the last members: exit 3 naming the file,
+    with no traceback."""
+    cfg = _copy_run(pipeline, tmp_path)
+    ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
+    load = cli.load_members
+
+    def load_then_cut(checkpoint_dir, shapes):
+        members = load(checkpoint_dir, shapes)
+        if checkpoint_dir == ckpt:
+            data = (ckpt / "members.bin").read_bytes()
+            (ckpt / "members.bin").write_bytes(data[: len(data) // 2])
+        return members
+
+    monkeypatch.setattr(cli, "load_members", load_then_cut)
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{ckpt}: members.bin holds" in err and "Traceback" not in err
 
 
 def _copy_run(pipeline, tmp_path, **train_over) -> Path:

@@ -1,6 +1,7 @@
-"""Peak resident memory of `prepare` and `train`, each measured in a fresh
-child process by scripts/stage_memory.py, against an ingest-only child on
-the same corpus: neither stage may hold the whole feature matrix."""
+"""Peak resident memory of `prepare`, `train` and `evaluate`, each measured
+in a fresh child process by scripts/stage_memory.py, against an ingest-only
+child on the same corpus: no stage may hold the whole feature matrix, and
+neither `train` nor `evaluate` the posterior ensemble."""
 
 import json
 import os
@@ -19,10 +20,12 @@ STAGE_MEMORY = ROOT / "scripts" / "stage_memory.py"
 # 87 MB matrix at degree 4 (728 columns).
 CORPUS_FRACTION = 0.026
 MIN_MATRIX_BYTES = 40e6
-# What `train` may hold besides its gathered rows: the reader's 3 MiB chunk,
-# the networks, chain states and optimiser moments, BLAS buffers, condition
-# codes and the split's index lists (about 17 MiB measured here).
-TRAIN_ALLOWANCE = 24 * 2**20
+# What a stage may hold besides its gathered rows: the reader's 3 MiB chunk,
+# the networks, one chain per side's states and optimiser moments, BLAS
+# buffers, the forward caches at the test split, condition codes and the
+# split's index lists (about 17 MiB measured for `train`, 21 MiB for
+# `evaluate`, here).
+STAGE_ALLOWANCE = 24 * 2**20
 
 
 def _spec() -> SynthSpec:
@@ -51,6 +54,40 @@ def _stage(*argv: str) -> dict:
     return json.loads(_run(*argv).strip().splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A prepared corpus of the reference shape scaled to 2.6%: (its
+    directory, config(**train) writing a config of those train settings,
+    the ingest and prepare measurements)."""
+    root = tmp_path_factory.mktemp("memory")
+    generate(root / "corpus.csv", _spec(), seed=0)
+
+    def config(**train) -> list[str]:
+        cfg = root / "config.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "dataset_path": str(root / "corpus.csv"),
+            "output_dir": str(root / "out"),
+            "cache": str(root / "cache"),
+            "seed": 0,
+            "sig_degree": 4,
+            "split": {"labeled_sizes": [100], "repetitions": 1},
+            "train": train,
+        }))
+        return ["--config", str(cfg)]
+
+    ingest = _stage("ingest", *config())
+    prepare = _stage("prepare", *config())
+    assert (ingest["exit"], prepare["exit"]) == (0, 0)
+    return root, config, ingest, prepare
+
+
+def _split_bytes(root: Path, split: str) -> int:
+    """The bytes of the feature rows of `split` ("train_idx" or "test_idx")."""
+    splits = json.loads((root / "out/prepared/splits.json").read_text())
+    (bin_path,) = (root / "cache").rglob("features.bin")
+    return bin_path.stat().st_size // splits["stats"]["n_samples"] * len(splits[split])
+
+
 @pytest.mark.parametrize("flag", ["--help", "-h"])
 def test_help_prints_the_script_usage(flag):
     """`--help` prints the script's own usage and exits 0, without running
@@ -60,31 +97,23 @@ def test_help_prints_the_script_usage(flag):
     assert '"stage": ' not in out and "usage: fraudsig" not in out
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-def test_stages_do_not_hold_the_feature_matrix(tmp_path):
-    generate(tmp_path / "corpus.csv", _spec(), seed=0)
-    cfg = tmp_path / "config.yaml"
-    cfg.write_text(yaml.safe_dump({
-        "dataset_path": str(tmp_path / "corpus.csv"),
-        "output_dir": str(tmp_path / "out"),
-        "cache": str(tmp_path / "cache"),
-        "seed": 0,
-        "sig_degree": 4,
-        "split": {"labeled_sizes": [100], "repetitions": 1},
-        "train": {
-            "epochs": 1, "burn_in": 0, "thinning": 1, "batch": 8, "chains_g": 1, "chains_d": 1,
-        },
-    }))
-    config = ["--config", str(cfg)]
-    ingest = _stage("ingest", *config)
-    prepare = _stage("prepare", *config)
-    train = _stage("train", *config, "--nl", "100", "--rep", "0")
-    assert (ingest["exit"], prepare["exit"], train["exit"]) == (0, 0, 0)
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="needs /proc/self/status"
+)
 
-    splits = json.loads((tmp_path / "out/prepared/splits.json").read_text())
-    (bin_path,) = (tmp_path / "cache").rglob("features.bin")
+
+@needs_proc
+def test_stages_do_not_hold_the_feature_matrix(corpus):
+    root, config, ingest, prepare = corpus
+    train = _stage(
+        "train", *config(epochs=1, burn_in=0, thinning=1, batch=8, chains_g=1, chains_d=1),
+        "--nl", "100", "--rep", "0",
+    )
+    assert train["exit"] == 0
+
+    (bin_path,) = (root / "cache").rglob("features.bin")
     matrix_bytes = bin_path.stat().st_size
-    train_bytes = matrix_bytes // splits["stats"]["n_samples"] * len(splits["train_idx"])
+    train_bytes = _split_bytes(root, "train_idx")
     assert matrix_bytes >= MIN_MATRIX_BYTES
 
     base = ingest["vm_hwm_bytes"]
@@ -95,7 +124,36 @@ def test_stages_do_not_hold_the_feature_matrix(tmp_path):
         f"prepare peaks {prepare_mib:.1f} MiB above ingest; the matrix is "
         f"{matrix_bytes / 2**20:.1f} MiB"
     )
-    assert train["vm_hwm_bytes"] - base < 1.1 * train_bytes + TRAIN_ALLOWANCE, (
+    assert train["vm_hwm_bytes"] - base < 1.1 * train_bytes + STAGE_ALLOWANCE, (
         f"train peaks {train_mib:.1f} MiB above ingest; its rows are "
         f"{train_bytes / 2**20:.1f} MiB"
     )
+
+
+@needs_proc
+def test_stages_do_not_hold_the_ensemble(corpus):
+    """`train` of a 160-member cell (178 MB of members) and `evaluate` of it
+    stay within their rows and the allowance, plus, for `train`, the states
+    of its chains beyond one per side."""
+    root, config, ingest, _ = corpus
+    config = config(epochs=40, burn_in=0, thinning=1, batch=8, chains_g=1, chains_d=4)
+    train = _stage("train", *config, "--nl", "100", "--rep", "0")
+    evaluate = _stage("evaluate", *config)
+    assert (train["exit"], evaluate["exit"]) == (0, 0)
+
+    members_bytes = (root / "out/runs/nl100_rep0/checkpoint/members.bin").stat().st_size
+    assert members_bytes > 150e6
+    # The allowance covers one chain per side; the three more critic chains
+    # hold parameters, two moments and a gradient of a member's size each.
+    extra_chains = 3 * 4 * members_bytes // 160
+
+    base = ingest["vm_hwm_bytes"]
+    for stage, rows, allowance in (
+        (train, _split_bytes(root, "train_idx"), STAGE_ALLOWANCE + extra_chains),
+        (evaluate, _split_bytes(root, "test_idx"), STAGE_ALLOWANCE),
+    ):
+        assert stage["vm_hwm_bytes"] - base < 1.1 * rows + allowance, (
+            f"{stage['stage']} peaks {(stage['vm_hwm_bytes'] - base) / 2**20:.1f} MiB above "
+            f"ingest; its rows are {rows / 2**20:.1f} MiB and the ensemble "
+            f"{members_bytes / 2**20:.1f} MiB"
+        )

@@ -127,6 +127,24 @@ def test_resume_matches_uninterrupted(tmp_path, rng):
     assert full.trace == resumed.trace
 
 
+def test_fresh_run_drops_the_checkpoint_it_replaces(tmp_path, rng, monkeypatch):
+    """A run without resume into a directory holding another run's
+    checkpoint removes its state.json before cutting members.bin, so a crash
+    before the new run's first commit leaves no state.json that lists
+    members the file no longer holds."""
+    data = _tiny_data(rng)
+    ck = tmp_path / "ck"
+    train(data, _tiny_cfg(epochs=3, burn_in=1, thinning=1), seed=11, checkpoint_dir=ck)
+
+    def crash(*args):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(training, "save_checkpoint", crash)
+    with pytest.raises(RuntimeError, match="crash"):
+        train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=12, checkpoint_dir=ck)
+    assert not (ck / "state.json").exists()
+
+
 def test_resume_ignores_generator_members_of_older_checkpoints(tmp_path, rng):
     """Checkpoints hold no generator ensemble.  Older ones carry a
     `gen_members` list; resuming from one still matches the full run."""
