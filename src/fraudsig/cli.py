@@ -408,6 +408,7 @@ def _cmd_evaluate(args) -> int:
         )
     _, disc = build_nets(test.feats.shape[1], test.emb_cards, cfg.train)
     shapes = [spec.shape for spec in disc.param_specs]
+    want = cfg.train.member_keys(cfg.train.epochs)
 
     scores: list[reports.CellScores] = []
     cells = prepared.cells()
@@ -418,7 +419,15 @@ def _cmd_evaluate(args) -> int:
             n_missing += 1
             logger.info("no checkpoint for nl%d rep%d; skipping", cell.size, cell.rep)
             continue
-        pred = predict(disc, load_members(ckpt, shapes), test.feats, test.codes(cell))
+        members = load_members(ckpt, shapes)
+        if members.keys != want:  # a cell still training, or one that stopped
+            n_missing += 1
+            logger.info(
+                "nl%d rep%d holds %d of %d members; skipping it as unfinished",
+                cell.size, cell.rep, len(members), len(want),
+            )
+            continue
+        pred = predict(disc, members, test.feats, test.codes(cell))
         n = len(test.labels)
         for model, mean, width in (
             ("ours", pred.mean, pred.width),
@@ -428,7 +437,7 @@ def _cmd_evaluate(args) -> int:
                 model, cell.size, cell.rep, test.labels, mean, width, test.amounts, cfg.heads
             ))
     if not scores:
-        raise DataError("no trained cells found; run `fraudsig train` first")
+        raise DataError("no finished cells; run `fraudsig train`, or --resume an unfinished one")
 
     report_dir = Path(cfg.output_dir) / "reports"
     reports.write_cell_reports(report_dir, scores)

@@ -187,6 +187,12 @@ class TrainConfig:
         burn_in = self.burn_in_epochs()
         return epoch >= burn_in and (epoch - burn_in) % self.thinning == 0
 
+    def member_keys(self, through: int) -> list[tuple[int, int]]:
+        """The (chain, epoch) of every member the schedule collects in epochs
+        1..`through`, in collection order."""
+        epochs = filter(self.collects, range(1, through + 1))
+        return [(j, e) for e in epochs for j in range(self.chains_d)]
+
     def validate(self) -> None:
         _check_settings(self)
         burn_in = self.burn_in_epochs()

@@ -50,6 +50,7 @@ __all__ = [
 
 # Trace terms of a critic chain, in the order of its rows per epoch.
 _CRITIC_TERMS = ("unlabeled", "labeled", "penalty", "total")
+PREDICT_BATCH = 8192  # rows of one forward pass in `predict`
 
 
 class DivergedChainError(RuntimeError):
@@ -196,8 +197,7 @@ def _check_schedule(checkpoint_dir, cfg: TrainConfig, epoch: int, keys: list) ->
     """A checkpoint resumes only into its own member schedule, which follows
     `epochs` (left out of the fingerprint) when `burn_in` is null; `keys` are
     the (chain, epoch) of its members."""
-    want = [(j, e) for e in range(1, epoch + 1) if cfg.collects(e) for j in range(cfg.chains_d)]
-    if epoch > cfg.epochs or keys != want:
+    if epoch > cfg.epochs or keys != cfg.member_keys(epoch):
         raise ConfigError(
             f"checkpoint {checkpoint_dir}, at epoch {epoch} with members of epochs "
             f"{sorted({e for _, e in keys})}, was written under another member "
@@ -307,7 +307,7 @@ def train(
     data: PreparedData,
     cfg: TrainConfig,
     seed: int,
-    checkpoint_dir: str | Path | None = None,
+    checkpoint_dir: str | Path,
     resume: bool = False,
     epoch_callback=None,
 ) -> TrainResult:
@@ -321,17 +321,16 @@ def train(
         data: features, condition codes, labels and the labeled-index set.
         cfg: hyperparameters, validated here.
         seed: cell seed; all chain and sampling randomness derives from it.
-        checkpoint_dir: when set, each member is appended to its members.bin
-            when it is collected, and the rest of the training state is saved
-            there every `cfg.checkpoint_every` epochs (and at the end).
+        checkpoint_dir: each member is appended to its members.bin when it
+            is collected, and the rest of the training state is saved there
+            every `cfg.checkpoint_every` epochs (and at the end).
         resume: continue from the checkpoint in `checkpoint_dir`.
         epoch_callback: optional fn(epoch, disc_param_lists, gen_param_lists)
             invoked after every epoch; the last call sees the final chains.
 
     Returns:
-        TrainResult with the posterior ensemble and the loss trace.  With a
-        checkpoint directory the ensemble is read from its members.bin, one
-        member per access; without one it is held in memory.
+        TrainResult with the posterior ensemble, read from members.bin one
+        member per access, and the loss trace.
     """
     cfg.validate()
     gen, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
@@ -347,27 +346,21 @@ def train(
         for j in range(cfg.chains_d)
     ]
     cycle = _LabeledCycle(data.labeled_idx, derive_rng(seed, 0))
-    members: Sequence[EnsembleMember] = []  # members.bin's, with a checkpoint directory
     keys: list[tuple[int, int]] = []  # (chain, epoch) of every member
     trace: list = []
     start_epoch = 0
     fingerprint = _fingerprint(data, cfg)
 
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume requested without a checkpoint directory")
-    if checkpoint_dir is not None:
-        out = Path(checkpoint_dir)
-        if resume:
-            start_epoch = load_checkpoint(
-                out, gen_chains, disc_chains, cycle, keys, trace, fingerprint
-            )
-            _check_schedule(out, cfg, start_epoch, keys)
-        else:  # a checkpoint left here is another run's
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "state.json").unlink(missing_ok=True)
-        members = _MemberFile(out, [p.shape for p in disc_chains[0].params], keys)
-        with open(out / "members.bin", "ab") as f:
-            f.truncate(len(keys) * members.record)
+    out = Path(checkpoint_dir)
+    if resume:
+        start_epoch = load_checkpoint(out, gen_chains, disc_chains, cycle, keys, trace, fingerprint)
+        _check_schedule(out, cfg, start_epoch, keys)
+    else:  # a checkpoint left here is another run's
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "state.json").unlink(missing_ok=True)
+    members = _MemberFile(out, [p.shape for p in disc_chains[0].params], keys)
+    with open(out / "members.bin", "ab") as f:
+        f.truncate(len(keys) * members.record)
 
     n_rows = data.feats.shape[0]
     batch = min(cfg.batch, n_rows)
@@ -440,26 +433,15 @@ def train(
 
             if cfg.collects(epoch):
                 keys += [(j, epoch) for j in range(cfg.chains_d)]
-                if checkpoint_dir is None:
-                    members += [
-                        EnsembleMember(j, epoch, [p.copy() for p in chain.params])
-                        for j, chain in enumerate(disc_chains)
-                    ]
-                else:
-                    with open(out / "members.bin", "ab") as f:
-                        for chain in disc_chains:
-                            _write(f, chain.params)
+                with open(out / "members.bin", "ab") as f:
+                    for chain in disc_chains:
+                        _write(f, chain.params)
 
             if epoch_callback is not None:
                 epoch_callback(
-                    epoch,
-                    [c.params for c in disc_chains],
-                    [c.params for c in gen_chains],
+                    epoch, [c.params for c in disc_chains], [c.params for c in gen_chains]
                 )
-            if checkpoint_dir is not None and (
-                (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0)
-                or epoch == cfg.epochs
-            ):
+            if (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0) or epoch == cfg.epochs:
                 save_checkpoint(
                     out, epoch, gen_chains, disc_chains, cycle, keys, trace, fingerprint
                 )
@@ -472,22 +454,22 @@ def predict(
     members: Sequence[EnsembleMember],
     feats: np.ndarray,
     codes: np.ndarray,
-    batch_size: int = 8192,
 ) -> Prediction:
     """Posterior-mean fraud probability and the width of its 5%-95% interval
     per sample.
 
     The fraud probability of one member is the restricted-softmax mass on the
     fraud class; quantiles over members use linear interpolation.  The
-    members are walked once, in order.
+    members are walked once, in order, each over `PREDICT_BATCH` rows at a
+    time.
     """
     if not members:
         raise ValueError("posterior ensemble is empty")
     n = feats.shape[0]
     probs = np.empty((len(members), n))
     for mi, member in enumerate(members):
-        for lo in range(0, n, batch_size):
-            hi = min(lo + batch_size, n)
+        for lo in range(0, n, PREDICT_BATCH):
+            hi = min(lo + PREDICT_BATCH, n)
             scores = disc.forward(member.params, feats[lo:hi], codes[lo:hi])[0]
             probs[mi, lo:hi] = restricted_softmax(scores)[:, 1]
     q05, q95 = np.quantile(probs, [0.05, 0.95], axis=0)
@@ -637,12 +619,13 @@ def _members(in_dir: Path, state: dict, shapes: list) -> _MemberFile:
     return members
 
 
-def load_members(checkpoint_dir, shapes: list) -> Sequence[EnsembleMember]:
+def load_members(checkpoint_dir, shapes: list) -> _MemberFile:
     """The discriminator posterior ensemble stored in a checkpoint, read one
-    member per access; members of other parameter shapes than `shapes`, the
-    configured network's, are a ConfigError naming the checkpoint, and a
-    members.bin too short to hold every member state.json lists, checked
-    here and at each read, a DataError."""
+    member per access, with the (chain, epoch) `keys` state.json lists;
+    members of other parameter shapes than `shapes`, the configured
+    network's, are a ConfigError naming the checkpoint, and a members.bin
+    too short to hold every member state.json lists, checked here and at
+    each read, a DataError."""
     in_dir = Path(checkpoint_dir)
     return _members(in_dir, _read_state(in_dir), shapes)
 

@@ -523,9 +523,7 @@ def test_c09_desk_scale_training_dynamics(corpus_path, tmp_path):
         ev = np.sort(np.random.default_rng(0).choice(len(labels_te), cap, replace=False))
         ef, ec, el = test.feats[ev], codes_te[ev], labels_te[ev]
 
-        # The desk recipe's sampler; train() writes no checkpoint without a
-        # checkpoint_dir, so its checkpoint_every has no effect here.
-        cfg = prepared.cfg.train
+        cfg = prepared.cfg.train  # the desk recipe's sampler
         _, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
         snaps = {}
 
@@ -536,7 +534,7 @@ def test_c09_desk_scale_training_dynamics(corpus_path, tmp_path):
                 ).mean(axis=0)
                 snaps[epoch] = metrics.cross_entropy(el, probs)
 
-        result = train(data, cfg, cell.seed, epoch_callback=cb)
+        result = train(data, cfg, cell.seed, cell.run_dir / "checkpoint", epoch_callback=cb)
         pred = predict(disc, result.members, test.feats, codes_te)
 
         assert snaps[cfg.epochs] < snaps[1], (

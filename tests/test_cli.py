@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fraudsig import banksim, cli, training
+from fraudsig import banksim, cli, reports, training
 from fraudsig.banksim import COLUMNS, group_customers, load_transactions, make_samples
 from fraudsig.features import FeatureStore, build_feature_store
 from fraudsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
@@ -399,6 +399,55 @@ def test_evaluate_without_training_is_data_error(tmp_path):
     assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
     assert main(["report", "--config", str(cfg)]) == EXIT_DATA
+
+
+def test_evaluate_scores_only_finished_cells(pipeline, tmp_path, capsys, caplog):
+    """Of three cells, one finished, one stopped before burn-in (its
+    checkpoint lists no member) and one stopped after it (two of its four
+    members committed, beside an uncommitted tail), `evaluate` scores only
+    the finished one and counts the other two missing, naming them.  The
+    two unfinished cells alone exit 3, with no traceback."""
+    shutil.copy(pipeline[0] / "corpus.csv", tmp_path / "corpus.csv")
+    cfg = _write_config(tmp_path, split={"repetitions": 3}, train={"checkpoint_every": 1})
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+    train = ["train", "--config", str(cfg), "--nl", "40", "--rep"]
+    assert main([*train, "0"]) == EXIT_OK
+
+    class Stop(Exception):
+        pass
+
+    def train_stopping_in(epoch):
+        """`train` stopped in `epoch`, after it appended the epoch's members
+        and before it committed the epoch's checkpoint."""
+
+        def stop(e, *_):
+            if e == epoch:
+                raise Stop
+
+        return lambda *args, **kwargs: training.train(*args, epoch_callback=stop, **kwargs)
+
+    for rep, epoch in (("1", 2), ("2", 4)):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "train", train_stopping_in(epoch))
+            with pytest.raises(Stop):
+                main([*train, rep])
+
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO):
+        assert main(["evaluate", "--config", str(cfg)]) == EXIT_OK
+    record = json.loads((tmp_path / "out/reports/evaluate.json").read_text())
+    assert (record["cells"], record["missing"]) == (1, 2)
+    rows = reports.read_csv(tmp_path / "out/reports" / reports.GLOBAL_CSV)
+    assert {row["repetition"] for row in rows} == {"0"}
+    logged = [r.getMessage() for r in caplog.records]
+    for rep, held in ((1, 0), (2, 2)):
+        assert f"nl40 rep{rep} holds {held} of 4 members; skipping it as unfinished" in logged
+
+    shutil.rmtree(tmp_path / "out/runs/nl40_rep0")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "no finished cells" in err and "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

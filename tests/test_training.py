@@ -57,11 +57,11 @@ def _train_with_chains(*args, **kwargs):
     return result, final["disc"], final["gen"]
 
 
-def test_rerun_is_bit_identical(rng):
+def test_rerun_is_bit_identical(tmp_path, rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg()
-    a = train(data, cfg, seed=7)
-    b = train(data, cfg, seed=7)
+    a = train(data, cfg, seed=7, checkpoint_dir=tmp_path / "a")
+    b = train(data, cfg, seed=7, checkpoint_dir=tmp_path / "b")
     assert len(a.members) == len(b.members)
     for ma, mb in zip(a.members, b.members):
         assert (ma.chain, ma.epoch) == (mb.chain, mb.epoch)
@@ -69,19 +69,19 @@ def test_rerun_is_bit_identical(rng):
     assert a.trace == b.trace
 
 
-def test_seed_changes_output(rng):
+def test_seed_changes_output(tmp_path, rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg()
-    a = train(data, cfg, seed=7)
-    b = train(data, cfg, seed=8)
+    a = train(data, cfg, seed=7, checkpoint_dir=tmp_path / "a")
+    b = train(data, cfg, seed=8, checkpoint_dir=tmp_path / "b")
     assert not np.array_equal(_flat(a.members[-1].params), _flat(b.members[-1].params))
 
 
-def test_member_collection_schedule(rng):
+def test_member_collection_schedule(tmp_path, rng):
     """Members appear at epochs burn_in, burn_in+thinning, ... for each chain."""
     data = _tiny_data(rng)
     cfg = _tiny_cfg(epochs=9, burn_in=3, thinning=2, chains_d=2, chains_g=1)
-    res = train(data, cfg, seed=1)
+    res = train(data, cfg, seed=1, checkpoint_dir=tmp_path / "ck")
     epochs = sorted({m.epoch for m in res.members})
     assert epochs == [3, 5, 7, 9]
     assert len(res.members) == 4 * cfg.chains_d
@@ -89,17 +89,17 @@ def test_member_collection_schedule(rng):
     assert chains == [0, 1]
 
 
-def test_zero_epochs_is_config_error(rng):
+def test_zero_epochs_is_config_error(tmp_path, rng):
     """A run of no epochs samples no posterior: train() refuses it, as the
     CLI does, instead of returning the prior draws as an ensemble."""
     with pytest.raises(ConfigError, match="epochs"):
-        train(_tiny_data(rng), _tiny_cfg(epochs=0, burn_in=0), seed=3)
+        train(_tiny_data(rng), _tiny_cfg(epochs=0, burn_in=0), seed=3, checkpoint_dir=tmp_path)
 
 
-def test_trace_rows_structure(rng):
+def test_trace_rows_structure(tmp_path, rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg(epochs=2)
-    res = train(data, cfg, seed=5)
+    res = train(data, cfg, seed=5, checkpoint_dir=tmp_path / "ck")
     per_epoch = cfg.chains_g + 4 * cfg.chains_d
     assert len(res.trace) == cfg.epochs * per_epoch
     e1 = [r for r in res.trace if r[0] == 1]
@@ -113,7 +113,9 @@ def test_trace_rows_structure(rng):
 
 def test_resume_matches_uninterrupted(tmp_path, rng):
     data = _tiny_data(rng)
-    full, full_disc, _ = _train_with_chains(data, _tiny_cfg(epochs=6), seed=11)
+    full, full_disc, _ = _train_with_chains(
+        data, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=tmp_path / "full"
+    )
     ck = tmp_path / "ck"
     train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=11, checkpoint_dir=ck)
     resumed, resumed_disc, _ = _train_with_chains(
@@ -149,7 +151,7 @@ def test_resume_ignores_generator_members_of_older_checkpoints(tmp_path, rng):
     """Checkpoints hold no generator ensemble.  Older ones carry a
     `gen_members` list; resuming from one still matches the full run."""
     data = _tiny_data(rng)
-    full = train(data, _tiny_cfg(epochs=6), seed=11)
+    full = train(data, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=tmp_path / "full")
     ck = tmp_path / "ck"
     part = train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=11, checkpoint_dir=ck)
     assert not list(ck.glob("gen*member*"))
@@ -254,23 +256,17 @@ def test_checkpoint_restores_counters(tmp_path, rng):
     np.testing.assert_array_equal(_flat(dch[0].params), _flat(disc_chains[0]))
 
 
-def test_resume_without_checkpoint_dir_raises(rng):
-    data = _tiny_data(rng)
-    with pytest.raises(ValueError):
-        train(data, _tiny_cfg(), seed=0, resume=True)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_raises_with_epoch(rng):
+def test_divergence_raises_with_epoch(tmp_path, rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg(lr_d=1e12, lr_g=1e12, epochs=50)
     with pytest.raises(DivergedChainError) as exc:
-        train(data, cfg, seed=0)
+        train(data, cfg, seed=0, checkpoint_dir=tmp_path)
     assert exc.value.epoch >= 1
     assert exc.value.chain.startswith(("gen", "disc"))
 
 
-def test_more_threads_than_cores_match_one_thread(rng, monkeypatch):
+def test_more_threads_than_cores_match_one_thread(tmp_path, rng, monkeypatch):
     """4+4 chains on a pool of 4 threads, on any host, with the interpreter
     switching threads every microsecond, give the members, final chains and
     trace of a pool of one, bit for bit."""
@@ -281,7 +277,7 @@ def test_more_threads_than_cores_match_one_thread(rng, monkeypatch):
         sys.setswitchinterval(1e-6)
         for cpus in (1, 4):
             monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
-            runs.append(_train_with_chains(data, cfg, seed=13))
+            runs.append(_train_with_chains(data, cfg, seed=13, checkpoint_dir=tmp_path / f"{cpus}"))
     finally:
         sys.setswitchinterval(interval)
     (one, *one_chains), (four, *four_chains) = runs
@@ -294,7 +290,7 @@ def test_more_threads_than_cores_match_one_thread(rng, monkeypatch):
     assert one.trace == four.trace
 
 
-def test_openblas_runs_one_thread_inside_train_and_is_restored(rng):
+def test_openblas_runs_one_thread_inside_train_and_is_restored(tmp_path, rng):
     """Set to two threads before `train`, OpenBLAS runs one in every epoch
     and two again after it."""
     blas = training._openblas_threads()
@@ -304,7 +300,7 @@ def test_openblas_runs_one_thread_inside_train_and_is_restored(rng):
     before, seen = get(), []
     try:
         put(2)
-        train(_tiny_data(rng), _tiny_cfg(epochs=2), seed=1,
+        train(_tiny_data(rng), _tiny_cfg(epochs=2), seed=1, checkpoint_dir=tmp_path,
               epoch_callback=lambda *args: seen.append(get()))
         after = get()
     finally:
@@ -312,12 +308,14 @@ def test_openblas_runs_one_thread_inside_train_and_is_restored(rng):
     assert (seen, after) == ([1, 1], 2)
 
 
-def test_divergence_in_one_critic_chain_names_it_with_the_serial_trace(rng, monkeypatch):
+def test_divergence_in_one_critic_chain_names_it_with_the_serial_trace(
+    tmp_path, rng, monkeypatch
+):
     """NaN interpolation weights in discriminator chain 1 alone, stepping on
     two threads beside chain 0, raise for `disc1` at epoch 1, with the trace
     the serial loop holds there: the generator rows and chain 0's rows."""
     data, cfg = _tiny_data(rng), _tiny_cfg(epochs=1, burn_in=1, thinning=1)
-    clean = train(data, cfg, seed=3)
+    clean = train(data, cfg, seed=3, checkpoint_dir=tmp_path / "clean")
 
     class NaNWeights:
         def __init__(self, rng):
@@ -337,15 +335,15 @@ def test_divergence_in_one_critic_chain_names_it_with_the_serial_trace(rng, monk
     )
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     with pytest.raises(DivergedChainError) as exc:
-        train(data, cfg, seed=3)
+        train(data, cfg, seed=3, checkpoint_dir=tmp_path / "nan")
     assert (exc.value.epoch, exc.value.chain) == (1, "disc1")
     assert exc.value.trace_tail == clean.trace[: cfg.chains_g + 4]
 
 
-def test_predict_quantiles_match_numpy(rng):
+def test_predict_quantiles_match_numpy(tmp_path, rng):
     data = _tiny_data(rng)
     cfg = _tiny_cfg(epochs=4, burn_in=2, thinning=1)
-    res = train(data, cfg, seed=9)
+    res = train(data, cfg, seed=9, checkpoint_dir=tmp_path)
     _, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
     pred = predict(disc, res.members, data.feats, data.codes)
     assert pred.mean.shape == (data.feats.shape[0],)
@@ -364,12 +362,14 @@ def test_predict_quantiles_match_numpy(rng):
     assert np.all(pred.width >= 0)
 
 
-def test_predict_batched_equals_unbatched(rng):
+def test_predict_batched_equals_unbatched(tmp_path, rng, monkeypatch):
     data = _tiny_data(rng)
-    res = train(data, _tiny_cfg(epochs=2, burn_in=1, thinning=1), seed=4)
+    res = train(data, _tiny_cfg(epochs=2, burn_in=1, thinning=1), seed=4, checkpoint_dir=tmp_path)
     _, disc = build_nets(data.feats.shape[1], data.emb_cards, _tiny_cfg())
-    a = predict(disc, res.members, data.feats, data.codes, batch_size=7)
-    b = predict(disc, res.members, data.feats, data.codes, batch_size=10_000)
+    monkeypatch.setattr(training, "PREDICT_BATCH", 7)
+    a = predict(disc, res.members, data.feats, data.codes)
+    monkeypatch.setattr(training, "PREDICT_BATCH", 10_000)
+    b = predict(disc, res.members, data.feats, data.codes)
     np.testing.assert_array_equal(a.mean, b.mean)
     np.testing.assert_array_equal(a.width, b.width)
 
