@@ -111,9 +111,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--out", type=Path, default=Path("."), help="directory for the file")
+    parser.add_argument("--out", type=Path, default=Path("."),
+                        help="directory for the file, made if missing")
     parser.add_argument("--note", default="", help="what the change does to the runs, recorded as is")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2 for quartiles, got {args.pairs}")
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out: {exc}")
 
     bench = {
         "command": "python3 perfbench/run.py --workload W --seed S "

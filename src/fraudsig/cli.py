@@ -61,7 +61,7 @@ EXIT_DIVERGED = 4
 SPLITS_REL = "prepared/splits.json"
 # Top-level entries the stages read from each JSON artifact.
 _SPLITS_KEYS = (
-    "stats", "subsample", "customers", "features", "max_sd", "max_amt", "configured_sizes",
+    "stats", "subsample", "customers", "features", "configured_sizes",
     "labeled_sizes", "repetitions", "train_idx", "test_idx", "labeled",
 )
 
@@ -149,9 +149,12 @@ class Prepared:
 
     def __init__(self, cfg: ExperimentConfig):
         """Checks the entries the stages read: `stats.n_samples` (the feature
-        key's `n_rows`), and the train, test and every labeled index set, each
-        a strictly increasing list of sample indices, train and test disjoint
-        and every labeled set inside train; a bad one is a DataError."""
+        key's `n_rows`), `subsample` (a number in (0, 1]), `customers` (a
+        list of customer ids), and the train, test and every labeled index
+        set, each a strictly increasing list of sample indices, train and
+        test disjoint and every labeled set inside train; a bad one is a
+        DataError.  The recorded scaling maxima are not read: `split`
+        derives them from the train split."""
         self.cfg = cfg
         self.path = path = Path(cfg.output_dir) / SPLITS_REL
         if not path.exists():
@@ -174,6 +177,11 @@ class Prepared:
             if not train.isdisjoint(sets.pop("test_idx")):
                 bad.append("test_idx (shares samples with train_idx)")
             bad += [f"{k} (outside train_idx)" for k, v in sets.items() if not train.issuperset(v)]
+        subsample, customers = splits["subsample"], splits["customers"]
+        if not (type(subsample) in (int, float) and 0 < subsample <= 1):
+            bad.append("subsample (not a number in (0, 1])")
+        if not (isinstance(customers, list) and all(isinstance(c, str) for c in customers)):
+            bad.append("customers (not a list of customer ids)")
         if bad:
             raise DataError(f"{path} has missing or malformed entries: {', '.join(bad)}")
 
@@ -226,12 +234,14 @@ class Prepared:
         return samples, store
 
     def split(self, name: str) -> Split:
-        """The split `name` ("train_idx" or "test_idx"); only its rows are read."""
+        """The split `name` ("train_idx" or "test_idx"); only its rows are read,
+        scaled by the maxima over the train split."""
         samples, store = self._source
         idx = np.asarray(self.splits[name], dtype=np.intp)
+        train_idx = np.asarray(self.splits["train_idx"], dtype=np.intp)
         return Split(
             idx=idx,
-            feats=store.rows(idx, self.splits["max_sd"], self.splits["max_amt"]),
+            feats=store.rows(idx, *banksim.training_maxima(samples, train_idx)),
             labels=samples.labels[idx].astype(np.int64),
             amounts=samples.amounts[idx],
             emb_cards=banksim.condition_cards(samples),
@@ -410,7 +420,7 @@ def _cmd_evaluate(args) -> int:
     shapes = [spec.shape for spec in disc.param_specs]
     want = cfg.train.member_keys(cfg.train.epochs)
 
-    scores: list[reports.CellScores] = []
+    scores = []
     cells = prepared.cells()
     n_missing = 0
     for cell in cells:
@@ -458,15 +468,14 @@ def _cmd_report(args) -> int:
     report_dir = Path(cfg.output_dir) / "reports"
     if not (report_dir / reports.GLOBAL_CSV).exists():
         raise DataError("no evaluation tables found; run `fraudsig evaluate` first")
-    reports.aggregate_reports(report_dir, cfg.split.repetitions)
+    rows = reports.aggregate_reports(report_dir, cfg.split.repetitions)
     _record(report_dir / "report.json", cfg, t0)
-    for row in reports.read_csv(report_dir / reports.AGGREGATE_CSV):
+    for row in rows:
         if row["metric"] in ("macro_f1", "pr_auc", "cross_entropy"):
-            flag = "" if row["complete"] == "1" else "  [incomplete]"
+            flag = "" if row["complete"] else "  [incomplete]"
             print(
-                f"{row['model']:>9} N_l={row['n_labeled']:>6} "
-                f"{row['metric']:<14} {float(row['mean']):.4f} "
-                f"+- {float(row['std']):.4f}{flag}"
+                f"{row['model']:>9} N_l={row['n_labeled']:>6} {row['metric']:<14} "
+                f"{row['mean']:.4f} +- {row['std']:.4f}{flag}"
             )
     return EXIT_OK
 

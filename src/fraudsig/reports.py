@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ from .config import HeadConfig, committing, parsing
 from . import metrics
 
 __all__ = [
-    "CellScores",
     "score_cell",
     "write_csv",
     "read_csv",
@@ -52,16 +50,6 @@ _TABLES = (
 )
 
 
-@dataclass
-class CellScores:
-    """All metric rows for one (model, labeled size, repetition) cell."""
-
-    global_row: dict
-    head_rows: list[dict]
-    partial_rows: list[dict]
-    uncertainty_row: dict
-
-
 def score_cell(
     model: str,
     n_labeled: int,
@@ -71,44 +59,47 @@ def score_cell(
     widths: np.ndarray,
     amounts: np.ndarray,
     heads: HeadConfig,
-) -> CellScores:
+) -> dict[str, list[dict]]:
+    """The rows one (model, labeled size, repetition) cell adds to each long
+    table, by the table's file name."""
     base = {"model": model, "n_labeled": n_labeled, "repetition": repetition}
-    global_row = dict(
-        base,
-        macro_f1=metrics.macro_f1(labels, scores, heads.tau),
-        pr_auc=metrics.pr_auc(labels, scores),
-        cross_entropy=metrics.cross_entropy(labels, scores),
-    )
-    head_rows = [
-        dict(
-            base,
-            k_percent=k,
-            precision_at_k=metrics.precision_at_k(labels, scores, k),
-            recall_at_k=metrics.recall_at_k(labels, scores, k),
-            expected_cost_at_k=metrics.expected_cost_at_k(
-                labels, scores, amounts, k, heads.alpha
-            ),
-        )
-        for k in heads.k_percents
-    ]
-    partial_rows = [
-        dict(base, recall_cap=r, partial_pr_auc=metrics.partial_pr_auc(labels, scores, r))
-        for r in heads.recall_levels
-    ]
     widths_cells = metrics.interval_width_by_outcome(labels, scores, widths, heads.tau)
     try:
         u_auroc = metrics.uncertainty_auroc(labels, scores, widths, heads.tau)
     except ValueError:
         u_auroc = math.nan
-    uncertainty_row = dict(
-        base,
-        uncertainty_auroc=u_auroc,
-        width_tp=widths_cells.tp,
-        width_fp=widths_cells.fp,
-        width_tn=widths_cells.tn,
-        width_fn=widths_cells.fn,
-    )
-    return CellScores(global_row, head_rows, partial_rows, uncertainty_row)
+    return {
+        GLOBAL_CSV: [dict(
+            base,
+            macro_f1=metrics.macro_f1(labels, scores, heads.tau),
+            pr_auc=metrics.pr_auc(labels, scores),
+            cross_entropy=metrics.cross_entropy(labels, scores),
+        )],
+        HEAD_CSV: [
+            dict(
+                base,
+                k_percent=k,
+                precision_at_k=metrics.precision_at_k(labels, scores, k),
+                recall_at_k=metrics.recall_at_k(labels, scores, k),
+                expected_cost_at_k=metrics.expected_cost_at_k(
+                    labels, scores, amounts, k, heads.alpha
+                ),
+            )
+            for k in heads.k_percents
+        ],
+        PARTIAL_CSV: [
+            dict(base, recall_cap=r, partial_pr_auc=metrics.partial_pr_auc(labels, scores, r))
+            for r in heads.recall_levels
+        ],
+        UNCERTAINTY_CSV: [dict(
+            base,
+            uncertainty_auroc=u_auroc,
+            width_tp=widths_cells.tp,
+            width_fp=widths_cells.fp,
+            width_tn=widths_cells.tn,
+            width_fn=widths_cells.fn,
+        )],
+    }
 
 
 def _fmt(value) -> str:
@@ -130,17 +121,11 @@ def read_csv(path: str | Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def write_cell_reports(report_dir: str | Path, cells: list[CellScores]) -> None:
-    """Write the four long-format CSVs."""
-    rows = (
-        [c.global_row for c in cells],
-        [row for c in cells for row in c.head_rows],
-        [row for c in cells for row in c.partial_rows],
-        [c.uncertainty_row for c in cells],
-    )
-    for (name, grid, columns), table in zip(_TABLES, rows):
+def write_cell_reports(report_dir: str | Path, cells: list[dict[str, list[dict]]]) -> None:
+    """Write the four long-format CSVs from the `score_cell` rows of `cells`."""
+    for name, grid, columns in _TABLES:
         header = ["model", "n_labeled", "repetition", *grid, *columns]
-        write_csv(Path(report_dir) / name, header, table)
+        write_csv(Path(report_dir) / name, header, [row for c in cells for row in c[name]])
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -150,8 +135,9 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
-def aggregate_reports(report_dir: str | Path, expected_reps: int) -> None:
-    """Aggregate the per-cell CSVs into mean/std tables.
+def aggregate_reports(report_dir: str | Path, expected_reps: int) -> list[dict]:
+    """Aggregate the per-cell CSVs into mean/std tables; returns the rows of
+    `aggregate.csv`.
 
     `aggregate.csv` holds one row per (model, n_labeled, metric); metrics
     from gridded tables carry the grid point in their name.  Expected cost
@@ -210,3 +196,4 @@ def aggregate_reports(report_dir: str | Path, expected_reps: int) -> None:
          "std_cost_thousands", "n_reps"],
         cost_rows,
     )
+    return agg_rows

@@ -156,8 +156,14 @@ class _LabeledCycle:
         return {"perm": self.perm.tolist(), "pos": self.pos}
 
     def restore(self, state: dict) -> None:
-        self.perm = np.asarray(state["perm"], dtype=self.idx.dtype)
-        self.pos = int(state["pos"])
+        """A `perm` that is not a permutation of the indices, or a `pos`
+        outside it, is a ValueError."""
+        perm, pos = np.asarray(state["perm"], dtype=self.idx.dtype), state["pos"]
+        if not np.array_equal(np.sort(perm), np.sort(self.idx)):
+            raise ValueError("cycle.perm is not a permutation of the labeled indices")
+        if not (type(pos) is int and 0 <= pos <= perm.size):
+            raise ValueError(f"cycle.pos {pos!r} is not a position in [0, {perm.size}]")
+        self.perm, self.pos = perm, pos
 
 
 class _Chain:
@@ -639,8 +645,11 @@ def load_checkpoint(
     A checkpoint whose stored fingerprint differs from `fingerprint` on any
     of its keys is a ConfigError naming them; keys this version does not
     fingerprint, such as the `optimizer` of older versions, are not
-    compared; chain entries that are not one per chain of their side are a
-    DataError.
+    compared; chain entries that are not one per chain of their side, a
+    chain state other than the committed epoch's chains file, a trace row
+    that is not five entries, or a labeled cycle that is not a permutation
+    of the labeled indices with its position inside it, are a DataError
+    naming state.json.
     Entries this version does not read, such as the generator ensemble that
     older versions stored, are ignored.  A chains file that the state does
     not name, left by a crash after the commit, is deleted."""
@@ -663,6 +672,11 @@ def load_checkpoint(
     _check_shapes(in_dir, state, "gen_shapes", shapes[0])
     keys[:] = _members(in_dir, state, shapes[-1]).keys
     with parsing(in_dir / "state.json"):
+        epoch = int(state["epoch"])
+        if state["chain_state"] != f"chains-{epoch}.bin":
+            raise ValueError(f"chain_state {state['chain_state']!r} is not chains-{epoch}.bin")
+        if not all(isinstance(row, list) and len(row) == 5 for row in state["trace"]):
+            raise ValueError("a trace row is not [epoch, kind, chain, term, value]")
         tensors = iter(_views(in_dir, state["chain_state"], [s for c in shapes for s in c * 3]))
         entries = state["gen_chains"] + state["disc_chains"]
         sides = [len(state["gen_chains"]), len(state["disc_chains"])]
@@ -681,6 +695,5 @@ def load_checkpoint(
         cycle.rng.bit_generator.state = state["data_rng"]
         cycle.restore(state["cycle"])
         trace[:] = [tuple(row) for row in state["trace"]]
-        epoch = int(state["epoch"])
     _drop_chains_but(in_dir, state["chain_state"])
     return epoch

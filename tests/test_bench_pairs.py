@@ -51,3 +51,41 @@ def test_wide_base_spread_is_unresolved():
 
 def test_bounds_come_from_the_benchmark_file():
     assert bench_pairs.bounds() == {"wall_s": 0.25, "setup_s": 0.25, "peak_rss_mib": 0.1}
+
+
+def _fake_runs(monkeypatch, out=None):
+    """Replace the runs and the git lookups; returns the list of runs made,
+    each noting whether the `out` directory existed when it started."""
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(out is None or out.is_dir())
+        values = {"wall_s": 1.0 + 0.01 * len(calls), "setup_s": 0.1, "peak_rss_mib": 50.0}
+        return {"correct": True, "failed": 0, "attempted": 1, "values": values, "machine": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "revision", lambda checkout: "abc1234")
+    return calls
+
+
+def _argv(tmp_path, out, pairs):
+    return ["--base", str(tmp_path), "--change", str(tmp_path), "--name", "t",
+            "--seeds", "1", "--pairs", str(pairs), "--out", str(out)]
+
+
+def test_missing_out_directory_is_made_before_the_runs(tmp_path, monkeypatch):
+    out = tmp_path / "a" / "b"
+    calls = _fake_runs(monkeypatch, out)
+    assert bench_pairs.main(_argv(tmp_path, out, 2)) == 0
+    assert calls == [True] * 4
+    assert (out / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("case", ["out-under-a-file", "one-pair"])
+def test_bad_arguments_are_refused_before_any_run(tmp_path, monkeypatch, case):
+    calls = _fake_runs(monkeypatch)
+    (tmp_path / "file").write_text("")
+    out, pairs = (tmp_path / "file" / "out", 2) if case == "out-under-a-file" else (tmp_path, 1)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(_argv(tmp_path, out, pairs))
+    assert exc.value.code == 2 and calls == []

@@ -295,19 +295,30 @@ def _labeled_from_test_idx(splits):
     labeled.sort()
 
 
+def _subsample_not_a_fraction(splits):
+    splits["subsample"] = 1.5
+
+
+def _customers_not_a_list(splits):
+    splits["customers"] = 5
+
+
 @pytest.mark.parametrize(
     "content",
     ['{"customers": ["C1", "C', "[1, 2]", _no_train_idx, _no_n_samples, _train_idx_out_of_range,
-     _string_in_test_idx, _labeled_out_of_range, _labeled_from_test_idx, _no_features],
+     _string_in_test_idx, _labeled_out_of_range, _labeled_from_test_idx, _no_features,
+     _subsample_not_a_fraction, _customers_not_a_list],
     ids=["truncated", "not-an-object", "no-train-idx", "no-n-samples", "train-idx-out-of-range",
-         "string-in-test-idx", "labeled-out-of-range", "labeled-from-test-idx", "no-features"],
+         "string-in-test-idx", "labeled-out-of-range", "labeled-from-test-idx", "no-features",
+         "subsample-not-a-fraction", "customers-not-a-list"],
 )
 def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
     """A splits file that does not parse, is not an object, lacks an entry,
     top-level (the feature key among them) or nested, or holds an index set that is not a strictly
     increasing list of sample indices, a test set that shares a sample with
-    the train set or a labeled set not inside it exits 3 and names the file,
-    in train and in evaluate."""
+    the train set, a labeled set not inside it, a subsample outside (0, 1] or
+    customers that are not a list of ids exits 3 and names the file, in
+    train and in evaluate."""
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path)
     splits = tmp_path / "out" / "prepared" / "splits.json"
@@ -321,6 +332,20 @@ def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DATA
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
     assert capsys.readouterr().err.count(str(splits)) == 2
+
+
+def test_recorded_maxima_are_not_read(pipeline, tmp_path):
+    """The scaling maxima come from the train split, not from splits.json:
+    with both recorded maxima edited to null and NaN, the test rows are
+    bit-identical."""
+    cfg = ExperimentConfig.from_yaml(_copy_run(pipeline, tmp_path))
+    before = cli.Prepared(cfg).split("test_idx").feats
+    path = tmp_path / "out" / cli.SPLITS_REL
+    splits = json.loads(path.read_text())
+    splits.update(max_sd=None, max_amt=float("nan"))
+    path.write_text(json.dumps(splits))
+    after = cli.Prepared(cfg).split("test_idx").feats
+    assert after.tobytes() == before.tobytes()
 
 
 def test_subsample_of_other_customers_misses_the_cache(tmp_path, capsys):
@@ -635,36 +660,57 @@ def _copy_run(pipeline, tmp_path, **train_over) -> Path:
     return cfg
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["state.json", "members.bin", "chains-*.bin", "no-cycle", "chains-entry-dropped",
-     "chains-entry-moved"],
-)
+def _chain_state_elsewhere(state, ckpt):
+    """chain_state names a byte copy of the real chains file outside ckpt."""
+    shutil.copy(ckpt / state["chain_state"], ckpt.parent / state["chain_state"])
+    state["chain_state"] = f"../{state['chain_state']}"
+
+
+def _foreign_perm(state, ckpt):
+    perm = state["cycle"]["perm"]
+    perm[0] = max(perm) + 1
+
+
+_STATE_EDITS = {
+    "no-cycle": lambda state, ckpt: state.pop("cycle"),
+    "chains-entry-dropped": lambda state, ckpt: state["gen_chains"].pop(),
+    "chains-entry-moved":
+        lambda state, ckpt: state["disc_chains"].append(state["gen_chains"].pop()),
+    "chain-state-elsewhere": _chain_state_elsewhere,
+    "trace-row-short": lambda state, ckpt: state["trace"].append([1]),
+    "cycle-pos-past-end":
+        lambda state, ckpt: state["cycle"].update(pos=len(state["cycle"]["perm"]) + 5),
+    "cycle-perm-foreign": _foreign_perm,
+}
+
+
+@pytest.mark.parametrize("name", ["state.json", "members.bin", "chains-*.bin", *_STATE_EDITS])
 def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
-    """A cut-short checkpoint file, a state.json without its `cycle` entry,
-    or one with a generator chain entry fewer than its fingerprint's chain
-    count, or moved to the critic side, exits 3 and names the checkpoint, in
-    evaluate and in train --resume, instead of raising a traceback or
-    blaming the config."""
+    """A cut-short checkpoint file, or a state.json without its `cycle`
+    entry, with a generator chain entry fewer than its fingerprint's chain
+    count or moved to the critic side, with a chain state other than its
+    epoch's chains file, a trace row of fewer than five entries, or a
+    labeled cycle whose position is past its permutation or whose
+    permutation holds a sample outside the labeled set, exits 3 in train
+    --resume and names the checkpoint (state.json, for an edit of it),
+    instead of raising a traceback, blaming the config or resuming.
+    evaluate exits 3 too where it reads the broken entry."""
     cfg = _copy_run(pipeline, tmp_path)
     ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
-    if name in ("no-cycle", "chains-entry-dropped", "chains-entry-moved"):
-        state = json.loads((ckpt / "state.json").read_text())
-        if name == "no-cycle":
-            del state["cycle"]
-        elif name == "chains-entry-dropped":
-            state["gen_chains"].pop()
-        else:
-            state["disc_chains"].append(state["gen_chains"].pop())
-        (ckpt / "state.json").write_text(json.dumps(state))
+    named = ckpt
+    if name in _STATE_EDITS:
+        named = ckpt / "state.json"
+        state = json.loads(named.read_text())
+        _STATE_EDITS[name](state, ckpt)
+        named.write_text(json.dumps(state))
     else:
         path = next(ckpt.glob(name))
         path.write_bytes(path.read_bytes()[:50])
     train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
     assert main(train_args) == EXIT_DATA
-    assert str(ckpt) in capsys.readouterr().err
-    # evaluate reads the ensemble only, not the chain state.
-    expected = EXIT_OK if name.startswith("chains") else EXIT_DATA
+    assert str(named) in capsys.readouterr().err
+    # evaluate reads the ensemble only: the member list and members.bin.
+    expected = EXIT_DATA if name in ("state.json", "members.bin", "no-cycle") else EXIT_OK
     assert main(["evaluate", "--config", str(cfg)]) == expected
 
 

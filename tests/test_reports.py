@@ -6,9 +6,13 @@ import pytest
 from fraudsig import metrics
 from fraudsig.config import HeadConfig
 from fraudsig.reports import (
+    _TABLES,
     AGGREGATE_CSV,
     COST_CURVE_CSV,
     GLOBAL_CSV,
+    HEAD_CSV,
+    PARTIAL_CSV,
+    UNCERTAINTY_CSV,
     aggregate_reports,
     read_csv,
     score_cell,
@@ -33,19 +37,19 @@ def _cell(rng, model="ours", n_labeled=100, rep=0, heads=None):
 def test_score_cell_values_match_metrics(rng):
     heads = HeadConfig()
     cell, (labels, scores, widths, amounts) = _cell(rng, heads=heads)
-    g = cell.global_row
+    [g] = cell[GLOBAL_CSV]
     assert g["macro_f1"] == metrics.macro_f1(labels, scores, heads.tau)
     assert g["pr_auc"] == metrics.pr_auc(labels, scores)
     assert g["cross_entropy"] == metrics.cross_entropy(labels, scores)
-    assert [r["k_percent"] for r in cell.head_rows] == list(heads.k_percents)
-    for row in cell.head_rows:
+    assert [r["k_percent"] for r in cell[HEAD_CSV]] == list(heads.k_percents)
+    for row in cell[HEAD_CSV]:
         k = row["k_percent"]
         assert row["expected_cost_at_k"] == metrics.expected_cost_at_k(
             labels, scores, amounts, k, heads.alpha
         )
         assert row["precision_at_k"] == metrics.precision_at_k(labels, scores, k)
-    assert [r["recall_cap"] for r in cell.partial_rows] == list(heads.recall_levels)
-    u = cell.uncertainty_row
+    assert [r["recall_cap"] for r in cell[PARTIAL_CSV]] == list(heads.recall_levels)
+    [u] = cell[UNCERTAINTY_CSV]
     assert u["uncertainty_auroc"] == metrics.uncertainty_auroc(
         labels, scores, widths, heads.tau
     )
@@ -58,7 +62,7 @@ def test_score_cell_degenerate_auroc_is_nan():
     labels = np.array([1, 1, 0, 0])
     scores = np.array([0.9, 0.8, 0.1, 0.2])  # everything correct
     cell = score_cell("m", 10, 0, labels, scores, np.ones(4), np.ones(4), heads)
-    assert math.isnan(cell.uncertainty_row["uncertainty_auroc"])
+    assert math.isnan(cell[UNCERTAINTY_CSV][0]["uncertainty_auroc"])
 
 
 def test_csv_round_trip_preserves_floats(tmp_path):
@@ -171,3 +175,19 @@ def test_global_csv_columns(tmp_path, rng):
     text = (tmp_path / GLOBAL_CSV).read_text().splitlines()
     assert text[0] == "model,n_labeled,repetition,macro_f1,pr_auc,cross_entropy"
     assert text[1].startswith("ours,100,0,")
+
+
+def test_tables_list_is_the_one_layout_of_rows_and_files(tmp_path, rng):
+    """For every table, the rows `score_cell` returns hold exactly the
+    table's key, grid and metric columns, in order, and `write_cell_reports`
+    writes that header to the table's file."""
+    heads = HeadConfig()
+    cells = [_cell(rng, rep=r, heads=heads)[0] for r in range(2)]
+    write_cell_reports(tmp_path, cells)
+    assert sorted(cells[0]) == sorted(name for name, _, _ in _TABLES)
+    for name, grid, columns in _TABLES:
+        header = ["model", "n_labeled", "repetition", *grid, *columns]
+        assert all(list(row) == header for cell in cells for row in cell[name])
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == ",".join(header)
+        assert len(lines) == 1 + sum(len(cell[name]) for cell in cells)
