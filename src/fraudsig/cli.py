@@ -105,6 +105,11 @@ def _cache_path(cfg: ExperimentConfig, subsample: float) -> Path:
     return cache_dir(cfg) / f"deg{cfg.sig_degree}_v{SCHEME_VERSION}_{tag}"
 
 
+def _is_size_list(value) -> bool:
+    """Whether `value` is a list of ints >= 1."""
+    return isinstance(value, list) and all(type(v) is int and v >= 1 for v in value)
+
+
 def _is_index_list(value, n: int) -> bool:
     """Whether `value` is a strictly increasing list of ints in [0, n)."""
     return (
@@ -150,11 +155,12 @@ class Prepared:
     def __init__(self, cfg: ExperimentConfig):
         """Checks the entries the stages read: `stats.n_samples` (the feature
         key's `n_rows`), `subsample` (a number in (0, 1]), `customers` (a
-        list of customer ids), and the train, test and every labeled index
-        set, each a strictly increasing list of sample indices, train and
-        test disjoint and every labeled set inside train; a bad one is a
-        DataError.  The recorded scaling maxima are not read: `split`
-        derives them from the train split."""
+        list of customer ids), `labeled_sizes` (distinct ints >= 1),
+        `configured_sizes` (an int >= 1 per labeled size), and the train,
+        test and every labeled index set, each a strictly increasing list of
+        sample indices, train and test disjoint and every labeled set inside
+        train; a bad one is a DataError.  The recorded scaling maxima are not
+        read: `split` derives them from the train split."""
         self.cfg = cfg
         self.path = path = Path(cfg.output_dir) / SPLITS_REL
         if not path.exists():
@@ -182,6 +188,11 @@ class Prepared:
             bad.append("subsample (not a number in (0, 1])")
         if not (isinstance(customers, list) and all(isinstance(c, str) for c in customers)):
             bad.append("customers (not a list of customer ids)")
+        sizes, configured = splits["labeled_sizes"], splits["configured_sizes"]
+        if not (_is_size_list(sizes) and len(set(sizes)) == len(sizes)):
+            bad.append("labeled_sizes (not distinct ints >= 1)")
+        if not (_is_size_list(configured) and len(configured) == len(sizes)):
+            bad.append("configured_sizes (not an int >= 1 per labeled size)")
         if bad:
             raise DataError(f"{path} has missing or malformed entries: {', '.join(bad)}")
 
@@ -189,8 +200,7 @@ class Prepared:
         """The cell of `train --nl nl --rep rep`: the one whose effective
         (prepared) or configured labeled size is `nl`; no such cell, or two,
         or a repetition out of range is a ConfigError naming them."""
-        effective = list(self.splits["labeled_sizes"])
-        configured = list(self.splits["configured_sizes"])
+        effective, configured = self.splits["labeled_sizes"], self.splits["configured_sizes"]
         cells = sorted({sizes.index(nl) for sizes in (effective, configured) if nl in sizes})
         if len(cells) != 1:
             named = " and ".join(f"the cell configured as {configured[i]}" for i in cells)
@@ -378,16 +388,8 @@ def _cmd_train(args) -> int:
         shutil.rmtree(cell.run_dir)  # the old checkpoint, trace and record
 
     result = train(data, cfg.train, cell.seed, checkpoint_dir=ckpt, resume=resume)
-
-    reports.write_csv(
-        cell.run_dir / "trace.csv",
-        ["epoch", "kind", "chain", "term", "value"],
-        [
-            {"epoch": e, "kind": k, "chain": c, "term": t, "value": v}
-            for e, k, c, t, v in result.trace
-        ],
-    )
-
+    with committing(cell.run_dir / "trace.csv") as tmp:
+        shutil.copyfile(ckpt / "trace.csv", tmp)
     _record(
         cell.run_dir / "train.json", cfg, t0, global_seed=cfg.seed, spawn_key=cell.spawn_key,
         cell_seed=cell.seed, resumed=resume, epochs=cfg.train.epochs,

@@ -38,7 +38,6 @@ import numpy as np
 from .nnet import DiscriminatorNet, critic_head, critic_head_vector, restricted_softmax
 
 __all__ = [
-    "labeled_loss",
     "labeled_loss_grad",
     "unlabeled_loss",
     "grad_norm_penalty",
@@ -60,14 +59,9 @@ def _check_labels(labels, n_classes, batch):
     return labels
 
 
-def labeled_loss(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true class under the softmax
-    restricted to classes 1..K.  Labels take values in 1..K."""
-    return labeled_loss_grad(scores, labels)[0]
-
-
 def labeled_loss_grad(scores: np.ndarray, labels: np.ndarray):
-    """Value and gradient of `labeled_loss` w.r.t. the raw scores.
+    """Mean negative log-likelihood of the true class (labels 1..K) under the
+    softmax restricted to classes 1..K, and its gradient w.r.t. the raw scores.
 
     Column 0 receives no gradient because the restricted softmax never sees
     the generated-class score.

@@ -50,6 +50,7 @@ __all__ = [
 
 # Trace terms of a critic chain, in the order of its rows per epoch.
 _CRITIC_TERMS = ("unlabeled", "labeled", "penalty", "total")
+_TRACE_HEADER = b"epoch,kind,chain,term,value\n"
 PREDICT_BATCH = 8192  # rows of one forward pass in `predict`
 
 
@@ -101,7 +102,6 @@ class EnsembleMember:
 @dataclass
 class TrainResult:
     members: Sequence[EnsembleMember]  # discriminator posterior ensemble
-    trace: list              # rows (epoch, kind, chain, term, value)
 
 
 @dataclass
@@ -243,7 +243,7 @@ class _Lazy:
 # parameters and the critic chains only generator parameters, so each phase
 # maps its chains over a thread pool (numpy releases the GIL in GEMMs and
 # ufuncs).  Each chain draws only from its own RNG, the labeled batches are
-# drawn up front in chain order, and the main thread appends trace rows in
+# drawn up front in chain order, and the main thread writes trace rows in
 # chain order, so results do not depend on the number of threads.
 # ---------------------------------------------------------------------------
 
@@ -327,16 +327,17 @@ def train(
         data: features, condition codes, labels and the labeled-index set.
         cfg: hyperparameters, validated here.
         seed: cell seed; all chain and sampling randomness derives from it.
-        checkpoint_dir: each member is appended to its members.bin when it
-            is collected, and the rest of the training state is saved there
-            every `cfg.checkpoint_every` epochs (and at the end).
+        checkpoint_dir: members are appended to its members.bin when they
+            are collected, and loss-trace rows to its trace.csv each epoch;
+            the rest of the state is saved there every
+            `cfg.checkpoint_every` epochs (and at the end).
         resume: continue from the checkpoint in `checkpoint_dir`.
         epoch_callback: optional fn(epoch, disc_param_lists, gen_param_lists)
             invoked after every epoch; the last call sees the final chains.
 
     Returns:
         TrainResult with the posterior ensemble, read from members.bin one
-        member per access, and the loss trace.
+        member per access.
     """
     cfg.validate()
     gen, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
@@ -353,20 +354,23 @@ def train(
     ]
     cycle = _LabeledCycle(data.labeled_idx, derive_rng(seed, 0))
     keys: list[tuple[int, int]] = []  # (chain, epoch) of every member
-    trace: list = []
-    start_epoch = 0
+    start_epoch, trace_bytes = 0, len(_TRACE_HEADER)
     fingerprint = _fingerprint(data, cfg)
 
     out = Path(checkpoint_dir)
     if resume:
-        start_epoch = load_checkpoint(out, gen_chains, disc_chains, cycle, keys, trace, fingerprint)
+        start_epoch, trace_bytes = load_checkpoint(
+            out, gen_chains, disc_chains, cycle, keys, fingerprint
+        )
         _check_schedule(out, cfg, start_epoch, keys)
     else:  # a checkpoint left here is another run's
         out.mkdir(parents=True, exist_ok=True)
         (out / "state.json").unlink(missing_ok=True)
+        (out / "trace.csv").write_bytes(_TRACE_HEADER)
     members = _MemberFile(out, [p.shape for p in disc_chains[0].params], keys)
-    with open(out / "members.bin", "ab") as f:
-        f.truncate(len(keys) * members.record)
+    for name, size in (("members.bin", len(keys) * members.record), ("trace.csv", trace_bytes)):
+        with open(out / name, "ab") as f:
+            f.truncate(size)
 
     n_rows = data.feats.shape[0]
     batch = min(cfg.batch, n_rows)
@@ -425,17 +429,21 @@ def train(
 
     with _chain_pool(max(cfg.chains_g, cfg.chains_d)) as pool:
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
+            rows = []  # this epoch's trace rows (epoch, kind, chain, term, value)
             for j, loss in enumerate(pool.map(generator_step, gen_chains)):
                 if loss is None:
-                    raise DivergedChainError(epoch, f"gen{j}", trace)
-                trace.append((epoch, "gen", j, "loss", loss))
+                    raise DivergedChainError(epoch, f"gen{j}", rows)
+                rows.append((epoch, "gen", j, "loss", loss))
 
             lab_batches = [[cycle.take(batch) for _ in range(cfg.n_critic)] for _ in disc_chains]
             for j, means in enumerate(pool.map(critic_step, disc_chains, lab_batches)):
                 if means is None:
-                    raise DivergedChainError(epoch, f"disc{j}", trace)
+                    raise DivergedChainError(epoch, f"disc{j}", rows)
                 for term, value in zip(_CRITIC_TERMS, means):
-                    trace.append((epoch, "disc", j, term, value))
+                    rows.append((epoch, "disc", j, term, value))
+            text = "".join(f"{e},{k},{c},{t},{float(v)!r}\n" for e, k, c, t, v in rows)
+            with open(out / "trace.csv", "ab") as f:
+                f.write(text.encode())
 
             if cfg.collects(epoch):
                 keys += [(j, epoch) for j in range(cfg.chains_d)]
@@ -448,11 +456,9 @@ def train(
                     epoch, [c.params for c in disc_chains], [c.params for c in gen_chains]
                 )
             if (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0) or epoch == cfg.epochs:
-                save_checkpoint(
-                    out, epoch, gen_chains, disc_chains, cycle, keys, trace, fingerprint
-                )
+                save_checkpoint(out, epoch, gen_chains, disc_chains, cycle, keys, fingerprint)
 
-    return TrainResult(members=members, trace=trace)
+    return TrainResult(members=members)
 
 
 def predict(
@@ -483,31 +489,29 @@ def predict(
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing.  A checkpoint directory holds three files:
+# Checkpointing.  A checkpoint directory holds four files:
 #   members.bin         every ensemble member's tensors in collection order,
 #                       one fixed-size little-endian float64 record each;
+#   trace.csv           the loss trace, a header and then each epoch's rows;
 #   chains-<epoch>.bin  every chain's params, adam m and adam v, generator
-#                       chains first, in the same format;
-#   state.json          counters, RNG states, the member list, the trace,
-#                       the fingerprint of the settings and data, the name of
-#                       the chains file and both networks' parameter shapes.
-# members.bin is the only copy of the ensemble: `train` cuts it to the
-# records the committed state.json lists when it starts or resumes (a tail
-# past them is of epochs not yet committed) and appends each member when it
-# is collected.  A save writes a fresh chains file and commits state.json
-# (config.committing).  That rename is the commit point: before it every
-# file the old state.json names is intact, and only after it is the old
-# chains file deleted.  A state.json that config.read_json refuses, or a
-# file shorter than it lists, is a DataError naming it; a checkpoint of
-# another network shape or member schedule, or of an older version (no
-# chain_state entry), a ConfigError.
+#                       chains first, in the same format as members.bin;
+#   state.json          counters, RNG states, the member list, trace.csv's
+#                       committed length, the fingerprint of the settings and
+#                       data, the chains file and both networks' shapes.
+# members.bin and trace.csv are streams: `train` cuts each to what the
+# committed state.json lists when it starts or resumes (a tail past it is of
+# epochs not yet committed), and appends each member when it is collected
+# and each epoch's trace rows.  A save writes a fresh chains file and
+# commits state.json (config.committing).  That rename is the commit point:
+# before it every file the old state.json names is intact, and only after it
+# is the old chains file deleted.  A state.json that config.read_json
+# refuses, or a file shorter than it lists, is a DataError naming it; a
+# checkpoint of another network shape or member schedule, or of an older
+# version (no chain_state entry, or, to resume, no trace_bytes), a ConfigError.
 # ---------------------------------------------------------------------------
 
 # Entries of every state.json, of this layout and of older ones.
-_STATE_KEYS = (
-    "epoch", "fingerprint", "data_rng", "cycle",
-    "gen_chains", "disc_chains", "members", "trace",
-)
+_STATE_KEYS = ("epoch", "fingerprint", "data_rng", "cycle", "gen_chains", "disc_chains", "members")
 
 
 def _write(f, tensors) -> None:
@@ -519,11 +523,9 @@ def _chain_entry(chain: _Chain) -> dict:
     return {"rng": chain.rng.bit_generator.state, "adam_t": chain.adam.t}
 
 
-def save_checkpoint(
-    checkpoint_dir, epoch, gen_chains, disc_chains, cycle, keys, trace, fingerprint
-) -> None:
-    """Commit a checkpoint of the state after `epoch`, whose members, of the
-    (chain, epoch) `keys`, are already in members.bin."""
+def save_checkpoint(checkpoint_dir, epoch, gen_chains, disc_chains, cycle, keys, fingerprint):
+    """Commit a checkpoint of the state after `epoch`: its members, of the
+    (chain, epoch) `keys`, are in members.bin, and its trace fills trace.csv."""
     out = Path(checkpoint_dir)
     chains = f"chains-{epoch}.bin"
     with open(out / chains, "wb") as f:
@@ -541,7 +543,7 @@ def save_checkpoint(
         "gen_chains": [_chain_entry(c) for c in gen_chains],
         "disc_chains": [_chain_entry(c) for c in disc_chains],
         "members": [{"chain": chain, "epoch": e} for chain, e in keys],
-        "trace": [list(row) for row in trace],
+        "trace_bytes": (out / "trace.csv").stat().st_size,
     }
     with committing(out / "state.json") as tmp:
         tmp.write_text(json.dumps(state))
@@ -554,9 +556,10 @@ def _drop_chains_but(in_dir: Path, keep: str) -> None:
             path.unlink()
 
 
-def _read_state(in_dir: Path) -> dict:
+def _read_state(in_dir: Path, *layout: str) -> dict:
+    """state.json; one without chain_state or a `layout` entry is an older version's."""
     state = read_json(in_dir / "state.json", _STATE_KEYS)
-    if "chain_state" not in state:
+    if not all(k in state for k in ("chain_state", *layout)):
         raise ConfigError(
             f"checkpoint {in_dir} was written by an older version of fraudsig; "
             f"train the cell again without --resume"
@@ -636,25 +639,23 @@ def load_members(checkpoint_dir, shapes: list) -> _MemberFile:
     return _members(in_dir, _read_state(in_dir), shapes)
 
 
-def load_checkpoint(
-    checkpoint_dir, gen_chains, disc_chains, cycle, keys, trace, fingerprint
-) -> int:
+def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, keys, fingerprint):
     """Restore training state in place, and the (chain, epoch) of each member
-    into `keys`; returns the checkpointed epoch.
+    into `keys`; returns the checkpointed epoch and trace.csv's committed length.
 
     A checkpoint whose stored fingerprint differs from `fingerprint` on any
     of its keys is a ConfigError naming them; keys this version does not
     fingerprint, such as the `optimizer` of older versions, are not
     compared; chain entries that are not one per chain of their side, a
-    chain state other than the committed epoch's chains file, a trace row
-    that is not five entries, or a labeled cycle that is not a permutation
-    of the labeled indices with its position inside it, are a DataError
-    naming state.json.
+    chain state other than the committed epoch's chains file, a trace_bytes
+    that is not a length past the trace header, or a labeled cycle that is
+    not a permutation of the labeled indices with its position inside it,
+    are a DataError naming state.json, and a shorter trace.csv one naming it.
     Entries this version does not read, such as the generator ensemble that
     older versions stored, are ignored.  A chains file that the state does
     not name, left by a crash after the commit, is deleted."""
     in_dir = Path(checkpoint_dir)
-    state = _read_state(in_dir)
+    state = _read_state(in_dir, "trace_bytes")
     with parsing(in_dir / "state.json"):
         saved_fp = state["fingerprint"]
         diff = [
@@ -675,8 +676,9 @@ def load_checkpoint(
         epoch = int(state["epoch"])
         if state["chain_state"] != f"chains-{epoch}.bin":
             raise ValueError(f"chain_state {state['chain_state']!r} is not chains-{epoch}.bin")
-        if not all(isinstance(row, list) and len(row) == 5 for row in state["trace"]):
-            raise ValueError("a trace row is not [epoch, kind, chain, term, value]")
+        trace_bytes = state["trace_bytes"]
+        if not (type(trace_bytes) is int and trace_bytes >= len(_TRACE_HEADER)):
+            raise ValueError(f"trace_bytes {trace_bytes!r} is not a length past the trace header")
         tensors = iter(_views(in_dir, state["chain_state"], [s for c in shapes for s in c * 3]))
         entries = state["gen_chains"] + state["disc_chains"]
         sides = [len(state["gen_chains"]), len(state["disc_chains"])]
@@ -694,6 +696,8 @@ def load_checkpoint(
             chain.adam.t = int(entry["adam_t"])
         cycle.rng.bit_generator.state = state["data_rng"]
         cycle.restore(state["cycle"])
-        trace[:] = [tuple(row) for row in state["trace"]]
+    size = (in_dir / "trace.csv").stat().st_size
+    if size < trace_bytes:
+        raise DataError(f"checkpoint {in_dir}: trace.csv holds {size} of {trace_bytes} bytes")
     _drop_chains_but(in_dir, state["chain_state"])
-    return epoch
+    return epoch, trace_bytes

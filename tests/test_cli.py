@@ -77,10 +77,16 @@ def test_train_writes_run_dir(pipeline):
     root, _ = pipeline
     run = root / "out/runs/nl40_rep0"
     names = sorted(p.name for p in (run / "checkpoint").iterdir())
-    assert names == ["chains-4.bin", "members.bin", "state.json"]
+    assert names == ["chains-4.bin", "members.bin", "state.json", "trace.csv"]
     trace = (run / "trace.csv").read_text().splitlines()
     assert trace[0] == "epoch,kind,chain,term,value"
     assert len(trace) == 1 + FAST_TRAIN["epochs"] * (2 + 4 * 2)
+    # The run's trace.csv is a copy of the checkpoint's stream, which
+    # state.json records by its length alone.
+    assert (run / "trace.csv").read_bytes() == (run / "checkpoint/trace.csv").read_bytes()
+    state = json.loads((run / "checkpoint/state.json").read_text())
+    assert "trace" not in state
+    assert state["trace_bytes"] == (run / "trace.csv").stat().st_size
 
 
 def test_evaluate_writes_reports(pipeline):
@@ -303,22 +309,33 @@ def _customers_not_a_list(splits):
     splits["customers"] = 5
 
 
+def _configured_sizes_not_a_list(splits):
+    splits["configured_sizes"] = 5
+
+
+def _labeled_size_not_an_int(splits):
+    splits["labeled_sizes"] = [40.5]
+
+
 @pytest.mark.parametrize(
     "content",
     ['{"customers": ["C1", "C', "[1, 2]", _no_train_idx, _no_n_samples, _train_idx_out_of_range,
      _string_in_test_idx, _labeled_out_of_range, _labeled_from_test_idx, _no_features,
-     _subsample_not_a_fraction, _customers_not_a_list],
+     _subsample_not_a_fraction, _customers_not_a_list, _configured_sizes_not_a_list,
+     _labeled_size_not_an_int],
     ids=["truncated", "not-an-object", "no-train-idx", "no-n-samples", "train-idx-out-of-range",
          "string-in-test-idx", "labeled-out-of-range", "labeled-from-test-idx", "no-features",
-         "subsample-not-a-fraction", "customers-not-a-list"],
+         "subsample-not-a-fraction", "customers-not-a-list", "configured-sizes-not-a-list",
+         "labeled-size-not-an-int"],
 )
 def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
     """A splits file that does not parse, is not an object, lacks an entry,
     top-level (the feature key among them) or nested, or holds an index set that is not a strictly
     increasing list of sample indices, a test set that shares a sample with
-    the train set, a labeled set not inside it, a subsample outside (0, 1] or
-    customers that are not a list of ids exits 3 and names the file, in
-    train and in evaluate."""
+    the train set, a labeled set not inside it, a subsample outside (0, 1],
+    customers that are not a list of ids, labeled sizes that are not distinct
+    ints >= 1 or configured sizes that are not one int >= 1 per labeled size
+    exits 3 and names the file, in train and in evaluate."""
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path)
     splits = tmp_path / "out" / "prepared" / "splits.json"
@@ -550,7 +567,8 @@ def test_train_is_byte_identical_on_one_or_two_threads(pipeline, tmp_path, monke
         }
     assert pools == [1, 2]
     assert sorted(map(str, runs[1])) == [
-        "checkpoint/chains-4.bin", "checkpoint/members.bin", "checkpoint/state.json", "trace.csv",
+        "checkpoint/chains-4.bin", "checkpoint/members.bin", "checkpoint/state.json",
+        "checkpoint/trace.csv", "trace.csv",
     ]
     assert runs[1] == runs[2]
 
@@ -558,10 +576,11 @@ def test_train_is_byte_identical_on_one_or_two_threads(pipeline, tmp_path, monke
 @pytest.mark.parametrize("crash_at", ["replace", "unlink"], ids=["before-commit", "after-commit"])
 def test_resume_after_crash_during_checkpoint(pipeline, tmp_path, monkeypatch, crash_at):
     """A crash in the epoch-4 checkpoint loses nothing.  At the replace of
-    state.json the epoch-2 checkpoint stays committed, beside a members.bin
-    tail and a chains file that no state refers to; after that replace the
-    epoch-2 chains file is left over.  Either way --resume ends with the
-    files of an uninterrupted run, byte for byte."""
+    state.json the epoch-2 checkpoint stays committed, beside members.bin
+    and trace.csv tails and a chains file that no state refers to; after
+    that replace the epoch-2 chains file is left over.  Either way --resume
+    ends with the files of an uninterrupted run, byte for byte, with no
+    epoch of the trace missing or twice."""
     root, _ = pipeline
     base = yaml.safe_load((root / "config.yaml").read_text())
     base["output_dir"] = str(tmp_path / "out2")
@@ -592,12 +611,16 @@ def test_resume_after_crash_during_checkpoint(pipeline, tmp_path, monkeypatch, c
     assert {"chains-2.bin", "chains-4.bin"} <= {p.name for p in (got / "checkpoint").iterdir()}
     members = (got / "checkpoint/members.bin").stat().st_size
     assert members == (ref / "checkpoint/members.bin").stat().st_size
+    trace = (got / "checkpoint/trace.csv").stat().st_size
+    assert trace == (ref / "checkpoint/trace.csv").stat().st_size
+    assert (state["trace_bytes"] < trace) == (crash_at == "replace")
 
     assert main(train_args + ["--resume"]) == EXIT_OK
     assert json.loads((got / "train.json").read_text())["resumed"] is True
     assert (got / "trace.csv").read_bytes() == (ref / "trace.csv").read_bytes()
     assert sorted(p.name for p in got.iterdir()) == ["checkpoint", "trace.csv", "train.json"]
     names = sorted(p.name for p in (ref / "checkpoint").iterdir())
+    assert "trace.csv" in names
     assert sorted(p.name for p in (got / "checkpoint").iterdir()) == names
     for name in names:
         assert (ref / "checkpoint" / name).read_bytes() == (got / "checkpoint" / name).read_bytes()
@@ -666,6 +689,10 @@ def _chain_state_elsewhere(state, ckpt):
     state["chain_state"] = f"../{state['chain_state']}"
 
 
+def _trace_bytes_as_text(state, ckpt):
+    state["trace_bytes"] = str(state["trace_bytes"])
+
+
 def _foreign_perm(state, ckpt):
     perm = state["cycle"]["perm"]
     perm[0] = max(perm) + 1
@@ -677,19 +704,22 @@ _STATE_EDITS = {
     "chains-entry-moved":
         lambda state, ckpt: state["disc_chains"].append(state["gen_chains"].pop()),
     "chain-state-elsewhere": _chain_state_elsewhere,
-    "trace-row-short": lambda state, ckpt: state["trace"].append([1]),
+    "trace-bytes-not-an-int": _trace_bytes_as_text,
     "cycle-pos-past-end":
         lambda state, ckpt: state["cycle"].update(pos=len(state["cycle"]["perm"]) + 5),
     "cycle-perm-foreign": _foreign_perm,
 }
 
 
-@pytest.mark.parametrize("name", ["state.json", "members.bin", "chains-*.bin", *_STATE_EDITS])
+@pytest.mark.parametrize(
+    "name", ["state.json", "members.bin", "chains-*.bin", "trace.csv", *_STATE_EDITS]
+)
 def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
-    """A cut-short checkpoint file, or a state.json without its `cycle`
+    """A cut-short checkpoint file (trace.csv shorter than the length
+    state.json commits among them), or a state.json without its `cycle`
     entry, with a generator chain entry fewer than its fingerprint's chain
     count or moved to the critic side, with a chain state other than its
-    epoch's chains file, a trace row of fewer than five entries, or a
+    epoch's chains file, a committed trace length that is not an int, or a
     labeled cycle whose position is past its permutation or whose
     permutation holds a sample outside the labeled set, exits 3 in train
     --resume and names the checkpoint (state.json, for an edit of it),
@@ -708,7 +738,10 @@ def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
         path.write_bytes(path.read_bytes()[:50])
     train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
     assert main(train_args) == EXIT_DATA
-    assert str(named) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(named) in err
+    if name == "trace.csv":
+        assert f"{ckpt}: trace.csv holds 50 of" in err
     # evaluate reads the ensemble only: the member list and members.bin.
     expected = EXIT_DATA if name in ("state.json", "members.bin", "no-cycle") else EXIT_OK
     assert main(["evaluate", "--config", str(cfg)]) == expected
@@ -1015,3 +1048,23 @@ def test_empty_head_widths_is_valid(tmp_path):
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path, train={"head_widths": []})
     assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+
+
+def test_checkpoint_with_the_trace_in_state_json_scores_but_does_not_resume(
+    pipeline, tmp_path, capsys
+):
+    """A checkpoint of the layout that kept the trace rows in state.json
+    (a `trace` entry and no `trace_bytes`) is still scored by evaluate, but
+    train --resume exits 2, names it and says to train the cell again."""
+    cfg = _copy_run(pipeline, tmp_path)
+    ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
+    state = json.loads((ckpt / "state.json").read_text())
+    del state["trace_bytes"]
+    state["trace"] = [[1, "gen", 0, "loss", 0.5]]
+    (ckpt / "state.json").write_text(json.dumps(state))
+    (ckpt / "trace.csv").unlink()
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    assert main(train_args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "without --resume" in err
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_OK

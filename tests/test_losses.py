@@ -6,7 +6,6 @@ from fraudsig.losses import (
     discriminator_loss,
     generator_loss_from_scores,
     grad_norm_penalty,
-    labeled_loss,
     labeled_loss_grad,
     unlabeled_loss,
 )
@@ -27,7 +26,7 @@ def _setup(rng, feat_dim=3, n_classes=2):
 def test_uniform_scores_give_log2():
     scores = np.zeros((6, 3))
     labels = np.array([1, 2, 1, 1, 2, 2])
-    assert labeled_loss(scores, labels) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert labeled_loss_grad(scores, labels)[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_labeled_loss_equals_binary_cross_entropy():
@@ -38,25 +37,25 @@ def test_labeled_loss_equals_binary_cross_entropy():
     labels = rng.integers(1, 3, size=50)
     probs = restricted_softmax(scores)[:, 1]  # fraud = class 2
     want = cross_entropy((labels == 2).astype(int), probs, clip=0.0)
-    assert labeled_loss(scores, labels) == pytest.approx(want, abs=1e-12)
+    assert labeled_loss_grad(scores, labels)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_labeled_loss_grad_matches_fd(rng):
     scores = rng.normal(size=(7, 3))
     labels = rng.integers(1, 3, size=7)
     _, grad = labeled_loss_grad(scores, labels)
-    fd = fd_grad(lambda s: labeled_loss(s, labels), scores.copy())
+    fd = fd_grad(lambda s: labeled_loss_grad(s, labels)[0], scores.copy())
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
     assert np.all(grad[:, 0] == 0.0)
 
 
 def test_labeled_loss_rejects_empty_and_bad_labels():
     with pytest.raises(ValueError):
-        labeled_loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        labeled_loss_grad(np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
-        labeled_loss(np.zeros((2, 3)), np.array([0, 1]))  # 0 is the fake class
+        labeled_loss_grad(np.zeros((2, 3)), np.array([0, 1]))  # 0 is the fake class
     with pytest.raises(ValueError):
-        labeled_loss(np.zeros((2, 3)), np.array([1, 3]))
+        labeled_loss_grad(np.zeros((2, 3)), np.array([1, 3]))
 
 
 def test_unlabeled_loss_direction():
