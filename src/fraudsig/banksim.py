@@ -119,7 +119,7 @@ def load_transactions(path: str | Path) -> TransactionLog:
     Accepts single- or double-quoted fields and surrounding whitespace, and
     skips blank lines; raises TransactionParseError with the offending
     physical line number and column at the first malformed row.  A `step`
-    must fit int64 and an `amount` must be finite.
+    must fit int64, an `amount` must be finite and a `customer` not empty.
     """
     path = Path(path)
     steps, amounts, frauds = [], [], []
@@ -176,6 +176,8 @@ def load_transactions(path: str | Path) -> TransactionLog:
                 raise TransactionParseError(lineno, f"'fraud' must be 0/1, got {flag}")
             frauds.append(flag)
             customers.append(customer.strip().strip(_QUOTES))
+            if not customers[-1]:
+                raise TransactionParseError(lineno, "empty 'customer' value")
             ages.append(age.strip().strip(_QUOTES))
             genders.append(gender.strip().strip(_QUOTES))
             categories.append(category.strip().strip(_QUOTES))

@@ -33,6 +33,8 @@ from .config import (
     ConfigError,
     DataError,
     ExperimentConfig,
+    Kind,
+    admit,
     cache_dir,
     committing,
     derive_rng,
@@ -59,11 +61,14 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 SPLITS_REL = "prepared/splits.json"
-# Top-level entries the stages read from each JSON artifact.
-_SPLITS_KEYS = (
-    "stats", "subsample", "customers", "features", "configured_sizes",
-    "labeled_sizes", "repetitions", "train_idx", "test_idx", "labeled",
-)
+# The Kind of each splits.json entry that `Prepared` admits on its own.
+_SPLITS = {
+    "subsample": Kind(float, "(0, 1]"),
+    "customers": Kind(str, many=True),
+    "labeled_sizes": Kind(int, "[1, inf)", many=True),
+    "configured_sizes": Kind(int, "[1, inf)", many=True),
+    "repetitions": Kind(int, "[1, inf)"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +110,6 @@ def _cache_path(cfg: ExperimentConfig, subsample: float) -> Path:
     return cache_dir(cfg) / f"deg{cfg.sig_degree}_v{SCHEME_VERSION}_{tag}"
 
 
-def _is_size_list(value) -> bool:
-    """Whether `value` is a list of ints >= 1."""
-    return isinstance(value, list) and all(type(v) is int and v >= 1 for v in value)
-
-
-def _is_index_list(value, n: int) -> bool:
-    """Whether `value` is a strictly increasing list of ints in [0, n)."""
-    return (
-        isinstance(value, list)
-        and all(isinstance(v, int) for v in value)
-        and all(a < b for a, b in zip([-1, *value], [*value, n]))
-    )
-
-
 @dataclass
 class Cell:
     """One (labeled size, repetition) cell of the prepared grid: its labeled
@@ -153,48 +144,40 @@ class Prepared:
     if it no longer gives it) and its store opened on first use, once."""
 
     def __init__(self, cfg: ExperimentConfig):
-        """Checks the entries the stages read: `stats.n_samples` (the feature
-        key's `n_rows`), `subsample` (a number in (0, 1]), `customers` (a
-        list of customer ids), `labeled_sizes` (distinct ints >= 1),
-        `configured_sizes` (an int >= 1 per labeled size), and the train,
-        test and every labeled index set, each a strictly increasing list of
-        sample indices, train and test disjoint and every labeled set inside
-        train; a bad one is a DataError.  The recorded scaling maxima are not
-        read: `split` derives them from the train split."""
+        """Admits each entry the stages read by its Kind, then the rules that
+        span entries; a bad one is a DataError naming the file.  The recorded
+        scaling maxima are not read: `split` derives them from the train split."""
         self.cfg = cfg
         self.path = path = Path(cfg.output_dir) / SPLITS_REL
         if not path.exists():
             raise DataError(f"{path} not found; run `fraudsig prepare` first")
-        self.splits = splits = read_json(path, _SPLITS_KEYS)
+        self.splits = splits = read_json(path)
         with parsing(path):
-            n = splits["stats"].get("n_samples")
-            n_rows = splits["features"].get("n_rows")
+            for name, kind in _SPLITS.items():
+                admit(name, splits[name], kind)
+            n = admit("stats.n_samples", splits["stats"]["n_samples"], Kind(int, "[1, inf)"))
+            if n != splits["features"]["n_rows"]:
+                raise ValueError(f"stats.n_samples {n} is not features.n_rows")
+            sizes, configured = splits["labeled_sizes"], splits["configured_sizes"]
+            if len(set(sizes)) < len(sizes):
+                raise ValueError(f"labeled_sizes {sizes} repeat a size")
+            if len(configured) != len(sizes):
+                raise ValueError("configured_sizes do not hold one size per labeled size")
             sets = {name: splits[name] for name in ("train_idx", "test_idx")}
             sets.update(
-                (f"labeled[{si}:{rep}]", splits["labeled"].get(f"{si}:{rep}"))
-                for si in range(len(splits["labeled_sizes"]))
-                for rep in range(splits["repetitions"])
+                (f"labeled[{si}:{rep}]", splits["labeled"][f"{si}:{rep}"])
+                for si in range(len(sizes)) for rep in range(splits["repetitions"])
             )
-        if not isinstance(n, int) or n != n_rows:
-            raise DataError(f"{path} has a missing or malformed entry: stats.n_samples")
-        bad = [name for name, value in sets.items() if not _is_index_list(value, n)]
-        if not bad:
+            for name, value in sets.items():
+                admit(name, value, Kind(int, f"[0, {n})", many=True))
+                if any(a >= b for a, b in zip(value, value[1:])):
+                    raise ValueError(f"{name} is not strictly increasing")
             train = set(sets.pop("train_idx"))
             if not train.isdisjoint(sets.pop("test_idx")):
-                bad.append("test_idx (shares samples with train_idx)")
-            bad += [f"{k} (outside train_idx)" for k, v in sets.items() if not train.issuperset(v)]
-        subsample, customers = splits["subsample"], splits["customers"]
-        if not (type(subsample) in (int, float) and 0 < subsample <= 1):
-            bad.append("subsample (not a number in (0, 1])")
-        if not (isinstance(customers, list) and all(isinstance(c, str) for c in customers)):
-            bad.append("customers (not a list of customer ids)")
-        sizes, configured = splits["labeled_sizes"], splits["configured_sizes"]
-        if not (_is_size_list(sizes) and len(set(sizes)) == len(sizes)):
-            bad.append("labeled_sizes (not distinct ints >= 1)")
-        if not (_is_size_list(configured) and len(configured) == len(sizes)):
-            bad.append("configured_sizes (not an int >= 1 per labeled size)")
-        if bad:
-            raise DataError(f"{path} has missing or malformed entries: {', '.join(bad)}")
+                raise ValueError("test_idx shares samples with train_idx")
+            outside = [name for name, value in sets.items() if not train.issuperset(value)]
+            if outside:
+                raise ValueError(f"{', '.join(outside)} outside train_idx")
 
     def cell(self, nl: int, rep: int) -> Cell:
         """The cell of `train --nl nl --rep rep`: the one whose effective
@@ -470,7 +453,7 @@ def _cmd_report(args) -> int:
     report_dir = Path(cfg.output_dir) / "reports"
     if not (report_dir / reports.GLOBAL_CSV).exists():
         raise DataError("no evaluation tables found; run `fraudsig evaluate` first")
-    rows = reports.aggregate_reports(report_dir, cfg.split.repetitions)
+    rows = reports.aggregate_reports(report_dir, Prepared(cfg).splits["repetitions"])
     _record(report_dir / "report.json", cfg, t0)
     for row in rows:
         if row["metric"] in ("macro_f1", "pr_auc", "cross_entropy"):

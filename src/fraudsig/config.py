@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -28,6 +27,8 @@ __all__ = [
     "ExperimentConfig",
     "ConfigError",
     "DataError",
+    "Kind",
+    "admit",
     "derive_rng",
     "derive_seed_sequence",
     "cache_dir",
@@ -104,42 +105,59 @@ def derive_rng(global_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed_sequence(global_seed, *key)))
 
 
-def _setting(default, kind: type, interval: str, *, null: bool = False):
-    """A numeric setting: values of `kind` (int or float; bools are neither)
-    inside `interval`, written "[lo, hi)" and so on, with an open inf end for
-    no bound.  A tuple default makes it a list of such values; `null` also
-    admits None."""
-    return field(default=default, metadata={"admits": (kind, interval, null)})
+@dataclass(frozen=True)
+class Kind:
+    """What an entry read from outside may hold: an int or a float (no bool)
+    inside `interval`, "[lo, hi)" and so on, whose inf ends are open (so NaN
+    and inf are refused), or a non-empty str; `many` a list; `null` also None."""
+
+    type: type
+    interval: str = ""
+    many: bool = False
+    null: bool = False
+
+
+def admit(name: str, value, kind: Kind):
+    """`value`, if it is of `kind`; else a ValueError naming the entry `name`."""
+    if kind.null and value is None:
+        return value
+    if kind.many and not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    if kind.type is str:
+        noun, ok = "a non-empty string", lambda v: isinstance(v, str) and v != ""
+    else:
+        lo, hi = map(float, kind.interval[1:-1].split(","))
+        lo_open, hi_open = kind.interval[0] == "(", kind.interval[-1] == ")"
+        types = (int, np.integer) if kind.type is int else (int, float, np.integer, np.floating)
+        noun = f"{'an integer' if kind.type is int else 'a number'} in {kind.interval}"
+
+        def ok(v):
+            return (
+                isinstance(v, types) and not isinstance(v, bool)
+                and (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)
+            )
+    bad = [v for v in (value if kind.many else [value]) if not ok(v)]
+    if bad:
+        verb = "hold" if kind.many else "be"
+        raise ValueError(f"{name} must {verb} {noun}{' or null' * kind.null}, got {bad[0]!r}")
+    return value
+
+
+def _setting(default, kind: type, interval: str = "", *, null: bool = False):
+    """A setting of `kind` inside `interval` (see Kind); a tuple default makes
+    it a list of such values, and no default a required setting."""
+    admits = Kind(kind, interval, isinstance(default, tuple), null)
+    return field(default=default, metadata={"admits": admits})
 
 
 def _check_settings(section) -> None:
-    """Every numeric setting of `section` holds values of its kind inside its
-    interval.  No interval admits NaN or inf, so both are refused."""
+    """Every declared setting of `section` holds a value its Kind admits."""
     for f in dataclasses.fields(section):
-        if "admits" not in f.metadata:
-            continue
-        kind, interval, null = f.metadata["admits"]
-        value = getattr(section, f.name)
-        items, verb = (value,), "be"
-        if isinstance(f.default, tuple):
-            if not isinstance(value, (tuple, list)):
-                raise ConfigError(f"{f.name} must be a list, got {value!r}")
-            items, verb = value, "hold"
-        elif null and value is None:
-            continue
-        lo, hi = (float(end) for end in interval[1:-1].split(","))
-        abc = numbers.Integral if kind is int else numbers.Real
-        for v in items:
-            if not (
-                isinstance(v, abc) and not isinstance(v, bool)
-                and (lo < v if interval[0] == "(" else lo <= v)
-                and (v < hi if interval[-1] == ")" else v <= hi)
-            ):
-                noun = "an integer" if kind is int else "a number"
-                raise ConfigError(
-                    f"{f.name} must {verb} {noun} in {interval}{' or null' if null else ''}, "
-                    f"got {v!r}"
-                )
+        if "admits" in f.metadata:
+            try:
+                admit(f.name, getattr(section, f.name), f.metadata["admits"])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -220,30 +238,29 @@ class HeadConfig:
 class ExperimentConfig:
     """Top-level configuration for the four pipeline stages."""
 
-    dataset_path: str
-    output_dir: str
+    dataset_path: str = _setting(dataclasses.MISSING, str)
+    output_dir: str = _setting(dataclasses.MISSING, str)
     seed: int = _setting(0, int, "[0, inf)")
     sig_degree: int = _setting(4, int, "[1, inf)")
     min_prefix: int = _setting(5, int, "[2, inf)")
     split: SplitPlan = field(default_factory=SplitPlan)
     train: TrainConfig = field(default_factory=TrainConfig)
     heads: HeadConfig = field(default_factory=HeadConfig)
-    cache: str | None = None
+    cache: str | None = _setting(None, str, null=True)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             raw = dict(raw)
             for key, sub in (("split", SplitPlan), ("train", TrainConfig), ("heads", HeadConfig)):
-                if key in raw and isinstance(raw[key], dict):
-                    section = dict(raw[key])
-                    for f in dataclasses.fields(sub):
-                        if f.name in section and isinstance(section[f.name], list):
-                            section[f.name] = tuple(section[f.name])
-                    unknown = set(section) - {f.name for f in dataclasses.fields(sub)}
-                    if unknown:
-                        raise ConfigError(f"unknown keys in '{key}': {sorted(unknown)}")
-                    raw[key] = sub(**section)
+                section = raw.get(key, {})
+                if not isinstance(section, dict):
+                    raise ConfigError(f"'{key}' must be a mapping, got {section!r}")
+                section = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
+                unknown = set(section) - {f.name for f in dataclasses.fields(sub)}
+                if unknown:
+                    raise ConfigError(f"unknown keys in '{key}': {sorted(unknown)}")
+                raw[key] = sub(**section)
             unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -264,8 +281,6 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def validate(self) -> None:
-        if not self.dataset_path:
-            raise ConfigError("dataset_path is required")
         for section in (self, self.split, self.heads):
             _check_settings(section)
         sizes = self.split.labeled_sizes
@@ -282,6 +297,4 @@ class ExperimentConfig:
 def cache_dir(cfg: ExperimentConfig) -> Path:
     """Feature-cache directory: the config's `cache`, else a `cache/`
     directory under the output directory."""
-    if cfg.cache:
-        return Path(cfg.cache)
-    return Path(cfg.output_dir) / "cache"
+    return Path(cfg.cache) if cfg.cache is not None else Path(cfg.output_dir) / "cache"

@@ -72,12 +72,14 @@ def labeled_loss_grad(scores: np.ndarray, labels: np.ndarray):
     if n == 0:
         raise ValueError("labeled loss undefined for an empty batch")
     rows = np.arange(n)
-    picked = probs[rows, labels - 1]
+    # The log-softmax of the true class, finite where its probability underflows.
+    shifted = scores[:, 1:] - scores[:, 1:].max(axis=1, keepdims=True)
+    log_picked = shifted[rows, labels - 1] - np.log(np.exp(shifted).sum(axis=1))
     dscores = np.zeros((n, k + 1))
     dscores[:, 1:] = probs
     dscores[rows, labels] -= 1.0
     dscores /= n
-    return float(-np.mean(np.log(picked))), dscores
+    return float(-np.mean(log_picked)), dscores
 
 
 def unlabeled_loss(real_scores: np.ndarray, fake_scores: np.ndarray) -> float:

@@ -28,7 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, DataError, TrainConfig, committing, derive_rng, parsing, read_json
+from .config import (
+    ConfigError, DataError, Kind, TrainConfig, admit, committing, derive_rng, parsing, read_json,
+)
 from .losses import discriminator_loss, generator_loss_from_scores
 from .nnet import DiscriminatorNet, GeneratorNet, restricted_softmax
 from .sghmc import AdamState, GlorotPrior, adam_sghmc_step
@@ -158,12 +160,11 @@ class _LabeledCycle:
     def restore(self, state: dict) -> None:
         """A `perm` that is not a permutation of the indices, or a `pos`
         outside it, is a ValueError."""
-        perm, pos = np.asarray(state["perm"], dtype=self.idx.dtype), state["pos"]
+        perm = np.asarray(state["perm"], dtype=self.idx.dtype)
         if not np.array_equal(np.sort(perm), np.sort(self.idx)):
             raise ValueError("cycle.perm is not a permutation of the labeled indices")
-        if not (type(pos) is int and 0 <= pos <= perm.size):
-            raise ValueError(f"cycle.pos {pos!r} is not a position in [0, {perm.size}]")
-        self.perm, self.pos = perm, pos
+        self.pos = admit("cycle.pos", state["pos"], Kind(int, f"[0, {perm.size}]"))
+        self.perm = perm
 
 
 class _Chain:
@@ -512,6 +513,17 @@ def predict(
 
 # Entries of every state.json, of this layout and of older ones.
 _STATE_KEYS = ("epoch", "fingerprint", "data_rng", "cycle", "gen_chains", "disc_chains", "members")
+# The Kind of each counter in state.json and its chain and member entries.
+_COUNTERS = {
+    "epoch": Kind(int, "[1, inf)"),
+    "trace_bytes": Kind(int, f"[{len(_TRACE_HEADER)}, inf)"),
+    "chain": Kind(int, "[0, inf)"),
+    "adam_t": Kind(int, "[0, inf)"),
+}
+
+
+def _counter(entry: dict, name: str) -> int:
+    return admit(name, entry[name], _COUNTERS[name])
 
 
 def _write(f, tensors) -> None:
@@ -617,7 +629,7 @@ def _members(in_dir: Path, state: dict, shapes: list) -> _MemberFile:
     it is a DataError."""
     _check_shapes(in_dir, state, "disc_shapes", shapes)
     with parsing(in_dir / "state.json"):
-        keys = [(int(m["chain"]), int(m["epoch"])) for m in state["members"]]
+        keys = [(_counter(m, "chain"), _counter(m, "epoch")) for m in state["members"]]
     members = _MemberFile(in_dir, list(shapes), keys)
     size = (in_dir / "members.bin").stat().st_size
     if size < len(keys) * members.record:
@@ -643,17 +655,12 @@ def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, keys, finger
     """Restore training state in place, and the (chain, epoch) of each member
     into `keys`; returns the checkpointed epoch and trace.csv's committed length.
 
-    A checkpoint whose stored fingerprint differs from `fingerprint` on any
-    of its keys is a ConfigError naming them; keys this version does not
-    fingerprint, such as the `optimizer` of older versions, are not
-    compared; chain entries that are not one per chain of their side, a
-    chain state other than the committed epoch's chains file, a trace_bytes
-    that is not a length past the trace header, or a labeled cycle that is
-    not a permutation of the labeled indices with its position inside it,
-    are a DataError naming state.json, and a shorter trace.csv one naming it.
-    Entries this version does not read, such as the generator ensemble that
-    older versions stored, are ignored.  A chains file that the state does
-    not name, left by a crash after the commit, is deleted."""
+    A stored fingerprint that differs from `fingerprint` on one of its keys
+    is a ConfigError naming them (keys only the checkpoint holds, such as
+    older versions' `optimizer`, are not compared).  An entry refused by
+    `_COUNTERS` or the checks below is a DataError naming state.json, and a
+    shorter trace.csv one naming it.  A chains file that the state does not
+    name, left by a crash after the commit, is deleted."""
     in_dir = Path(checkpoint_dir)
     state = _read_state(in_dir, "trace_bytes")
     with parsing(in_dir / "state.json"):
@@ -673,27 +680,20 @@ def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, keys, finger
     _check_shapes(in_dir, state, "gen_shapes", shapes[0])
     keys[:] = _members(in_dir, state, shapes[-1]).keys
     with parsing(in_dir / "state.json"):
-        epoch = int(state["epoch"])
+        epoch, trace_bytes = _counter(state, "epoch"), _counter(state, "trace_bytes")
         if state["chain_state"] != f"chains-{epoch}.bin":
             raise ValueError(f"chain_state {state['chain_state']!r} is not chains-{epoch}.bin")
-        trace_bytes = state["trace_bytes"]
-        if not (type(trace_bytes) is int and trace_bytes >= len(_TRACE_HEADER)):
-            raise ValueError(f"trace_bytes {trace_bytes!r} is not a length past the trace header")
         tensors = iter(_views(in_dir, state["chain_state"], [s for c in shapes for s in c * 3]))
         entries = state["gen_chains"] + state["disc_chains"]
-        sides = [len(state["gen_chains"]), len(state["disc_chains"])]
-        if sides != [len(gen_chains), len(disc_chains)]:
-            raise DataError(
-                f"{in_dir / 'state.json'} holds {sides[0]} generator and {sides[1]} "
-                f"critic chain entries; its fingerprint has {len(gen_chains)} and "
-                f"{len(disc_chains)}"
-            )
+        want = [len(gen_chains), len(disc_chains)]
+        if [len(state["gen_chains"]), len(state["disc_chains"])] != want:
+            raise ValueError(f"gen_chains and disc_chains do not hold {want} chain entries")
         for chain, entry, s in zip(chains, entries, shapes):
             chain.params, chain.adam.m, chain.adam.v = (
                 [next(tensors) for _ in s] for _ in range(3)
             )
             chain.rng.bit_generator.state = entry["rng"]
-            chain.adam.t = int(entry["adam_t"])
+            chain.adam.t = _counter(entry, "adam_t")
         cycle.rng.bit_generator.state = state["data_rng"]
         cycle.restore(state["cycle"])
     size = (in_dir / "trace.csv").stat().st_size

@@ -304,7 +304,8 @@ def _clean(value: str) -> str:
 
 def load_transactions_reference(path) -> list[Transaction]:
     """One typed record per CSV row, every field cleaned, with the package's
-    checks in the same order (header, field count, step, amount, fraud)."""
+    checks in the same order (header, field count, step, amount, fraud,
+    customer)."""
     out: list[Transaction] = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -331,6 +332,8 @@ def load_transactions_reference(path) -> list[Transaction]:
                 raise TransactionParseError(lineno, "fraud") from None
             if fraud not in (0, 1):
                 raise TransactionParseError(lineno, "fraud")
+            if not fields[1]:
+                raise TransactionParseError(lineno, "customer")
             out.append(
                 Transaction(
                     step=step, customer=fields[1], age=fields[2], gender=fields[3],

@@ -79,6 +79,15 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     assert ei.value.line == 1
 
 
+def test_empty_customer_names_its_line(tmp_path):
+    """A row without a customer id is refused at ingest: the prepared
+    splits.json admits only non-empty customer ids."""
+    path = _write(tmp_path, [_row(0, "C1"), _row(1, "")])
+    with pytest.raises(TransactionParseError) as ei:
+        load_transactions(path)
+    assert ei.value.line == 3 and "empty 'customer' value" in str(ei.value)
+
+
 def test_first_bad_line_wins(tmp_path):
     rows = [_row(0, "C1"), _row(1, "C1", amount="x"), _row(2, "C1"), "y" + _row(3, "C1")]
     with pytest.raises(TransactionParseError) as ei:
@@ -158,7 +167,7 @@ _STYLES = ("{}", "'{}'", '"{}"', " '{}' ", " {} ", "\t{}")
 def _csv_logs(draw):
     """A CSV text of interleaved customers with repeated steps, every field
     written in a random style, blank lines and LF or CRLF endings."""
-    pool = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    pool = draw(st.lists(_TEXT.filter(str.strip), min_size=1, max_size=4))  # no blank id
     end = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [HEADER]
     for _ in range(draw(st.integers(0, 25))):

@@ -317,16 +317,24 @@ def _labeled_size_not_an_int(splits):
     splits["labeled_sizes"] = [40.5]
 
 
+def _repetitions_zero(splits):
+    splits["repetitions"] = 0
+
+
+def _repetitions_not_an_int(splits):
+    splits["repetitions"] = True
+
+
 @pytest.mark.parametrize(
     "content",
     ['{"customers": ["C1", "C', "[1, 2]", _no_train_idx, _no_n_samples, _train_idx_out_of_range,
      _string_in_test_idx, _labeled_out_of_range, _labeled_from_test_idx, _no_features,
      _subsample_not_a_fraction, _customers_not_a_list, _configured_sizes_not_a_list,
-     _labeled_size_not_an_int],
+     _labeled_size_not_an_int, _repetitions_zero, _repetitions_not_an_int],
     ids=["truncated", "not-an-object", "no-train-idx", "no-n-samples", "train-idx-out-of-range",
          "string-in-test-idx", "labeled-out-of-range", "labeled-from-test-idx", "no-features",
          "subsample-not-a-fraction", "customers-not-a-list", "configured-sizes-not-a-list",
-         "labeled-size-not-an-int"],
+         "labeled-size-not-an-int", "repetitions-zero", "repetitions-not-an-int"],
 )
 def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
     """A splits file that does not parse, is not an object, lacks an entry,
@@ -334,8 +342,9 @@ def test_unreadable_splits_is_data_error(tmp_path, capsys, content):
     increasing list of sample indices, a test set that shares a sample with
     the train set, a labeled set not inside it, a subsample outside (0, 1],
     customers that are not a list of ids, labeled sizes that are not distinct
-    ints >= 1 or configured sizes that are not one int >= 1 per labeled size
-    exits 3 and names the file, in train and in evaluate."""
+    ints >= 1, configured sizes that are not one int >= 1 per labeled size
+    or a repetition count that is not an int >= 1 exits 3 and names the
+    file, in train and in evaluate."""
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path)
     splits = tmp_path / "out" / "prepared" / "splits.json"
@@ -492,15 +501,27 @@ def test_evaluate_scores_only_finished_cells(pipeline, tmp_path, capsys, caplog)
     assert "no finished cells" in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverged_training_exit_code(tmp_path):
+def test_diverged_training_exit_code(tmp_path, nan_weights):
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=3)
-    cfg = _write_config(
-        tmp_path,
-        train=dict(lr_d=1e14, lr_g=1e14, epochs=30, friction=0.0),
-    )
+    cfg = _write_config(tmp_path, train=dict(epochs=30, friction=0.0))
     assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+    nan_weights(0)
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DIVERGED
+
+
+def test_report_judges_completeness_by_the_prepared_grid(pipeline, tmp_path, capsys):
+    """With `repetitions` raised in the config after `prepare` (2 -> 5),
+    evaluate scores the prepared grid's two cells, and report finds each
+    size complete: both read the repetition count splits.json records."""
+    cfg = _copy_run(pipeline, tmp_path)
+    raw = yaml.safe_load(cfg.read_text())
+    raw["split"]["repetitions"] = 5
+    cfg.write_text(yaml.safe_dump(raw))
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_OK
+    assert main(["report", "--config", str(cfg)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "evaluated 2 cells (0 missing)" in out
+    assert "N_l=" in out and "[incomplete]" not in out
 
 
 def test_incomplete_report_is_flagged(tmp_path, capsys):
@@ -708,6 +729,10 @@ _STATE_EDITS = {
     "cycle-pos-past-end":
         lambda state, ckpt: state["cycle"].update(pos=len(state["cycle"]["perm"]) + 5),
     "cycle-perm-foreign": _foreign_perm,
+    "adam-t-negative": lambda state, ckpt: state["disc_chains"][0].update(adam_t=-7),
+    "adam-t-not-an-int": lambda state, ckpt: state["gen_chains"][0].update(adam_t=True),
+    "epoch-not-an-int": lambda state, ckpt: state.update(epoch=float(state["epoch"])),
+    "member-chain-not-an-int": lambda state, ckpt: state["members"][0].update(chain="0"),
 }
 
 
@@ -721,10 +746,12 @@ def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
     count or moved to the critic side, with a chain state other than its
     epoch's chains file, a committed trace length that is not an int, or a
     labeled cycle whose position is past its permutation or whose
-    permutation holds a sample outside the labeled set, exits 3 in train
-    --resume and names the checkpoint (state.json, for an edit of it),
-    instead of raising a traceback, blaming the config or resuming.
-    evaluate exits 3 too where it reads the broken entry."""
+    permutation holds a sample outside the labeled set, or a counter (the
+    epoch, a chain's adam_t, a member's chain) that is not an int in its
+    range, exits 3 in train --resume and names the checkpoint (state.json,
+    for an edit of it), instead of raising a traceback, blaming the config,
+    reporting a divergence or resuming.  evaluate exits 3 too where it reads
+    the broken entry."""
     cfg = _copy_run(pipeline, tmp_path)
     ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
     named = ckpt
@@ -743,7 +770,8 @@ def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
     if name == "trace.csv":
         assert f"{ckpt}: trace.csv holds 50 of" in err
     # evaluate reads the ensemble only: the member list and members.bin.
-    expected = EXIT_DATA if name in ("state.json", "members.bin", "no-cycle") else EXIT_OK
+    broken = ("state.json", "members.bin", "no-cycle", "member-chain-not-an-int")
+    expected = EXIT_DATA if name in broken else EXIT_OK
     assert main(["evaluate", "--config", str(cfg)]) == expected
 
 
@@ -830,11 +858,12 @@ def test_resume_without_checkpoint_says_so(pipeline, tmp_path, caplog):
     assert json.loads((run / "train.json").read_text())["resumed"] is False
 
 
-def test_fresh_train_clears_the_run_directory(pipeline, tmp_path):
+def test_fresh_train_clears_the_run_directory(pipeline, tmp_path, nan_weights):
     """Training a trained cell again without --resume removes its whole run
     directory first, so a run that diverges leaves no trace, checkpoint or
     record of the old one behind."""
-    cfg = _copy_run(pipeline, tmp_path, lr_d=1e14, lr_g=1e14)
+    cfg = _copy_run(pipeline, tmp_path)
+    nan_weights(0)
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DIVERGED
     run = tmp_path / "out/runs/nl40_rep0"
     for name in ("trace.csv", "train.json", "checkpoint/state.json"):
@@ -1017,18 +1046,26 @@ def test_seed_option_is_refused(tmp_path):
         ("recall_levels", {"heads": {"recall_levels": [0.0]}}),
         ("alpha", {"heads": {"alpha": -1.0}}),
         ("tau", {"heads": {"tau": 7.0}}),
+        ("split", {"split": None}),
+        ("train", {"train": 5}),
+        ("heads", {"heads": []}),
+        ("cache", {"cache": 5}),
+        ("output_dir", {"output_dir": 5}),
+        ("dataset_path", {"dataset_path": ""}),
     ],
     ids=["negative-friction", "nan-lr-d", "nan-friction", "inf-friction",
          "negative-checkpoint-every", "zero-width",
          "zero-latent-dim", "negative-n-residual", "zero-head-width", "negative-seed",
          "string-seed", "string-degree", "size-above-pool", "size-zero", "no-size",
          "repeated-size", "negative-k-percent", "k-percent-above-100",
-         "recall-above-1", "recall-zero", "negative-alpha", "tau-above-1"],
+         "recall-above-1", "recall-zero", "negative-alpha", "tau-above-1", "null-split",
+         "int-train", "list-heads", "int-cache", "int-output-dir", "empty-dataset-path"],
 )
 def test_invalid_setting_is_config_error(tmp_path, capsys, field, over):
-    """A value of the wrong kind or range exits 2 and names the field,
-    instead of a traceback, a degenerate network, a sampler without injected
-    noise, checkpoints at a negative interval or a silently changed size."""
+    """A value of the wrong kind or range, or a section that is not a
+    mapping, exits 2 and names the field, instead of a traceback, a
+    degenerate network, a sampler without injected noise, checkpoints at a
+    negative interval or a silently changed size."""
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path, **over)
     assert main(["prepare", "--config", str(cfg)]) == EXIT_CONFIG

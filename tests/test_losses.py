@@ -40,6 +40,14 @@ def test_labeled_loss_equals_binary_cross_entropy():
     assert labeled_loss_grad(scores, labels)[0] == pytest.approx(want, abs=1e-12)
 
 
+def test_labeled_loss_stays_finite_past_softmax_underflow():
+    """A score gap of 760 puts e^-760, which underflows to 0, on the true
+    class: the loss is the gap itself, not inf."""
+    scores = np.array([[0.0, 0.0, 760.0], [0.0, 745.0, 0.0]])
+    loss = labeled_loss_grad(scores, np.array([1, 2]))[0]
+    assert np.isfinite(loss) and loss == pytest.approx(760.0 / 2 + 745.0 / 2, rel=1e-12)
+
+
 def test_labeled_loss_grad_matches_fd(rng):
     scores = rng.normal(size=(7, 3))
     labels = rng.integers(1, 3, size=7)

@@ -271,10 +271,10 @@ def test_checkpoint_restores_counters(tmp_path, rng):
     np.testing.assert_array_equal(_flat(dch[0].params), _flat(disc_chains[0]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_raises_with_epoch(tmp_path, rng):
+def test_divergence_raises_with_epoch(tmp_path, rng, nan_weights):
     data = _tiny_data(rng)
-    cfg = _tiny_cfg(lr_d=1e12, lr_g=1e12, epochs=50)
+    cfg = _tiny_cfg(epochs=50)
+    nan_weights(0)
     with pytest.raises(DivergedChainError) as exc:
         train(data, cfg, seed=0, checkpoint_dir=tmp_path)
     assert exc.value.epoch >= 1
@@ -324,30 +324,14 @@ def test_openblas_runs_one_thread_inside_train_and_is_restored(tmp_path, rng):
 
 
 def test_divergence_in_one_critic_chain_names_it_with_the_serial_trace(
-    tmp_path, rng, monkeypatch
+    tmp_path, rng, monkeypatch, nan_weights
 ):
     """NaN interpolation weights in discriminator chain 1 alone, stepping on
     two threads beside chain 0, raise for `disc1` at epoch 1, with the trace
     the serial loop holds there: the generator rows and chain 0's rows."""
     data, cfg = _tiny_data(rng), _tiny_cfg(epochs=1, burn_in=1, thinning=1)
     train(data, cfg, seed=3, checkpoint_dir=tmp_path / "clean")
-
-    class NaNWeights:
-        def __init__(self, rng):
-            self.rng = rng
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
-        def uniform(self, size):
-            return np.full(size, np.nan)
-
-    real = training.derive_rng
-    # Key (4, j) seeds discriminator chain j's stream.
-    monkeypatch.setattr(
-        training, "derive_rng",
-        lambda seed, *key: NaNWeights(real(seed, *key)) if key == (4, 1) else real(seed, *key),
-    )
+    nan_weights(1)
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
     with pytest.raises(DivergedChainError) as exc:
         train(data, cfg, seed=3, checkpoint_dir=tmp_path / "nan")
