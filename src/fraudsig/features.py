@@ -15,9 +15,12 @@ the series length, so the store exploits two exact algebraic facts instead:
 
 The encoder walks a customer's steps in blocks of ``_BLOCK``: the segment
 products of a block are formed as one batch of series (trailing batch axis,
-see :class:`~fraudsig.signatures.TensorSeries`), folded into the running
-signature step by step, and the prefixes ending in the block are finalised
-together (terminal decorations, tensor log, Lyndon projection, time rescale).
+see :class:`~fraudsig.signatures.TensorSeries`) and folded into the running
+signature level by level, one running sum per signature level over the
+block's steps (:func:`~fraudsig.signatures.chen_prefix_products`, bitwise
+the step-by-step Chen fold); the prefixes ending in the block are then
+finalised together (terminal decorations, tensor log, Lyndon projection,
+time rescale).
 The block bounds the temporaries whatever the customer's length.  Every series
 the encoder forms holds its top level only at the length-M Lyndon positions
 (``LyndonBasis.top``), the only ones the projection reads: at degree 4 the
@@ -55,6 +58,7 @@ from .lyndon import LyndonBasis, lyndon_dim
 from .signatures import (
     TensorSeries,
     augmented_dim,
+    chen_prefix_products,
     chen_product,
     lyndon_project,
     segment_signature,
@@ -81,8 +85,8 @@ _TIME_CHANNELS = (0, 3)
 _SD_CHANNELS = (1, 4)
 _AMT_CHANNELS = (2, 5)
 _VIS_CHANNEL = 6
-# Steps per batch of segment products and prefix finalisations; bounds the
-# temporaries to a few MiB whatever the customer's length.
+# Steps per batch of segment products, level folds and prefix finalisations;
+# bounds the temporaries to a few MiB whatever the customer's length.
 _BLOCK = 32
 # Rows per read of FeatureStore.rows: about 3 MiB at degree 4 (728 columns).
 _CHUNK_ROWS = 512
@@ -154,12 +158,10 @@ def encode_prefixes(
         steps = chen_product(
             segment_signature(lead, degree, top), segment_signature(lag, degree, top)
         )
-        states = [np.empty((lvl.shape[0], ks.size)) for lvl in running.levels]
-        for j in range(ks.size):
-            step = TensorSeries(_D_AUG, degree, [lvl[:, j] for lvl in steps.levels], top)
-            running = chen_product(running, step)
-            for state, lvl in zip(states, running.levels):
-                state[:, j] = lvl
+        # The running signature after every step of the block, folded in
+        # level by level; the last one carries over to the next block.
+        states = chen_prefix_products(running, steps)
+        running = TensorSeries(_D_AUG, degree, [lvl[:, -1] for lvl in states.levels], top)
         # Prefixes ending in this block (lengths n = k + 1 >= min_prefix),
         # finalised as one batch.  Terminal decorations: visibility off at the
         # last point, then the jump to the all-zero point.
@@ -174,7 +176,7 @@ def encode_prefixes(
         drop[0] = drop[3] = -(n - 1.0)
         drop[1] = drop[4] = -sd[kend]
         drop[2] = drop[5] = -amt[kend]
-        ending = TensorSeries(_D_AUG, degree, [state[:, first:] for state in states], top)
+        ending = TensorSeries(_D_AUG, degree, [lvl[:, first:] for lvl in states.levels], top)
         tail = chen_product(
             ending,
             chen_product(

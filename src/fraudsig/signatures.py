@@ -5,6 +5,9 @@ at degree M it lives in the tensor algebra T_M = R + R^D + (R^D)^2 + ... +
 (R^D)^M.  For a piecewise-linear path the signature factorises over segments
 (Chen's identity), each factor being the tensor exponential of the segment
 increment, so the whole computation reduces to truncated tensor products.
+Over a stream of factors with scalar part 1, the products of every prefix
+come level by level, one running sum per level
+(:func:`chen_prefix_products`), with the bits of the step-by-step fold.
 
 A :class:`TensorSeries` stores one float64 array per level; the level-m
 coefficient of a word (i_1, ..., i_m) sits at flat index sum_j i_j * D**(m-j)
@@ -42,6 +45,7 @@ __all__ = [
     "TensorSeries",
     "segment_signature",
     "chen_product",
+    "chen_prefix_products",
     "path_signature",
     "tensor_log",
     "lyndon_project",
@@ -196,6 +200,52 @@ def chen_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
             else:
                 acc += _product(left, right, i, m, a.top)
     return out
+
+
+def chen_prefix_products(start: TensorSeries, steps: TensorSeries) -> TensorSeries:
+    """Every prefix product ``start (x) steps[0] (x) ... (x) steps[j]``,
+    j = 0..n-1, of one series and a batch of n steps (batch shape (n,)), as
+    a batch of n series.  All scalar parts must be exactly 1.
+
+    With unit scalar parts, ``chen_product`` adds level m of r (x) s as
+    ``(s_m + r_1 s_{m-1} + ... + r_{m-1} s_1) + r_m``.  The bracket only reads
+    levels below m, so level by level, m = 1..M, the brackets of all steps
+    are formed in one batched pass from the prefixes' lower levels, and level
+    m of every prefix is their running sum seeded with ``start``'s level m
+    (``np.add.accumulate``, strictly left to right).  The result is bitwise
+    the left fold ``chen_product(... chen_product(start, steps[0]) ...)``.
+    """
+    if (
+        start.alphabet_size != steps.alphabet_size
+        or start.degree != steps.degree
+        or start.batch_shape != ()
+        or len(steps.batch_shape) != 1
+        or not start.top.matches(steps.top)
+    ):
+        raise ValueError(
+            f"need one series and a batch of steps over the same algebra: D "
+            f"{start.alphabet_size}/{steps.alphabet_size}, M {start.degree}/{steps.degree}, "
+            f"batch {start.batch_shape}/{steps.batch_shape}, "
+            f"top positions {start.top.size}/{steps.top.size}"
+        )
+    if np.any(start.levels[0] != 1.0) or np.any(steps.levels[0] != 1.0):
+        raise ValueError("chen_prefix_products needs scalar parts exactly 1")
+    n = steps.batch_shape[0]
+    # acc[m][:, j] is level m of the product of start with the first j steps:
+    # column 0 is start itself and column j + 1 the j-th prefix product.
+    acc = [np.ones((1, n + 1))]
+    for m in range(1, start.degree + 1):
+        lvl = np.empty((steps.levels[m].shape[0], n + 1))
+        lvl[:, 0] = start.levels[m]
+        # 0.0 + s_m, as chen_product starts its sum from zeros.
+        inc = np.add(steps.levels[m], 0.0, out=lvl[:, 1:])
+        for i in range(1, m):
+            inc += _product(acc[i][:, :-1], steps.levels[m - i], i, m, start.top)
+        np.add.accumulate(lvl, axis=1, out=lvl)
+        acc.append(lvl)
+    return TensorSeries(
+        start.alphabet_size, start.degree, [lvl[:, 1:] for lvl in acc], start.top
+    )
 
 
 def path_signature(points: np.ndarray, degree: int) -> TensorSeries:

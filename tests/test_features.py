@@ -43,8 +43,10 @@ def _customer(rng, n, name="C"):
     )
 
 
-# Customer lengths around the encoder's block edges, at the default degree.
-_BLOCK_EDGE_CASES = [(4, n) for n in (5, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 150)]
+# Customer lengths around the encoder's block edges, at degrees 2-4.
+_BLOCK_EDGE_CASES = [
+    (d, n) for d in (2, 3, 4) for n in (5, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 150)
+]
 # Every supported degree on a short customer, then the block edges.
 _DEGREES_AND_LENGTHS = pytest.mark.parametrize(
     "degree,length",
@@ -75,6 +77,25 @@ def test_rows_equal_full_level_reference(degree, length, rng):
     rows = encode_prefixes(cs.step_diffs, cs.amounts, degree, basis)
     want = encode_prefixes_reference(cs.step_diffs, cs.amounts, degree, basis)
     assert np.array_equal(rows, want)
+
+
+@pytest.mark.parametrize("block", [1, 5, 32, 64])
+def test_rows_do_not_depend_on_block_length(block, monkeypatch, rng):
+    """The running signature carries from block to block exactly: any block
+    length gives the bytes of the default one."""
+    customers = [_customer(rng, n) for n in (5, 6, 33, 70)]
+    bases = [LyndonBasis.build(7, degree) for degree in (1, 2, 3, 4)]
+
+    def encoded():
+        return [
+            encode_prefixes(cs.step_diffs, cs.amounts, b.degree, b).tobytes()
+            for b in bases
+            for cs in customers
+        ]
+
+    want = encoded()
+    monkeypatch.setattr(features, "_BLOCK", block)
+    assert encoded() == want
 
 
 def test_feature_cache_is_byte_identical_to_reference(tmp_path):

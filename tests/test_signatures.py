@@ -14,6 +14,7 @@ from fraudsig.signatures import (
     augment_time,
     augment_visibility_reset,
     augmented_dim,
+    chen_prefix_products,
     chen_product,
     encode,
     lyndon_project,
@@ -110,7 +111,7 @@ def test_exp_log_round_trip(pts):
 
 def _column(series, j):
     return TensorSeries(
-        series.alphabet_size, series.degree, [lvl[:, j] for lvl in series.levels]
+        series.alphabet_size, series.degree, [lvl[:, j] for lvl in series.levels], series.top
     )
 
 
@@ -152,6 +153,54 @@ def test_chen_product_rejects_mismatched_batches():
         chen_product(TensorSeries.unit(2, 2, (3,)), TensorSeries.unit(2, 2, (4,)))
     with pytest.raises(ValueError):
         chen_product(TensorSeries.unit(2, 2, (3,)), TensorSeries.unit(2, 2))
+
+
+@st.composite
+def unit_start_and_steps(draw):
+    """A unit-scalar series and a batch of 1-6 unit-scalar steps over up to
+    3 letters, degree 1-4, holding the top level in full or at the Lyndon
+    positions."""
+    d, degree, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    top = LyndonBasis.build(d, degree).top if draw(st.booleans()) else None
+    sizes = [d**m for m in range(1, degree)] + [(top or TopPositions.full(d, degree)).size]
+    values = st.floats(-2, 2, allow_nan=False, width=32)
+
+    def series(batch):
+        levels = [np.ones((1, *batch))]
+        levels += [draw(arrays(np.float64, (size, *batch), elements=values)) for size in sizes]
+        return TensorSeries(d, degree, levels, top)
+
+    return series(()), series((n,))
+
+
+@given(unit_start_and_steps())
+def test_prefix_products_equal_the_chen_fold(case):
+    """Folding the steps in level by level gives, bit for bit, every
+    intermediate of the left-to-right loop of chen_product."""
+    start, steps = case
+    got = chen_prefix_products(start, steps)
+    assert got.batch_shape == steps.batch_shape and got.top.matches(start.top)
+    running = start
+    for j in range(steps.batch_shape[0]):
+        running = chen_product(running, _column(steps, j))
+        for m, (lvl, want) in enumerate(zip(got.levels, running.levels, strict=True)):
+            assert np.array_equal(lvl[:, j], want), (j, m)
+
+
+def test_prefix_products_need_unit_scalars_and_one_start(rng):
+    steps = TensorSeries.unit(2, 3, (4,))
+    with pytest.raises(ValueError, match="scalar parts exactly 1"):
+        chen_prefix_products(_random_series(rng, 2, 3, (), 0.5), steps)
+    with pytest.raises(ValueError, match="scalar parts exactly 1"):
+        chen_prefix_products(TensorSeries.unit(2, 3), _random_series(rng, 2, 3, (4,), 2.0))
+    with pytest.raises(ValueError, match="batch"):
+        chen_prefix_products(TensorSeries.unit(2, 3, (4,)), steps)
+    with pytest.raises(ValueError, match="batch"):
+        chen_prefix_products(TensorSeries.unit(2, 3), TensorSeries.unit(2, 3))
+    with pytest.raises(ValueError, match="top positions"):
+        chen_prefix_products(
+            _restricted(TensorSeries.unit(2, 3), LyndonBasis.build(2, 3).top), steps
+        )
 
 
 def _random_series(rng, d, degree, batch, scalar):
