@@ -16,9 +16,11 @@ as a free-input part and a condition part, the `upper_*` methods run the
 layers above `proj` from it, and `projection_grads` collects the
 projection's and the embedding tables' gradients from gradients at it.
 `forward` and `backward` are built on these, and so is the critic loss,
-which combines projected batches linearly.  The whole-trunk form, with the
-concatenated input through `proj` as an ordinary dense layer, is the test
-reference in ``tests/oracles.py``.
+which combines projected batches linearly.  `output` is `forward` without
+the layer caches that only a backward pass reads, for batches that are
+never differentiated: the ensemble's predictions and the critic's fake
+batches.  The whole-trunk form, with the concatenated input through `proj`
+as an ordinary dense layer, is the test reference in ``tests/oracles.py``.
 
 Conventions:
     * class index 0 is reserved for generated samples; indices 1..K are the
@@ -296,6 +298,17 @@ class _Net:
             pre, cache = layer.forward(upper_ps[lo:hi], pre)
             caches.append(cache)
         return pre, caches
+
+    def output(self, params, x, codes):
+        """The output of `forward`, with no caches: each layer's input is
+        released as soon as the layer has run."""
+        y, cond, _ = self.project(params, x, codes)
+        y += cond
+        del cond
+        upper_ps = self._split(params)[2]
+        for layer, (lo, hi) in zip(self.layers, self._offsets):
+            y = layer.forward(upper_ps[lo:hi], y)[0]
+        return y
 
     def upper_backward(self, params, caches, dy, need_param_grads=True):
         """Reverse pass over the upper layers; returns (their grads, d pre)."""

@@ -8,6 +8,8 @@ Discriminator parameters visited after burn-in are collected at a fixed
 thinning stride into a posterior ensemble; prediction averages the
 restricted-softmax fraud probability over ensemble members and reports the
 spread of its empirical 5%/95% quantiles as the per-sample uncertainty.
+The chains of an epoch and the members of a prediction are each mapped
+over a pool of threads, and neither result depends on the pool's size.
 """
 
 from __future__ import annotations
@@ -53,7 +55,12 @@ __all__ = [
 # Trace terms of a critic chain, in the order of its rows per epoch.
 _CRITIC_TERMS = ("unlabeled", "labeled", "penalty", "total")
 _TRACE_HEADER = b"epoch,kind,chain,term,value\n"
-PREDICT_BATCH = 8192  # rows of one forward pass in `predict`
+PREDICT_BATCH = 8192  # rows `predict` scores at once, over all its threads
+# Members `predict` scores at once.  Each scores its rows in chunks of
+# ceil(min(rows, PREDICT_BATCH) / _PREDICT_THREADS): OpenBLAS may round a row
+# differently in a GEMM of another height, so the chunk cannot follow the
+# thread count, and the thread count is capped by it to keep the batch bound.
+_PREDICT_THREADS = 2
 
 
 class DivergedChainError(RuntimeError):
@@ -245,7 +252,8 @@ class _Lazy:
 # maps its chains over a thread pool (numpy releases the GIL in GEMMs and
 # ufuncs).  Each chain draws only from its own RNG, the labeled batches are
 # drawn up front in chain order, and the main thread writes trace rows in
-# chain order, so results do not depend on the number of threads.
+# chain order, so results do not depend on the number of threads.  `predict`
+# maps the ensemble members over the same pool, each into its own row.
 # ---------------------------------------------------------------------------
 
 _M_ARENA_MAX = -8  # mallopt parameter of glibc's <malloc.h>
@@ -292,18 +300,19 @@ def _one_malloc_arena() -> None:
 
 
 @contextmanager
-def _chain_pool(n_chains: int):
-    """A pool of min(usable CPUs, `n_chains`) threads, with OpenBLAS pinned to
-    one thread while it is open: chain threads times BLAS threads would
+def _chain_pool(n_tasks: int):
+    """A pool of min(usable CPUs, `n_tasks`) threads, with OpenBLAS pinned to
+    one thread while it is open: pool threads times BLAS threads would
     oversubscribe the cores, and one BLAS thread makes every GEMM of a run,
-    and of its resume, the same whatever the environment asks for."""
+    of its resume and of a prediction the same whatever the environment asks
+    for."""
     blas = _openblas_threads()
     saved = blas[0]() if blas else None
     _one_malloc_arena()
     try:
         if blas:
             blas[1](1)
-        with ThreadPoolExecutor(min(_usable_cpus(), n_chains)) as pool:
+        with ThreadPoolExecutor(min(_usable_cpus(), n_tasks)) as pool:
             yield pool
     finally:
         if blas:
@@ -410,7 +419,7 @@ def train(
         def fake(gchain):
             z = chain.rng.standard_normal((batch, cfg.latent_dim))
             codes = data.codes[chain.rng.choice(all_idx, size=batch, replace=True)]
-            return gen.forward(gchain.params, z, codes)[0], codes, chain.rng.uniform(size=batch)
+            return gen.output(gchain.params, z, codes), codes, chain.rng.uniform(size=batch)
 
         sums = [0.0] * len(_CRITIC_TERMS)
         for lab_rows in lab_batches:
@@ -473,18 +482,27 @@ def predict(
 
     The fraud probability of one member is the restricted-softmax mass on the
     fraud class; quantiles over members use linear interpolation.  The
-    members are walked once, in order, each over `PREDICT_BATCH` rows at a
-    time.
+    members are mapped over min(usable CPUs, members, `_PREDICT_THREADS`)
+    threads, with OpenBLAS at one thread.  Each thread reads its own member
+    and scores it through the cache-free `output` pass, in chunks of
+    ceil(min(rows, `PREDICT_BATCH`) / `_PREDICT_THREADS`) rows, so all threads
+    together hold no more rows than `PREDICT_BATCH`.  The chunks are the same
+    whatever the thread count, and so are the results.
     """
     if not members:
         raise ValueError("posterior ensemble is empty")
     n = feats.shape[0]
     probs = np.empty((len(members), n))
-    for mi, member in enumerate(members):
-        for lo in range(0, n, PREDICT_BATCH):
-            hi = min(lo + PREDICT_BATCH, n)
-            scores = disc.forward(member.params, feats[lo:hi], codes[lo:hi])[0]
-            probs[mi, lo:hi] = restricted_softmax(scores)[:, 1]
+    step = max(1, -(-min(n, PREDICT_BATCH) // _PREDICT_THREADS))
+
+    def score(i):
+        params = members[i].params
+        for lo in range(0, n, step):
+            scores = disc.output(params, feats[lo : lo + step], codes[lo : lo + step])
+            probs[i, lo : lo + step] = restricted_softmax(scores)[:, 1]
+
+    with _chain_pool(min(len(members), _PREDICT_THREADS)) as pool:
+        list(pool.map(score, range(len(members))))
     q05, q95 = np.quantile(probs, [0.05, 0.95], axis=0)
     return Prediction(mean=probs.mean(axis=0), width=q95 - q05)
 

@@ -671,13 +671,19 @@ def test_feature_cache_cut_short_while_open_is_data_error(
     assert f"{bin_path} is cut short" in err and "Traceback" not in err
 
 
-def test_members_cut_short_while_open_is_data_error(pipeline, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_members_cut_short_while_open_is_data_error(
+    pipeline, tmp_path, capsys, monkeypatch, cpus
+):
     """members.bin cut short in place after `evaluate` checked it against
-    state.json and before it read the last members: exit 3 naming the file,
-    with no traceback."""
+    state.json and before it read the last members, on one prediction
+    thread or two: exit 3 naming the file, with no traceback and no report
+    table."""
     cfg = _copy_run(pipeline, tmp_path)
+    shutil.rmtree(tmp_path / "out/reports")
     ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
     load = cli.load_members
+    monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
 
     def load_then_cut(checkpoint_dir, shapes):
         members = load(checkpoint_dir, shapes)
@@ -690,6 +696,22 @@ def test_members_cut_short_while_open_is_data_error(pipeline, tmp_path, capsys, 
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{ckpt}: members.bin holds" in err and "Traceback" not in err
+    assert not list((tmp_path / "out").glob("reports/*.csv"))
+
+
+def test_evaluate_reports_do_not_depend_on_the_thread_count(pipeline, tmp_path, monkeypatch):
+    """`evaluate` on one usable CPU and on two writes the four report tables
+    byte for byte."""
+    tables = {}
+    for cpus in (1, 2):
+        cfg = _copy_run(pipeline, tmp_path / f"cpus{cpus}")
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        assert main(["evaluate", "--config", str(cfg)]) == EXIT_OK
+        tables[cpus] = {
+            name: (tmp_path / f"cpus{cpus}/out/reports" / name).read_bytes()
+            for name, _, _ in reports._TABLES
+        }
+    assert len(tables[1]) == 4 and tables[1] == tables[2]
 
 
 def _copy_run(pipeline, tmp_path, **train_over) -> Path:

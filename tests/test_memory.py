@@ -23,7 +23,7 @@ MIN_MATRIX_BYTES = 40e6
 # What a stage may hold besides its gathered rows: the reader's 3 MiB chunk,
 # the networks, one chain per side's states and optimiser moments, BLAS
 # buffers, the forward caches at the test split, condition codes and the
-# split's index lists (about 17 MiB measured for `train`, 21 MiB for
+# split's index lists (about 17 MiB measured for `train`, 15 MiB for
 # `evaluate`, here).
 STAGE_ALLOWANCE = 24 * 2**20
 

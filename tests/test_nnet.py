@@ -197,6 +197,30 @@ def test_forward_backward_match_whole_trunk_reference(make, need_param_grads, rn
         _assert_rel_close(g, g_ref)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GeneratorNet(latent_dim=5, emb_cards=(3, 2, 4), out_dim=7, width=6, n_residual=2),
+        lambda: DiscriminatorNet(
+            feat_dim=11, emb_cards=(3, 2, 4), width=6, n_residual=2, head_widths=(5, 4)
+        ),
+    ],
+    ids=["generator", "discriminator"],
+)
+def test_output_is_the_forward_output_bit_for_bit(make, rng):
+    """The cache-free pass gives `forward`'s output, and checks its input
+    the same way."""
+    net = make()
+    params = net.init_params(rng)
+    x = rng.normal(size=(9, net.free_dim))
+    codes = np.column_stack([rng.integers(0, c, 9) for c in net.emb.cards])
+    assert net.output(params, x, codes).tobytes() == net.forward(params, x, codes)[0].tobytes()
+    with pytest.raises(ValueError):
+        net.output(params, x[:, :-1], codes)
+    with pytest.raises(ValueError):
+        net.output(params, x, codes[:, :-1])
+
+
 def test_penalty_param_grads_match_fd(rng):
     """The second-order path: gradient of sum(coeffs * (g . v)) over
     parameters, where g is the critic's input gradient."""

@@ -8,8 +8,10 @@ import pytest
 
 from fraudsig import training
 from fraudsig.config import ConfigError, TrainConfig
+from fraudsig.nnet import DiscriminatorNet, restricted_softmax
 from fraudsig.training import (
     DivergedChainError,
+    EnsembleMember,
     PreparedData,
     build_nets,
     load_checkpoint,
@@ -347,8 +349,6 @@ def test_predict_quantiles_match_numpy(tmp_path, rng):
     pred = predict(disc, res.members, data.feats, data.codes)
     assert pred.mean.shape == (data.feats.shape[0],)
     assert np.all((pred.mean >= 0) & (pred.mean <= 1))
-    from fraudsig.nnet import restricted_softmax
-
     probs = np.stack(
         [
             restricted_softmax(disc.forward(m.params, data.feats, data.codes)[0])[:, 1]
@@ -371,6 +371,90 @@ def test_predict_batched_equals_unbatched(tmp_path, rng, monkeypatch):
     b = predict(disc, res.members, data.feats, data.codes)
     np.testing.assert_array_equal(a.mean, b.mean)
     np.testing.assert_array_equal(a.width, b.width)
+
+
+def _member_loop(disc, members, feats, codes):
+    """`predict`'s mean and width from one `forward` per member over every
+    row, on the calling thread."""
+    probs = np.stack(
+        [restricted_softmax(disc.forward(m.params, feats, codes)[0])[:, 1] for m in members]
+    )
+    q05, q95 = np.quantile(probs, [0.05, 0.95], axis=0)
+    return probs.mean(axis=0), q95 - q05
+
+
+def test_thread_count_changes_no_bit_of_predict(tmp_path, rng, monkeypatch):
+    """On a pool of one thread or of four usable CPUs, with the interpreter
+    switching threads every microsecond, and at a batch of 7 rows or of all
+    of them, `predict` gives the member loop's mean and width bit for bit."""
+    data = _tiny_data(rng)
+    res = train(data, _tiny_cfg(epochs=4, burn_in=1, thinning=1), seed=6, checkpoint_dir=tmp_path)
+    _, disc = build_nets(data.feats.shape[1], data.emb_cards, _tiny_cfg())
+    mean, width = _member_loop(disc, res.members, data.feats, data.codes)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 4):
+            for batch in (7, 10_000):
+                monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+                monkeypatch.setattr(training, "PREDICT_BATCH", batch)
+                pred = predict(disc, res.members, data.feats, data.codes)
+                assert pred.mean.tobytes() == mean.tobytes(), (cpus, batch)
+                assert pred.width.tobytes() == width.tobytes(), (cpus, batch)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_thread_count_changes_no_bit_of_predict_at_the_default_width(rng, monkeypatch):
+    """At the default network OpenBLAS rounds a row differently in GEMMs of
+    a few rows than of many, so rows are chunked alike on one usable CPU
+    and on four, and the results agree bit for bit."""
+    cfg = TrainConfig()
+    disc = DiscriminatorNet(
+        40, (4, 3), width=cfg.width, n_residual=cfg.n_residual, head_widths=cfg.head_widths
+    )
+    members = [EnsembleMember(0, e, disc.init_params(rng)) for e in range(3)]
+    feats = rng.standard_normal((60, 40))
+    codes = np.column_stack([rng.integers(0, 4, 60), rng.integers(0, 3, 60)])
+    monkeypatch.setattr(training, "PREDICT_BATCH", 7)
+    preds = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        pred = predict(disc, members, feats, codes)
+        preds.append((pred.mean.tobytes(), pred.width.tobytes()))
+    assert preds[0] == preds[1]
+
+
+def test_openblas_runs_one_thread_inside_predict_and_is_restored(tmp_path, rng):
+    """Set to two threads before `predict`, OpenBLAS runs one while members
+    are scored and two again after it, and the result is the bytes of a run
+    started at one thread."""
+    blas = training._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is no OpenBLAS found in the process maps")
+    get, put = blas
+    data = _tiny_data(rng)
+    res = train(data, _tiny_cfg(epochs=2, burn_in=1, thinning=1), seed=2, checkpoint_dir=tmp_path)
+    _, disc = build_nets(data.feats.shape[1], data.emb_cards, _tiny_cfg())
+    output, seen = disc.output, []
+
+    def counting_output(*args):
+        seen.append(get())
+        return output(*args)
+
+    disc.output = counting_output
+    before = get()
+    try:
+        put(1)
+        one = predict(disc, res.members, data.feats, data.codes)
+        put(2)
+        seen.clear()
+        two = predict(disc, res.members, data.feats, data.codes)
+        after = get()
+    finally:
+        put(before)
+    assert (set(seen), after) == ({1}, 2)
+    assert (two.mean.tobytes(), two.width.tobytes()) == (one.mean.tobytes(), one.width.tobytes())
 
 
 def test_predict_empty_ensemble_raises(rng):
