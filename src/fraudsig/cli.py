@@ -20,6 +20,7 @@ import sys
 import shutil
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +43,9 @@ from .config import (
     parsing,
     read_json,
 )
-from .features import SCHEME_VERSION, build_feature_store, dataset_fingerprint, store_key
+from .features import (
+    SCHEME_VERSION, FeatureRows, build_feature_store, dataset_fingerprint, scale_vector, store_key,
+)
 from .metrics import majority_class_scores
 from .training import (
     DivergedChainError,
@@ -125,11 +128,10 @@ class Cell:
 
 @dataclass
 class Split:
-    """One prepared split: its sample indices, scaled feature rows, labels,
-    amounts and embedding cardinalities; `codes(cell)` is its rows'
-    condition codes under that cell's labeled set."""
+    """One prepared split: its scaled feature rows, labels, amounts and
+    embedding cardinalities; `codes(cell)` is its rows' condition codes
+    under that cell's labeled set."""
 
-    idx: np.ndarray
     feats: np.ndarray
     labels: np.ndarray
     amounts: np.ndarray
@@ -226,29 +228,41 @@ class Prepared:
         store, _ = build_feature_store(samples, cfg.sig_degree, cache, dataset_hash, cfg.min_prefix)
         return samples, store
 
+    @functools.cached_property
+    def _maxima(self) -> tuple[float, float]:
+        """The value-channel maxima over the train split, which scale every row."""
+        samples, _ = self._source
+        train_idx = np.asarray(self.splits["train_idx"], dtype=np.intp)
+        return banksim.training_maxima(samples, train_idx)
+
     def split(self, name: str) -> Split:
         """The split `name` ("train_idx" or "test_idx"); only its rows are read,
         scaled by the maxima over the train split."""
         samples, store = self._source
         idx = np.asarray(self.splits[name], dtype=np.intp)
-        train_idx = np.asarray(self.splits["train_idx"], dtype=np.intp)
         return Split(
-            idx=idx,
-            feats=store.rows(idx, *banksim.training_maxima(samples, train_idx)),
+            feats=store.rows(idx, *self._maxima),
             labels=samples.labels[idx].astype(np.int64),
             amounts=samples.amounts[idx],
             emb_cards=banksim.condition_cards(samples),
             codes=lambda cell: banksim.condition_codes(samples, idx, cell.labeled),
         )
 
-    def train_data(self, cell: Cell) -> PreparedData:
-        """The training arrays of `cell`, from the train split."""
-        train = self.split("train_idx")
-        return PreparedData(
-            feats=train.feats, codes=train.codes(cell), labels=train.labels,
-            labeled_idx=np.searchsorted(train.idx, cell.labeled),
-            emb_cards=train.emb_cards, feature_key=self.splits["features"],
-        )
+    @contextmanager
+    def train_data(self, cell: Cell):
+        """The training data of `cell`, from the train split, for the `with`
+        block: its rows are a `FeatureRows` of the store's features.bin, read
+        per minibatch through one descriptor that the block's end closes."""
+        samples, store = self._source
+        idx = np.asarray(self.splits["train_idx"], dtype=np.intp)
+        scale = scale_vector(store.basis, *self._maxima)
+        with FeatureRows(store.path, store.manifest, idx, scale) as feats:
+            yield PreparedData(
+                feats=feats, codes=banksim.condition_codes(samples, idx, cell.labeled),
+                labels=samples.labels[idx].astype(np.int64),
+                labeled_idx=np.searchsorted(idx, cell.labeled),
+                emb_cards=banksim.condition_cards(samples), feature_key=self.splits["features"],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +375,16 @@ def _cmd_train(args) -> int:
     t0 = time.perf_counter()
     prepared = Prepared(cfg)
     cell = prepared.cell(args.nl, args.rep)
-    data = prepared.train_data(cell)
-
-    ckpt = cell.run_dir / "checkpoint"
-    resume = args.resume and (ckpt / "state.json").exists()
-    if args.resume and not resume:
-        logger.warning("--resume: no committed checkpoint in %s; training starts at epoch 1", ckpt)
-    if not resume and cell.run_dir.exists():
-        shutil.rmtree(cell.run_dir)  # the old checkpoint, trace and record
-
-    result = train(data, cfg.train, cell.seed, checkpoint_dir=ckpt, resume=resume)
+    with prepared.train_data(cell) as data:
+        ckpt = cell.run_dir / "checkpoint"
+        resume = args.resume and (ckpt / "state.json").exists()
+        if args.resume and not resume:
+            logger.warning(
+                "--resume: no committed checkpoint in %s; training starts at epoch 1", ckpt
+            )
+        if not resume and cell.run_dir.exists():
+            shutil.rmtree(cell.run_dir)  # the old checkpoint, trace and record
+        result = train(data, cfg.train, cell.seed, checkpoint_dir=ckpt, resume=resume)
     with committing(cell.run_dir / "trace.csv") as tmp:
         shutil.copyfile(ckpt / "trace.csv", tmp)
     _record(

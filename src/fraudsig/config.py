@@ -34,6 +34,7 @@ __all__ = [
     "cache_dir",
     "committing",
     "read_json",
+    "read_at",
     "parsing",
 ]
 
@@ -95,6 +96,20 @@ def read_json(path: str | Path, keys=()) -> dict:
     if missing:
         raise DataError(f"{path} lacks {', '.join(missing)}")
     return obj
+
+
+def read_at(fh, buf, offset: int, cut_short) -> None:
+    """Fill the writable buffer `buf` with the bytes of the open binary file
+    `fh` from byte `offset` on, by positioned reads: the file position does
+    not move, so threads may share `fh`.  A file that ends first is a
+    DataError with the message `cut_short(n)`, n the bytes it held there."""
+    view = memoryview(buf).cast("B")
+    fd, got = fh.fileno(), 0
+    while got < view.nbytes:
+        n = os.preadv(fd, [view[got:]], offset + got)
+        if n == 0:
+            raise DataError(cut_short(got))
+        got += n
 
 
 def derive_seed_sequence(global_seed: int, *key: int) -> np.random.SeedSequence:

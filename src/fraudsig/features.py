@@ -35,25 +35,29 @@ entry is one flat little-endian float64 matrix, ``features.bin``, plus a JSON
 manifest holding the key.
 
 No stage holds the whole matrix.  A cache miss encodes one customer at a time
-and appends its rows to the file; the stages get their split's rows, scaled,
+and appends its rows to the file.  `evaluate` gets its split's rows, scaled,
 from :meth:`FeatureStore.rows`, which reads the file in chunks of at most
-``_CHUNK_ROWS`` rows with plain file reads.  ``FeatureStore.matrix`` is a
-read-only memory map of the file, for inspection only: a file cut short
-under a live mapping faults the reading process, whereas the reader raises a
-DataError naming the file.
+``_CHUNK_ROWS`` rows; `train` holds none of its split's rows but the labeled
+ones, and reads each minibatch through a :class:`FeatureRows`, one row per
+read.  Both use plain positioned reads, and :func:`~fraudsig.config.read_at`
+finishes a short one or refuses the file.
+``FeatureStore.matrix`` is a read-only memory map of the file, for inspection
+only: a file cut short under a live mapping faults the reading process,
+whereas the readers raise a DataError naming the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .banksim import SampleSet
-from .config import DataError, committing, read_json
+from .config import DataError, committing, read_at, read_json
 from .lyndon import LyndonBasis, lyndon_dim
 from .signatures import (
     TensorSeries,
@@ -68,6 +72,7 @@ from .signatures import (
 __all__ = [
     "SCHEME_VERSION",
     "FeatureStore",
+    "FeatureRows",
     "dataset_fingerprint",
     "encode_prefixes",
     "build_feature_store",
@@ -208,10 +213,11 @@ def scale_matrix(
 
 @dataclass
 class FeatureStore:
-    """Cached unscaled feature matrix, row-aligned with a SampleSet.
+    """Cached unscaled feature matrix, row-aligned with a SampleSet; its
+    shape is the manifest's `n_rows` by `n_cols`.
 
     `matrix` is a read-only memory map of `path`, for inspection; stages
-    read rows through `rows`, which never maps the file.
+    read rows through `rows` or a `FeatureRows`, which never map the file.
     """
 
     path: Path
@@ -228,28 +234,81 @@ class FeatureStore:
         kept; a file cut short is a DataError naming it.
         """
         idx = np.asarray(idx, dtype=np.intp)
-        n_rows, n_cols = self.matrix.shape
+        n_rows, n_cols = self.manifest["n_rows"], self.manifest["n_cols"]
         if idx.size and (idx[0] < 0 or idx[-1] >= n_rows or np.any(idx[1:] <= idx[:-1])):
             raise ValueError(f"row indices must be strictly increasing in [0, {n_rows})")
         scale = scale_vector(self.basis, max_sd, max_amt)
         out = np.empty((idx.size, n_cols))
         chunk = np.empty((min(_CHUNK_ROWS, n_rows), n_cols), dtype="<f8")
-        with open(self.path, "rb") as fh:
+        with open(self.path, "rb", buffering=0) as fh:
             lo = 0
             while lo < idx.size:
                 first = idx[lo]
                 hi = int(np.searchsorted(idx, first + _CHUNK_ROWS))
                 buf = chunk[: idx[hi - 1] - first + 1]
-                fh.seek(int(first) * 8 * n_cols)
-                if fh.readinto(buf) != buf.nbytes:
-                    raise DataError(
-                        f"{self.path} is cut short: rows {first}..{idx[hi - 1]} of "
-                        f"{n_rows} cannot be read"
-                    )
+                read_at(
+                    fh, buf, int(first) * 8 * n_cols,
+                    lambda _: f"{self.path} is cut short: rows {first}..{idx[hi - 1]} of "
+                    f"{n_rows} cannot be read",
+                )
                 np.take(buf, idx[lo:hi] - first, axis=0, out=out[lo:hi])
                 out[lo:hi] *= scale
                 lo = hi
         return out
+
+
+class FeatureRows:
+    """The rows of a feature file at the file positions `positions`, scaled
+    by `scale` and read from the file at each request: `source[rows]`, for an
+    index array `rows` into `positions`, is an in-memory matrix of those
+    rows.  It sorts their positions, reads each row into its place with one
+    positioned read, and multiplies by `scale`, one product per element, so
+    every row has the bits of `FeatureStore.rows`.
+
+    The shape is (len(positions), the manifest's `n_cols`), and positions lie
+    in [0, the manifest's `n_rows`).  The file stays open from construction
+    to `close`, or to the end of a `with` block: a file replaced by a rename
+    meanwhile does not change the rows.  It is never memory-mapped, and a
+    file cut short is a DataError naming it.  Threads may read at once.
+    """
+
+    def __init__(self, path: str | Path, manifest: dict, positions, scale: np.ndarray):
+        self.path = Path(path)
+        self._positions = at = np.asarray(positions, dtype=np.intp)
+        self._n_rows = n_rows = manifest["n_rows"]
+        if at.size and not 0 <= at.min() <= at.max() < n_rows:
+            raise ValueError(f"row positions must lie in [0, {n_rows})")
+        self.shape = (at.size, manifest["n_cols"])
+        self._scale = scale
+        self._file = open(self.path, "rb", buffering=0)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        at = self._positions[np.asarray(rows, dtype=np.intp)]
+        row_bytes = 8 * self.shape[1]
+        out = np.empty((at.size, self.shape[1]), dtype="<f8")
+        view = memoryview(out.reshape(-1).view(np.uint8))
+        order = np.argsort(at, kind="stable")
+        fd = self._file.fileno()
+        for i, p in zip((order * row_bytes).tolist(), (at[order] * row_bytes).tolist()):
+            row = view[i : i + row_bytes]
+            got = os.preadv(fd, [row], p)
+            if got < row_bytes:  # read_at finishes the row or refuses the file
+                read_at(
+                    self._file, row[got:], p + got,
+                    lambda _: f"{self.path} is cut short: row {p // row_bytes} of "
+                    f"{self._n_rows} cannot be read",
+                )
+        out *= self._scale
+        return out
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "FeatureRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def store_key(samples: SampleSet, degree: int, dataset_hash: str, min_prefix: int = 5) -> dict:

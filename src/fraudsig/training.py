@@ -31,8 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    ConfigError, DataError, Kind, TrainConfig, admit, committing, derive_rng, parsing, read_json,
+    ConfigError, DataError, Kind, TrainConfig, admit, committing, derive_rng, parsing, read_at,
+    read_json,
 )
+from .features import FeatureRows
 from .losses import discriminator_loss, generator_loss_from_scores
 from .nnet import DiscriminatorNet, GeneratorNet, restricted_softmax
 from .sghmc import AdamState, GlorotPrior, adam_sghmc_step
@@ -77,16 +79,21 @@ class DivergedChainError(RuntimeError):
 
 @dataclass
 class PreparedData:
-    """Training-ready arrays for one experiment cell.
+    """Training-ready data for one experiment cell.
 
-    labels hold the true class for every row (0 legit, 1 fraud); rows outside
-    `labeled_idx` are treated as unlabeled during training and their labels
-    are only ever used by evaluation code.  `feature_key` is the key of the
-    prepared features the rows were read from (the `features` entry of
-    `splits.json`), recorded in the checkpoint fingerprint.
+    `feats` is an (n, d) matrix or a row source such as
+    `features.FeatureRows`: anything with a `shape` whose `feats[rows]`, for
+    an index array `rows`, is the matrix of those rows.  `train` reads the
+    labeled rows from it once and holds them, and every other row only in
+    the minibatch it is drawn for.  labels hold the true class for every row
+    (0 legit, 1 fraud); rows outside `labeled_idx` are treated as unlabeled
+    during training and their labels are only ever used by evaluation code.
+    `feature_key` is the key of the prepared features the rows were read
+    from (the `features` entry of `splits.json`), recorded in the checkpoint
+    fingerprint.
     """
 
-    feats: np.ndarray
+    feats: np.ndarray | FeatureRows
     codes: np.ndarray
     labels: np.ndarray
     labeled_idx: np.ndarray
@@ -385,6 +392,9 @@ def train(
     n_rows = data.feats.shape[0]
     batch = min(cfg.batch, n_rows)
     all_idx = np.arange(n_rows)
+    # The labeled rows are held; a real batch is read from `data.feats`.
+    labeled = np.unique(data.labeled_idx)
+    labeled_feats = data.feats[labeled]
     # Losses are minibatch means (1/N of the log-likelihood sum), so the
     # prior must enter at the same per-sample weight or it swamps the data.
     prior_w = 1.0 / n_rows
@@ -426,7 +436,8 @@ def train(
             real_rows = chain.rng.choice(all_idx, size=batch, replace=False)
             parts, total, grads = discriminator_loss(
                 disc, chain.params, data.feats[real_rows], data.codes[real_rows],
-                _Lazy(fake, gen_chains), None, data.feats[lab_rows], data.codes[lab_rows],
+                _Lazy(fake, gen_chains), None,
+                labeled_feats[np.searchsorted(labeled, lab_rows)], data.codes[lab_rows],
                 data.labels[lab_rows] + 1, None, cfg.lam, cfg.gp_weight, want_grads=True,
             )
             direction = _direction(grads, chain.params, disc_prior, prior_w)
@@ -611,11 +622,12 @@ def _views(in_dir: Path, name: str, shapes: list, offset: int = 0) -> list[np.nd
     """Consecutive tensors of `shapes`, as views of the checkpoint file `name`
     from byte `offset` on; a file that ends before they do is a DataError."""
     sizes = [math.prod(s) for s in shapes]
-    flat = np.fromfile(in_dir / name, dtype="<f8", count=sum(sizes), offset=offset)
-    if flat.size < sum(sizes):
-        raise DataError(
-            f"checkpoint {in_dir}: {name} holds {flat.size} values from byte {offset}; "
-            f"state.json needs {sum(sizes)}"
+    flat = np.empty(sum(sizes), dtype="<f8")
+    with open(in_dir / name, "rb", buffering=0) as fh:
+        read_at(
+            fh, flat, offset,
+            lambda got: f"checkpoint {in_dir}: {name} holds {got // 8} values from byte "
+            f"{offset}; state.json needs {flat.size}",
         )
     ends = np.cumsum(sizes)
     return [flat[e - n : e].reshape(s) for e, n, s in zip(ends, sizes, shapes)]

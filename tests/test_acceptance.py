@@ -514,7 +514,6 @@ def test_c09_desk_scale_training_dynamics(corpus_path, tmp_path):
         assert cli.main(prepare) == cli.EXIT_OK
         prepared = cli.Prepared(ExperimentConfig.from_yaml(cfg_path))
         cell = prepared.cell(desk.DESK_CONFIG["split"]["labeled_sizes"][0], 0)
-        data = prepared.train_data(cell)
         test = prepared.split("test_idx")
         codes_te, labels_te = test.codes(cell), test.labels
 
@@ -524,7 +523,7 @@ def test_c09_desk_scale_training_dynamics(corpus_path, tmp_path):
         ef, ec, el = test.feats[ev], codes_te[ev], labels_te[ev]
 
         cfg = prepared.cfg.train  # the desk recipe's sampler
-        _, disc = build_nets(data.feats.shape[1], data.emb_cards, cfg)
+        _, disc = build_nets(test.feats.shape[1], test.emb_cards, cfg)
         snaps = {}
 
         def cb(epoch, disc_params, gen_params):
@@ -534,7 +533,8 @@ def test_c09_desk_scale_training_dynamics(corpus_path, tmp_path):
                 ).mean(axis=0)
                 snaps[epoch] = metrics.cross_entropy(el, probs)
 
-        result = train(data, cfg, cell.seed, cell.run_dir / "checkpoint", epoch_callback=cb)
+        with prepared.train_data(cell) as data:
+            result = train(data, cfg, cell.seed, cell.run_dir / "checkpoint", epoch_callback=cb)
         pred = predict(disc, result.members, test.feats, codes_te)
 
         assert snaps[cfg.epochs] < snaps[1], (

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import logging
+import os
 import shutil
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -8,11 +9,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fraudsig import banksim, cli, reports, training
+from fraudsig import banksim, cli, features, reports, training
 from fraudsig.banksim import COLUMNS, group_customers, load_transactions, make_samples
 from fraudsig.features import FeatureStore, build_feature_store
 from fraudsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
-from fraudsig.config import ExperimentConfig
+from fraudsig.config import ExperimentConfig, committing
 from fraudsig.synthdata import SynthSpec, generate
 
 FAST_TRAIN = dict(
@@ -669,6 +670,90 @@ def test_feature_cache_cut_short_while_open_is_data_error(
     assert main([stage, "--config", str(cfg), *argv]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{bin_path} is cut short" in err and "Traceback" not in err
+
+
+def _open_paths(name: str) -> list[str]:
+    """The files this process holds open whose path contains `name`."""
+    targets = []
+    for fd in Path("/proc/self/fd").iterdir():
+        with contextlib.suppress(OSError):  # the directory's own descriptor
+            targets.append(os.readlink(fd))
+    return [t for t in targets if name in t]
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd"
+)
+
+
+def _holding_sources(monkeypatch) -> list:
+    """Every FeatureRows the CLI makes, kept alive here, so that only its
+    close() can release its descriptor."""
+    held = []
+
+    def make(*args):
+        held.append(features.FeatureRows(*args))
+        return held[-1]
+
+    monkeypatch.setattr(cli, "FeatureRows", make)
+    return held
+
+
+def _after_first_epoch(monkeypatch, action) -> None:
+    """Make every `train` the CLI calls run `action` once its first epoch ends."""
+    run = cli.train
+
+    def train_then_act(*args, **kwargs):
+        def on_epoch(epoch, *_):
+            if epoch == 1:
+                action()
+
+        return run(*args, epoch_callback=on_epoch, **kwargs)
+
+    monkeypatch.setattr(cli, "train", train_then_act)
+
+
+@needs_proc_fd
+def test_feature_cache_cut_short_between_epochs_is_data_error(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    """features.bin cut short in place after train's first epoch: the next
+    minibatch read exits 3 naming the file, with no traceback, and the
+    file's descriptor is closed."""
+    cfg = _copy_run(pipeline, tmp_path)
+    bin_path = next((tmp_path / "out/cache").rglob("features.bin"))
+    held = _holding_sources(monkeypatch)
+    _after_first_epoch(monkeypatch, lambda: os.truncate(bin_path, 8))
+    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{bin_path} is cut short" in err and "Traceback" not in err
+    trace = (tmp_path / "out/runs/nl40_rep0/checkpoint/trace.csv").read_text()
+    assert trace.splitlines()[-1].startswith("1,")  # the first epoch ran
+    assert len(held) == 1 and _open_paths("features.bin") == []
+
+
+@needs_proc_fd
+def test_feature_cache_replaced_between_epochs_keeps_the_run(pipeline, tmp_path, monkeypatch):
+    """features.bin replaced by a rename after train's first epoch, as
+    `prepare` commits it, here by a file of zeros: the running cell reads
+    the rows it opened, so it writes the pipeline run's bytes, and the
+    descriptor of the replaced file is closed when train returns."""
+    cfg = _copy_run(pipeline, tmp_path)
+    bin_path = next((tmp_path / "out/cache").rglob("features.bin"))
+
+    def replace():
+        size = bin_path.stat().st_size
+        with committing(bin_path) as tmp:
+            tmp.write_bytes(bytes(size))
+
+    held = _holding_sources(monkeypatch)
+    _after_first_epoch(monkeypatch, replace)
+    assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]) == EXIT_OK
+    assert not any(bin_path.read_bytes())
+    ref, got = pipeline[0] / "out/runs/nl40_rep0", tmp_path / "out/runs/nl40_rep0"
+    for name in ("trace.csv", "checkpoint/members.bin", "checkpoint/chains-4.bin"):
+        assert (got / name).read_bytes() == (ref / name).read_bytes(), name
+    assert len(held) == 1 and _open_paths("features.bin") == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

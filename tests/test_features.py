@@ -17,6 +17,7 @@ from fraudsig.config import DataError
 from fraudsig.features import (
     _BLOCK,
     SCHEME_VERSION,
+    FeatureRows,
     build_feature_store,
     dataset_fingerprint,
     encode_prefixes,
@@ -246,6 +247,36 @@ def test_cache_cut_short_while_open_is_data_error(tmp_path, rng):
     assert store.rows([0], 1.0, 1.0).shape == (1, store.basis.dim)
     with pytest.raises(DataError, match="features.bin is cut short"):
         store.rows(np.arange(len(samples)), 1.0, 1.0)
+
+
+def test_feature_rows_read_the_bits_of_rows(tmp_path, rng):
+    """A FeatureRows batch, in any order and with repeats, holds the rows
+    FeatureStore.rows reads, bit for bit; its shape is the manifest's."""
+    samples = _sample_set(rng, n_customers=4)
+    store, _ = build_feature_store(samples, 2, tmp_path / "c", "h", 5)
+    positions = np.arange(1, len(samples), 2)
+    want = store.rows(positions, 3.0, 70.0)
+    scale = scale_vector(store.basis, 3.0, 70.0)
+    with FeatureRows(store.path, store.manifest, positions, scale) as source:
+        assert source.shape == (positions.size, store.manifest["n_cols"])
+        for rows in (rng.permutation(positions.size), np.array([2, 2, 0]), np.array([], int)):
+            assert source[rows].tobytes() == want[rows].tobytes()
+    with pytest.raises(ValueError, match="row positions"):
+        FeatureRows(store.path, store.manifest, [len(samples)], scale)
+
+
+def test_feature_rows_cut_short_is_data_error(tmp_path, rng):
+    """features.bin cut short in place while a FeatureRows holds it open:
+    reading a row past its end is a DataError naming the file; rows before
+    it still read."""
+    samples = _sample_set(rng)
+    store, _ = build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
+    n = len(samples)
+    with FeatureRows(store.path, store.manifest, np.arange(n), np.ones(store.basis.dim)) as src:
+        store.path.write_bytes(store.path.read_bytes()[:-100])
+        assert src[np.array([0])].shape == (1, store.basis.dim)
+        with pytest.raises(DataError, match="features.bin is cut short: row"):
+            src[np.array([0, n - 1])]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Peak resident memory of `prepare`, `train` and `evaluate`, each measured
 in a fresh child process by scripts/stage_memory.py, against an ingest-only
-child on the same corpus: no stage may hold the whole feature matrix, and
-neither `train` nor `evaluate` the posterior ensemble."""
+child on the same corpus: no stage may hold the whole feature matrix,
+`train` no row of its split but the labeled ones, and neither `train` nor
+`evaluate` the posterior ensemble."""
 
 import json
 import os
@@ -20,11 +21,11 @@ STAGE_MEMORY = ROOT / "scripts" / "stage_memory.py"
 # 87 MB matrix at degree 4 (728 columns).
 CORPUS_FRACTION = 0.026
 MIN_MATRIX_BYTES = 40e6
-# What a stage may hold besides its gathered rows: the reader's 3 MiB chunk,
-# the networks, one chain per side's states and optimiser moments, BLAS
-# buffers, the forward caches at the test split, condition codes and the
-# split's index lists (about 17 MiB measured for `train`, 15 MiB for
-# `evaluate`, here).
+# What a stage may hold besides its rows (`evaluate` its split's, `train` its
+# labeled ones): the reader's 3 MiB chunk, the networks, one chain per side's
+# states and optimiser moments, BLAS buffers, a minibatch's forward caches or
+# a prediction batch's activations, condition codes and the split's index
+# lists (about 18 MiB measured for `train`, 15 MiB for `evaluate`, here).
 STAGE_ALLOWANCE = 24 * 2**20
 
 
@@ -82,10 +83,12 @@ def corpus(tmp_path_factory):
 
 
 def _split_bytes(root: Path, split: str) -> int:
-    """The bytes of the feature rows of `split` ("train_idx" or "test_idx")."""
+    """The bytes of the feature rows of `split` ("train_idx" or "test_idx"),
+    or of the labeled rows of the first cell ("labeled")."""
     splits = json.loads((root / "out/prepared/splits.json").read_text())
     (bin_path,) = (root / "cache").rglob("features.bin")
-    return bin_path.stat().st_size // splits["stats"]["n_samples"] * len(splits[split])
+    rows = splits["labeled"]["0:0"] if split == "labeled" else splits[split]
+    return bin_path.stat().st_size // splits["stats"]["n_samples"] * len(rows)
 
 
 @pytest.mark.parametrize("flag", ["--help", "-h"])
@@ -127,6 +130,11 @@ def test_stages_do_not_hold_the_feature_matrix(corpus):
     assert train["vm_hwm_bytes"] - base < 1.1 * train_bytes + STAGE_ALLOWANCE, (
         f"train peaks {train_mib:.1f} MiB above ingest; its rows are "
         f"{train_bytes / 2**20:.1f} MiB"
+    )
+    labeled_bytes = _split_bytes(root, "labeled")
+    assert train["vm_hwm_bytes"] - base < 1.1 * labeled_bytes + STAGE_ALLOWANCE, (
+        f"train peaks {train_mib:.1f} MiB above ingest; its labeled rows are "
+        f"{labeled_bytes / 2**20:.1f} MiB and its split's {train_bytes / 2**20:.1f} MiB"
     )
 
 
