@@ -128,7 +128,7 @@ class Cell:
 
 @dataclass
 class Split:
-    """One prepared split: its scaled feature rows, labels, amounts and
+    """The prepared test split: its scaled feature rows, labels, amounts and
     embedding cardinalities; `codes(cell)` is its rows' condition codes
     under that cell's labeled set."""
 
@@ -148,7 +148,7 @@ class Prepared:
     def __init__(self, cfg: ExperimentConfig):
         """Admits each entry the stages read by its Kind, then the rules that
         span entries; a bad one is a DataError naming the file.  The recorded
-        scaling maxima are not read: `split` derives them from the train split."""
+        scaling maxima are not read: `_maxima` derives them from the train split."""
         self.cfg = cfg
         self.path = path = Path(cfg.output_dir) / SPLITS_REL
         if not path.exists():
@@ -235,11 +235,11 @@ class Prepared:
         train_idx = np.asarray(self.splits["train_idx"], dtype=np.intp)
         return banksim.training_maxima(samples, train_idx)
 
-    def split(self, name: str) -> Split:
-        """The split `name` ("train_idx" or "test_idx"); only its rows are read,
-        scaled by the maxima over the train split."""
+    def test_split(self) -> Split:
+        """The test split; only its rows are read, scaled by the maxima over
+        the train split."""
         samples, store = self._source
-        idx = np.asarray(self.splits[name], dtype=np.intp)
+        idx = np.asarray(self.splits["test_idx"], dtype=np.intp)
         return Split(
             feats=store.rows(idx, *self._maxima),
             labels=samples.labels[idx].astype(np.int64),
@@ -408,7 +408,7 @@ def _cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.from_yaml(args.config)
     t0 = time.perf_counter()
     prepared = Prepared(cfg)
-    test = prepared.split("test_idx")
+    test = prepared.test_split()
     if not test.labels.any():
         raise DataError(
             f"the test split holds no fraud sample ({len(test.labels)} samples), so the "

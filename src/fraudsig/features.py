@@ -274,22 +274,23 @@ class FeatureRows:
 
     def __init__(self, path: str | Path, manifest: dict, positions, scale: np.ndarray):
         self.path = Path(path)
-        self._positions = at = np.asarray(positions, dtype=np.intp)
+        at = np.asarray(positions, dtype=np.int64)
         self._n_rows = n_rows = manifest["n_rows"]
         if at.size and not 0 <= at.min() <= at.max() < n_rows:
             raise ValueError(f"row positions must lie in [0, {n_rows})")
         self.shape = (at.size, manifest["n_cols"])
+        self._row_bytes = 8 * manifest["n_cols"]
+        self._offsets = at * self._row_bytes  # each row's byte offset in the file
         self._scale = scale
         self._file = open(self.path, "rb", buffering=0)
 
     def __getitem__(self, rows) -> np.ndarray:
-        at = self._positions[np.asarray(rows, dtype=np.intp)]
-        row_bytes = 8 * self.shape[1]
-        out = np.empty((at.size, self.shape[1]), dtype="<f8")
+        offsets, row_bytes = self._offsets[rows], self._row_bytes
+        out = np.empty((offsets.size, self.shape[1]), dtype="<f8")
         view = memoryview(out.reshape(-1).view(np.uint8))
-        order = np.argsort(at, kind="stable")
+        order = np.argsort(offsets, kind="stable")
         fd = self._file.fileno()
-        for i, p in zip((order * row_bytes).tolist(), (at[order] * row_bytes).tolist()):
+        for i, p in zip((order * row_bytes).tolist(), offsets[order].tolist()):
             row = view[i : i + row_bytes]
             got = os.preadv(fd, [row], p)
             if got < row_bytes:  # read_at finishes the row or refuses the file

@@ -514,7 +514,7 @@ def test_c09_desk_scale_training_dynamics(corpus_path, tmp_path):
         assert cli.main(prepare) == cli.EXIT_OK
         prepared = cli.Prepared(ExperimentConfig.from_yaml(cfg_path))
         cell = prepared.cell(desk.DESK_CONFIG["split"]["labeled_sizes"][0], 0)
-        test = prepared.split("test_idx")
+        test = prepared.test_split()
         codes_te, labels_te = test.codes(cell), test.labels
 
         # fixed held-out evaluation subset for the per-epoch cross-entropy

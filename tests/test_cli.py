@@ -366,12 +366,12 @@ def test_recorded_maxima_are_not_read(pipeline, tmp_path):
     with both recorded maxima edited to null and NaN, the test rows are
     bit-identical."""
     cfg = ExperimentConfig.from_yaml(_copy_run(pipeline, tmp_path))
-    before = cli.Prepared(cfg).split("test_idx").feats
+    before = cli.Prepared(cfg).test_split().feats
     path = tmp_path / "out" / cli.SPLITS_REL
     splits = json.loads(path.read_text())
     splits.update(max_sd=None, max_amt=float("nan"))
     path.write_text(json.dumps(splits))
-    after = cli.Prepared(cfg).split("test_idx").feats
+    after = cli.Prepared(cfg).test_split().feats
     assert after.tobytes() == before.tobytes()
 
 
