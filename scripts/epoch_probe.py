@@ -2,7 +2,8 @@
 """Seconds per training epoch at the full default shape, on random rows.
 
     PYTHONPATH=src python3 scripts/epoch_probe.py [--rows 60000] [--epochs 3]
-        [--batch N] [--from-file [--evict] | --alternate] [--workdir DIR]
+        [--batch N] [--from-file [--evict] | --alternate] [--profile]
+        [--workdir DIR]
 
 Trains one cell through `fraudsig.training.train` with every `TrainConfig`
 default (4+4 chains, batch 2048, n_critic 5, width 128) but `epochs`, with
@@ -25,9 +26,16 @@ memory, the file, the file, memory, and so on (ABBA order, so each pair of
 epochs 2k, 2k+1 has one of each and a steady drift cancels); epoch 1, which
 also builds the chains, reads from memory.  It prints the same sha256s too.
 
+`--profile` steps the chains serially, on this thread with OpenBLAS at one
+thread (the chain pool becomes a plain `map`), under cProfile, and prints
+the top entries by cumulative time and by own time to standard error:
+where a serial epoch goes.  Results do not depend on the thread counts, so
+it prints the same sha256s too.  `--rows`, `--epochs` and `--batch` take
+positive integers only.
+
 The last line of standard output is one JSON object: {"mode", "rows",
-"batch", "epoch_s", "epoch_cpu_s", "epoch_modes", "vm_hwm_bytes",
-"trace_sha256", "members_sha256"}.  `epoch_s` holds the wall seconds of
+"batch", "profile", "epoch_s", "epoch_cpu_s", "epoch_modes",
+"vm_hwm_bytes", "trace_sha256", "members_sha256"}.  `epoch_s` holds the wall seconds of
 each epoch, timed through train's `epoch_callback` (the first includes
 building the chains), and `epoch_cpu_s` the CPU seconds of this process's
 threads over the same spans, which other processes on a shared host move
@@ -41,16 +49,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import cProfile
 import hashlib
 import json
 import os
+import pstats
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from fraudsig import training
 from fraudsig.config import TrainConfig
 from fraudsig.features import FeatureRows, scale_vector
 from fraudsig.lyndon import LyndonBasis
@@ -65,6 +78,7 @@ FRAUD_RATE = 0.012
 MAX_SD, MAX_AMT = 3.0, 70.0  # value-channel maxima of the scaling
 CHUNK_ROWS = 4096  # rows drawn at once
 SEED = 0  # seeds the rows and the cell
+PROFILE_TOP = 25  # entries of each --profile table
 
 
 def _sha256(path: Path) -> str:
@@ -77,6 +91,32 @@ def _evict(path: Path) -> None:
     with open(path, "rb") as fh:
         os.fsync(fh.fileno())
         os.posix_fadvise(fh.fileno(), 0, 0, os.POSIX_FADV_DONTNEED)
+
+
+@contextlib.contextmanager
+def _serial_pool(n_tasks: int):
+    """Stands in for `training._chain_pool`: the chains step one after
+    another on this thread, with OpenBLAS at one thread."""
+    blas = training._openblas_threads()
+    saved = blas[0]() if blas else None
+    try:
+        if blas:
+            blas[1](1)
+        yield types.SimpleNamespace(map=map)
+    finally:
+        if blas:
+            blas[1](saved)
+
+
+def _profiled(fn, *args, **kwargs):
+    """`fn(*args, **kwargs)` with the chains stepped serially, under
+    cProfile; prints the top entries to standard error."""
+    profile = cProfile.Profile()
+    with mock.patch.object(training, "_chain_pool", _serial_pool):
+        profile.runcall(fn, *args, **kwargs)
+    stats = pstats.Stats(profile, stream=sys.stderr).strip_dirs()
+    for key in ("cumulative", "tottime"):
+        stats.sort_stats(key).print_stats(PROFILE_TOP)
 
 
 def _alternate_file(epoch: int) -> bool:
@@ -128,7 +168,7 @@ def _rows(args, scale: np.ndarray, bin_path: Path):
 def probe(args, workdir: Path) -> dict:
     cfg = TrainConfig(
         epochs=args.epochs, burn_in=0, thinning=1, checkpoint_every=0,
-        **({"batch": args.batch} if args.batch else {}),
+        **({"batch": args.batch} if args.batch is not None else {}),
     )
     scale = scale_vector(LyndonBasis.build(augmented_dim(2), DEGREE), MAX_SD, MAX_AMT)
     bin_path = workdir / "features.bin"
@@ -155,7 +195,10 @@ def probe(args, workdir: Path) -> dict:
         if args.evict:
             _evict(bin_path)
         last, last_cpu = time.perf_counter(), time.process_time()
-        train(data, cfg, SEED, ckpt, epoch_callback=on_epoch)
+        if args.profile:
+            _profiled(train, data, cfg, SEED, ckpt, epoch_callback=on_epoch)
+        else:
+            train(data, cfg, SEED, ckpt, epoch_callback=on_epoch)
     finally:
         if source is not None:
             source.close()
@@ -163,6 +206,7 @@ def probe(args, workdir: Path) -> dict:
         "mode": "alternate" if args.alternate else "file" if args.from_file else "memory",
         "rows": args.rows,
         "batch": cfg.batch,
+        "profile": args.profile,
         "epoch_s": epoch_s,
         "epoch_cpu_s": epoch_cpu_s,
         "epoch_modes": epoch_modes,
@@ -172,19 +216,28 @@ def probe(args, workdir: Path) -> dict:
     }
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    ap.add_argument("--rows", type=int, default=60_000, help="random rows (default 60000)")
-    ap.add_argument("--epochs", type=int, default=3)
-    ap.add_argument("--batch", type=int, default=None, help="default: TrainConfig's")
+    ap.add_argument("--rows", type=_positive, default=60_000, help="random rows (default 60000)")
+    ap.add_argument("--epochs", type=_positive, default=3)
+    ap.add_argument("--batch", type=_positive, default=None, help="default: TrainConfig's")
     ap.add_argument("--from-file", action="store_true",
                     help="train through a FeatureRows of a features.bin")
     ap.add_argument("--evict", action="store_true",
                     help="with --from-file: evict the file's pages before every epoch")
     ap.add_argument("--alternate", action="store_true",
                     help="read epochs 2, 3, 4, 5, ... from memory, file, file, memory, ...")
+    ap.add_argument("--profile", action="store_true",
+                    help="step the chains serially under cProfile; top entries to stderr")
     ap.add_argument("--workdir", type=Path, default=None,
                     help="where features.bin and the checkpoint go (default: a temporary dir)")
     args = ap.parse_args(argv)

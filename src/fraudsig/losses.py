@@ -27,6 +27,23 @@ pre-activation, plus the penalty's second-order part (mu^T d) W_f.  This is
 the only implementation of the penalty: its gradient is that of
 `discriminator_loss` at `gp_weight` 1 minus that at 0.  The feature-level
 form, through the whole trunk, is the test reference in ``tests/oracles.py``.
+
+A fake batch comes in one of two forms.  As an array of features x, it is
+projected as above.  As a `FakeBatch`, it is the generator's hidden layer H
+(B, h) and its affine output layer `gen.out` (W_o, b_o), x = H W_o^T + b_o,
+and that layer composes with the critic's:
+    x W_f^T = H (W_f W_o)^T + 1 (W_f b_o)^T,
+    D^T x   = (D^T H) W_o^T + (D^T 1) b_o^T,
+and in the generator step, with D_d the gradient at critic chain d's
+pre-activation, the gradients at H, W_o and b_o are
+    sum_d D_d (W_f,d W_o),  sum_d W_f,d^T (D_d^T H),  sum_d W_f,d^T (D_d^T 1).
+Both orders compute the same product chain H W_o^T W_f^T.  A `FakeBatch`
+takes whichever needs fewer multiply-adds at its shapes (the matrix-chain
+choice, `critic_factored` and `generator_factored`): the factored order
+adds a fixed W_f W_o product per fake, which pays above about 97 rows in
+the critic loss and 115 in the generator step at the default widths.
+Below that, the fake is formed as `gen.out` would form it and every product
+is the array form's, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +59,11 @@ __all__ = [
     "unlabeled_loss",
     "grad_norm_penalty",
     "DiscriminatorLossParts",
+    "FakeBatch",
+    "critic_factored",
+    "generator_factored",
     "discriminator_loss",
+    "generator_loss",
     "generator_loss_from_scores",
 ]
 
@@ -131,6 +152,49 @@ class DiscriminatorLossParts:
         return self.unlabeled + lam * self.labeled + gp_weight * self.penalty
 
 
+@dataclass(frozen=True)
+class FakeBatch:
+    """One generator chain's fake batch, H W_o^T + b_o, kept as its factors:
+    `hidden` H (B, h) is the input of `gen.out` and (`w_out`, `b_out`) that
+    layer's parameters; `codes` (B, F) are its condition codes and `eps`
+    (B,), in the critic loss, its penalty's interpolation weights."""
+
+    hidden: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
+    codes: np.ndarray
+    eps: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of the fake features, (B, l)."""
+        return self.hidden.shape[0], self.w_out.shape[0]
+
+    def formed(self) -> np.ndarray:
+        """The fake features, formed as `gen.out`'s forward forms them."""
+        return self.hidden @ self.w_out.T + self.b_out
+
+
+def critic_factored(rows: int, hidden: int, feat: int, width: int) -> bool:
+    """Whether a fake of `rows` x `feat` = (rows x `hidden`)(`hidden` x
+    `feat`) costs the critic loss fewer multiply-adds factored than formed,
+    at critic width `width`.  Formed: the fake, its projection and its W_f
+    gradient, rows*feat*(hidden + 2 width).  Factored: W_f W_o, the
+    projection, D^T H and (D^T H) W_o^T, 2 width*hidden*(feat + rows)."""
+    return 2 * width * hidden * (feat + rows) < rows * feat * (hidden + 2 * width)
+
+
+def generator_factored(rows: int, hidden: int, feat: int, width: int, critics: int) -> bool:
+    """Whether the generator step against `critics` critic chains costs
+    fewer multiply-adds with its fake factored than formed.  Formed: the
+    fake and `gen.out`'s two backward products, 3 rows*hidden*feat, and per
+    critic the projection and the input gradient, 2 rows*width*feat.
+    Factored, per critic: W_f W_o and W_f^T (D^T H), 2 width*feat*hidden,
+    and the projection, D (W_f W_o) and D^T H, 3 rows*width*hidden."""
+    formed = rows * feat * (3 * hidden + 2 * critics * width)
+    return critics * width * hidden * (2 * feat + 3 * rows) < formed
+
+
 def discriminator_loss(
     disc: DiscriminatorNet,
     params,
@@ -152,8 +216,10 @@ def discriminator_loss(
     The fakes of k generator chains come as arrays, `fake_feat` (k, B, l),
     `fake_codes` (k, B, F) and `eps` (k, B), where a 2-D `fake_feat` is the
     single-chain case k = 1; or, with `fake_codes` and `eps` None, as a
-    sized iterable `fake_feat` of k (feat, codes, eps) batches, read once in
-    order, so that each fake can be made when it is scored and freed after.
+    sized iterable `fake_feat` of k `FakeBatch`es, read once in order, so
+    that each can be made when it is scored and freed after.  Each
+    `FakeBatch` is scored in the order `critic_factored` picks for its
+    shapes.
     Each fake batch is scored against the same real and labeled batches, and
     its penalty interpolates `real_feat` against it under the real batch's
     condition codes.  The real and labeled terms do not depend on the chain,
@@ -161,17 +227,19 @@ def discriminator_loss(
     (parts, total, grads) when `want_grads`.
     """
     if fake_codes is None:
-        fakes = fake_feat
+        k = len(fake_feat)
+        fakes = ((f, f.codes, f.eps) for f in fake_feat)
     else:
         fake_feat = np.asarray(fake_feat, dtype=np.float64)
         if fake_feat.ndim == 2:
             fake_feat = fake_feat[None]
             fake_codes = np.asarray(fake_codes)[None]
             eps = np.asarray(eps)[None]
-        fakes = list(zip(fake_feat, fake_codes, eps))
+        k = len(fake_feat)
+        fakes = zip(fake_feat, fake_codes, eps)
     real_feat = np.asarray(real_feat, dtype=np.float64)
     labeled_feat = np.asarray(labeled_feat, dtype=np.float64)
-    k, n = len(fakes), real_feat.shape[0]
+    n = real_feat.shape[0]
     tvec = critic_head_vector(disc.n_classes)
     w_f = disc.free_weights(params)
     gram = w_f @ w_f.T
@@ -202,12 +270,21 @@ def discriminator_loss(
 
     unlab = pen = 0.0
     for feat, codes, e in fakes:
-        feat = np.asarray(feat, dtype=np.float64)
         if feat.shape != real_feat.shape:
             raise ValueError(
                 f"real/fake batches must align, got {real_feat.shape} vs {feat.shape}"
             )
-        proj, cond, emb = disc.project(params, feat, codes)
+        # From here `feat` is a FakeBatch scored factored, or an array.
+        if isinstance(feat, FakeBatch) and not critic_factored(
+            n, feat.hidden.shape[1], feat.shape[1], w_f.shape[0]
+        ):
+            feat = feat.formed()
+        factored = isinstance(feat, FakeBatch)
+        if factored:
+            cond, emb = disc.condition(params, codes)
+            proj = feat.hidden @ (w_f @ feat.w_out).T + w_f @ feat.b_out
+        else:
+            proj, cond, emb = disc.project(params, feat, codes)
         fake_scores, caches = disc.upper_forward(params, proj + cond)
         unlab += unlabeled_loss(real_scores, fake_scores)
         if want_grads:
@@ -226,7 +303,12 @@ def discriminator_loss(
             lam_pen *= gp_weight
             d_real_feat += e * lam_pen
             d_real += lam_pen
-            w_grad += (d_fake + (1.0 - e) * lam_pen).T @ feat
+            d_feat = d_fake + (1.0 - e) * lam_pen
+            if factored:
+                w_grad += (d_feat.T @ feat.hidden) @ feat.w_out.T
+                w_grad += np.outer(d_feat.sum(axis=0), feat.b_out)
+            else:
+                w_grad += d_feat.T @ feat
             cond_terms.append((d_fake, emb))
             m_sum += gp_weight * m
         del feat, proj  # before the next fake batch is made
@@ -244,6 +326,40 @@ def discriminator_loss(
 def _accumulate(acc, grads, weight: float = 1.0) -> None:
     for a, g in zip(acc, grads):
         a += weight * g
+
+
+def generator_loss(disc: DiscriminatorNet, disc_params, fake: FakeBatch):
+    """Generator objective summed over critic chains: the sum over
+    `disc_params`, one parameter list per chain, of mean critic(fake
+    scores), with its gradients at `fake.hidden` and at `gen.out`'s W_o and
+    b_o, in the order `generator_factored` picks.  Returns (value, d hidden,
+    [dW_o, db_o])."""
+    (rows, hidden), feat_dim = fake.hidden.shape, fake.shape[1]
+    loss = 0.0
+    if not generator_factored(rows, hidden, feat_dim, disc.proj.out_dim, len(disc_params)):
+        feat = fake.formed()
+        d_feat = np.zeros_like(feat)
+        for params in disc_params:
+            scores, cache = disc.forward(params, feat, fake.codes)
+            value, d_scores = generator_loss_from_scores(scores)
+            loss += value
+            d_feat += disc.backward(params, cache, d_scores, need_param_grads=False)[1]
+        return loss, d_feat @ fake.w_out, [d_feat.T @ fake.hidden, d_feat.sum(axis=0)]
+    d_hidden = np.zeros_like(fake.hidden)
+    d_w, d_b = np.zeros_like(fake.w_out), np.zeros_like(fake.b_out)
+    for params in disc_params:
+        w_f = disc.free_weights(params)
+        composed = w_f @ fake.w_out
+        pre = fake.hidden @ composed.T + w_f @ fake.b_out
+        pre += disc.condition(params, fake.codes)[0]
+        scores, caches = disc.upper_forward(params, pre)
+        value, d_scores = generator_loss_from_scores(scores)
+        loss += value
+        d_pre = disc.upper_backward(params, caches, d_scores, need_param_grads=False)[1]
+        d_hidden += d_pre @ composed
+        d_w += w_f.T @ (d_pre.T @ fake.hidden)
+        d_b += w_f.T @ d_pre.sum(axis=0)
+    return loss, d_hidden, [d_w, d_b]
 
 
 def generator_loss_from_scores(fake_scores: np.ndarray):

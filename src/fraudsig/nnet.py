@@ -18,9 +18,13 @@ projection's and the embedding tables' gradients from gradients at it.
 `forward` and `backward` are built on these, and so is the critic loss,
 which combines projected batches linearly.  `output` is `forward` without
 the layer caches that only a backward pass reads, for batches that are
-never differentiated: the ensemble's predictions and the critic's fake
-batches.  The whole-trunk form, with the concatenated input through `proj`
-as an ordinary dense layer, is the test reference in ``tests/oracles.py``.
+never differentiated: the ensemble's predictions.  The generator's passes
+can stop below its affine output layer `gen.out`: `hidden` and
+`hidden_forward` give that layer's input H, and `hidden_backward` starts
+from the gradient at H, so the losses can compose `gen.out` with the
+critic's projection and never form a fake batch (see ``losses``).  The
+whole-trunk form, with the concatenated input through `proj` as an
+ordinary dense layer, is the test reference in ``tests/oracles.py``.
 
 Conventions:
     * class index 0 is reserved for generated samples; indices 1..K are the
@@ -270,52 +274,58 @@ class _Net:
             out.append(rng.normal(0.0, sigma, size=spec.shape))
         return out
 
-    def _check_input(self, x, codes):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.free_dim:
-            raise ValueError(f"input batch must be (n, {self.free_dim}), got {x.shape}")
-        return x, _check_codes(codes, self.emb.cards)
-
     def free_weights(self, params):
         """W_x, the free-input columns of the `proj` weight (a view)."""
         return self._split(params)[1][0][:, self._free]
 
+    def condition(self, params, codes):
+        """The condition part of `proj`'s pre-activation, e W_e^T + b, and
+        the embedding cache."""
+        codes = _check_codes(codes, self.emb.cards)
+        emb_ps, (W, b), _ = self._split(params)
+        outs, emb_cache = self.emb.forward(emb_ps, codes)
+        return b + sum(o @ W[:, s].T for o, s in zip(outs, self._emb_cols)), emb_cache
+
     def project(self, params, x, codes):
         """Pre-activation of `proj` in two parts: (x W_x^T, e W_e^T + b,
         embedding cache)."""
-        x, codes = self._check_input(x, codes)
-        emb_ps, (W, b), _ = self._split(params)
-        outs, emb_cache = self.emb.forward(emb_ps, codes)
-        cond = b + sum(o @ W[:, s].T for o, s in zip(outs, self._emb_cols))
-        return x @ W[:, self._free].T, cond, emb_cache
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.free_dim:
+            raise ValueError(f"input batch must be (n, {self.free_dim}), got {x.shape}")
+        cond, emb_cache = self.condition(params, codes)
+        return x @ self.free_weights(params).T, cond, emb_cache
 
-    def upper_forward(self, params, pre):
+    def upper_forward(self, params, pre, stop=None):
         """Output of the upper layers from `proj` pre-activations, with the
-        layers' caches."""
+        layers' caches; with `stop`, of the layers `layers[:stop]` only."""
         upper_ps = self._split(params)[2]
         caches = []
-        for layer, (lo, hi) in zip(self.layers, self._offsets):
+        for layer, (lo, hi) in zip(self.layers[:stop], self._offsets):
             pre, cache = layer.forward(upper_ps[lo:hi], pre)
             caches.append(cache)
         return pre, caches
 
-    def output(self, params, x, codes):
+    def output(self, params, x, codes, stop=None):
         """The output of `forward`, with no caches: each layer's input is
-        released as soon as the layer has run."""
+        released as soon as the layer has run.  With `stop`, the output of
+        the layers `layers[:stop]`."""
         y, cond, _ = self.project(params, x, codes)
         y += cond
         del cond
         upper_ps = self._split(params)[2]
-        for layer, (lo, hi) in zip(self.layers, self._offsets):
+        for layer, (lo, hi) in zip(self.layers[:stop], self._offsets):
             y = layer.forward(upper_ps[lo:hi], y)[0]
         return y
 
     def upper_backward(self, params, caches, dy, need_param_grads=True):
-        """Reverse pass over the upper layers; returns (their grads, d pre)."""
+        """Reverse pass over the upper layers that `caches` holds, the
+        lowest len(caches); returns (their grads, None for the layers above
+        them, and d pre)."""
         upper_ps = self._split(params)[2]
         grads = [None] * len(upper_ps) if need_param_grads else None
+        n = len(caches)
         for layer, (lo, hi), c in zip(
-            reversed(self.layers), reversed(self._offsets), reversed(caches)
+            reversed(self.layers[:n]), reversed(self._offsets[:n]), reversed(caches)
         ):
             layer_grads, dy = layer.backward(upper_ps[lo:hi], c, dy, need_param_grads)
             if need_param_grads:
@@ -345,10 +355,10 @@ class _Net:
                 acc += g
         return emb_grads + [dW, db]
 
-    def forward(self, params, x, codes):
+    def forward(self, params, x, codes, stop=None):
         x = np.asarray(x, dtype=np.float64)
         proj, cond, emb_cache = self.project(params, x, codes)
-        y, caches = self.upper_forward(params, proj + cond)
+        y, caches = self.upper_forward(params, proj + cond, stop)
         return y, (x, emb_cache, caches)
 
     def backward(self, params, cache, dy, need_param_grads=True):
@@ -383,6 +393,26 @@ class GeneratorNet(_Net):
         layers.append(TanhAct())
         layers.append(Dense(width, out_dim, "gen.out"))
         super().__init__(emb, latent_dim, False, proj, layers)
+
+    def out_params(self, params):
+        """`gen.out`'s (W_o, b_o): a fake batch is H W_o^T + b_o."""
+        return params[-2], params[-1]
+
+    def hidden(self, params, z, codes):
+        """H (n, width), the input of `gen.out`, with no caches (`output`
+        stopped below `gen.out`)."""
+        return self.output(params, z, codes, stop=-1)
+
+    def hidden_forward(self, params, z, codes):
+        """H with the cache `hidden_backward` reads."""
+        return self.forward(params, z, codes, stop=-1)
+
+    def hidden_backward(self, params, cache, d_hidden, out_grads):
+        """Parameter gradients from `d_hidden`, the gradient at H, and
+        `out_grads`, `gen.out`'s (dW_o, db_o)."""
+        grads, _ = self.backward(params, cache, d_hidden)
+        grads[-2:] = out_grads
+        return grads
 
 
 class DiscriminatorNet(_Net):

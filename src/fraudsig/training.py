@@ -10,6 +10,9 @@ restricted-softmax fraud probability over ensemble members and reports the
 spread of its empirical 5%/95% quantiles as the per-sample uncertainty.
 The chains of an epoch and the members of a prediction are each mapped
 over a pool of threads, and neither result depends on the pool's size.
+A fake batch travels as a `losses.FakeBatch`, the generator's hidden layer
+and its `gen.out` parameters, and the losses pick the order its products
+run in.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .config import (
     read_json,
 )
 from .features import FeatureRows
-from .losses import discriminator_loss, generator_loss_from_scores
+from .losses import FakeBatch, discriminator_loss, generator_loss
 from .nnet import DiscriminatorNet, GeneratorNet, restricted_softmax
 from .sghmc import AdamState, GlorotPrior, adam_sghmc_step
 
@@ -403,18 +406,13 @@ def train(
         """Step a generator chain along the critic response summed over all
         discriminator chains; returns its loss, or None if it diverged."""
         z = chain.rng.standard_normal((batch, cfg.latent_dim))
-        cond_rows = chain.rng.choice(all_idx, size=batch, replace=True)
-        codes = data.codes[cond_rows]
-        fake, gcache = gen.forward(chain.params, z, codes)
-        dfeat_total = np.zeros_like(fake)
-        loss = 0.0
-        for dchain in disc_chains:
-            scores, dcache = disc.forward(dchain.params, fake, codes)
-            val, dscores = generator_loss_from_scores(scores)
-            loss += val
-            _, dfeat = disc.backward(dchain.params, dcache, dscores, need_param_grads=False)
-            dfeat_total += dfeat
-        grads, _ = gen.backward(chain.params, gcache, dfeat_total)
+        codes = data.codes[chain.rng.choice(all_idx, size=batch, replace=True)]
+        hidden, gcache = gen.hidden_forward(chain.params, z, codes)
+        loss, d_hidden, out_grads = generator_loss(
+            disc, [c.params for c in disc_chains],
+            FakeBatch(hidden, *gen.out_params(chain.params), codes),
+        )
+        grads = gen.hidden_backward(chain.params, gcache, d_hidden, out_grads)
         direction = _direction(grads, chain.params, gen_prior, prior_w)
         if not _finite(loss, direction):
             return None
@@ -429,7 +427,9 @@ def train(
         def fake(gchain):
             z = chain.rng.standard_normal((batch, cfg.latent_dim))
             codes = data.codes[chain.rng.choice(all_idx, size=batch, replace=True)]
-            return gen.output(gchain.params, z, codes), codes, chain.rng.uniform(size=batch)
+            hidden = gen.hidden(gchain.params, z, codes)
+            return FakeBatch(hidden, *gen.out_params(gchain.params), codes,
+                             chain.rng.uniform(size=batch))
 
         sums = [0.0] * len(_CRITIC_TERMS)
         for lab_rows in lab_batches:

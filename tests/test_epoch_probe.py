@@ -50,3 +50,34 @@ def test_rows_from_the_file_train_to_the_same_bytes(tmp_path):
     assert (tmp_path / "file/features.bin").stat().st_size == 500 * 728 * 8
     hashes = {(run["trace_sha256"], run["members_sha256"]) for run in runs.values()}
     assert len(hashes) == 1
+
+
+@pytest.mark.parametrize("flag", ["--rows", "--batch", "--epochs"])
+def test_non_positive_sizes_are_refused(flag):
+    """0 is no size: argparse refuses it (exit 2) before anything is drawn."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, str(EPOCH_PROBE), flag, "0"], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2
+    assert f"{flag}: must be a positive integer, got 0" in run.stderr
+    assert run.stdout == ""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_profile_steps_serially_to_the_same_bytes(tmp_path):
+    """--profile prints cProfile's top entries to standard error, keeps the
+    JSON line last on standard output, and trains to the same bytes as the
+    threaded run at the tiny shape (one epoch)."""
+    one = ("--rows", "500", "--batch", "32", "--epochs", "1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, str(EPOCH_PROBE), *one, "--profile", "--workdir", str(tmp_path / "p")],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    profiled = json.loads(run.stdout.splitlines()[-1])
+    threaded = json.loads(_run(*one, "--workdir", str(tmp_path / "t")).splitlines()[-1])
+    assert profiled["profile"] is True and threaded["profile"] is False
+    assert "cumulative" in run.stderr and "critic_step" in run.stderr
+    assert (profiled["trace_sha256"], profiled["members_sha256"]) == (
+        threaded["trace_sha256"], threaded["members_sha256"]
+    )

@@ -3,7 +3,11 @@ import pytest
 
 from fraudsig.losses import (
     DiscriminatorLossParts,
+    FakeBatch,
+    critic_factored,
     discriminator_loss,
+    generator_factored,
+    generator_loss,
     generator_loss_from_scores,
     grad_norm_penalty,
     labeled_loss_grad,
@@ -198,9 +202,12 @@ def test_discriminator_loss_stacked_fakes_sum_single_calls(rng):
         lam=10.0, gp_weight=10.0,
     )
     assert total_only == total
-    # The fakes as a sized iterable of (feat, codes, eps) batches: the same
-    # result, bit for bit.
-    batches = list(zip(fakes, fake_codes, eps))
+    # The fakes as a sequence of FakeBatches of an identity output layer,
+    # which are formed at this shape: the same result, bit for bit.
+    assert not critic_factored(B, 3, 3, 5)
+    batches = [FakeBatch(f, np.eye(3), np.zeros(3), c, e)
+               for f, c, e in zip(fakes, fake_codes, eps)]
+    assert all(np.array_equal(b.formed(), f) for b, f in zip(batches, fakes))
     parts_it, total_it, grads_it = discriminator_loss(
         disc, params, real, codes, batches, None, lab, lab_codes, labels, None,
         lam=10.0, gp_weight=10.0, want_grads=True,
@@ -340,3 +347,113 @@ def test_generator_loss_and_grad(rng):
             return gen_loss(trial)
 
         np.testing.assert_allclose(grads[k], fd_grad(fk, p.copy()), rtol=1e-5, atol=1e-7)
+
+
+def test_factored_order_break_even_at_the_default_widths():
+    """Hidden and critic width 128, 728 features: the factored order pays
+    from 97 rows in the critic loss and, against 4 critic chains, from 116
+    in the generator step."""
+    assert [critic_factored(b, 128, 728, 128) for b in (96, 97)] == [False, True]
+    assert [generator_factored(b, 128, 728, 128, 4) for b in (115, 116)] == [False, True]
+
+
+def _fake_batches(rng, k, B, hidden, feat_dim, codes, eps):
+    return [
+        FakeBatch(rng.normal(size=(B, hidden)), rng.normal(size=(feat_dim, hidden)) / 3,
+                  rng.normal(size=feat_dim), codes[j], eps[j])
+        for j in range(k)
+    ]
+
+
+def _assert_same(got, want, exact):
+    """Bit for bit, or to 1e-12 of the largest entry of each array."""
+    for g, w in zip(got, want):
+        if exact:
+            np.testing.assert_array_equal(g, w)
+        else:
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("B, factored", [(2, False), (7, True)], ids=["formed", "factored"])
+def test_fake_batches_match_the_array_form(rng, B, factored):
+    """FakeBatches score as their formed features do in the (k, B, l) array
+    form: bit for bit below the break-even, where they are formed, and to
+    1e-12 above it, where gen.out composes with the critic's projection."""
+    k, hidden, feat_dim = 2, 4, 40
+    disc, params, args = _loss_case(rng, k, B, feat_dim=feat_dim, cards=(2, 3), width=5)
+    real, codes, _, fake_codes, lab, lab_codes, labels, eps = args
+    assert critic_factored(B, hidden, feat_dim, 5) == factored
+    batches = _fake_batches(rng, k, B, hidden, feat_dim, fake_codes, eps)
+    fakes = np.stack([b.formed() for b in batches])
+    parts, total, grads = discriminator_loss(
+        disc, params, real, codes, batches, None, lab, lab_codes, labels, None,
+        lam=10.0, gp_weight=10.0, want_grads=True,
+    )
+    want_parts, want_total, want_grads = discriminator_loss(
+        disc, params, real, codes, fakes, fake_codes, lab, lab_codes, labels, eps,
+        lam=10.0, gp_weight=10.0, want_grads=True,
+    )
+    values = [parts.unlabeled, parts.labeled, parts.penalty, total]
+    want_values = [want_parts.unlabeled, want_parts.labeled, want_parts.penalty, want_total]
+    if factored:
+        assert values == pytest.approx(want_values, rel=1e-12, abs=0)
+    else:
+        assert values == want_values
+    assert len(grads) == len(want_grads)
+    _assert_same(grads, want_grads, exact=not factored)
+
+
+def test_fake_batch_row_mismatch(rng):
+    """A FakeBatch with fewer or more rows than the real batch is the
+    ValueError of the array form."""
+    disc, params = _setup(rng)
+    codes = np.zeros((3, 1), dtype=int)
+    for rows in (2, 200):
+        batch = FakeBatch(np.zeros((rows, 4)), np.zeros((3, 4)), np.zeros(3),
+                          np.zeros((rows, 1), dtype=int), np.zeros(rows))
+        with pytest.raises(ValueError, match="real/fake batches must align"):
+            discriminator_loss(
+                disc, params, np.zeros((3, 3)), codes, [batch], None,
+                np.zeros((2, 3)), np.zeros((2, 1), dtype=int), np.array([1, 2]), None,
+                10.0, 10.0,
+            )
+
+
+@pytest.mark.parametrize("B, factored", [(2, False), (7, True)], ids=["formed", "factored"])
+def test_generator_loss_matches_the_dense_chain(rng, B, factored):
+    """`generator_loss` over two critic chains, through the generator's
+    passes below gen.out, against the dense chain of
+    `test_generator_loss_and_grad` (the fake formed, scored by each critic
+    and its gradient sent back through gen.out): bit for bit below the
+    break-even, to 1e-12 above it."""
+    feat_dim, hidden = 40, 4
+    disc = DiscriminatorNet(feat_dim=feat_dim, emb_cards=(2,), n_classes=2,
+                            width=5, n_residual=1, head_widths=(4,))
+    critics = [disc.init_params(rng) for _ in range(2)]
+    gen = GeneratorNet(latent_dim=2, emb_cards=(2,), out_dim=feat_dim, width=hidden,
+                       n_residual=1)
+    gparams = gen.init_params(rng)
+    z = rng.normal(size=(B, 2))
+    codes = rng.integers(0, 2, (B, 1))
+    assert generator_factored(B, hidden, feat_dim, 5, len(critics)) == factored
+
+    fake, gcache = gen.forward(gparams, z, codes)
+    want_value, dfeat_total = 0.0, np.zeros_like(fake)
+    for dparams in critics:
+        scores, dcache = disc.forward(dparams, fake, codes)
+        value, dscores = generator_loss_from_scores(scores)
+        want_value += value
+        dfeat_total += disc.backward(dparams, dcache, dscores, need_param_grads=False)[1]
+    want_grads, _ = gen.backward(gparams, gcache, dfeat_total)
+
+    hidden_rows, cache = gen.hidden_forward(gparams, z, codes)
+    value, d_hidden, out_grads = generator_loss(
+        disc, critics, FakeBatch(hidden_rows, *gen.out_params(gparams), codes)
+    )
+    grads = gen.hidden_backward(gparams, cache, d_hidden, out_grads)
+    if factored:
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+    else:
+        assert value == want_value
+    assert len(grads) == len(want_grads)
+    _assert_same(grads, want_grads, exact=not factored)

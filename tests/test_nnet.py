@@ -221,6 +221,29 @@ def test_output_is_the_forward_output_bit_for_bit(make, rng):
         net.output(params, x, codes[:, :-1])
 
 
+def test_generator_passes_below_gen_out_compose_to_forward_and_backward(rng):
+    """`hidden` and `hidden_forward` give gen.out's input, which gen.out's
+    forward takes to `forward`'s output, and `hidden_backward` from the
+    gradient at it and gen.out's own gradients gives `backward`'s, all bit
+    for bit."""
+    net = GeneratorNet(latent_dim=5, emb_cards=(3, 2, 4), out_dim=7, width=6, n_residual=2)
+    params = net.init_params(rng)
+    z = rng.normal(size=(9, 5))
+    codes = np.column_stack([rng.integers(0, c, 9) for c in net.emb.cards])
+    w_out, b_out = net.out_params(params)
+    fake, cache = net.forward(params, z, codes)
+    hidden, hcache = net.hidden_forward(params, z, codes)
+    assert hidden.shape == (9, 6)
+    assert net.hidden(params, z, codes).tobytes() == hidden.tobytes()
+    assert (hidden @ w_out.T + b_out).tobytes() == fake.tobytes()
+    dy = rng.normal(size=fake.shape)
+    want, _ = net.backward(params, cache, dy)
+    got = net.hidden_backward(params, hcache, dy @ w_out, [dy.T @ hidden, dy.sum(axis=0)])
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_penalty_param_grads_match_fd(rng):
     """The second-order path: gradient of sum(coeffs * (g . v)) over
     parameters, where g is the critic's input gradient."""
