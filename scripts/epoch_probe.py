@@ -35,11 +35,12 @@ positive integers only.
 
 The last line of standard output is one JSON object: {"mode", "rows",
 "batch", "profile", "epoch_s", "epoch_cpu_s", "epoch_modes",
-"vm_hwm_bytes", "trace_sha256", "members_sha256"}.  `epoch_s` holds the wall seconds of
-each epoch, timed through train's `epoch_callback` (the first includes
-building the chains), and `epoch_cpu_s` the CPU seconds of this process's
-threads over the same spans, which other processes on a shared host move
-less; `epoch_modes` names each epoch's rows ("memory" or "file");
+"vm_hwm_bytes", "trace_sha256", "members_sha256"}.  `epoch_s` holds the
+wall seconds of each epoch, timed through train's `epoch_callback` (the
+first includes building the chains), and `epoch_cpu_s` the CPU seconds of
+this process's threads over the same spans, which other processes on a
+shared host move less; `epoch_modes` names each epoch's rows ("memory" or
+"file");
 `vm_hwm_bytes` is this process's peak resident set (see stage_memory.py).
 The work directory (a temporary one unless --workdir is given) holds the
 checkpoint.

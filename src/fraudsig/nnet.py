@@ -318,9 +318,9 @@ class _Net:
         return y
 
     def upper_backward(self, params, caches, dy, need_param_grads=True):
-        """Reverse pass over the upper layers that `caches` holds, the
-        lowest len(caches); returns (their grads, None for the layers above
-        them, and d pre)."""
+        """Reverse pass over the lowest len(`caches`) upper layers, whose
+        caches they are; returns (the upper-layer grads, None in the slots
+        of any layer above those, d pre)."""
         upper_ps = self._split(params)[2]
         grads = [None] * len(upper_ps) if need_param_grads else None
         n = len(caches)

@@ -15,14 +15,19 @@ EPOCH_PROBE = ROOT / "scripts" / "epoch_probe.py"
 TINY = ("--rows", "500", "--batch", "32", "--epochs", "3")
 
 
-def _run(*argv: str) -> str:
-    """Standard output of scripts/epoch_probe.py run with `argv`."""
+def _probe(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
+    """scripts/epoch_probe.py run with `argv`, its output captured."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(EPOCH_PROBE), *argv], env=env, check=True,
+        [sys.executable, str(EPOCH_PROBE), *argv], env=env, check=check,
         capture_output=True, text=True, timeout=300,
-    ).stdout
+    )
+
+
+def _run(*argv: str) -> str:
+    """Standard output of scripts/epoch_probe.py run with `argv`."""
+    return _probe(*argv).stdout
 
 
 def test_help_prints_the_script_usage():
@@ -55,9 +60,7 @@ def test_rows_from_the_file_train_to_the_same_bytes(tmp_path):
 @pytest.mark.parametrize("flag", ["--rows", "--batch", "--epochs"])
 def test_non_positive_sizes_are_refused(flag):
     """0 is no size: argparse refuses it (exit 2) before anything is drawn."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(EPOCH_PROBE), flag, "0"], env=env,
-                         capture_output=True, text=True, timeout=300)
+    run = _probe(flag, "0", check=False)
     assert run.returncode == 2
     assert f"{flag}: must be a positive integer, got 0" in run.stderr
     assert run.stdout == ""
@@ -69,11 +72,7 @@ def test_profile_steps_serially_to_the_same_bytes(tmp_path):
     JSON line last on standard output, and trains to the same bytes as the
     threaded run at the tiny shape (one epoch)."""
     one = ("--rows", "500", "--batch", "32", "--epochs", "1")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run(
-        [sys.executable, str(EPOCH_PROBE), *one, "--profile", "--workdir", str(tmp_path / "p")],
-        env=env, check=True, capture_output=True, text=True, timeout=300,
-    )
+    run = _probe(*one, "--profile", "--workdir", str(tmp_path / "p"))
     profiled = json.loads(run.stdout.splitlines()[-1])
     threaded = json.loads(_run(*one, "--workdir", str(tmp_path / "t")).splitlines()[-1])
     assert profiled["profile"] is True and threaded["profile"] is False
