@@ -6,7 +6,8 @@ record of its run beside its own outputs (`_record`): `prepared/prepare.json`,
 No stage reads another's record, so cells can train side by side on one
 output directory.  `Prepared` is the one path from prepared data to a cell's
 arrays, for `train`, `evaluate` and the acceptance checks alike.
-Exit codes: 0 success, 2 configuration problems, 3 data problems, 4 diverged
+Exit codes: 0 success, 2 configuration problems, 3 data problems (a file
+that fails to read or write, the disk full say, among them), 4 diverged
 training.
 """
 
@@ -235,13 +236,22 @@ class Prepared:
         train_idx = np.asarray(self.splits["train_idx"], dtype=np.intp)
         return banksim.training_maxima(samples, train_idx)
 
+    def _rows(self, idx: np.ndarray) -> FeatureRows:
+        """A reader of the store's rows at the positions `idx`, scaled by
+        the maxima over the train split."""
+        _, store = self._source
+        scale = scale_vector(store.basis, *self._maxima)
+        return FeatureRows(store.path, store.manifest, idx, scale)
+
     def test_split(self) -> Split:
-        """The test split; only its rows are read, scaled by the maxima over
-        the train split."""
-        samples, store = self._source
+        """The test split; only its rows are read, at once, scaled by the
+        maxima over the train split."""
+        samples, _ = self._source
         idx = np.asarray(self.splits["test_idx"], dtype=np.intp)
+        with self._rows(idx) as rows:
+            feats = rows[:]
         return Split(
-            feats=store.rows(idx, *self._maxima),
+            feats=feats,
             labels=samples.labels[idx].astype(np.int64),
             amounts=samples.amounts[idx],
             emb_cards=banksim.condition_cards(samples),
@@ -253,10 +263,9 @@ class Prepared:
         """The training data of `cell`, from the train split, for the `with`
         block: its rows are a `FeatureRows` of the store's features.bin, read
         per minibatch through one descriptor that the block's end closes."""
-        samples, store = self._source
+        samples, _ = self._source
         idx = np.asarray(self.splits["train_idx"], dtype=np.intp)
-        scale = scale_vector(store.basis, *self._maxima)
-        with FeatureRows(store.path, store.manifest, idx, scale) as feats:
+        with self._rows(idx) as feats:
             yield PreparedData(
                 feats=feats, codes=banksim.condition_codes(samples, idx, cell.labeled),
                 labels=samples.labels[idx].astype(np.int64),
@@ -360,8 +369,9 @@ def _cmd_prepare(args) -> int:
         )
         if not hit_rows.size:
             raise DataError(f"no sample for customer {cust!r} with prefix {dump_prefix}")
-        vec = store.rows(hit_rows[:1], max_sd, max_amt)[0]
-        print(" ".join(repr(float(v)) for v in vec))
+        scale = scale_vector(store.basis, max_sd, max_amt)
+        with FeatureRows(store.path, store.manifest, hit_rows[:1], scale) as rows:
+            print(" ".join(repr(float(v)) for v in rows[:][0]))
     return EXIT_OK
 
 
@@ -532,7 +542,7 @@ def main(argv=None) -> int:
     except DivergedChainError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (banksim.TransactionParseError, DataError, FileNotFoundError) as exc:
+    except (banksim.TransactionParseError, DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

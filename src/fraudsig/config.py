@@ -33,6 +33,7 @@ __all__ = [
     "derive_seed_sequence",
     "cache_dir",
     "committing",
+    "naming",
     "read_json",
     "read_at",
     "parsing",
@@ -62,15 +63,30 @@ def committing(path: str | Path):
     to write the artifact `path` into, and rename it over `path` once
     written: readers see the old file or the new one whole, and the last
     writer to commit wins.  A body that raises leaves `path` as it was and
-    removes its temporary file; only a killed writer leaves one behind."""
+    removes its temporary file; only a killed writer leaves one behind.  A
+    failed write names `path` (see `naming`)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{next(_writers)}.tmp")
     try:
-        yield tmp
-        tmp.replace(path)
+        with naming(path):
+            yield tmp
+            tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def naming(path: str | Path):
+    """Give an OSError raised in the block that names no file `path` as its
+    filename, so its message says which file: a write or close that fails
+    on an open file, for a full disk say, names none."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
         raise
 
 

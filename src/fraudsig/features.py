@@ -35,15 +35,16 @@ entry is one flat little-endian float64 matrix, ``features.bin``, plus a JSON
 manifest holding the key.
 
 No stage holds the whole matrix.  A cache miss encodes one customer at a time
-and appends its rows to the file.  `evaluate` gets its split's rows, scaled,
-from :meth:`FeatureStore.rows`, which reads the file in chunks of at most
-``_CHUNK_ROWS`` rows; `train` holds none of its split's rows but the labeled
-ones, and reads each minibatch through a :class:`FeatureRows`, one row per
-read.  Both use plain positioned reads, and :func:`~fraudsig.config.read_at`
-finishes a short one or refuses the file.
-``FeatureStore.matrix`` is a read-only memory map of the file, for inspection
-only: a file cut short under a live mapping faults the reading process,
-whereas the readers raise a DataError naming the file.
+and appends its rows to the file.  One reader serves every stage: a
+:class:`FeatureRows` over a split's file positions reads each requested row
+with one positioned read and scales it.  `train` holds none of its split's
+rows but the labeled ones and reads each minibatch through it; `evaluate`
+and `prepare --dump-encoding` read their rows through it at once.
+:func:`~fraudsig.config.read_at` finishes a short read or refuses the file.
+``FeatureStore.matrix`` is a read-only memory map of the file, for the
+benchmark's encoder check and the tests only: a file cut short under a live
+mapping faults the reading process, whereas the reader raises a DataError
+naming the file.
 """
 
 from __future__ import annotations
@@ -93,8 +94,6 @@ _VIS_CHANNEL = 6
 # Steps per batch of segment products, level folds and prefix finalisations;
 # bounds the temporaries to a few MiB whatever the customer's length.
 _BLOCK = 32
-# Rows per read of FeatureStore.rows: about 3 MiB at degree 4 (728 columns).
-_CHUNK_ROWS = 512
 
 
 def dataset_fingerprint(path: str | Path) -> str:
@@ -216,8 +215,9 @@ class FeatureStore:
     """Cached unscaled feature matrix, row-aligned with a SampleSet; its
     shape is the manifest's `n_rows` by `n_cols`.
 
-    `matrix` is a read-only memory map of `path`, for inspection; stages
-    read rows through `rows` or a `FeatureRows`, which never map the file.
+    `matrix` is a read-only memory map of `path`, for the benchmark's
+    encoder check and the tests; no stage reads it.  Stages read rows
+    through a `FeatureRows`, which never maps the file.
     """
 
     path: Path
@@ -225,45 +225,14 @@ class FeatureStore:
     basis: LyndonBasis
     manifest: dict
 
-    def rows(self, idx, max_sd: float, max_amt: float) -> np.ndarray:
-        """Rows `idx` (strictly increasing), scaled for the value-channel
-        maxima (max_sd, max_amt) of the split.
-
-        The file is read in chunks of at most `_CHUNK_ROWS` rows, each
-        starting at the next requested row, and only the requested rows are
-        kept; a file cut short is a DataError naming it.
-        """
-        idx = np.asarray(idx, dtype=np.intp)
-        n_rows, n_cols = self.manifest["n_rows"], self.manifest["n_cols"]
-        if idx.size and (idx[0] < 0 or idx[-1] >= n_rows or np.any(idx[1:] <= idx[:-1])):
-            raise ValueError(f"row indices must be strictly increasing in [0, {n_rows})")
-        scale = scale_vector(self.basis, max_sd, max_amt)
-        out = np.empty((idx.size, n_cols))
-        chunk = np.empty((min(_CHUNK_ROWS, n_rows), n_cols), dtype="<f8")
-        with open(self.path, "rb", buffering=0) as fh:
-            lo = 0
-            while lo < idx.size:
-                first = idx[lo]
-                hi = int(np.searchsorted(idx, first + _CHUNK_ROWS))
-                buf = chunk[: idx[hi - 1] - first + 1]
-                read_at(
-                    fh, buf, int(first) * 8 * n_cols,
-                    lambda _: f"{self.path} is cut short: rows {first}..{idx[hi - 1]} of "
-                    f"{n_rows} cannot be read",
-                )
-                np.take(buf, idx[lo:hi] - first, axis=0, out=out[lo:hi])
-                out[lo:hi] *= scale
-                lo = hi
-        return out
-
 
 class FeatureRows:
     """The rows of a feature file at the file positions `positions`, scaled
     by `scale` and read from the file at each request: `source[rows]`, for an
-    index array `rows` into `positions`, is an in-memory matrix of those
-    rows.  It sorts their positions, reads each row into its place with one
-    positioned read, and multiplies by `scale`, one product per element, so
-    every row has the bits of `FeatureStore.rows`.
+    index array `rows` into `positions` or a slice (`source[:]` is every
+    row), is an in-memory matrix of those rows.  It sorts their positions,
+    reads each row into its place with one positioned read, and multiplies
+    by `scale`, one product per element.
 
     The shape is (len(positions), the manifest's `n_cols`), and positions lie
     in [0, the manifest's `n_rows`).  The file stays open from construction

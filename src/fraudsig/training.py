@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    ConfigError, DataError, Kind, TrainConfig, admit, committing, derive_rng, parsing, read_at,
-    read_json,
+    ConfigError, DataError, Kind, TrainConfig, admit, committing, derive_rng, naming, parsing,
+    read_at, read_json,
 )
 from .features import FeatureRows
 from .losses import FakeBatch, discriminator_loss, generator_loss
@@ -463,12 +463,12 @@ def train(
                 for term, value in zip(_CRITIC_TERMS, means):
                     rows.append((epoch, "disc", j, term, value))
             text = "".join(f"{e},{k},{c},{t},{float(v)!r}\n" for e, k, c, t, v in rows)
-            with open(out / "trace.csv", "ab") as f:
+            with naming(out / "trace.csv"), open(out / "trace.csv", "ab") as f:
                 f.write(text.encode())
 
             if cfg.collects(epoch):
                 keys += [(j, epoch) for j in range(cfg.chains_d)]
-                with open(out / "members.bin", "ab") as f:
+                with naming(out / "members.bin"), open(out / "members.bin", "ab") as f:
                     for chain in disc_chains:
                         _write(f, chain.params)
 
@@ -569,7 +569,7 @@ def save_checkpoint(checkpoint_dir, epoch, gen_chains, disc_chains, cycle, keys,
     (chain, epoch) `keys`, are in members.bin, and its trace fills trace.csv."""
     out = Path(checkpoint_dir)
     chains = f"chains-{epoch}.bin"
-    with open(out / chains, "wb") as f:
+    with naming(out / chains), open(out / chains, "wb") as f:
         for c in (*gen_chains, *disc_chains):
             for tensors in (c.params, c.adam.m, c.adam.v):
                 _write(f, tensors)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import json
 import logging
 import os
@@ -6,12 +7,13 @@ import shutil
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from fraudsig import banksim, cli, features, reports, training
 from fraudsig.banksim import COLUMNS, group_customers, load_transactions, make_samples
-from fraudsig.features import FeatureStore, build_feature_store
+from fraudsig.features import build_feature_store, dataset_fingerprint, scale_matrix
 from fraudsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from fraudsig.config import ExperimentConfig, committing
 from fraudsig.synthdata import SynthSpec, generate
@@ -154,13 +156,26 @@ def test_stage_records_cover_all_artifacts(pipeline):
 
 
 def test_dump_encoding_prints_feature_row(pipeline, capsys):
+    """The printed numbers read back, through repr, to the sample's cached
+    row scaled by the maxima splits.json records, bit for bit."""
     root, cfg = pipeline
     splits = json.loads((root / "out/prepared/splits.json").read_text())
     cust = splits["customers"][0]
     assert main(["prepare", "--config", str(cfg), "--dump-encoding", f"{cust}:5"]) == EXIT_OK
     last = capsys.readouterr().out.strip().splitlines()[-1]
-    vals = [float(tok) for tok in last.split()]
+    vals = np.array([float(tok) for tok in last.split()])
     assert len(vals) == 28  # 7-channel degree-2 log-signature
+    customers, _ = group_customers(load_transactions(root / "corpus.csv"))
+    kept = [cs for cs in customers if cs.customer in set(splits["customers"])]
+    samples = make_samples(kept, 5)
+    cache = json.loads((root / "out/prepared/prepare.json").read_text())["cache"]
+    store, hit = build_feature_store(
+        samples, 2, cache, dataset_fingerprint(root / "corpus.csv"), 5
+    )
+    assert hit
+    (row,) = np.flatnonzero((samples.customer_idx == 0) & (samples.prefix_len == 5))
+    want = scale_matrix(store.matrix[row], store.basis, splits["max_sd"], splits["max_amt"])
+    assert vals.tobytes() == want.tobytes()
 
 
 def test_prepare_cache_hit_on_rerun(pipeline, capsys):
@@ -177,7 +192,7 @@ def test_unknown_nl_rejected(pipeline, monkeypatch):
     def unexpected(*args, **kwargs):
         raise AssertionError("read data before the cell was checked")
 
-    monkeypatch.setattr(FeatureStore, "rows", unexpected)
+    monkeypatch.setattr(cli, "FeatureRows", unexpected)
     monkeypatch.setattr(banksim, "load_transactions", unexpected)
     assert main(["train", "--config", str(cfg), "--nl", "99", "--rep", "0"]) == EXIT_CONFIG
     assert main(["train", "--config", str(cfg), "--nl", "40", "--rep", "99"]) == EXIT_CONFIG
@@ -754,6 +769,74 @@ def test_feature_cache_replaced_between_epochs_keeps_the_run(pipeline, tmp_path,
     for name in ("trace.csv", "checkpoint/members.bin", "checkpoint/chains-4.bin"):
         assert (got / name).read_bytes() == (ref / name).read_bytes(), name
     assert len(held) == 1 and _open_paths("features.bin") == []
+
+
+@needs_proc_fd
+def test_evaluate_and_dump_encoding_release_the_feature_file(pipeline, tmp_path, monkeypatch):
+    """`evaluate` and `prepare --dump-encoding` each read their rows through
+    one FeatureRows and close its descriptor before they return."""
+    cfg = _copy_run(pipeline, tmp_path)
+    cust = json.loads((tmp_path / "out" / cli.SPLITS_REL).read_text())["customers"][0]
+    for argv in (["evaluate"], ["prepare", "--dump-encoding", f"{cust}:5"]):
+        held = _holding_sources(monkeypatch)
+        assert main([*argv, "--config", str(cfg)]) == EXIT_OK
+        assert len(held) == 1 and _open_paths("features.bin") == [], argv
+
+
+def test_full_disk_at_a_member_append_is_data_error(pipeline, tmp_path, capsys, monkeypatch):
+    """A disk that fills while `train` appends epoch 2's members, after 100
+    bytes of them: exit 3 with one line naming members.bin, no traceback.
+    `--resume` then runs on from the epoch-1 checkpoint and leaves the
+    pipeline run's bytes."""
+    cfg = _copy_run(pipeline, tmp_path, checkpoint_every=1)
+    run = tmp_path / "out/runs/nl40_rep0"
+    members = run / "checkpoint/members.bin"
+    write, calls = training._write, []
+
+    def write_then_fill(f, tensors):
+        if f.name == str(members):
+            calls.append(f)
+            if len(calls) == 1:  # epoch 2 collects the first members
+                f.write(bytes(100))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write(f, tensors)
+
+    monkeypatch.setattr(training, "_write", write_then_fill)
+    argv = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0"]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == (
+        f"data error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{members}'"
+    )
+    assert members.stat().st_size == 100
+    assert json.loads((run / "checkpoint/state.json").read_text())["epoch"] == 1
+    monkeypatch.setattr(training, "_write", write)
+    assert main([*argv, "--resume"]) == EXIT_OK
+    ref = pipeline[0] / "out/runs/nl40_rep0"
+    names = sorted(f.relative_to(ref) for f in (ref / "checkpoint").iterdir())
+    assert names == sorted(f.relative_to(run) for f in (run / "checkpoint").iterdir())
+    for name in (*names, "trace.csv"):
+        assert (run / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_full_disk_at_a_report_table_is_data_error(pipeline, tmp_path, capsys, monkeypatch):
+    """A disk that fills while `evaluate` writes its first report table:
+    exit 3 with one line naming the table, no traceback, and no table or
+    temporary file left behind."""
+    cfg = _copy_run(pipeline, tmp_path)
+    shutil.rmtree(tmp_path / "out/reports")
+
+    def fill(value):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(reports, "_fmt", fill)
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    table = tmp_path / "out/reports" / reports._TABLES[0][0]
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].endswith(f"{os.strerror(errno.ENOSPC)}: '{table}'")
+    assert not list((tmp_path / "out/reports").iterdir())
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -221,46 +221,24 @@ def test_truncated_cache_is_rebuilt(tmp_path, rng):
     assert bin_path.read_bytes() == data
 
 
-def test_rows_reads_and_scales_requested_rows(tmp_path, rng, monkeypatch):
-    """The chunked reader gives the scaled rows the mapping holds, whether
-    the requested rows share a chunk, span several or are far apart."""
-    monkeypatch.setattr(features, "_CHUNK_ROWS", 3)
-    samples = _sample_set(rng, n_customers=4)
-    store, _ = build_feature_store(samples, 2, tmp_path / "c", "h", 5)
-    n = len(samples)
-    for idx in (np.arange(n), np.array([0, 1, 5, n - 1]), np.array([n - 1]), np.array([], int)):
-        want = scale_matrix(np.asarray(store.matrix)[idx], store.basis, 3.0, 70.0)
-        np.testing.assert_array_equal(store.rows(idx, 3.0, 70.0), want)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        store.rows([2, 1], 1.0, 1.0)
-
-
-def test_cache_cut_short_while_open_is_data_error(tmp_path, rng):
-    """features.bin cut short in place after a cache hit opened it: reading
-    its rows is a DataError naming the file, not a fault of the process."""
-    samples = _sample_set(rng)
-    build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
-    store, hit = build_feature_store(samples, 3, tmp_path / "cache", "h", 5)
-    assert hit
-    bin_path = tmp_path / "cache" / "features.bin"
-    bin_path.write_bytes(bin_path.read_bytes()[:-100])
-    assert store.rows([0], 1.0, 1.0).shape == (1, store.basis.dim)
-    with pytest.raises(DataError, match="features.bin is cut short"):
-        store.rows(np.arange(len(samples)), 1.0, 1.0)
-
-
 def test_feature_rows_read_the_bits_of_rows(tmp_path, rng):
-    """A FeatureRows batch, in any order and with repeats, holds the rows
-    FeatureStore.rows reads, bit for bit; its shape is the manifest's."""
+    """A FeatureRows batch, in any order and with repeats, and `source[:]`
+    hold the mapped rows scaled by `scale_matrix`, bit for bit; the shape is
+    the manifest's, for an empty set of positions too."""
     samples = _sample_set(rng, n_customers=4)
     store, _ = build_feature_store(samples, 2, tmp_path / "c", "h", 5)
     positions = np.arange(1, len(samples), 2)
-    want = store.rows(positions, 3.0, 70.0)
+    want = scale_matrix(store.matrix[positions], store.basis, 3.0, 70.0)
     scale = scale_vector(store.basis, 3.0, 70.0)
+    n_cols = store.manifest["n_cols"]
     with FeatureRows(store.path, store.manifest, positions, scale) as source:
-        assert source.shape == (positions.size, store.manifest["n_cols"])
-        for rows in (rng.permutation(positions.size), np.array([2, 2, 0]), np.array([], int)):
+        assert source.shape == (positions.size, n_cols)
+        for rows in (
+            rng.permutation(positions.size), np.array([2, 2, 0]), np.array([], int), slice(None)
+        ):
             assert source[rows].tobytes() == want[rows].tobytes()
+    with FeatureRows(store.path, store.manifest, [], scale) as source:
+        assert source.shape == source[:].shape == (0, n_cols)
     with pytest.raises(ValueError, match="row positions"):
         FeatureRows(store.path, store.manifest, [len(samples)], scale)
 
