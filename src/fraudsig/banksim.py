@@ -5,16 +5,20 @@ a day counter (`step`), customer and merchant identifiers, coarse customer
 age band and gender, merchant category, amount, and a fraud flag.
 
 The CSV is read column-wise: one pass over the rows, in file order, checks
-each row and appends the seven fields later stages read to per-column lists,
-which become a `TransactionLog` of numpy arrays (step, amount, fraud) and
-string lists (customer, age, gender, category); no per-row record is built.
-Customers are numbered in order of first appearance, and one stable sort by
-(customer, step) orders all rows, so every customer's series is a slice of
-that order with file order breaking ties of step.  Every prefix of length
->= `min_prefix` of a series becomes one sample: the continuous path
-carries scaled step differences and amounts, the condition carries the age
-band, gender, and a risk level derived from merchant-category fraud rates,
-and the label is the fraud flag of the prefix's last transaction.
+each row and appends the seven fields later stages read to typed columns,
+which become a `TransactionLog` of numpy arrays.  Step, amount and fraud are
+numbers; customer, age, gender and category are integer codes, each indexing
+its column's vocabulary, the distinct strings in order of first appearance
+(`Vocabularies`).  No stage holds a string per transaction: series, samples,
+rate tables and condition codes work on the codes, and only a vocabulary
+turns a code back into its string.  Customers are numbered by their code,
+and one stable sort by (customer, step) orders all rows, so every customer's
+series is a slice of that order with file order breaking ties of step.
+Every prefix of length >= `min_prefix` of a series becomes one sample: the
+continuous path carries scaled step differences and amounts, the condition
+carries the age band, gender, and a risk level derived from
+merchant-category fraud rates, and the label is the fraud flag of the
+prefix's last transaction.
 
 Splitting is class-stratified: one fixed 90/10 train/test split, then for
 each repetition and each labeled-set size a stratified subset of the
@@ -28,6 +32,7 @@ import csv
 import logging
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +41,7 @@ import numpy as np
 from .config import STAGE_SPLIT, ConfigError, derive_rng
 
 __all__ = [
+    "Vocabularies",
     "TransactionLog",
     "CustomerSeries",
     "SampleSet",
@@ -48,6 +54,7 @@ __all__ = [
     "continuous_path",
     "category_rate_table",
     "rate_to_bucket",
+    "risk_levels",
     "condition_cards",
     "condition_codes",
     "stratified_split",
@@ -78,17 +85,29 @@ class TransactionParseError(ValueError):
 
 
 @dataclass(frozen=True)
+class Vocabularies:
+    """The distinct strings of each categorical column of a transaction log,
+    in order of first appearance: a code of the column indexes its tuple."""
+
+    customers: tuple[str, ...]
+    ages: tuple[str, ...]
+    genders: tuple[str, ...]
+    categories: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class TransactionLog:
     """The columns of a transaction CSV that later stages read, one entry per
-    row in file order."""
+    row in file order; the categorical ones are int32 codes into `vocab`."""
 
     steps: np.ndarray        # int64
     amounts: np.ndarray      # float64
     frauds: np.ndarray       # int8, 0 or 1
-    customers: list[str]
-    ages: list[str]
-    genders: list[str]
-    categories: list[str]
+    customers: np.ndarray    # int32 codes, likewise the next three
+    ages: np.ndarray
+    genders: np.ndarray
+    categories: np.ndarray
+    vocab: Vocabularies
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -113,6 +132,45 @@ def _utf8_lines(fh):
         yield line
 
 
+def _fraud(text: str) -> int:
+    try:
+        flag = int(text)
+    except ValueError:
+        raise ValueError(f"non-integer 'fraud' value {text!r}") from None
+    if flag not in (0, 1):
+        raise ValueError(f"'fraud' must be 0/1, got {flag}")
+    return flag
+
+
+def _coder(codes: dict[str, int], required: str | None = None):
+    """Parser of a categorical column: the code of a value, the next one
+    when first seen, in `codes`; an empty value of the column named
+    `required` is an error."""
+
+    def code(value: str) -> int:
+        if required and not value:
+            raise ValueError(f"empty {required!r} value")
+        return codes.setdefault(value, len(codes))
+
+    return code
+
+
+class _Column(dict):
+    """One column as it is read: maps the raw text of a field to its value,
+    parsed from the text cleaned of blanks and quotes, and collects the
+    values of the rows in `values`.  Each distinct raw text is parsed once,
+    so a column of few distinct texts costs a row one lookup."""
+
+    def __init__(self, typecode: str, parse):
+        super().__init__()
+        self.values = array(typecode)
+        self.parse = parse
+
+    def __missing__(self, raw: str):
+        value = self[raw] = self.parse(raw.strip().strip(_QUOTES))
+        return value
+
+
 def load_transactions(path: str | Path) -> TransactionLog:
     """Parse the UTF-8 transaction CSV into the columns of a TransactionLog.
 
@@ -120,10 +178,21 @@ def load_transactions(path: str | Path) -> TransactionLog:
     skips blank lines; raises TransactionParseError with the offending
     physical line number and column at the first malformed row.  A `step`
     must fit int64, an `amount` must be finite and a `customer` not empty.
+    The fraud flag and the categorical columns parse each distinct raw text
+    once.
     """
     path = Path(path)
-    steps, amounts, frauds = [], [], []
-    customers, ages, genders, categories = [], [], [], []
+    vocab = {name: {} for name in ("customers", "ages", "genders", "categories")}
+    frauds = _Column("b", _fraud)
+    customers = _Column("i", _coder(vocab["customers"], required="customer"))
+    ages, genders, categories = (
+        _Column("i", _coder(vocab[name])) for name in ("ages", "genders", "categories")
+    )
+    steps, amounts = array("q"), array("d")
+    add_step, add_amount, add_fraud = steps.append, amounts.append, frauds.values.append
+    add_customer, add_age, add_gender, add_category = (
+        c.values.append for c in (customers, ages, genders, categories)
+    )
     with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(_utf8_lines(fh))
         try:
@@ -154,7 +223,7 @@ def load_transactions(path: str | Path) -> TransactionLog:
                 ) from None
             if not _INT64_MIN <= value <= _INT64_MAX:
                 raise TransactionParseError(lineno, f"'step' value {step!r} is outside int64")
-            steps.append(value)
+            add_step(value)
             amount = amount.strip().strip(_QUOTES)
             try:
                 value = float(amount)
@@ -164,42 +233,40 @@ def load_transactions(path: str | Path) -> TransactionLog:
                 ) from None
             if not math.isfinite(value):
                 raise TransactionParseError(lineno, f"non-finite 'amount' value {amount!r}")
-            amounts.append(value)
-            fraud = fraud.strip().strip(_QUOTES)
+            add_amount(value)
             try:
-                flag = int(fraud)
-            except ValueError:
-                raise TransactionParseError(
-                    lineno, f"non-integer 'fraud' value {fraud!r}"
-                ) from None
-            if flag not in (0, 1):
-                raise TransactionParseError(lineno, f"'fraud' must be 0/1, got {flag}")
-            frauds.append(flag)
-            customers.append(customer.strip().strip(_QUOTES))
-            if not customers[-1]:
-                raise TransactionParseError(lineno, "empty 'customer' value")
-            ages.append(age.strip().strip(_QUOTES))
-            genders.append(gender.strip().strip(_QUOTES))
-            categories.append(category.strip().strip(_QUOTES))
+                add_fraud(frauds[fraud])
+                add_customer(customers[customer])
+            except ValueError as exc:
+                raise TransactionParseError(lineno, str(exc)) from None
+            add_age(ages[age])
+            add_gender(genders[gender])
+            add_category(categories[category])
     return TransactionLog(
-        steps=np.asarray(steps, dtype=np.int64),
-        amounts=np.asarray(amounts, dtype=np.float64),
-        frauds=np.asarray(frauds, dtype=np.int8),
-        customers=customers, ages=ages, genders=genders, categories=categories,
+        steps=np.frombuffer(steps, dtype=np.int64),
+        amounts=np.frombuffer(amounts, dtype=np.float64),
+        frauds=np.frombuffer(frauds.values, dtype=np.int8),
+        customers=np.frombuffer(customers.values, dtype=np.int32),
+        ages=np.frombuffer(ages.values, dtype=np.int32),
+        genders=np.frombuffer(genders.values, dtype=np.int32),
+        categories=np.frombuffer(categories.values, dtype=np.int32),
+        vocab=Vocabularies(**{name: tuple(codes) for name, codes in vocab.items()}),
     )
 
 
 @dataclass
 class CustomerSeries:
-    """All transactions of one customer, ordered by step (stable)."""
+    """All transactions of one customer, ordered by step (stable).  The
+    categorical fields are int32 codes into `vocab`."""
 
     customer: str
     steps: np.ndarray
     amounts: np.ndarray
     frauds: np.ndarray
-    ages: list[str]
-    genders: list[str]
-    categories: list[str]
+    ages: np.ndarray
+    genders: np.ndarray
+    categories: np.ndarray
+    vocab: Vocabularies
     step_diffs: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -219,31 +286,28 @@ def group_customers(log: TransactionLog) -> tuple[list[CustomerSeries], int]:
     Returns (kept series, number of customers excluded for missing gender),
     customers in order of first appearance.  Within a customer, rows keep
     file order for equal steps: one stable sort by (customer, step) orders
-    all rows, and each series is a slice of that order.
+    all rows, and each series is a view of a slice of the sorted columns.
     """
-    number = {c: i for i, c in enumerate(dict.fromkeys(log.customers))}
-    ids = np.fromiter(map(number.__getitem__, log.customers), dtype=np.intp, count=len(log))
-    order = np.lexsort((log.steps, ids))
-    ends = np.cumsum(np.bincount(ids, minlength=len(number))).tolist()
+    vocab = log.vocab
+    counts = np.bincount(log.customers, minlength=len(vocab.customers))
+    ends = np.cumsum(counts)
+    order = np.lexsort((log.steps, log.customers))
     steps, amounts, frauds = log.steps[order], log.amounts[order], log.frauds[order]
-    rows = order.tolist()
-    ages = [log.ages[i] for i in rows]
-    genders = [log.genders[i] for i in rows]
-    categories = [log.categories[i] for i in rows]
+    ages, genders, categories = log.ages[order], log.genders[order], log.categories[order]
+    valid = np.array([g in VALID_GENDERS for g in vocab.genders], dtype=bool)
+    kept_ids = np.flatnonzero(valid[genders[ends - 1]]).tolist()
+    starts, ends = (ends - counts).tolist(), ends.tolist()
     kept: list[CustomerSeries] = []
-    excluded = start = 0
-    for cid, end in zip(number, ends):
-        own, start = slice(start, end), end
-        if genders[end - 1] not in VALID_GENDERS:
-            excluded += 1
-            continue
+    for cid in kept_ids:
+        own = slice(starts[cid], ends[cid])
         kept.append(
             CustomerSeries(
-                customer=cid, steps=steps[own], amounts=amounts[own], frauds=frauds[own],
-                ages=ages[own], genders=genders[own], categories=categories[own],
+                customer=vocab.customers[cid], steps=steps[own], amounts=amounts[own],
+                frauds=frauds[own], ages=ages[own], genders=genders[own],
+                categories=categories[own], vocab=vocab,
             )
         )
-    return kept, excluded
+    return kept, len(vocab.customers) - len(kept)
 
 
 @dataclass
@@ -252,6 +316,9 @@ class SampleSet:
 
     Column `prefix_len` is the 1-based index of the label transaction within
     its customer's series; the sample's path covers transactions 1..prefix_len.
+    `categories` holds the category code of every transaction of `customers`,
+    series after series, customer `c`'s from `starts[c]` to `starts[c + 1]`:
+    the risk level of a prefix reads all of its transactions.
     """
 
     customers: list[CustomerSeries]
@@ -259,32 +326,53 @@ class SampleSet:
     prefix_len: np.ndarray
     labels: np.ndarray
     amounts: np.ndarray          # raw amount of the label transaction
-    ages: list[str]              # age band at the label transaction
-    genders: list[str]
+    ages: np.ndarray             # age band code at the label transaction
+    genders: np.ndarray          # gender code at the label transaction
+    categories: np.ndarray
+    starts: np.ndarray
+    vocab: Vocabularies
 
     def __len__(self) -> int:
         return len(self.customer_idx)
 
+    def label_rows(self, idx) -> np.ndarray:
+        """The position in `categories` of the label transaction of each
+        sample `idx`."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return self.starts[self.customer_idx[idx]] + self.prefix_len[idx] - 1
+
+
+_EMPTY_VOCAB = Vocabularies((), (), (), ())
+
+
+def _joined(customers: list[CustomerSeries], name: str, dtype) -> np.ndarray:
+    """The column `name` of every series of `customers`, one after another."""
+    return np.concatenate([getattr(cs, name) for cs in customers] or [np.zeros(0, dtype)])
+
 
 def make_samples(customers: list[CustomerSeries], min_prefix: int = 5) -> SampleSet:
-    """One sample per prefix of length >= min_prefix per customer."""
-    cidx, plen, labels, amounts, ages, genders = [], [], [], [], [], []
-    for ci, cs in enumerate(customers):
-        for j in range(min_prefix, len(cs) + 1):
-            cidx.append(ci)
-            plen.append(j)
-            labels.append(int(cs.frauds[j - 1]))
-            amounts.append(float(cs.amounts[j - 1]))
-            ages.append(cs.ages[j - 1])
-            genders.append(cs.genders[j - 1])
+    """One sample per prefix of length >= min_prefix per customer.  The
+    series must share the first one's vocabulary, as those of one
+    `group_customers` call do."""
+    lengths = np.fromiter(map(len, customers), dtype=np.intp, count=len(customers))
+    starts = np.zeros(len(customers) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=starts[1:])
+    counts = np.maximum(lengths - (min_prefix - 1), 0)
+    customer_idx = np.repeat(np.arange(len(customers), dtype=np.intp), counts)
+    first = np.cumsum(counts) - counts  # each customer's first sample
+    prefix_len = np.arange(customer_idx.size, dtype=np.intp) - first[customer_idx] + min_prefix
+    rows = starts[customer_idx] + prefix_len - 1
     return SampleSet(
         customers=customers,
-        customer_idx=np.asarray(cidx, dtype=np.intp),
-        prefix_len=np.asarray(plen, dtype=np.intp),
-        labels=np.asarray(labels, dtype=np.int8),
-        amounts=np.asarray(amounts, dtype=np.float64),
-        ages=ages,
-        genders=genders,
+        customer_idx=customer_idx,
+        prefix_len=prefix_len,
+        labels=_joined(customers, "frauds", np.int8)[rows],
+        amounts=_joined(customers, "amounts", np.float64)[rows],
+        ages=_joined(customers, "ages", np.int32)[rows],
+        genders=_joined(customers, "genders", np.int32)[rows],
+        categories=_joined(customers, "categories", np.int32),
+        starts=starts,
+        vocab=customers[0].vocab if customers else _EMPTY_VOCAB,
     )
 
 
@@ -328,15 +416,15 @@ def continuous_path(
 
 
 def category_rate_table(samples: SampleSet, labeled_idx: np.ndarray) -> dict[str, float]:
-    counts: dict[str, list[int]] = {}
-    for i in labeled_idx:
-        ci = int(samples.customer_idx[i])
-        j = int(samples.prefix_len[i])
-        cat = samples.customers[ci].categories[j - 1]
-        entry = counts.setdefault(cat, [0, 0])
-        entry[0] += int(samples.labels[i])
-        entry[1] += 1
-    return {cat: 100.0 * f / n for cat, (f, n) in counts.items()}
+    """Fraud rate in percent of each category among the label transactions
+    of the samples `labeled_idx`; a category none of them has is absent."""
+    cats = samples.categories[samples.label_rows(labeled_idx)]
+    n_cats = len(samples.vocab.categories)
+    seen = np.bincount(cats, minlength=n_cats).tolist()
+    frauds = np.bincount(cats[samples.labels[labeled_idx] == 1], minlength=n_cats).tolist()
+    return {
+        samples.vocab.categories[c]: 100.0 * frauds[c] / n for c, n in enumerate(seen) if n
+    }
 
 
 def rate_to_bucket(rate_percent: float) -> int:
@@ -352,34 +440,49 @@ def rate_to_bucket(rate_percent: float) -> int:
 _warned_categories: set[str] = set()
 
 
-def risk_levels(cs: CustomerSeries, rate_table: dict[str, float]) -> np.ndarray:
-    """Risk level of every prefix of a customer at once.
+def risk_levels(samples: SampleSet, rate_table: dict[str, float]) -> np.ndarray:
+    """Risk level of the prefix ending at each transaction of `samples`: entry
+    r is that of the transaction at `samples.categories[r]`.
 
     The level of a prefix is the position-weighted average of its
     transactions' risk buckets (transaction i, 1-based, carries weight i),
     rounded half up; a category absent from the rate table falls back to
-    bucket 1 with a one-time warning.  Cumulative sums share the
-    per-transaction bucket lookups across prefixes.
+    bucket 1 with a one-time warning.  Each category code is bucketed once,
+    and the weighted sums are integers, so the rounding is exact: with
+    S = sum of i * bucket_i and W = sum of i, the level is
+    floor(S / W + 1/2) = (2S + W) // 2W.
     """
-    n = len(cs)
-    buckets = np.empty(n, dtype=np.float64)
-    for i, cat in enumerate(cs.categories):
+    names = samples.vocab.categories
+    present = np.bincount(samples.categories, minlength=len(names))
+    buckets = np.ones(len(names), dtype=np.int64)
+    for c, cat in enumerate(names):
         if cat in rate_table:
-            buckets[i] = rate_to_bucket(rate_table[cat])
-        else:
-            buckets[i] = 1
-            if cat not in _warned_categories:
-                _warned_categories.add(cat)
-                logger.warning("category %r missing from rate table; assuming bucket 1", cat)
-    weights = np.arange(1, n + 1, dtype=np.float64)
-    avg = np.cumsum(weights * buckets) / np.cumsum(weights)
-    return np.floor(avg + 0.5).astype(np.int64)
+            buckets[c] = rate_to_bucket(rate_table[cat])
+        elif present[c] and cat not in _warned_categories:
+            _warned_categories.add(cat)
+            logger.warning("category %r missing from rate table; assuming bucket 1", cat)
+    starts, lengths = samples.starts[:-1], np.diff(samples.starts)
+    position = np.arange(1, samples.starts[-1] + 1, dtype=np.int64) - np.repeat(starts, lengths)
+    total = np.cumsum(position * buckets[samples.categories])
+    # Each customer's running sum starts afresh at its first transaction.
+    total -= np.repeat(np.concatenate(([0], total))[starts], lengths)
+    weight = position * (position + 1) // 2
+    return (2 * total + weight) // (2 * weight)
 
 
 def condition_cards(samples: SampleSet) -> tuple[int, int, int]:
     """Number of values of each condition code of `samples`: age bands,
     genders and risk levels (all RISK_LEVELS, whichever occur)."""
-    return len(set(samples.ages)), len(set(samples.genders)), RISK_LEVELS
+    return np.unique(samples.ages).size, np.unique(samples.genders).size, RISK_LEVELS
+
+
+def _sorted_ranks(codes: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """For each code of `names`, the index of its string among the sorted
+    strings of the codes that occur in `codes` (0 for one that does not)."""
+    occurring = sorted(np.unique(codes).tolist(), key=names.__getitem__)
+    ranks = np.zeros(len(names), dtype=np.int64)
+    ranks[occurring] = np.arange(len(occurring))
+    return ranks
 
 
 def condition_codes(samples: SampleSet, rows, labeled) -> np.ndarray:
@@ -387,15 +490,12 @@ def condition_codes(samples: SampleSet, rows, labeled) -> np.ndarray:
     age band and of the gender of the label transaction among the sorted
     values of all `samples`, and the risk level minus 1 under the rate table
     of the samples `labeled`."""
-    table = category_rate_table(samples, labeled)
-    levels = np.concatenate([risk_levels(cs, table) for cs in samples.customers])
-    starts = np.cumsum([0] + [len(cs) for cs in samples.customers])
+    levels = risk_levels(samples, category_rate_table(samples, labeled))
     rows = np.asarray(rows, dtype=np.intp)
     codes = np.empty((rows.size, 3), dtype=np.int64)
-    for col, values in enumerate((samples.ages, samples.genders)):
-        index = {v: k for k, v in enumerate(sorted(set(values)))}
-        codes[:, col] = [index[values[i]] for i in rows]
-    codes[:, 2] = levels[starts[samples.customer_idx[rows]] + samples.prefix_len[rows] - 1] - 1
+    codes[:, 0] = _sorted_ranks(samples.ages, samples.vocab.ages)[samples.ages[rows]]
+    codes[:, 1] = _sorted_ranks(samples.genders, samples.vocab.genders)[samples.genders[rows]]
+    codes[:, 2] = levels[samples.label_rows(rows)] - 1
     return codes
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from fraudsig.banksim import (
     COLUMNS,
     VALID_GENDERS,
-    CustomerSeries,
     TransactionParseError,
     rate_to_bucket,
 )
@@ -343,26 +342,43 @@ def load_transactions_reference(path) -> list[Transaction]:
     return out
 
 
-def group_customers_reference(txns: list[Transaction]) -> tuple[list[CustomerSeries], int]:
+@dataclass
+class SeriesReference:
+    """One customer's transactions as plain per-row values: arrays for the
+    numbers, one string per row for the categorical columns."""
+
+    customer: str
+    steps: np.ndarray
+    amounts: np.ndarray
+    frauds: np.ndarray
+    step_diffs: np.ndarray
+    ages: list[str]
+    genders: list[str]
+    categories: list[str]
+
+
+def group_customers_reference(txns: list[Transaction]) -> tuple[list[SeriesReference], int]:
     """Per-customer lists in order of first appearance, each sorted by step
     with Python's stable sort; a customer whose latest row has no valid
     gender is counted as excluded."""
     by_customer: dict[str, list[Transaction]] = {}
     for t in txns:
         by_customer.setdefault(t.customer, []).append(t)
-    kept: list[CustomerSeries] = []
+    kept: list[SeriesReference] = []
     excluded = 0
     for cid, rows in by_customer.items():
         rows = sorted(rows, key=lambda r: r.step)
         if rows[-1].gender not in VALID_GENDERS:
             excluded += 1
             continue
+        steps = [float(r.step) for r in rows]
         kept.append(
-            CustomerSeries(
+            SeriesReference(
                 customer=cid,
                 steps=np.asarray([r.step for r in rows], dtype=np.int64),
                 amounts=np.asarray([r.amount for r in rows], dtype=np.float64),
                 frauds=np.asarray([r.fraud for r in rows], dtype=np.int8),
+                step_diffs=np.asarray([0.0] + [b - a for a, b in zip(steps, steps[1:])]),
                 ages=[r.age for r in rows],
                 genders=[r.gender for r in rows],
                 categories=[r.category for r in rows],
@@ -376,31 +392,35 @@ def group_customers_reference(txns: list[Transaction]) -> tuple[list[CustomerSer
 # ---------------------------------------------------------------------------
 
 
-def risk_level(cs, prefix_len: int, rate_table: dict[str, float]) -> int:
-    """Position-weighted average transaction risk of one prefix, rounded half
-    up: transaction i (1-based) carries weight i, and a category absent from
-    the rate table counts as bucket 1."""
+def risk_level(categories: list[str], prefix_len: int, rate_table: dict[str, float]) -> int:
+    """Position-weighted average transaction risk of the prefix of
+    `categories` (one string per transaction), rounded half up: transaction
+    i (1-based) carries weight i, and a category absent from the rate table
+    counts as bucket 1."""
     total, weight_sum = 0.0, 0.0
     for i in range(1, prefix_len + 1):
-        cat = cs.categories[i - 1]
+        cat = categories[i - 1]
         bucket = rate_to_bucket(rate_table[cat]) if cat in rate_table else 1
         total += i * bucket
         weight_sum += i
     return int(math.floor(total / weight_sum + 0.5))
 
 
-def condition_codes_reference(samples, age_vocab, gender_vocab, rate_table, rows) -> np.ndarray:
-    """(len(rows), 3) condition codes one row at a time: the age band's and
-    gender's index in the given vocabularies and the risk level minus 1."""
+def condition_codes_reference(
+    series, customer_idx, prefix_len, age_vocab, gender_vocab, rate_table, rows
+) -> np.ndarray:
+    """(len(rows), 3) condition codes one row at a time, sample i being the
+    prefix of length `prefix_len[i]` of `series[customer_idx[i]]` (a
+    `SeriesReference`): the index of its label transaction's age band and
+    gender in the given vocabularies and its risk level minus 1."""
     age_map = {a: i for i, a in enumerate(age_vocab)}
     gender_map = {g: i for i, g in enumerate(gender_vocab)}
     codes = np.zeros((len(rows), 3), dtype=np.int64)
     for k, i in enumerate(rows):
-        i = int(i)
-        codes[k, 0] = age_map[samples.ages[i]]
-        codes[k, 1] = gender_map[samples.genders[i]]
-        cs = samples.customers[int(samples.customer_idx[i])]
-        codes[k, 2] = risk_level(cs, int(samples.prefix_len[i]), rate_table) - 1
+        cs, j = series[int(customer_idx[i])], int(prefix_len[i])
+        codes[k, 0] = age_map[cs.ages[j - 1]]
+        codes[k, 1] = gender_map[cs.genders[j - 1]]
+        codes[k, 2] = risk_level(cs.categories, j, rate_table) - 1
     return codes
 
 

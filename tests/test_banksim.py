@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fraudsig import banksim
 from fraudsig.banksim import (
     CustomerSeries,
     TransactionParseError,
+    Vocabularies,
     category_rate_table,
     condition_cards,
     condition_codes,
@@ -32,6 +34,7 @@ from oracles import (
     load_transactions_reference,
     risk_level,
 )
+from test_memory import _spec as memory_corpus_spec
 
 HEADER = "step,customer,age,gender,zipcodeOri,merchant,zipMerchant,category,amount,fraud"
 
@@ -48,13 +51,20 @@ def _row(step, cust, gender="F", cat="es_food", amount="10.00", fraud=0, age="3"
     )
 
 
+def _decoded(table, name):
+    """The strings of the categorical column `name` of a TransactionLog or
+    CustomerSeries `table`, one per row, decoded through its vocabulary."""
+    vocab = getattr(table.vocab, name)
+    return [vocab[c] for c in getattr(table, name)]
+
+
 def test_parse_round_trip(tmp_path):
     path = _write(tmp_path, [_row(0, "C1"), _row(5, "C1", amount="3.50", fraud=1)])
     log = load_transactions(path)
     assert len(log) == 2
-    assert log.customers[0] == "C1" and log.steps[0] == 0
+    assert _decoded(log, "customers") == ["C1", "C1"] and log.steps[0] == 0
     assert log.amounts[1] == 3.5 and log.frauds[1] == 1
-    assert log.categories[0] == "es_food" and log.genders[0] == "F"
+    assert _decoded(log, "categories")[0] == "es_food" and _decoded(log, "genders")[0] == "F"
 
 
 def test_parse_errors_carry_line_numbers(tmp_path):
@@ -119,7 +129,7 @@ def test_line_numbers_are_physical_lines(tmp_path):
         load_transactions(_write(tmp_path, rows))
     assert ei.value.line == 5 and "amount" in str(ei.value)
     log = load_transactions(_write(tmp_path, rows[:2], name="ok.csv"))
-    assert log.categories == ["es\nfood", "es_food"]
+    assert _decoded(log, "categories") == ["es\nfood", "es_food"]
 
 
 def test_undecodable_byte_names_its_line(tmp_path):
@@ -141,12 +151,12 @@ def test_undecodable_byte_names_its_line(tmp_path):
 
     rows[0] = _row(0, "C1")
     path.write_bytes(("\n".join([HEADER] + rows) + "\n").encode("utf-8"))
-    assert load_transactions(path).categories[2] == "caf\xe9"
+    assert _decoded(load_transactions(path), "categories")[2] == "caf\xe9"
 
 
 def _assert_same_grouping(got, want):
-    """Same customers in the same order, equal arrays of equal dtype, equal
-    lists and the same excluded count."""
+    """Same customers in the same order, equal arrays of equal dtype, codes
+    that decode to the reference's strings and the same excluded count."""
     (kept, excluded), (ref_kept, ref_excluded) = got, want
     assert excluded == ref_excluded
     assert [cs.customer for cs in kept] == [cs.customer for cs in ref_kept]
@@ -155,7 +165,7 @@ def _assert_same_grouping(got, want):
             a, b = getattr(cs, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (cs.customer, name)
         for name in ("ages", "genders", "categories"):
-            assert getattr(cs, name) == getattr(ref, name), (cs.customer, name)
+            assert _decoded(cs, name) == getattr(ref, name), (cs.customer, name)
 
 
 _TEXT = st.text(alphabet="abXY09_- \xe9", min_size=1, max_size=4)
@@ -230,20 +240,32 @@ def test_group_sort_is_stable_within_step(tmp_path):
     np.testing.assert_allclose(cs.step_diffs, [0.0, 2.0, 0.0, 0.0])
 
 
-def _series(n, fraud_at=(), steps=None):
+def _series(n, fraud_at=(), steps=None, categories=None, names=None):
+    """A series of `n` transactions in age band "3", gender "F" and the
+    given `categories` (default all "es_food"), coded in the vocabulary
+    `names` (default their distinct values)."""
     steps = np.asarray(steps if steps is not None else np.arange(n), dtype=np.int64)
     frauds = np.zeros(n, dtype=np.int8)
     for i in fraud_at:
         frauds[i] = 1
+    categories = categories or ["es_food"] * n
+    names = names or tuple(dict.fromkeys(categories))
     return CustomerSeries(
         customer=f"C{n}",
         steps=steps,
         amounts=np.linspace(1, n, n),
         frauds=frauds,
-        ages=["3"] * n,
-        genders=["F"] * n,
-        categories=["es_food"] * n,
+        ages=np.zeros(n, dtype=np.int32),
+        genders=np.zeros(n, dtype=np.int32),
+        categories=np.array([names.index(c) for c in categories], dtype=np.int32),
+        vocab=Vocabularies(customers=(), ages=("3",), genders=("F",), categories=names),
     )
+
+
+def _levels(categories, table):
+    """`risk_levels` of one series of `categories`: the level of each of its
+    prefixes."""
+    return risk_levels(make_samples([_series(len(categories), categories=categories)], 1), table)
 
 
 def test_samples_are_prefixes_with_last_transaction_label():
@@ -279,8 +301,7 @@ def test_continuous_path_scaling():
 
 
 def test_rate_table_uses_only_labeled_label_transactions():
-    a = _series(6, fraud_at=(4,))
-    a.categories = ["x"] * 4 + ["y", "y"]
+    a = _series(6, fraud_at=(4,), categories=["x"] * 4 + ["y", "y"])
     samples = make_samples([a], min_prefix=5)  # two samples: prefixes 5, 6
     table = category_rate_table(samples, np.array([0]))
     assert table == {"y": 100.0}  # only the labeled sample's label transaction counts
@@ -299,55 +320,109 @@ def test_rate_to_bucket_edges():
 
 
 def test_risk_level_weighted_rounding():
-    cs = _series(2)
-    cs.categories = ["lo", "hi"]
+    cats = ["lo", "hi"]
     table = {"lo": 0.0, "hi": 100.0}  # buckets 1 and 5
     # weights 1,2 -> (1*1 + 2*5)/3 = 11/3 = 3.67 -> rounds half-up to 4
-    assert risk_level(cs, 2, table) == 4
-    assert risk_levels(cs, table)[1] == 4
-    # half-up boundary: (1*1 + 2*4)/3 = 3.0 exactly
+    assert risk_level(cats, 2, table) == 4
+    assert _levels(cats, table)[1] == 4
+    # an exact integer: (1*1 + 2*4)/3 = 3.0
     table["hi"] = 40.0  # bucket 4
-    assert risk_level(cs, 2, table) == 3
-    assert risk_levels(cs, table)[1] == 3
+    assert risk_level(cats, 2, table) == 3
+    assert _levels(cats, table)[1] == 3
+    # an exact half rounds up: buckets 1, 1, 2 under weights 1, 2, 3 -> 9/6 = 1.5 -> 2
+    cats = ["lo", "lo", "mid"]
+    table = {"lo": 0.0, "mid": 5.0}  # buckets 1 and 2
+    assert risk_level(cats, 3, table) == 2
+    assert list(_levels(cats, table)) == [1, 1, 2]
 
 
 def test_risk_levels_vector_matches_scalar():
+    """Every prefix of several series sharing one vocabulary, a few hundred
+    transactions of random categories in all, one of them missing from the
+    rate table."""
     rng = np.random.default_rng(5)
-    cs = _series(9)
-    cats = ["a", "b", "c"]
-    cs.categories = [cats[i] for i in rng.integers(0, 3, 9)]
-    table = {"a": 1.0, "b": 25.0, "c": 80.0}
-    vec = risk_levels(cs, table)
-    assert list(vec) == [risk_level(cs, j, table) for j in range(1, 10)]
+    names = tuple(f"cat{k}" for k in range(12))
+    rates = rng.choice([0.0, 1.5, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 75.0, 100.0], 11)
+    table = dict(zip(names[:-1], rates.tolist()))
+    lengths = (1, 2, 3, 5, 8, 40, 60, 90, 120)  # 329 transactions
+    cats = [[names[k] for k in rng.integers(0, len(names), n)] for n in lengths]
+    samples = make_samples([_series(len(c), categories=c, names=names) for c in cats], 1)
+    want = [risk_level(c, j, table) for c in cats for j in range(1, len(c) + 1)]
+    assert risk_levels(samples, table).tolist() == want
 
 
 def test_condition_encoding_matches_reference(tmp_path):
     """The condition codes of the small corpus's train and test rows equal
-    the per-row reference, under the rate table of a labeled set too small
-    to see every category; each code has the number of values
-    `condition_cards` gives."""
-    generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
-    kept, _ = group_customers(load_transactions(tmp_path / "corpus.csv"))
+    the per-row reference over the reference's string series, under the
+    rate table of a labeled set too small to see every category; each code
+    has the number of values `condition_cards` gives."""
+    path = tmp_path / "corpus.csv"
+    generate(path, SynthSpec.small(), seed=1)
+    kept, _ = group_customers(load_transactions(path))
     samples = make_samples(kept, 5)
+    series, _ = group_customers_reference(load_transactions_reference(path))
     split = split_and_unlabel(samples.labels, (8,), 1, 0.2, 0)
     labeled = split.labeled[(8, 0)]
     table = category_rate_table(samples, labeled)
-    assert {cat for cs in samples.customers for cat in cs.categories} - set(table)
-    ages, genders = sorted(set(samples.ages)), sorted(set(samples.genders))
+    assert {cat for cs in series for cat in cs.categories} - set(table)
+    label_tx = [(series[c], p - 1) for c, p in zip(samples.customer_idx, samples.prefix_len)]
+    ages = sorted({cs.ages[i] for cs, i in label_tx})
+    genders = sorted({cs.genders[i] for cs, i in label_tx})
     assert condition_cards(samples) == (len(ages), len(genders), 5)
     for rows in (split.train_idx, split.test_idx):
-        want = condition_codes_reference(samples, ages, genders, table, rows)
+        want = condition_codes_reference(
+            series, samples.customer_idx, samples.prefix_len, ages, genders, table, rows
+        )
         assert np.array_equal(condition_codes(samples, rows, labeled), want)
 
 
 def test_unknown_category_warns_once(caplog):
+    """A category of the samples missing from the rate table warns once; one
+    only the vocabulary holds does not warn."""
     banksim._warned_categories.clear()
-    cs = _series(5)
-    cs.categories = ["mystery"] * 5
+    cs = _series(5, categories=["mystery"] * 5, names=("mystery", "unseen"))
+    samples = make_samples([cs], 1)
     with caplog.at_level(logging.WARNING):
-        assert list(risk_levels(cs, {"other": 50.0})) == [1] * 5
-        risk_levels(cs, {"other": 50.0})
+        assert list(risk_levels(samples, {"other": 50.0})) == [1] * 5
+        risk_levels(samples, {"other": 50.0})
     assert sum("mystery" in r.message for r in caplog.records) == 1
+    assert not any("unseen" in r.message for r in caplog.records)
+
+
+# Traced bytes a CSV row may take at the peak of parsing, grouping and
+# sampling the corpus below: 122-123 bytes measured (steps, amounts, frauds
+# and four int32 code columns, their sorted copies, the series' step
+# differences and the samples' arrays), plus a 25% margin.  One string per
+# row and categorical column took 322 bytes.
+_INGEST_BYTES_PER_ROW = 150
+
+
+def test_ingest_holds_no_string_per_row(tmp_path):
+    """Parsing, grouping and sampling test_memory's corpus (the reference
+    shape scaled to 2.6%, 15,461 rows) peaks within `_INGEST_BYTES_PER_ROW`
+    traced bytes a row, and each vocabulary holds its column's distinct
+    strings in order of first appearance, which the codes index."""
+    spec = memory_corpus_spec()
+    path = tmp_path / "corpus.csv"
+    generate(path, spec, seed=0)
+    tracemalloc.start()
+    try:
+        log = load_transactions(path)
+        make_samples(group_customers(log)[0], 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log) == spec.n_rows
+    assert peak / len(log) < _INGEST_BYTES_PER_ROW, f"{peak / len(log):.1f} bytes a row"
+
+    txns = load_transactions_reference(path)
+    for name, column in (
+        ("customers", "customer"), ("ages", "age"), ("genders", "gender"),
+        ("categories", "category"),
+    ):
+        strings = [getattr(t, column) for t in txns]
+        assert getattr(log.vocab, name) == tuple(dict.fromkeys(strings)), name
+        assert _decoded(log, name) == strings, name
 
 
 def test_stratified_split_counts():

@@ -8,6 +8,7 @@ import pytest
 from fraudsig import features
 from fraudsig.banksim import (
     CustomerSeries,
+    Vocabularies,
     continuous_path,
     group_customers,
     load_transactions,
@@ -31,6 +32,9 @@ from fraudsig.synthdata import SynthSpec, generate
 from oracles import encode_prefixes_reference
 
 
+_VOCAB = Vocabularies(customers=(), ages=("2",), genders=("M",), categories=("es_food",))
+
+
 def _customer(rng, n, name="C"):
     steps = np.cumsum(rng.integers(0, 4, size=n)).astype(np.int64)
     return CustomerSeries(
@@ -38,9 +42,10 @@ def _customer(rng, n, name="C"):
         steps=steps,
         amounts=rng.uniform(0.5, 80.0, size=n),
         frauds=np.zeros(n, dtype=np.int8),
-        ages=["2"] * n,
-        genders=["M"] * n,
-        categories=["es_food"] * n,
+        ages=np.zeros(n, dtype=np.int32),
+        genders=np.zeros(n, dtype=np.int32),
+        categories=np.zeros(n, dtype=np.int32),
+        vocab=_VOCAB,
     )
 
 

@@ -22,10 +22,10 @@ STAGE_MEMORY = ROOT / "scripts" / "stage_memory.py"
 CORPUS_FRACTION = 0.026
 MIN_MATRIX_BYTES = 40e6
 # What a stage may hold besides its rows (`evaluate` its split's, `train` its
-# labeled ones): the reader's 3 MiB chunk, the networks, one chain per side's
-# states and optimiser moments, BLAS buffers, a minibatch's forward caches or
-# a prediction batch's activations, condition codes and the split's index
-# lists (about 18 MiB measured for `train`, 15 MiB for `evaluate`, here).
+# labeled ones): the networks, one chain per side's states and optimiser
+# moments, BLAS buffers, a minibatch's forward caches or a prediction batch's
+# activations, condition codes and the split's index lists (about 20 MiB
+# measured for `train`, 16 MiB for `evaluate`, here).
 STAGE_ALLOWANCE = 24 * 2**20
 
 
