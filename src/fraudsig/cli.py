@@ -86,8 +86,8 @@ def _record(path: Path, cfg: ExperimentConfig, t0: float, **facts) -> None:
     `t0` and the stage's own `facts`.  Only this stage run writes it."""
     seconds = time.perf_counter() - t0
     record = dict(facts, package_version=__version__, config=cfg.to_dict(), seconds=seconds)
-    with committing(path) as tmp:
-        tmp.write_text(json.dumps(record, indent=2, sort_keys=True))
+    with committing(path) as tmp, open(tmp, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +346,8 @@ def _cmd_prepare(args) -> int:
             for rep in range(cfg.split.repetitions)
         },
     }
-    with committing(Path(cfg.output_dir) / SPLITS_REL) as tmp:
-        tmp.write_text(json.dumps(splits, indent=2, sort_keys=True))
+    with committing(Path(cfg.output_dir) / SPLITS_REL) as tmp, open(tmp, "w") as fh:
+        json.dump(splits, fh, indent=2, sort_keys=True)
 
     _record(
         Path(cfg.output_dir) / "prepared/prepare.json", cfg, t0, cache=str(cache),

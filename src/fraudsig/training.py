@@ -374,23 +374,24 @@ def train(
     ]
     cycle = _LabeledCycle(data.labeled_idx, derive_rng(seed, 0))
     keys: list[tuple[int, int]] = []  # (chain, epoch) of every member
-    start_epoch, trace_bytes = 0, len(_TRACE_HEADER)
+    start_epoch = 0
     fingerprint = _fingerprint(data, cfg)
 
     out = Path(checkpoint_dir)
     if resume:
-        start_epoch, trace_bytes = load_checkpoint(
+        start_epoch, streams = load_checkpoint(
             out, gen_chains, disc_chains, cycle, keys, fingerprint
         )
         _check_schedule(out, cfg, start_epoch, keys)
+        for name, size in streams.items():
+            with open(out / name, "ab") as f:
+                f.truncate(size)
     else:  # a checkpoint left here is another run's
         out.mkdir(parents=True, exist_ok=True)
         (out / "state.json").unlink(missing_ok=True)
-        (out / "trace.csv").write_bytes(_TRACE_HEADER)
+        for name, start in _STREAMS.items():
+            (out / name).write_bytes(start)
     members = _MemberFile(out, [p.shape for p in disc_chains[0].params], keys)
-    for name, size in (("members.bin", len(keys) * members.record), ("trace.csv", trace_bytes)):
-        with open(out / name, "ab") as f:
-            f.truncate(size)
 
     n_rows = data.feats.shape[0]
     batch = min(cfg.batch, n_rows)
@@ -525,27 +526,30 @@ def predict(
 #   trace.csv           the loss trace, a header and then each epoch's rows;
 #   chains-<epoch>.bin  every chain's params, adam m and adam v, generator
 #                       chains first, in the same format as members.bin;
-#   state.json          counters, RNG states, the member list, trace.csv's
-#                       committed length, the fingerprint of the settings and
-#                       data, the chains file and both networks' shapes.
-# members.bin and trace.csv are streams: `train` cuts each to what the
-# committed state.json lists when it starts or resumes (a tail past it is of
-# epochs not yet committed), and appends each member when it is collected
-# and each epoch's trace rows.  A save writes a fresh chains file and
-# commits state.json (config.committing).  That rename is the commit point:
-# before it every file the old state.json names is intact, and only after it
-# is the old chains file deleted.  A state.json that config.read_json
-# refuses, or a file shorter than it lists, is a DataError naming it; a
-# checkpoint of another network shape or member schedule, or of an older
-# version (no chain_state entry, or, to resume, no trace_bytes), a ConfigError.
+#   state.json          counters, RNG states, the member list, the committed
+#                       length of each stream, the fingerprint of the settings
+#                       and data, the chains file and both networks' shapes.
+# The streams (`_STREAMS`) are append-only: `train` starts each with its
+# start bytes, or on a resume cuts each to the length state.json commits (a
+# tail past it is of epochs not yet committed), and appends each member when
+# it is collected and each epoch's trace rows.  A save writes a fresh chains
+# file and commits state.json (config.committing).  That rename is the commit
+# point: before it every file the old state.json names is intact, and only
+# after it is the old chains file deleted.  A state.json that
+# config.read_json or `_read_state` refuses, or a stream shorter than its
+# committed length, is a DataError naming it, in `train --resume` and
+# `evaluate` alike; a checkpoint of another network shape or member
+# schedule, or of an older version (no chain_state or no streams entry), a
+# ConfigError.
 # ---------------------------------------------------------------------------
 
+# Each stream with the bytes a fresh one starts with.
+_STREAMS = {"members.bin": b"", "trace.csv": _TRACE_HEADER}
 # Entries of every state.json, of this layout and of older ones.
 _STATE_KEYS = ("epoch", "fingerprint", "data_rng", "cycle", "gen_chains", "disc_chains", "members")
 # The Kind of each counter in state.json and its chain and member entries.
 _COUNTERS = {
     "epoch": Kind(int, "[1, inf)"),
-    "trace_bytes": Kind(int, f"[{len(_TRACE_HEADER)}, inf)"),
     "chain": Kind(int, "[0, inf)"),
     "adam_t": Kind(int, "[0, inf)"),
 }
@@ -584,7 +588,7 @@ def save_checkpoint(checkpoint_dir, epoch, gen_chains, disc_chains, cycle, keys,
         "gen_chains": [_chain_entry(c) for c in gen_chains],
         "disc_chains": [_chain_entry(c) for c in disc_chains],
         "members": [{"chain": chain, "epoch": e} for chain, e in keys],
-        "trace_bytes": (out / "trace.csv").stat().st_size,
+        "streams": {name: (out / name).stat().st_size for name in _STREAMS},
     }
     with committing(out / "state.json") as tmp:
         tmp.write_text(json.dumps(state))
@@ -597,14 +601,26 @@ def _drop_chains_but(in_dir: Path, keep: str) -> None:
             path.unlink()
 
 
-def _read_state(in_dir: Path, *layout: str) -> dict:
-    """state.json; one without chain_state or a `layout` entry is an older version's."""
+def _read_state(in_dir: Path) -> dict:
+    """state.json, whose `streams` commit a length, at least its start bytes,
+    of each stream, which the stream holds; one without chain_state or
+    streams is an older version's."""
     state = read_json(in_dir / "state.json", _STATE_KEYS)
-    if not all(k in state for k in ("chain_state", *layout)):
+    if not all(k in state for k in ("chain_state", "streams")):
         raise ConfigError(
             f"checkpoint {in_dir} was written by an older version of fraudsig; "
             f"train the cell again without --resume"
         )
+    with parsing(in_dir / "state.json"):
+        state["streams"] = {
+            name: admit(f"streams[{name!r}]", state["streams"][name],
+                        Kind(int, f"[{len(start)}, inf)"))
+            for name, start in _STREAMS.items()
+        }
+    for name, size in state["streams"].items():
+        held = (in_dir / name).stat().st_size
+        if held < size:
+            raise DataError(f"checkpoint {in_dir}: {name} holds {held} of {size} bytes")
     return state
 
 
@@ -655,18 +671,14 @@ class _MemberFile:
 
 
 def _members(in_dir: Path, state: dict, shapes: list) -> _MemberFile:
-    """The ensemble state.json lists; a members.bin too short to hold all of
-    it is a DataError."""
+    """The ensemble state.json lists, whose records fill members.bin's
+    committed length."""
     _check_shapes(in_dir, state, "disc_shapes", shapes)
     with parsing(in_dir / "state.json"):
         keys = [(_counter(m, "chain"), _counter(m, "epoch")) for m in state["members"]]
-    members = _MemberFile(in_dir, list(shapes), keys)
-    size = (in_dir / "members.bin").stat().st_size
-    if size < len(keys) * members.record:
-        raise DataError(
-            f"checkpoint {in_dir}: members.bin holds {size} bytes; state.json lists "
-            f"{len(keys)} members of {members.record} bytes"
-        )
+        members = _MemberFile(in_dir, list(shapes), keys)
+        if state["streams"]["members.bin"] != len(keys) * members.record:
+            raise ValueError(f"streams do not commit {len(keys)} members of {members.record} bytes")
     return members
 
 
@@ -675,24 +687,26 @@ def load_members(checkpoint_dir, shapes: list) -> _MemberFile:
     member per access, with the (chain, epoch) `keys` state.json lists;
     members of other parameter shapes than `shapes`, the configured
     network's, are a ConfigError naming the checkpoint, and a members.bin
-    too short to hold every member state.json lists, checked here and at
-    each read, a DataError."""
+    too short to hold every member state.json lists, checked here (see
+    `_read_state`) and at each read, a DataError."""
     in_dir = Path(checkpoint_dir)
     return _members(in_dir, _read_state(in_dir), shapes)
 
 
 def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, keys, fingerprint):
     """Restore training state in place, and the (chain, epoch) of each member
-    into `keys`; returns the checkpointed epoch and trace.csv's committed length.
+    into `keys`; returns the checkpointed epoch and each stream's committed
+    length.
 
     A stored fingerprint that differs from `fingerprint` on one of its keys
     is a ConfigError naming them (keys only the checkpoint holds, such as
     older versions' `optimizer`, are not compared).  An entry refused by
     `_COUNTERS` or the checks below is a DataError naming state.json, and a
-    shorter trace.csv one naming it.  A chains file that the state does not
-    name, left by a crash after the commit, is deleted."""
+    stream shorter than its committed length one naming it.  A chains file
+    that the state does not name, left by a crash after the commit, is
+    deleted."""
     in_dir = Path(checkpoint_dir)
-    state = _read_state(in_dir, "trace_bytes")
+    state = _read_state(in_dir)
     with parsing(in_dir / "state.json"):
         saved_fp = state["fingerprint"]
         diff = [
@@ -710,7 +724,7 @@ def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, keys, finger
     _check_shapes(in_dir, state, "gen_shapes", shapes[0])
     keys[:] = _members(in_dir, state, shapes[-1]).keys
     with parsing(in_dir / "state.json"):
-        epoch, trace_bytes = _counter(state, "epoch"), _counter(state, "trace_bytes")
+        epoch = _counter(state, "epoch")
         if state["chain_state"] != f"chains-{epoch}.bin":
             raise ValueError(f"chain_state {state['chain_state']!r} is not chains-{epoch}.bin")
         tensors = iter(_views(in_dir, state["chain_state"], [s for c in shapes for s in c * 3]))
@@ -726,8 +740,5 @@ def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, keys, finger
             chain.adam.t = _counter(entry, "adam_t")
         cycle.rng.bit_generator.state = state["data_rng"]
         cycle.restore(state["cycle"])
-    size = (in_dir / "trace.csv").stat().st_size
-    if size < trace_bytes:
-        raise DataError(f"checkpoint {in_dir}: trace.csv holds {size} of {trace_bytes} bytes")
     _drop_chains_but(in_dir, state["chain_state"])
-    return epoch, trace_bytes
+    return epoch, state["streams"]

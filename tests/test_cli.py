@@ -76,6 +76,15 @@ def test_prepare_writes_splits(pipeline):
     assert set(splits["labeled"]["0:0"]) <= set(splits["train_idx"])
 
 
+def test_prepare_writes_indented_json_with_sorted_keys(pipeline):
+    """splits.json and the prepare record, written into their files as they
+    are encoded, hold the bytes of the text `json.dumps` joins."""
+    root, _ = pipeline
+    for name in ("splits.json", "prepare.json"):
+        text = (root / "out/prepared" / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
 def test_train_writes_run_dir(pipeline):
     root, _ = pipeline
     run = root / "out/runs/nl40_rep0"
@@ -85,11 +94,13 @@ def test_train_writes_run_dir(pipeline):
     assert trace[0] == "epoch,kind,chain,term,value"
     assert len(trace) == 1 + FAST_TRAIN["epochs"] * (2 + 4 * 2)
     # The run's trace.csv is a copy of the checkpoint's stream, which
-    # state.json records by its length alone.
+    # state.json records by its length alone, as it does members.bin.
     assert (run / "trace.csv").read_bytes() == (run / "checkpoint/trace.csv").read_bytes()
     state = json.loads((run / "checkpoint/state.json").read_text())
     assert "trace" not in state
-    assert state["trace_bytes"] == (run / "trace.csv").stat().st_size
+    assert state["streams"] == {
+        name: (run / "checkpoint" / name).stat().st_size for name in ("members.bin", "trace.csv")
+    }
 
 
 def test_evaluate_writes_reports(pipeline):
@@ -650,7 +661,7 @@ def test_resume_after_crash_during_checkpoint(pipeline, tmp_path, monkeypatch, c
     assert members == (ref / "checkpoint/members.bin").stat().st_size
     trace = (got / "checkpoint/trace.csv").stat().st_size
     assert trace == (ref / "checkpoint/trace.csv").stat().st_size
-    assert (state["trace_bytes"] < trace) == (crash_at == "replace")
+    assert (state["streams"]["trace.csv"] < trace) == (crash_at == "replace")
 
     assert main(train_args + ["--resume"]) == EXIT_OK
     assert json.loads((got / "train.json").read_text())["resumed"] is True
@@ -900,8 +911,14 @@ def _chain_state_elsewhere(state, ckpt):
     state["chain_state"] = f"../{state['chain_state']}"
 
 
-def _trace_bytes_as_text(state, ckpt):
-    state["trace_bytes"] = str(state["trace_bytes"])
+def _stream_length_as_text(state, ckpt):
+    state["streams"]["trace.csv"] = str(state["streams"]["trace.csv"])
+
+
+def _members_length_off_by_a_value(state, ckpt):
+    """members.bin's committed length 8 bytes short of the members listed,
+    so the file still holds it."""
+    state["streams"]["members.bin"] -= 8
 
 
 def _foreign_perm(state, ckpt):
@@ -915,7 +932,9 @@ _STATE_EDITS = {
     "chains-entry-moved":
         lambda state, ckpt: state["disc_chains"].append(state["gen_chains"].pop()),
     "chain-state-elsewhere": _chain_state_elsewhere,
-    "trace-bytes-not-an-int": _trace_bytes_as_text,
+    "stream-length-not-an-int": _stream_length_as_text,
+    "stream-entry-missing": lambda state, ckpt: state["streams"].pop("trace.csv"),
+    "members-length-not-members-times-record": _members_length_off_by_a_value,
     "cycle-pos-past-end":
         lambda state, ckpt: state["cycle"].update(pos=len(state["cycle"]["perm"]) + 5),
     "cycle-perm-foreign": _foreign_perm,
@@ -930,12 +949,13 @@ _STATE_EDITS = {
     "name", ["state.json", "members.bin", "chains-*.bin", "trace.csv", *_STATE_EDITS]
 )
 def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
-    """A cut-short checkpoint file (trace.csv shorter than the length
+    """A cut-short checkpoint file (a stream shorter than the length
     state.json commits among them), or a state.json without its `cycle`
     entry, with a generator chain entry fewer than its fingerprint's chain
     count or moved to the critic side, with a chain state other than its
-    epoch's chains file, a committed trace length that is not an int, or a
-    labeled cycle whose position is past its permutation or whose
+    epoch's chains file, a committed stream length that is missing or not an
+    int, a committed members.bin length other than its members' records, or
+    a labeled cycle whose position is past its permutation or whose
     permutation holds a sample outside the labeled set, or a counter (the
     epoch, a chain's adam_t, a member's chain) that is not an int in its
     range, exits 3 in train --resume and names the checkpoint (state.json,
@@ -957,10 +977,15 @@ def test_unreadable_checkpoint_is_data_error(pipeline, tmp_path, capsys, name):
     assert main(train_args) == EXIT_DATA
     err = capsys.readouterr().err
     assert str(named) in err
-    if name == "trace.csv":
-        assert f"{ckpt}: trace.csv holds 50 of" in err
-    # evaluate reads the ensemble only: the member list and members.bin.
-    broken = ("state.json", "members.bin", "no-cycle", "member-chain-not-an-int")
+    if name in ("members.bin", "trace.csv"):
+        assert f"{ckpt}: {name} holds 50 of" in err
+    # evaluate reads the ensemble (the member list and members.bin) and
+    # checks every stream's committed length.
+    broken = (
+        "state.json", "members.bin", "trace.csv", "no-cycle", "member-chain-not-an-int",
+        "stream-length-not-an-int", "stream-entry-missing",
+        "members-length-not-members-times-record",
+    )
     expected = EXIT_DATA if name in broken else EXIT_OK
     assert main(["evaluate", "--config", str(cfg)]) == expected
 
@@ -1136,20 +1161,26 @@ def test_resume_with_changed_network_or_optimizer_is_config_error(
 
 
 def test_checkpoint_of_older_layout_is_config_error(pipeline, tmp_path, capsys):
-    """A state.json without the chain-state entry (a checkpoint written by
-    an older version) exits 2 and names the checkpoint, in train --resume
-    and in evaluate, and says to train the cell again."""
+    """A checkpoint written by an older version, one whose state.json has no
+    chain-state entry, or one of the layout that committed trace.csv's
+    length alone (`trace_bytes`, no `streams`), exits 2 and names the
+    checkpoint, in train --resume and in evaluate, and says to train the
+    cell again."""
     cfg = _copy_run(pipeline, tmp_path)
     ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
-    state = json.loads((ckpt / "state.json").read_text())
-    del state["chain_state"]
-    (ckpt / "state.json").write_text(json.dumps(state))
+    no_chain_state = json.loads((ckpt / "state.json").read_text())
+    parents = dict(no_chain_state)
+    parents["trace_bytes"] = parents.pop("streams")["trace.csv"]
+    del no_chain_state["chain_state"]
     train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
-    assert main(train_args) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(ckpt) in err and "without --resume" in err
-    assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
-    assert str(ckpt) in capsys.readouterr().err
+    for state in (no_chain_state, parents):
+        (ckpt / "state.json").write_text(json.dumps(state))
+        assert main(train_args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "without --resume" in err
+        assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "without --resume" in err
 
 
 @pytest.mark.parametrize("case", ["edited-corpus", "older-checkpoint"])
@@ -1275,23 +1306,3 @@ def test_empty_head_widths_is_valid(tmp_path):
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path, train={"head_widths": []})
     assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
-
-
-def test_checkpoint_with_the_trace_in_state_json_scores_but_does_not_resume(
-    pipeline, tmp_path, capsys
-):
-    """A checkpoint of the layout that kept the trace rows in state.json
-    (a `trace` entry and no `trace_bytes`) is still scored by evaluate, but
-    train --resume exits 2, names it and says to train the cell again."""
-    cfg = _copy_run(pipeline, tmp_path)
-    ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
-    state = json.loads((ckpt / "state.json").read_text())
-    del state["trace_bytes"]
-    state["trace"] = [[1, "gen", 0, "loss", 0.5]]
-    (ckpt / "state.json").write_text(json.dumps(state))
-    (ckpt / "trace.csv").unlink()
-    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
-    assert main(train_args) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert str(ckpt) in err and "without --resume" in err
-    assert main(["evaluate", "--config", str(cfg)]) == EXIT_OK

@@ -217,7 +217,7 @@ def test_default_interval_resumes_after_a_crash(tmp_path, rng):
         train(data, cfg, seed=11, checkpoint_dir=ck, epoch_callback=crash)
     state = json.loads((ck / "state.json").read_text())
     assert state["epoch"] == 100
-    assert len(_trace(ck)) > state["trace_bytes"]  # epoch 101's rows, past the commit
+    assert len(_trace(ck)) > state["streams"]["trace.csv"]  # epoch 101's rows, past the commit
     epochs = []
     train(
         data, cfg, seed=11, checkpoint_dir=ck, resume=True,
@@ -266,10 +266,13 @@ def test_checkpoint_restores_counters(tmp_path, rng):
 
     cyc = _LabeledCycle(data.labeled_idx, np.random.default_rng(0))
     fingerprint = json.loads((tmp_path / "ck/state.json").read_text())["fingerprint"]
-    epoch, trace_bytes = load_checkpoint(tmp_path / "ck", gch, dch, cyc, members, fingerprint)
+    epoch, streams = load_checkpoint(tmp_path / "ck", gch, dch, cyc, members, fingerprint)
     assert epoch == 4
     assert len(members) == len(res.members)
-    assert trace_bytes == len(_trace(tmp_path / "ck"))
+    assert streams == {
+        "members.bin": (tmp_path / "ck/members.bin").stat().st_size,
+        "trace.csv": len(_trace(tmp_path / "ck")),
+    }
     np.testing.assert_array_equal(_flat(dch[0].params), _flat(disc_chains[0]))
 
 
