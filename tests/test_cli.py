@@ -1306,3 +1306,27 @@ def test_empty_head_widths_is_valid(tmp_path):
     generate(tmp_path / "corpus.csv", SynthSpec.small(), seed=1)
     cfg = _write_config(tmp_path, train={"head_widths": []})
     assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+
+
+def test_checkpoint_with_the_trace_in_state_json_scores_but_does_not_resume(
+    pipeline, tmp_path, capsys
+):
+    """A checkpoint of the layout that kept the trace rows in state.json
+    (a `trace` entry, no `trace_bytes` and no `streams`) does not resume:
+    train --resume exits 2, names it and says to train the cell again.
+    evaluate no longer scores it either, since it checks the committed
+    stream lengths an older layout lacks, and refuses it the same way."""
+    cfg = _copy_run(pipeline, tmp_path)
+    ckpt = tmp_path / "out/runs/nl40_rep0/checkpoint"
+    state = json.loads((ckpt / "state.json").read_text())
+    del state["streams"]
+    state["trace"] = [[1, "gen", 0, "loss", 0.5]]
+    (ckpt / "state.json").write_text(json.dumps(state))
+    (ckpt / "trace.csv").unlink()
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    assert main(train_args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "without --resume" in err
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "without --resume" in err
