@@ -23,10 +23,11 @@ eps P_real + (1 - eps) P_fake plus the real rows' condition part; the input
 gradient g = d W_f (d the gradient at the pre-activation) enters only through
 ||g||^2 = rowsum((d G) * d) and the tangent d G, with G = W_f W_f^T; and the
 W_f gradient is collected once per input batch from the gradients at its
-pre-activation, plus the penalty's second-order part (mu^T d) W_f.  This is
-the only implementation of the penalty: its gradient is that of
-`discriminator_loss` at `gp_weight` 1 minus that at 0.  The feature-level
-form, through the whole trunk, is the test reference in ``tests/oracles.py``.
+pre-activation, plus the penalty's second-order part ((c d)^T d) W_f, c the
+penalty's per-sample coefficients.  This is the only implementation of the
+penalty: its gradient is that of `discriminator_loss` at `gp_weight` 1 minus
+that at 0.  The feature-level form, through the whole trunk, is the test
+reference in ``tests/oracles.py``.
 
 A fake batch comes in one of two forms.  As an array of features x, it is
 projected as above.  As a `FakeBatch`, it is the generator's hidden layer H
@@ -125,7 +126,8 @@ def _penalty_at(disc: DiscriminatorNet, params, pre, gram, want_grads: bool):
     M W_f the second-order part of the W_f gradient.
     """
     scores, caches = disc.upper_forward(params, pre)
-    d_pre = disc.critic_pre_gradient(params, scores, caches)
+    d_outs = disc.critic_pre_gradient(params, scores, caches)
+    d_pre = d_outs[-1]
     d_gram = d_pre @ gram
     # (d G) . d can round below zero where the exact value is ~0.
     norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", d_gram, d_pre), 0.0))
@@ -136,8 +138,8 @@ def _penalty_at(disc: DiscriminatorNet, params, pre, gram, want_grads: bool):
     # d penalty / d ||g||^2 per sample, chained through ||g|| = sqrt(||g||^2):
     # (2/n)(||g|| - 1) * (1 / ||g||) * (1/2) * 2 <g, dg> = coeff * <g, dg>.
     coeffs = (2.0 / n) * (norms - 1.0) / np.maximum(norms, 1e-12)
-    upper, lam, mu = disc.upper_penalty_grads(params, caches, d_gram, coeffs)
-    return penalty, (upper, lam, mu.T @ d_pre)
+    upper, lam = disc.upper_penalty_grads(params, caches, d_gram, coeffs, d_outs)
+    return penalty, (upper, lam, (coeffs[:, None] * d_pre).T @ d_pre)
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,9 @@ class ParamSpec:
 #   forward(ps, x) -> (y, cache)
 #   backward(ps, cache, dy, need_param_grads) -> (grads, dx)
 #   tangent(ps, cache, xdot) -> (ydot, tcache)
-#   second_backward(ps, cache, tcache, lam, mu) -> (grads, lam_x, mu_x)
-# where lam = d(out)/d(primal activation) and mu = d(out)/d(tangent
-# activation) for the scalar being differentiated in the second-order pass.
+#   second_backward(ps, cache, tcache, lam, mu) -> (grads, lam_x)
+# where lam and mu are the gradients of the second-order pass's scalar w.r.t.
+# the layer's primal and tangent outputs; mu is given at each layer, not returned.
 # ---------------------------------------------------------------------------
 
 
@@ -106,7 +106,7 @@ class Dense:
         (x,) = cache
         (xdot,) = tcache
         grads = [lam.T @ x + mu.T @ xdot, lam.sum(axis=0)]
-        return grads, lam @ W, mu @ W
+        return grads, lam @ W
 
 
 class TanhAct:
@@ -131,7 +131,7 @@ class TanhAct:
         (xdot,) = tcache
         sech2 = 1.0 - y * y
         lam_x = lam * sech2 + mu * (-2.0 * y * sech2) * xdot
-        return [], lam_x, mu * sech2
+        return [], lam_x
 
 
 class ResidualTanh:
@@ -170,7 +170,7 @@ class ResidualTanh:
         lam_a = lam * sech2 + mu * (-2.0 * t * sech2) * adot
         mu_a = mu * sech2
         grads = [lam_a.T @ x + mu_a.T @ xdot, lam_a.sum(axis=0)]
-        return grads, lam + lam_a @ W, mu + mu_a @ W
+        return grads, lam + lam_a @ W
 
 
 def _check_codes(codes, cards):
@@ -449,34 +449,37 @@ class DiscriminatorNet(_Net):
         super().__init__(emb, feat_dim, True, proj, layers)
 
     def critic_pre_gradient(self, params, scores, caches):
-        """Per-sample gradient of the critic readout of `scores` w.r.t. the
-        pre-activation they were computed from."""
-        dy = np.broadcast_to(critic_head_vector(self.n_classes), scores.shape)
-        return self.upper_backward(params, caches, dy, need_param_grads=False)[1]
+        """Per-sample gradients of the critic readout of `scores` at each upper
+        layer's output, top first, and last at the pre-activation."""
+        upper_ps = self._split(params)[2]
+        d_outs = [np.broadcast_to(critic_head_vector(self.n_classes), scores.shape)]
+        for layer, (lo, hi), c in zip(self.layers[::-1], self._offsets[::-1], caches[::-1]):
+            d_outs.append(layer.backward(upper_ps[lo:hi], c, d_outs[-1], need_param_grads=False)[1])
+        return d_outs
 
-    def upper_penalty_grads(self, params, caches, pre_dot, coeffs):
+    def upper_penalty_grads(self, params, caches, pre_dot, coeffs, d_outs):
         """Forward-over-reverse pass over the upper layers.
 
-        `pre_dot` (n, width) is the tangent of the pre-activation; returns
-        (upper-layer grads of sum_i coeffs[i] * <critic tangent>_i, lam, mu),
-        with lam and mu that scalar's gradients w.r.t. the pre-activation and
-        its tangent.
+        `pre_dot` (n, width) is the tangent of the pre-activation and `d_outs`
+        `critic_pre_gradient`'s result; returns (upper-layer grads of sum_i
+        coeffs[i] * <critic tangent>_i, lam), lam that scalar's gradient w.r.t.
+        the pre-activation.  Its gradient at each layer's tangent output obeys
+        the backward rule from the readout: it is coeffs[:, None] times `d_outs`.
         """
         upper_ps = self._split(params)[2]
         tcaches = []
         for layer, (lo, hi), c in zip(self.layers, self._offsets, caches):
             pre_dot, tcache = layer.tangent(upper_ps[lo:hi], c, pre_dot)
             tcaches.append(tcache)
-        tvec = critic_head_vector(self.n_classes)
-        mu = coeffs[:, None] * tvec[None, :]
-        lam = np.zeros_like(mu)
+        coeffs = coeffs[:, None]
+        lam = np.zeros(d_outs[0].shape)
         grads = [None] * len(upper_ps)
-        for layer, (lo, hi), c, tc in zip(
-            reversed(self.layers), reversed(self._offsets), reversed(caches), reversed(tcaches)
+        for layer, (lo, hi), c, tc, d in zip(
+            self.layers[::-1], self._offsets[::-1], caches[::-1], tcaches[::-1], d_outs
         ):
-            layer_grads, lam, mu = layer.second_backward(upper_ps[lo:hi], c, tc, lam, mu)
+            layer_grads, lam = layer.second_backward(upper_ps[lo:hi], c, tc, lam, coeffs * d)
             grads[lo:hi] = layer_grads
-        return grads, lam, mu
+        return grads, lam
 
 
 def critic_head_vector(n_classes: int) -> np.ndarray:

@@ -570,7 +570,8 @@ def penalty_param_grads_reference(disc, params, cache, input_grads, coeffs):
     for layer, (lo, hi), c, tc in zip(
         reversed(layers), reversed(offsets), reversed(caches), reversed(tcaches)
     ):
-        layer_grads, lam, mu = layer.second_backward(trunk_ps[lo:hi], c, tc, lam, mu)
+        layer_grads, lam = layer.second_backward(trunk_ps[lo:hi], c, tc, lam, mu)
+        mu = layer.backward(trunk_ps[lo:hi], c, mu, need_param_grads=False)[1]
         grads[lo:hi] = layer_grads
     # The lookup tangent is zero for a fixed table, so only the primal (lam)
     # path reaches the embedding tables.

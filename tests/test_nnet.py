@@ -101,7 +101,7 @@ def test_layer_second_backward_matches_fd(make, rng):
     _, cache = layer.forward(ps, x)
     ydot, tcache = layer.tangent(ps, cache, v)
     c = rng.normal(size=ydot.shape)
-    grads, _, _ = layer.second_backward(ps, cache, tcache, np.zeros_like(c), c)
+    grads, _ = layer.second_backward(ps, cache, tcache, np.zeros_like(c), c)
 
     for k, p in enumerate(ps):
         def g_of_p(pv):
@@ -114,6 +114,36 @@ def test_layer_second_backward_matches_fd(make, rng):
         np.testing.assert_allclose(
             grads[k], fd_grad(g_of_p, p.copy()), rtol=1e-5, atol=1e-7
         )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Dense(4, 3, "d"),
+        lambda: TanhAct(),
+        lambda: ResidualTanh(4, "r"),
+    ],
+    ids=["dense", "tanh", "residual"],
+)
+def test_layer_second_backward_lam_x_matches_fd(make, rng):
+    """lam_x is the gradient over the input x of
+    G = sum(lam * y(x)) + sum(mu * J_layer(x) v), the tangent direction v
+    held fixed; checked against finite differences over x."""
+    layer = make()
+    ps = _layer_params(layer, rng)
+    x = rng.normal(size=(5, 4))
+    v = rng.normal(size=(5, 4))
+    y, cache = layer.forward(ps, x)
+    _, tcache = layer.tangent(ps, cache, v)
+    lam = rng.normal(size=y.shape)
+    mu = rng.normal(size=y.shape)
+    _, lam_x = layer.second_backward(ps, cache, tcache, lam, mu)
+
+    def g_of_x(xv):
+        yv, cc = layer.forward(ps, xv)
+        return float((lam * yv).sum() + (mu * layer.tangent(ps, cc, v)[0]).sum())
+
+    np.testing.assert_allclose(lam_x, fd_grad(g_of_x, x.copy()), rtol=1e-5, atol=1e-7)
 
 
 def test_generator_backward_matches_fd(rng):
