@@ -87,15 +87,8 @@ def _evict(path: Path) -> None:
 def _serial_pool(n_tasks: int):
     """Stands in for `training._chain_pool`: the chains step one after
     another on this thread, with OpenBLAS at one thread."""
-    blas = training._openblas_threads()
-    saved = blas[0]() if blas else None
-    try:
-        if blas:
-            blas[1](1)
+    with training._one_blas_thread():
         yield types.SimpleNamespace(map=map)
-    finally:
-        if blas:
-            blas[1](saved)
 
 
 def _profiled(fn, *args, **kwargs):

@@ -54,6 +54,7 @@ from .training import (
     build_nets,
     load_members,
     predict,
+    run_fingerprint,
     train,
 )
 
@@ -230,11 +231,27 @@ class Prepared:
         return samples, store
 
     @functools.cached_property
+    def _train_idx(self) -> np.ndarray:
+        return np.asarray(self.splits["train_idx"], dtype=np.intp)
+
+    @functools.cached_property
     def _maxima(self) -> tuple[float, float]:
         """The value-channel maxima over the train split, which scale every row."""
         samples, _ = self._source
-        train_idx = np.asarray(self.splits["train_idx"], dtype=np.intp)
-        return banksim.training_maxima(samples, train_idx)
+        return banksim.training_maxima(samples, self._train_idx)
+
+    def _labeled_positions(self, cell: Cell) -> np.ndarray:
+        """`cell`'s labeled samples as positions in the train split."""
+        return np.searchsorted(self._train_idx, cell.labeled)
+
+    def fingerprint(self, cell: Cell, n_cols: int, emb_cards) -> dict:
+        """The fingerprint `train` writes into `cell`'s checkpoint, from
+        splits.json and the feature shape `n_cols` and `emb_cards`, with no
+        train-split row read."""
+        return run_fingerprint(
+            self.cfg.train, len(self._train_idx), n_cols, emb_cards,
+            self._labeled_positions(cell), self.splits["features"],
+        )
 
     def _rows(self, idx: np.ndarray) -> FeatureRows:
         """A reader of the store's rows at the positions `idx`, scaled by
@@ -264,12 +281,12 @@ class Prepared:
         block: its rows are a `FeatureRows` of the store's features.bin, read
         per minibatch through one descriptor that the block's end closes."""
         samples, _ = self._source
-        idx = np.asarray(self.splits["train_idx"], dtype=np.intp)
+        idx = self._train_idx
         with self._rows(idx) as feats:
             yield PreparedData(
                 feats=feats, codes=banksim.condition_codes(samples, idx, cell.labeled),
                 labels=samples.labels[idx].astype(np.int64),
-                labeled_idx=np.searchsorted(idx, cell.labeled),
+                labeled_idx=self._labeled_positions(cell),
                 emb_cards=banksim.condition_cards(samples), feature_key=self.splits["features"],
             )
 
@@ -438,7 +455,8 @@ def _cmd_evaluate(args) -> int:
             n_missing += 1
             logger.info("no checkpoint for nl%d rep%d; skipping", cell.size, cell.rep)
             continue
-        members = load_members(ckpt, shapes)
+        fingerprint = prepared.fingerprint(cell, test.feats.shape[1], test.emb_cards)
+        members = load_members(ckpt, shapes, fingerprint)
         if members.keys != want:  # a cell still training, or one that stopped
             n_missing += 1
             logger.info(

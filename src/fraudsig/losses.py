@@ -115,15 +115,15 @@ def grad_norm_penalty(grad_norms: np.ndarray) -> float:
     return float(np.mean((grad_norms - 1.0) ** 2))
 
 
-def _penalty_at(disc: DiscriminatorNet, params, pre, gram, want_grads: bool):
+def _penalty_at(disc: DiscriminatorNet, params, pre, gram):
     """Gradient penalty at `disc.proj` pre-activations `pre` (B, width).
 
     With d the critic gradient at the pre-activation, the input gradient is
     g = d W_f, so ||g||^2 is the row sum of (d G) * d with G = W_f W_f^T, and
     the pre-activation's tangent along g is d G; g itself is never formed.
-    Returns (penalty, None), or with `want_grads` (penalty, (upper-layer
-    grads, lam, M)): lam (B, width) is the gradient at the pre-activation and
-    M W_f the second-order part of the W_f gradient.
+    Returns (penalty, upper-layer grads, lam, M): lam (B, width) is the
+    gradient at the pre-activation and M W_f the second-order part of the
+    W_f gradient.
     """
     scores, caches = disc.upper_forward(params, pre)
     d_outs = disc.critic_pre_gradient(params, scores, caches)
@@ -132,14 +132,12 @@ def _penalty_at(disc: DiscriminatorNet, params, pre, gram, want_grads: bool):
     # (d G) . d can round below zero where the exact value is ~0.
     norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", d_gram, d_pre), 0.0))
     penalty = grad_norm_penalty(norms)
-    if not want_grads:
-        return penalty, None
     n = norms.shape[0]
     # d penalty / d ||g||^2 per sample, chained through ||g|| = sqrt(||g||^2):
     # (2/n)(||g|| - 1) * (1 / ||g||) * (1/2) * 2 <g, dg> = coeff * <g, dg>.
     coeffs = (2.0 / n) * (norms - 1.0) / np.maximum(norms, 1e-12)
     upper, lam = disc.upper_penalty_grads(params, caches, d_gram, coeffs, d_outs)
-    return penalty, (upper, lam, (coeffs[:, None] * d_pre).T @ d_pre)
+    return penalty, upper, lam, (coeffs[:, None] * d_pre).T @ d_pre
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,6 @@ def discriminator_loss(
     eps,
     lam: float,
     gp_weight: float,
-    want_grads: bool = False,
 ):
     """Critic loss unlabeled + lam*labeled + gp_weight*penalty, summed over
     one fake batch per generator chain.
@@ -225,8 +222,8 @@ def discriminator_loss(
     Each fake batch is scored against the same real and labeled batches, and
     its penalty interpolates `real_feat` against it under the real batch's
     condition codes.  The real and labeled terms do not depend on the chain,
-    so they are evaluated once and weighted by k.  Returns (parts, total) or
-    (parts, total, grads) when `want_grads`.
+    so they are evaluated once and weighted by k.  Returns (parts, total,
+    grads).
     """
     if fake_codes is None:
         k = len(fake_feat)
@@ -250,25 +247,23 @@ def discriminator_loss(
     # product per distinct input batch, combined linearly for the penalty.
     real_proj, real_cond, real_emb = disc.project(params, real_feat, real_codes)
     real_scores, caches = disc.upper_forward(params, real_proj + real_cond)
-    if want_grads:
-        d_real = np.broadcast_to(k * tvec / n, real_scores.shape)
-        grads, d_real = disc.upper_backward(params, caches, d_real)
+    d_real = np.broadcast_to(k * tvec / n, real_scores.shape)
+    grads, d_real = disc.upper_backward(params, caches, d_real)
     lab_proj, lab_cond, lab_emb = disc.project(params, labeled_feat, labeled_codes)
     lab_scores, caches = disc.upper_forward(params, lab_proj + lab_cond)
     lab, dlab_scores = labeled_loss_grad(lab_scores, labels)
-    if want_grads:
-        upper, d_lab = disc.upper_backward(params, caches, (k * lam) * dlab_scores)
-        _accumulate(grads, upper)
-        # Gradients at the pre-activation, split by what they multiply: the
-        # real rows' features (d_real_feat) and their condition part (d_real).
-        # The W_f gradient sums D^T x over the batches as they are scored:
-        # labeled, each fake, real, then the penalty's M W_f.
-        d_real_feat = d_real.copy()
-        w_grad = np.zeros_like(w_f)
-        w_grad += d_lab.T @ labeled_feat
-        cond_terms = [(d_lab, lab_emb)]
-        m_sum = np.zeros_like(gram)
+    upper, d_lab = disc.upper_backward(params, caches, (k * lam) * dlab_scores)
+    _accumulate(grads, upper)
     del caches
+    # Gradients at the pre-activation, split by what they multiply: the
+    # real rows' features (d_real_feat) and their condition part (d_real).
+    # The W_f gradient sums D^T x over the batches as they are scored:
+    # labeled, each fake, real, then the penalty's M W_f.
+    d_real_feat = d_real.copy()
+    w_grad = np.zeros_like(w_f)
+    w_grad += d_lab.T @ labeled_feat
+    cond_terms = [(d_lab, lab_emb)]
+    m_sum = np.zeros_like(gram)
 
     unlab = pen = 0.0
     for feat, codes, e in fakes:
@@ -289,36 +284,31 @@ def discriminator_loss(
             proj, cond, emb = disc.project(params, feat, codes)
         fake_scores, caches = disc.upper_forward(params, proj + cond)
         unlab += unlabeled_loss(real_scores, fake_scores)
-        if want_grads:
-            d_fake = np.broadcast_to(-tvec / n, fake_scores.shape)
-            upper, d_fake = disc.upper_backward(params, caches, d_fake)
-            _accumulate(grads, upper)
+        d_fake = np.broadcast_to(-tvec / n, fake_scores.shape)
+        upper, d_fake = disc.upper_backward(params, caches, d_fake)
+        _accumulate(grads, upper)
         del caches
         e = np.asarray(e)[:, None]
-        res, pen_grads = _penalty_at(
-            disc, params, e * real_proj + (1.0 - e) * proj + real_cond, gram, want_grads
+        res, upper, lam_pen, m = _penalty_at(
+            disc, params, e * real_proj + (1.0 - e) * proj + real_cond, gram
         )
         pen += res
-        if want_grads:
-            upper, lam_pen, m = pen_grads
-            _accumulate(grads, upper, gp_weight)
-            lam_pen *= gp_weight
-            d_real_feat += e * lam_pen
-            d_real += lam_pen
-            d_feat = d_fake + (1.0 - e) * lam_pen
-            if factored:
-                w_grad += (d_feat.T @ feat.hidden) @ feat.w_out.T
-                w_grad += np.outer(d_feat.sum(axis=0), feat.b_out)
-            else:
-                w_grad += d_feat.T @ feat
-            cond_terms.append((d_fake, emb))
-            m_sum += gp_weight * m
+        _accumulate(grads, upper, gp_weight)
+        lam_pen *= gp_weight
+        d_real_feat += e * lam_pen
+        d_real += lam_pen
+        d_feat = d_fake + (1.0 - e) * lam_pen
+        if factored:
+            w_grad += (d_feat.T @ feat.hidden) @ feat.w_out.T
+            w_grad += np.outer(d_feat.sum(axis=0), feat.b_out)
+        else:
+            w_grad += d_feat.T @ feat
+        cond_terms.append((d_fake, emb))
+        m_sum += gp_weight * m
         del feat, proj  # before the next fake batch is made
 
     parts = DiscriminatorLossParts(unlab, k * lab, pen)
     total = parts.total(lam, gp_weight)
-    if not want_grads:
-        return parts, total
     w_grad += d_real_feat.T @ real_feat
     w_grad += m_sum @ w_f
     cond_terms.append((d_real, real_emb))

@@ -49,6 +49,7 @@ __all__ = [
     "Prediction",
     "DivergedChainError",
     "build_nets",
+    "run_fingerprint",
     "train",
     "predict",
     "save_checkpoint",
@@ -199,20 +200,24 @@ class _Chain:
         )
 
 
-def _fingerprint(data: PreparedData, cfg: TrainConfig) -> dict:
-    """What a checkpoint must have been written with to be resumed: every
-    sampler setting except the run length and the checkpoint interval, the
-    data shape, the prepared feature key and a digest of the labeled set, in
-    JSON form."""
+def run_fingerprint(
+    cfg: TrainConfig, rows: int, n_cols: int, emb_cards, labeled_idx, feature_key
+) -> dict:
+    """What a checkpoint must have been written with to be resumed or
+    scored: every sampler setting except the run length and the checkpoint
+    interval, the train split's shape `rows` x `n_cols` and embedding
+    cardinalities, a digest of the labeled positions `labeled_idx` in that
+    split and the prepared feature key (the `features` entry of
+    splits.json), in JSON form."""
     fp = dataclasses.asdict(cfg)
     del fp["epochs"], fp["checkpoint_every"]
-    labeled = np.asarray(data.labeled_idx, dtype="<i8").tobytes()
+    labeled = np.asarray(labeled_idx, dtype="<i8").tobytes()
     fp.update(
-        rows=data.feats.shape[0],
-        feat_dim=data.feats.shape[1],
-        emb_cards=list(data.emb_cards),
+        rows=rows,
+        feat_dim=n_cols,
+        emb_cards=list(emb_cards),
         labeled_sha256=hashlib.sha256(labeled).hexdigest(),
-        feature_key=data.feature_key,
+        feature_key=feature_key,
     )
     return json.loads(json.dumps(fp))
 
@@ -310,23 +315,30 @@ def _one_malloc_arena() -> None:
 
 
 @contextmanager
+def _one_blas_thread():
+    """OpenBLAS pinned to one thread for the `with` block, and its thread
+    count restored after."""
+    blas = _openblas_threads()
+    saved = blas[0]() if blas else None
+    try:
+        if blas:
+            blas[1](1)
+        yield
+    finally:
+        if blas:
+            blas[1](saved)
+
+
+@contextmanager
 def _chain_pool(n_tasks: int):
     """A pool of min(usable CPUs, `n_tasks`) threads, with OpenBLAS pinned to
     one thread while it is open: pool threads times BLAS threads would
     oversubscribe the cores, and one BLAS thread makes every GEMM of a run,
     of its resume and of a prediction the same whatever the environment asks
     for."""
-    blas = _openblas_threads()
-    saved = blas[0]() if blas else None
     _one_malloc_arena()
-    try:
-        if blas:
-            blas[1](1)
-        with ThreadPoolExecutor(min(_usable_cpus(), n_tasks)) as pool:
-            yield pool
-    finally:
-        if blas:
-            blas[1](saved)
+    with _one_blas_thread(), ThreadPoolExecutor(min(_usable_cpus(), n_tasks)) as pool:
+        yield pool
 
 
 def train(
@@ -375,7 +387,9 @@ def train(
     cycle = _LabeledCycle(data.labeled_idx, derive_rng(seed, 0))
     keys: list[tuple[int, int]] = []  # (chain, epoch) of every member
     start_epoch = 0
-    fingerprint = _fingerprint(data, cfg)
+    fingerprint = run_fingerprint(
+        cfg, *data.feats.shape, data.emb_cards, data.labeled_idx, data.feature_key
+    )
 
     out = Path(checkpoint_dir)
     if resume:
@@ -439,7 +453,7 @@ def train(
                 disc, chain.params, data.feats[real_rows], data.codes[real_rows],
                 _Lazy(fake, gen_chains), None,
                 labeled_feats[np.searchsorted(labeled, lab_rows)], data.codes[lab_rows],
-                data.labels[lab_rows] + 1, None, cfg.lam, cfg.gp_weight, want_grads=True,
+                data.labels[lab_rows] + 1, None, cfg.lam, cfg.gp_weight,
             )
             direction = _direction(grads, chain.params, disc_prior, prior_w)
             if not _finite(total, direction):
@@ -682,31 +696,11 @@ def _members(in_dir: Path, state: dict, shapes: list) -> _MemberFile:
     return members
 
 
-def load_members(checkpoint_dir, shapes: list) -> _MemberFile:
-    """The discriminator posterior ensemble stored in a checkpoint, read one
-    member per access, with the (chain, epoch) `keys` state.json lists;
-    members of other parameter shapes than `shapes`, the configured
-    network's, are a ConfigError naming the checkpoint, and a members.bin
-    too short to hold every member state.json lists, checked here (see
-    `_read_state`) and at each read, a DataError."""
-    in_dir = Path(checkpoint_dir)
-    return _members(in_dir, _read_state(in_dir), shapes)
-
-
-def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, keys, fingerprint):
-    """Restore training state in place, and the (chain, epoch) of each member
-    into `keys`; returns the checkpointed epoch and each stream's committed
-    length.
-
-    A stored fingerprint that differs from `fingerprint` on one of its keys
-    is a ConfigError naming them (keys only the checkpoint holds, such as
-    older versions' `optimizer`, are not compared).  An entry refused by
-    `_COUNTERS` or the checks below is a DataError naming state.json, and a
-    stream shorter than its committed length one naming it.  A chains file
-    that the state does not name, left by a crash after the commit, is
-    deleted."""
-    in_dir = Path(checkpoint_dir)
-    state = _read_state(in_dir)
+def _check_fingerprint(in_dir: Path, state: dict, fingerprint: dict) -> None:
+    """A stored fingerprint that differs from `fingerprint` on one of its
+    keys is a ConfigError naming the checkpoint and those keys (keys only
+    the checkpoint holds, such as older versions' `optimizer`, are not
+    compared)."""
     with parsing(in_dir / "state.json"):
         saved_fp = state["fingerprint"]
         diff = [
@@ -719,6 +713,35 @@ def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, keys, finger
             f"checkpoint {in_dir} was written with other sampler settings or data; "
             f"differing keys (checkpoint -> now): {'; '.join(diff)}"
         )
+
+
+def load_members(checkpoint_dir, shapes: list, fingerprint: dict) -> _MemberFile:
+    """The discriminator posterior ensemble stored in a checkpoint, read one
+    member per access, with the (chain, epoch) `keys` state.json lists.  A
+    checkpoint of another `fingerprint` (see `_check_fingerprint`) or of
+    other parameter shapes than `shapes`, the configured network's, is a
+    ConfigError naming it, and a members.bin too short to hold every member
+    state.json lists, checked here (see `_read_state`) and at each read, a
+    DataError."""
+    in_dir = Path(checkpoint_dir)
+    state = _read_state(in_dir)
+    _check_fingerprint(in_dir, state, fingerprint)
+    return _members(in_dir, state, shapes)
+
+
+def load_checkpoint(checkpoint_dir, gen_chains, disc_chains, cycle, keys, fingerprint):
+    """Restore training state in place, and the (chain, epoch) of each member
+    into `keys`; returns the checkpointed epoch and each stream's committed
+    length.
+
+    A checkpoint of another `fingerprint` is a ConfigError (see
+    `_check_fingerprint`).  An entry refused by `_COUNTERS` or the checks
+    below is a DataError naming state.json, and a stream shorter than its
+    committed length one naming it.  A chains file that the state does not
+    name, left by a crash after the commit, is deleted."""
+    in_dir = Path(checkpoint_dir)
+    state = _read_state(in_dir)
+    _check_fingerprint(in_dir, state, fingerprint)
     chains = [*gen_chains, *disc_chains]
     shapes = [[p.shape for p in c.params] for c in chains]
     _check_shapes(in_dir, state, "gen_shapes", shapes[0])

@@ -219,11 +219,10 @@ def _random_disc_case(rng):
 
     _, _, grads = discriminator_loss(
         disc, ps, real, codes, fake, codes, lab, codes, labels, eps, lam, gp_w,
-        want_grads=True,
     )
 
     def loss(trial):
-        _, total = discriminator_loss(
+        _, total, _ = discriminator_loss(
             disc, trial, real, codes, fake, codes, lab, codes, labels, eps,
             lam, gp_w,
         )

@@ -864,8 +864,8 @@ def test_members_cut_short_while_open_is_data_error(
     load = cli.load_members
     monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
 
-    def load_then_cut(checkpoint_dir, shapes):
-        members = load(checkpoint_dir, shapes)
+    def load_then_cut(checkpoint_dir, shapes, fingerprint):
+        members = load(checkpoint_dir, shapes, fingerprint)
         if checkpoint_dir == ckpt:
             data = (ckpt / "members.bin").read_bytes()
             (ckpt / "members.bin").write_bytes(data[: len(data) // 2])
@@ -1206,6 +1206,25 @@ def test_resume_into_other_prepared_features_is_config_error(pipeline, tmp_path,
     assert main(train_args) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(ckpt) in err and "feature_key: " in err
+
+
+def test_evaluate_after_prepare_with_another_seed_is_config_error(pipeline, tmp_path, capsys):
+    """A cell trained on one prepared split is not scored on another: after
+    `prepare` with another seed into the same output directory, whose split
+    holds other labeled rows, `evaluate` exits 2 naming the checkpoint and
+    the labeled set's digest, as `train --resume` does."""
+    cfg = _copy_run(pipeline, tmp_path)
+    base = yaml.safe_load(cfg.read_text())
+    base["seed"] += 1
+    cfg.write_text(yaml.safe_dump(base))
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    ckpt = str(tmp_path / "out/runs/nl40_rep0/checkpoint")
+    train_args = ["train", "--config", str(cfg), "--nl", "40", "--rep", "0", "--resume"]
+    for argv in (["evaluate", "--config", str(cfg)], train_args):
+        assert main(argv) == EXIT_CONFIG, argv
+        err = capsys.readouterr().err
+        assert ckpt in err and "labeled_sha256: " in err, argv
 
 
 def test_resume_with_changed_learning_rate_is_config_error(pipeline, tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_zero_discriminator_has_unit_penalty(rng):
     real = rng.normal(size=(4, 3))
     fake = rng.normal(size=(4, 3))
     codes = rng.integers(0, 2, (4, 1))
-    parts, _ = discriminator_loss(
+    parts, _, _ = discriminator_loss(
         disc, zero, real, codes, fake, codes, real, codes, np.ones(4, dtype=int),
         rng.uniform(size=4), lam=10.0, gp_weight=10.0,
     )
@@ -109,13 +109,13 @@ def test_gradient_penalty_grads_match_fd(rng):
     lab = rng.normal(size=(3, 3))
     labels = rng.integers(1, 3, 3)
 
-    def loss(trial, gp_weight, want_grads=False):
+    def loss(trial, gp_weight):
         return discriminator_loss(
             disc, trial, real, codes, fake, codes, lab, codes, labels, eps,
-            lam=10.0, gp_weight=gp_weight, want_grads=want_grads,
+            lam=10.0, gp_weight=gp_weight,
         )
 
-    with_pen, without = loss(params, 1.0, True)[2], loss(params, 0.0, True)[2]
+    with_pen, without = loss(params, 1.0)[2], loss(params, 0.0)[2]
     grads = [a - b for a, b in zip(with_pen, without)]
     for k, p in enumerate(params):
         def f(pv):
@@ -143,14 +143,14 @@ def test_discriminator_loss_decomposition_and_fd(rng):
 
     parts, total, grads = discriminator_loss(
         disc, params, real, codes, fake, codes, lab, codes, labels, eps,
-        lam=10.0, gp_weight=10.0, want_grads=True,
+        lam=10.0, gp_weight=10.0,
     )
     assert total == pytest.approx(
         parts.unlabeled + 10.0 * parts.labeled + 10.0 * parts.penalty, abs=1e-12
     )
 
     def f(trial):
-        _, t = discriminator_loss(
+        _, t, _ = discriminator_loss(
             disc, trial, real, codes, fake, codes, lab, codes, labels, eps,
             lam=10.0, gp_weight=10.0,
         )
@@ -181,12 +181,12 @@ def test_discriminator_loss_stacked_fakes_sum_single_calls(rng):
 
     parts, total, grads = discriminator_loss(
         disc, params, real, codes, fakes, fake_codes, lab, lab_codes, labels, eps,
-        lam=10.0, gp_weight=10.0, want_grads=True,
+        lam=10.0, gp_weight=10.0,
     )
     singles = [
         discriminator_loss(
             disc, params, real, codes, fakes[j], fake_codes[j], lab, lab_codes,
-            labels, eps[j], lam=10.0, gp_weight=10.0, want_grads=True,
+            labels, eps[j], lam=10.0, gp_weight=10.0,
         )
         for j in range(k)
     ]
@@ -197,7 +197,7 @@ def test_discriminator_loss_stacked_fakes_sum_single_calls(rng):
     for i, g in enumerate(grads):
         want = sum(s[2][i] for s in singles)
         np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
-    _, total_only = discriminator_loss(
+    _, total_only, _ = discriminator_loss(
         disc, params, real, codes, fakes, fake_codes, lab, lab_codes, labels, eps,
         lam=10.0, gp_weight=10.0,
     )
@@ -210,7 +210,7 @@ def test_discriminator_loss_stacked_fakes_sum_single_calls(rng):
     assert all(np.array_equal(b.formed(), f) for b, f in zip(batches, fakes))
     parts_it, total_it, grads_it = discriminator_loss(
         disc, params, real, codes, batches, None, lab, lab_codes, labels, None,
-        lam=10.0, gp_weight=10.0, want_grads=True,
+        lam=10.0, gp_weight=10.0,
     )
     assert (parts_it, total_it) == (parts, total)
     for g, want in zip(grads_it, grads):
@@ -253,16 +253,16 @@ def test_discriminator_loss_matches_feature_level_reference(rng, k, B, case):
     largest entry."""
     disc, params, args = _loss_case(rng, k, B, **case)
     parts, total, grads = discriminator_loss(
-        disc, params, *args, lam=10.0, gp_weight=10.0, want_grads=True
+        disc, params, *args, lam=10.0, gp_weight=10.0
     )
-    *want_parts, want_total, want_grads = discriminator_loss_reference(
+    *want_parts, want_total, ref_grads = discriminator_loss_reference(
         disc, params, *args, 10.0, 10.0
     )
     got = (parts.unlabeled, parts.labeled, parts.penalty, total)
     for value, want in zip(got, (*want_parts, want_total)):
         assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
-    assert len(grads) == len(want_grads)
-    for g, want in zip(grads, want_grads):
+    assert len(grads) == len(ref_grads)
+    for g, want in zip(grads, ref_grads):
         assert g.shape == want.shape
         np.testing.assert_allclose(g, want, rtol=0, atol=1e-10 * np.abs(want).max())
 
@@ -274,7 +274,7 @@ def test_tiny_weights_give_finite_unit_penalty(rng):
     disc, params, args = _loss_case(rng, 3, 7, feat_dim=40, cards=(2, 3), width=16)
     params = [1e-9 * p for p in params]
     parts, total, grads = discriminator_loss(
-        disc, params, *args, lam=10.0, gp_weight=10.0, want_grads=True
+        disc, params, *args, lam=10.0, gp_weight=10.0
     )
     assert np.isfinite(total)
     assert abs(parts.penalty / 3 - 1.0) <= 1e-12
@@ -301,7 +301,7 @@ def test_penalty_norm_rounding_below_zero_is_clamped():
     zero, codes = np.zeros((1, 1)), np.zeros((1, 1), dtype=int)
     parts, _, grads = discriminator_loss(
         disc, params, zero, codes, zero, codes, zero, codes, np.array([1]),
-        np.array([0.5]), lam=10.0, gp_weight=10.0, want_grads=True,
+        np.array([0.5]), lam=10.0, gp_weight=10.0,
     )
     assert parts.penalty == pytest.approx(1.0, abs=1e-6)
     assert all(np.all(np.isfinite(g)) for g in grads)
@@ -387,11 +387,11 @@ def test_fake_batches_match_the_array_form(rng, B, factored):
     fakes = np.stack([b.formed() for b in batches])
     parts, total, grads = discriminator_loss(
         disc, params, real, codes, batches, None, lab, lab_codes, labels, None,
-        lam=10.0, gp_weight=10.0, want_grads=True,
+        lam=10.0, gp_weight=10.0,
     )
-    want_parts, want_total, want_grads = discriminator_loss(
+    want_parts, want_total, array_grads = discriminator_loss(
         disc, params, real, codes, fakes, fake_codes, lab, lab_codes, labels, eps,
-        lam=10.0, gp_weight=10.0, want_grads=True,
+        lam=10.0, gp_weight=10.0,
     )
     values = [parts.unlabeled, parts.labeled, parts.penalty, total]
     want_values = [want_parts.unlabeled, want_parts.labeled, want_parts.penalty, want_total]
@@ -399,8 +399,8 @@ def test_fake_batches_match_the_array_form(rng, B, factored):
         assert values == pytest.approx(want_values, rel=1e-12, abs=0)
     else:
         assert values == want_values
-    assert len(grads) == len(want_grads)
-    _assert_same(grads, want_grads, exact=not factored)
+    assert len(grads) == len(array_grads)
+    _assert_same(grads, array_grads, exact=not factored)
 
 
 def test_fake_batch_row_mismatch(rng):
@@ -444,7 +444,7 @@ def test_generator_loss_matches_the_dense_chain(rng, B, factored):
         value, dscores = generator_loss_from_scores(scores)
         want_value += value
         dfeat_total += disc.backward(dparams, dcache, dscores, need_param_grads=False)[1]
-    want_grads, _ = gen.backward(gparams, gcache, dfeat_total)
+    dense_grads, _ = gen.backward(gparams, gcache, dfeat_total)
 
     hidden_rows, cache = gen.hidden_forward(gparams, z, codes)
     value, d_hidden, out_grads = generator_loss(
@@ -455,5 +455,5 @@ def test_generator_loss_matches_the_dense_chain(rng, B, factored):
         assert value == pytest.approx(want_value, rel=1e-12, abs=0)
     else:
         assert value == want_value
-    assert len(grads) == len(want_grads)
-    _assert_same(grads, want_grads, exact=not factored)
+    assert len(grads) == len(dense_grads)
+    _assert_same(grads, dense_grads, exact=not factored)

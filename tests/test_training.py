@@ -17,6 +17,7 @@ from fraudsig.training import (
     load_checkpoint,
     load_members,
     predict,
+    run_fingerprint,
     train,
 )
 
@@ -168,9 +169,14 @@ def test_resume_ignores_generator_members_of_older_checkpoints(tmp_path, rng):
     data = _tiny_data(rng)
     full = train(data, _tiny_cfg(epochs=6), seed=11, checkpoint_dir=tmp_path / "full")
     ck = tmp_path / "ck"
-    part = train(data, _tiny_cfg(epochs=3, checkpoint_every=3), seed=11, checkpoint_dir=ck)
+    cfg = _tiny_cfg(epochs=3, checkpoint_every=3)
+    part = train(data, cfg, seed=11, checkpoint_dir=ck)
     assert not list(ck.glob("gen*member*"))
-    assert len(load_members(ck, [p.shape for p in part.members[0].params])) == len(part.members)
+    fingerprint = run_fingerprint(
+        cfg, *data.feats.shape, data.emb_cards, data.labeled_idx, data.feature_key
+    )
+    shapes = [p.shape for p in part.members[0].params]
+    assert len(load_members(ck, shapes, fingerprint)) == len(part.members)
     state = json.loads((ck / "state.json").read_text())
     state["gen_members"] = [{"chain": 0, "epoch": 2}]
     (ck / "state.json").write_text(json.dumps(state))
